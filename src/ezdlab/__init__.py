@@ -13,7 +13,6 @@ from .polyring import (
     Monomial,
     NonHomogeneousError,
     ParseError,
-    divides,
     format_ideal,
     format_monomial,
     format_poly,
@@ -25,7 +24,6 @@ from .polyring import (
     monomials_of_degree,
     parse_ideal,
     parse_poly,
-    poly_mul,
     variable,
 )
 from .gradedring import (
@@ -33,9 +31,7 @@ from .gradedring import (
     HilbertFn,
     build_quotient,
     default_bound,
-    hilbert_function,
     is_artinian_within,
-    normal_form,
 )
 from .ezd import (
     DegreeRow,

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .ezd import (
     GenericDecision,
@@ -224,7 +225,7 @@ def cmd_yoshino(args) -> int:
             "ideal": format_ideal(ring.spec),
             "degree2_generator_count": expected,
         }
-        payload.update(report.to_json_dict())
+        payload.update(asdict(report))
         _emit_json(payload)
     else:
         mark = lambda b: "ok" if b else "FAIL"

@@ -6,6 +6,12 @@ a few hundred columns), so Gauss-Jordan elimination with normalized pivots
 is fast enough and, crucially, yields the *unique* reduced row echelon
 form. Downstream code relies on that uniqueness: two subspaces are equal
 exactly when their canonical bases are identical.
+
+`Subspace` is the one echelon-basis type. It keeps the nonzero rows of the
+reduced echelon form sparsely, each as its pivot column and the other
+nonzero entries, so reducing a vector touches only those entries; graded
+quotients store their relation spaces in this form and take normal forms
+with `Subspace.reduce`.
 """
 
 from __future__ import annotations
@@ -50,15 +56,6 @@ class QMatrix:
 
     def entry(self, i: int, j: int) -> Rational:
         return self.data[i * self.cols + j]
-
-    def mul_vector(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            out.append(sum((a * b for a, b in zip(row, v)), ZERO))
-        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -117,29 +114,37 @@ def rank(m: QMatrix) -> int:
     return len(pivots)
 
 
+EchelonRow = tuple[int, tuple[tuple[int, Rational], ...]]  # pivot column, other nonzeros
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace of Q^ambient_dim in canonical (rref) form.
 
-    `basis` holds the nonzero rows of the reduced echelon form of any
-    spanning set, so equal subspaces compare equal as values.
+    `rows` holds the nonzero rows of the reduced echelon form of any
+    spanning set, in pivot order, each as `(pivot, ((col, coeff), ...))`:
+    the pivot entry is 1 and the pairs list the other nonzero entries by
+    column. Equal subspaces therefore compare equal as values.
     """
 
     ambient_dim: int
-    basis: tuple[tuple[Rational, ...], ...]
+    rows: tuple[EchelonRow, ...]
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v) for v in vectors]
+        vecs = [tuple(v) for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
         vecs = [v for v in vecs if any(v)]
         if not vecs:
             return cls(ambient_dim, ())
-        red, _ = rref(QMatrix.from_rows(vecs))
-        rows = tuple(red.row(i) for i in range(red.rows) if any(red.row(i)))
-        return cls(ambient_dim, rows)
+        red, pivots = rref(QMatrix.from_rows(vecs))
+        rows = []
+        for i, p in enumerate(pivots):
+            row = red.row(i)
+            rows.append((p, tuple((j, x) for j, x in enumerate(row) if x and j != p)))
+        return cls(ambient_dim, tuple(rows))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -147,18 +152,36 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self) -> tuple[tuple[Rational, ...], ...]:
+        """The canonical basis as dense coordinate vectors."""
+        dense = []
+        for pivot, rest in self.rows:
+            v = [ZERO] * self.ambient_dim
+            v[pivot] = ONE
+            for j, c in rest:
+                v[j] = c
+            dense.append(tuple(v))
+        return tuple(dense)
 
     def reduce(self, vector: Sequence) -> tuple:
-        """Residue of `vector` after eliminating along the canonical basis."""
+        """Residue of `vector` after eliminating along the canonical basis.
+
+        The residue is zero in every pivot column, and zero exactly when
+        the vector lies in the subspace. Entries may be ints or Fractions;
+        only the entries an elimination step touches become Fractions.
+        """
         if len(vector) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        v = [x if isinstance(x, Fraction) else Fraction(x) for x in vector]
-        for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if x)
-            c = v[lead]
+        v = list(vector)
+        for pivot, rest in self.rows:
+            c = v[pivot]
             if c:
-                v = [x - c * y for x, y in zip(v, row)]
+                v[pivot] = ZERO
+                for j, rj in rest:
+                    v[j] -= c * rj
         return tuple(v)
 
     def contains_vector(self, vector: Sequence) -> bool:
@@ -189,4 +212,4 @@ def subspace_equal(a: Subspace, b: Subspace) -> bool:
     """Whether two canonical subspaces coincide; ambient dims must match."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return a.basis == b.basis
+    return a.rows == b.rows

@@ -12,7 +12,7 @@ check is cheap and catches truncation mistakes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -114,19 +114,7 @@ class EzdReport:
             "product_zero": self.product_zero,
             "verdict": self.verdict.value,
             "reason": self.reason,
-            "table": [
-                {
-                    "degree": r.degree,
-                    "dim_ring": r.dim_ring,
-                    "dim_ann_x": r.dim_ann_x,
-                    "dim_ideal_y": r.dim_ideal_y,
-                    "dim_ann_y": r.dim_ann_y,
-                    "dim_ideal_x": r.dim_ideal_x,
-                    "equal_xy": r.equal_xy,
-                    "equal_yx": r.equal_yx,
-                }
-                for r in self.table
-            ],
+            "table": [asdict(r) for r in self.table],
         }
 
 
@@ -142,7 +130,6 @@ def is_ezd_pair(ring: GradedQuotient, x: HomogPoly, y: HomogPoly) -> EzdReport:
         return EzdReport(ring_id, x, y, True, (), PairVerdict.NOT_PAIR, "zero element")
 
     top = ring.top_degree
-    assert top is not None
     prod_degree = x.degree + y.degree
     if prod_degree <= ring.bound:
         product_zero = not any(ring.normal_form(x * y))
@@ -190,7 +177,6 @@ def find_ezd_complement(ring: GradedQuotient, ell: HomogPoly) -> tuple[HomogPoly
     if ell.is_zero():
         return None
     top = ring.top_degree
-    assert top is not None
     for t in range(top + 1):
         sub = annihilator_degree(ring, ell, t)
         if sub.dim == 0:
@@ -253,6 +239,8 @@ def generic_ezd_decision(ring: GradedQuotient, trials: int = 3, seed: int = 0) -
     sampled `trials` times with independent large random coefficients;
     mixed outcomes are reported inconclusive, never resolved by majority.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if not ring.complete:
         raise ValueError("ring does not vanish within the degree bound; raise the bound")
     if ring.spec.kind is IdealKind.MONOMIAL:
@@ -302,16 +290,7 @@ class WlpReport:
             "holds": self.holds,
             "trials": self.trials,
             "seed": self.seed,
-            "degrees": [
-                {
-                    "degree": r.degree,
-                    "dim_source": r.dim_source,
-                    "dim_target": r.dim_target,
-                    "rank": r.rank,
-                    "maximal": r.maximal,
-                }
-                for r in self.degrees
-            ],
+            "degrees": [asdict(r) for r in self.degrees],
         }
 
 
@@ -322,8 +301,9 @@ def wlp_check(ring: GradedQuotient, trials: int = 3, seed: int = 0) -> WlpReport
     Maximal rank is an open condition, so one witnessing trial suffices for
     the generic statement; per-degree rows report the best rank seen.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     top = ring.top_degree if ring.complete else ring.bound
-    assert top is not None
     per_trial_ranks = []
     for t in range(trials):
         ell = generic_linear_form(ring.nvars, derived_seed(seed, t))
@@ -332,7 +312,7 @@ def wlp_check(ring: GradedQuotient, trials: int = 3, seed: int = 0) -> WlpReport
     for i in range(1, top + 1):
         dim_src = ring.dim(i - 1)
         dim_tgt = ring.dim(i)
-        best = max(tr[i - 1] for tr in per_trial_ranks) if per_trial_ranks else 0
+        best = max(tr[i - 1] for tr in per_trial_ranks)
         rows.append(WlpDegree(i, dim_src, dim_tgt, best, best == min(dim_src, dim_tgt)))
     holds = any(
         all(tr[i - 1] == min(ring.dim(i - 1), ring.dim(i)) for i in range(1, top + 1))
@@ -346,7 +326,6 @@ def socle_dims(ring: GradedQuotient) -> tuple[int, ...]:
     if not ring.complete:
         raise ValueError("socle needs a ring that vanishes within the degree bound")
     top = ring.top_degree
-    assert top is not None
     dims = []
     for d in range(top + 1):
         blocks = []
@@ -382,15 +361,6 @@ class YoshinoReport:
     c1: bool
     c2: bool
     gorenstein: bool | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r1": self.r1,
-            "r2": self.r2,
-            "c1": self.c1,
-            "c2": self.c2,
-            "gorenstein": self.gorenstein,
-        }
 
 
 def yoshino_conditions(ring: GradedQuotient) -> YoshinoReport:

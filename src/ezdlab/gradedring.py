@@ -4,9 +4,9 @@ For each degree d the relation space I_d is spanned by the products m*g of
 the generators by complementary-degree monomials. For monomial ideals that
 span is a coordinate subspace and is found purely by divisibility tests;
 otherwise the product rows go through one exact elimination per degree.
-Either way each degree stores a set of canonical reducers (rref rows keyed
-by pivot column), so normal forms are a single linear pass and the quotient
-basis is the set of non-pivot monomials.
+Either way each degree stores I_d as a sparse echelon `Subspace` of the
+monomial coefficient space, so normal forms are one `Subspace.reduce` pass
+and the quotient basis is the set of non-pivot monomials.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import QMatrix, Subspace, rref
+from .exactmat import Subspace
 from .polyring import (
     HomogPoly,
     IdealKind,
@@ -26,9 +26,6 @@ from .polyring import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-
-Reducer = tuple[int, tuple[tuple[int, Fraction], ...]]  # pivot column, other nonzeros
 
 
 @dataclass(frozen=True)
@@ -43,7 +40,7 @@ class HilbertFn:
 @dataclass(frozen=True)
 class _DegreeComponent:
     monomials: tuple[Monomial, ...]
-    reducers: tuple[Reducer, ...]
+    relations: Subspace  # I_d in the coefficient space of `monomials`
     quotient_cols: tuple[int, ...]
 
 
@@ -122,16 +119,7 @@ class GradedQuotient:
 
     def relation_subspace(self, degree: int) -> Subspace:
         """I_d as a canonical subspace of the degree-d coefficient space."""
-        comp = self._components[degree]
-        ncols = len(comp.monomials)
-        rows = []
-        for pivot, rest in comp.reducers:
-            row = [ZERO] * ncols
-            row[pivot] = ONE
-            for j, c in rest:
-                row[j] = c
-            rows.append(tuple(row))
-        return Subspace(ncols, tuple(rows))
+        return self._components[degree].relations
 
     def normal_form(self, p: HomogPoly) -> tuple[Fraction, ...]:
         """Coordinates of p in the degree-deg(p) quotient basis; zero iff p is in I."""
@@ -145,12 +133,7 @@ class GradedQuotient:
         v = [ZERO] * len(comp.monomials)
         for m, c in p.coeffs.items():
             v[index[m]] = c
-        for pivot, rest in comp.reducers:
-            c = v[pivot]
-            if c:
-                v[pivot] = ZERO
-                for j, rj in rest:
-                    v[j] -= c * rj
+        v = comp.relations.reduce(v)
         return tuple(v[j] for j in comp.quotient_cols)
 
     def basis_poly(self, degree: int, coords) -> HomogPoly:
@@ -170,13 +153,17 @@ def _hilbert_from_dims(dims: tuple[int, ...]) -> HilbertFn:
     return HilbertFn(dims, artinian, top)
 
 
+def _component(monos: tuple[Monomial, ...], relations: Subspace) -> _DegreeComponent:
+    pivots = {p for p, _ in relations.rows}
+    free = tuple(i for i in range(len(monos)) if i not in pivots)
+    return _DegreeComponent(monos, relations, free)
+
+
 def _component_combinatorial(nvars: int, degree: int, gens: tuple[Monomial, ...]) -> _DegreeComponent:
     monos = monomials_of_degree(nvars, degree)
-    pivots = tuple(i for i, m in enumerate(monos) if in_monomial_ideal(m, gens))
-    pivot_set = set(pivots)
-    free = tuple(i for i in range(len(monos)) if i not in pivot_set)
-    reducers = tuple((p, ()) for p in pivots)
-    return _DegreeComponent(monos, reducers, free)
+    # I_d is spanned by the monomials it contains: one unit row each.
+    rows = tuple((i, ()) for i, m in enumerate(monos) if in_monomial_ideal(m, gens))
+    return _component(monos, Subspace(len(monos), rows))
 
 
 def _component_elimination(spec: IdealSpec, degree: int) -> _DegreeComponent:
@@ -192,20 +179,7 @@ def _component_elimination(spec: IdealSpec, degree: int) -> _DegreeComponent:
             for gm, c in g.coeffs.items():
                 row[index[m * gm]] = c
             rows.append(row)
-    if rows:
-        red, pivots = rref(QMatrix.from_rows(rows))
-        reducers = []
-        for i, p in enumerate(pivots):
-            row = red.row(i)
-            rest = tuple((j, row[j]) for j in range(ncols) if j != p and row[j])
-            reducers.append((p, rest))
-        reducers = tuple(reducers)
-    else:
-        pivots = ()
-        reducers = ()
-    pivot_set = set(pivots)
-    free = tuple(i for i in range(ncols) if i not in pivot_set)
-    return _DegreeComponent(monos, reducers, free)
+    return _component(monos, Subspace.from_vectors(ncols, rows))
 
 
 def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = False) -> GradedQuotient:
@@ -230,21 +204,11 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
         dim = len(comp.quotient_cols)
         # The irrelevant ideal is generated in degree 1, so a vanished degree
         # can never be followed by a nonzero one.
-        if prev_dim == 0:
-            assert dim == 0, f"H({d}) = {dim} after H({d - 1}) = 0"
+        if prev_dim == 0 and dim != 0:
+            raise RuntimeError(f"H({d}) = {dim} after H({d - 1}) = 0")
         prev_dim = dim
         components.append(comp)
     return GradedQuotient(spec, bound, tuple(components))
-
-
-def hilbert_function(ring: GradedQuotient) -> HilbertFn:
-    """Hilbert function H(0..bound) of the quotient."""
-    return ring.hilbert
-
-
-def normal_form(p: HomogPoly, ring: GradedQuotient) -> tuple[Fraction, ...]:
-    """Coordinates of p in the quotient basis of its degree."""
-    return ring.normal_form(p)
 
 
 def pure_power_exponents(spec: IdealSpec) -> dict[int, int] | None:
@@ -268,10 +232,13 @@ def pure_power_exponents(spec: IdealSpec) -> dict[int, int] | None:
 
 
 def is_artinian_within(ring: GradedQuotient) -> bool:
-    """Whether the ring is Artinian; exact for monomial ideals, else within bound."""
-    if ring.spec.kind is IdealKind.MONOMIAL:
-        return pure_power_exponents(ring.spec) is not None
-    return ring.artinian_within_bound
+    """Whether the ring is Artinian; exact for monomial ideals, else within bound.
+
+    A ring that vanished within the bound is Artinian whatever the ideal; a
+    monomial ideal with a pure power of every variable is Artinian even when
+    the bound stops short of the vanishing degree.
+    """
+    return ring.artinian_within_bound or pure_power_exponents(ring.spec) is not None
 
 
 def default_bound(spec: IdealSpec) -> int | None:

@@ -26,7 +26,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import partial
 from io import StringIO
@@ -172,18 +172,12 @@ class Counterexample:
     ideal: str
     reason: str
 
-    def to_json_dict(self) -> dict:
-        return {"index": self.index, "ideal": self.ideal, "reason": self.reason}
-
 
 @dataclass(frozen=True)
 class SkippedInstance:
     index: int
     ideal: str
     reason: str
-
-    def to_json_dict(self) -> dict:
-        return {"index": self.index, "ideal": self.ideal, "reason": self.reason}
 
 
 @dataclass(frozen=True)
@@ -193,25 +187,11 @@ class MonomialInstance:
     hilbert: tuple[int, ...]
     decision: str
     exact: bool
-    witness: str | None
     witness_degree: int | None
+    witness: str | None
     dim_prev: int | None
     dim_at: int | None
     hilbert_drop_ok: bool | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "ideal": self.ideal,
-            "hilbert": list(self.hilbert),
-            "decision": self.decision,
-            "exact": self.exact,
-            "witness": self.witness,
-            "witness_degree": self.witness_degree,
-            "dim_prev": self.dim_prev,
-            "dim_at": self.dim_at,
-            "hilbert_drop_ok": self.hilbert_drop_ok,
-        }
 
 
 @dataclass(frozen=True)
@@ -228,22 +208,6 @@ class BinomialInstance:
     decompose_ok: bool | None
     support_ok: bool | None
     colon_identity_ok: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "ideal": self.ideal,
-            "hilbert": list(self.hilbert),
-            "r2": self.r2,
-            "boundary": self.boundary,
-            "decision": self.decision,
-            "ann1_dims": list(self.ann1_dims),
-            "deg1_witness_trials": self.deg1_witness_trials,
-            "witness": self.witness,
-            "decompose_ok": self.decompose_ok,
-            "support_ok": self.support_ok,
-            "colon_identity_ok": self.colon_identity_ok,
-        }
 
 
 @dataclass(frozen=True)
@@ -277,62 +241,36 @@ class ScanReport:
             "examined": self.examined,
             "with_generic_ezd": self.with_generic_ezd,
             "skipped": len(self.skipped),
-            "counterexamples": [c.to_json_dict() for c in self.counterexamples],
+            "counterexamples": [asdict(c) for c in self.counterexamples],
         }
         if full:
-            out["instances"] = [r.to_json_dict() for r in self.instances]
-            out["skipped_instances"] = [s.to_json_dict() for s in self.skipped]
+            out["instances"] = [asdict(r) for r in self.instances]
+            out["skipped_instances"] = [asdict(s) for s in self.skipped]
         return out
 
     def to_json(self, full: bool = False) -> str:
         return json.dumps(self.to_json_dict(full), indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
+        """One row per instance; the columns are the record's fields in order."""
+        record_type = MonomialInstance if self.family == "monomial" else BinomialInstance
+        names = [f.name for f in fields(record_type)]
         buf = StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        if self.family == "monomial":
-            writer.writerow(
-                [
-                    "index", "ideal", "hilbert", "decision", "exact", "witness_degree",
-                    "witness", "dim_prev", "dim_at", "hilbert_drop_ok",
-                ]
-            )
-            for r in self.instances:
-                writer.writerow(
-                    [
-                        r.index, r.ideal, " ".join(map(str, r.hilbert)), r.decision,
-                        _csv_bool(r.exact), _csv_opt(r.witness_degree), _csv_opt(r.witness),
-                        _csv_opt(r.dim_prev), _csv_opt(r.dim_at), _csv_bool(r.hilbert_drop_ok),
-                    ]
-                )
-        else:
-            writer.writerow(
-                [
-                    "index", "ideal", "hilbert", "r2", "boundary", "decision", "ann1_dims",
-                    "deg1_witness_trials", "witness", "decompose_ok", "support_ok",
-                    "colon_identity_ok",
-                ]
-            )
-            for r in self.instances:
-                writer.writerow(
-                    [
-                        r.index, r.ideal, " ".join(map(str, r.hilbert)), r.r2,
-                        _csv_bool(r.boundary), r.decision, " ".join(map(str, r.ann1_dims)),
-                        r.deg1_witness_trials, _csv_opt(r.witness), _csv_bool(r.decompose_ok),
-                        _csv_bool(r.support_ok), _csv_bool(r.colon_identity_ok),
-                    ]
-                )
+        writer.writerow(names)
+        for r in self.instances:
+            writer.writerow([_csv_cell(getattr(r, name)) for name in names])
         return buf.getvalue()
 
 
-def _csv_bool(v) -> str:
+def _csv_cell(v) -> str:
     if v is None:
         return ""
-    return "true" if v else "false"
-
-
-def _csv_opt(v) -> str:
-    return "" if v is None else str(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, tuple):
+        return " ".join(map(str, v))
+    return str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +289,8 @@ def _monomial_task(cfg: ScanConfig, payload: tuple[int, str]):
     verdict = generic_ezd_decision(ring, cfg.trials, derived_seed(cfg.seed, idx))
     witness = verdict.witness
     if verdict.decision is GenericDecision.GENERICALLY_YES:
-        assert witness is not None
+        if witness is None:
+            raise RuntimeError(f"instance {idx}: generic exact pair without a witness")
         t = witness.degree
         dim_prev = ring.dim(t)
         dim_at = ring.dim_extended(t + 1)
@@ -364,8 +303,8 @@ def _monomial_task(cfg: ScanConfig, payload: tuple[int, str]):
         ring.hilbert.values,
         verdict.decision.value,
         verdict.exact,
-        format_poly(witness) if witness is not None else None,
         t,
+        format_poly(witness) if witness is not None else None,
         dim_prev,
         dim_at,
         drop_ok,
@@ -557,9 +496,8 @@ def power_ideal_example(n: int, d: int) -> EzdReport:
     gens = [Monomial((d,) + (0,) * (n - 1))]
     gens.extend(Monomial((0,) + m.exps) for m in monomials_of_degree(n - 1, d))
     spec = monomial_ideal(n, gens)
-    bound = default_bound(spec)
-    assert bound is not None
-    ring = build_quotient(spec, bound)
+    # Every variable has the pure power x_i^d, so the default bound exists.
+    ring = build_quotient(spec, default_bound(spec))
     ell = linear_form([1] * n)
     ell0 = linear_form([0] + [1] * (n - 1))
     x1 = variable(n, 0)

@@ -85,11 +85,6 @@ class Monomial:
         return f"Monomial({format_monomial(self)!r})"
 
 
-def divides(a: Monomial, b: Monomial) -> bool:
-    """Whether monomial `a` divides monomial `b`."""
-    return a.divides(b)
-
-
 @lru_cache(maxsize=None)
 def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
     """All monomials of the given total degree, in graded-lex order."""
@@ -229,11 +224,6 @@ class HomogPoly:
         return f"HomogPoly({format_poly(self)!r})"
 
 
-def poly_mul(p: HomogPoly, q: HomogPoly) -> HomogPoly:
-    """Product of two homogeneous polynomials."""
-    return p * q
-
-
 def variable(nvars: int, index: int) -> HomogPoly:
     """The linear form x_{index+1} (zero-based index)."""
     exps = [0] * nvars
@@ -287,7 +277,8 @@ class IdealSpec:
                 singles.append(sup[0])
             else:
                 pair = sup
-        assert pair is not None
+        if pair is None:
+            raise ValueError("ideal has no binomial generator")
         return tuple(singles), pair[0], pair[1]
 
 
@@ -494,7 +485,6 @@ class _PolyParser:
                 if not coeffs[mono]:
                     del coeffs[mono]
             first = False
-        assert degree is not None
         return HomogPoly(self.nvars, degree, coeffs)
 
     def parse_term(self) -> tuple[Fraction, Monomial]:

@@ -120,6 +120,29 @@ def test_ezd_json_schema(capsys):
     assert [row["dim_ring"] for row in payload["report"]["table"]] == [1, 2, 1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ezd", "-n", "2", "-D", "4", "x1^2 + x2^2, x1*x2", "--trials", "0"],
+        ["wlp", "-n", "2", "-D", "3", "x1^2, x2^2", "--trials", "0"],
+    ],
+)
+def test_zero_trials_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "need at least one trial" in err
+
+
+def test_hilbert_unit_ideal_is_artinian(capsys):
+    code, out, _ = run(capsys, "hilbert", "-n", "2", "-D", "2", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["values"] == [0, 0, 0]
+    assert payload["artinian"] is True
+    assert payload["artinian_within_bound"] is True
+
+
 def test_wlp_holds(capsys):
     code, out, _ = run(capsys, "wlp", "-n", "2", "-D", "4", "x1^3, x2^3")
     assert code == 0
@@ -157,6 +180,16 @@ def test_scan_json_and_worker_determinism(capsys):
     assert payload["schema_version"] == 1
     assert payload["counterexamples"] == []
     assert "workers" not in payload["config"]
+
+
+def test_scan_monomial_csv(capsys):
+    code, out, _ = run(capsys, "scan", "monomial", "-n", "2", "--max-deg", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[:3] == [
+        "index,ideal,hilbert,decision,exact,witness_degree,witness,dim_prev,dim_at,hilbert_drop_ok",
+        '0,"x1^2, x1*x2, x2^2",1 2 0 0,no,true,,,,,',
+        '1,"x1^2, x2^2",1 2 1 0,generically_yes,true,1,x1 - x2,2,1,true',
+    ]
 
 
 def test_scan_binomial_csv(capsys):

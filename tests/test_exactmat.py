@@ -107,7 +107,26 @@ def test_rank_nullity(m):
 @given(matrices())
 def test_kernel_vectors_annihilate(m):
     for v in kernel_basis(m).basis:
-        assert all(x == 0 for x in m.mul_vector(v))
+        for i in range(m.rows):
+            assert sum(a * b for a, b in zip(m.row(i), v)) == 0
+
+
+@st.composite
+def int_rows_and_vector(draw, max_dim=5):
+    ncols = draw(st.integers(1, max_dim))
+    row = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=1, max_size=max_dim)), draw(row)
+
+
+@settings(deadline=None, max_examples=80)
+@given(int_rows_and_vector())
+def test_sparse_subspace_matches_dense_rref(data):
+    rows, v = data
+    sub = Subspace.from_vectors(len(v), rows)
+    red, _ = rref(mat(rows))
+    nonzero = tuple(r for r in (red.row(i) for i in range(red.rows)) if any(r))
+    assert sub.basis == nonzero
+    assert (not any(sub.reduce(v))) == (rank(mat(rows + [v])) == rank(mat(rows)))
 
 
 @settings(deadline=None, max_examples=60)

@@ -8,9 +8,7 @@ import pytest
 from ezdlab.gradedring import (
     build_quotient,
     default_bound,
-    hilbert_function,
     is_artinian_within,
-    normal_form,
     pure_power_exponents,
 )
 from ezdlab.polyring import (
@@ -46,7 +44,7 @@ def test_build_binomial_dims():
 
 def test_hilbert_cubes():
     ring = build_quotient(parse_ideal("x1^3, x2^3", 2), 5)
-    assert hilbert_function(ring).values == (1, 2, 3, 2, 1, 0)
+    assert ring.hilbert.values == (1, 2, 3, 2, 1, 0)
     assert ring.top_degree == 4
 
 
@@ -87,13 +85,15 @@ def test_relation_subspace():
 def test_normal_form_out_of_bound():
     ring = build_quotient(parse_ideal("x1^2, x2^2", 2), 2)
     with pytest.raises(ValueError):
-        normal_form(parse_poly("x1^3", 2), ring)
+        ring.normal_form(parse_poly("x1^3", 2))
 
 
 def test_is_artinian_examples():
     assert is_artinian_within(build_quotient(parse_ideal("x1^2, x2^2", 2), 3))
     assert not is_artinian_within(build_quotient(parse_ideal("x1*x2", 2), 4))
     assert is_artinian_within(build_quotient(parse_ideal("x1^2, x1*x2 + x2^2", 2), 3))
+    # the unit ideal: no pure powers, but the ring vanishes from degree 0
+    assert is_artinian_within(build_quotient(parse_ideal("3", 2), 2))
 
 
 def test_default_bound():
@@ -112,6 +112,7 @@ def _random_monomial_spec(rng, nvars, max_degree):
 
 def test_monomial_oracle_equivalence_random():
     rng = random.Random(20260811)
+    coeff_rng = random.Random(11)
     for _ in range(40):
         nvars = rng.randint(2, 3)
         spec = _random_monomial_spec(rng, nvars, 3)
@@ -121,6 +122,9 @@ def test_monomial_oracle_equivalence_random():
         assert fast.hilbert.values == slow.hilbert.values
         for d in range(bound + 1):
             assert fast.basis_monomials(d) == slow.basis_monomials(d)
+            monos = monomials_of_degree(nvars, d)
+            p = HomogPoly(nvars, d, [(m, coeff_rng.randint(-3, 3)) for m in monos])
+            assert fast.normal_form(p) == slow.normal_form(p)
 
 
 def test_vanishing_persists():
