@@ -4,8 +4,8 @@ Subcommands: hilbert, ezd, wlp, socle, yoshino, scan, example. Every
 command honors --format json with a stable schema (top-level
 "schema_version" field); human tables print exact rationals so witnesses
 can be pasted back in. Exit codes: 0 pass, 1 counterexample or failed
-check, 2 usage or parse error. EZDLAB_WORKERS sets the default worker
-count for scans; --seed fully determines all randomized behavior.
+check, 2 usage, input or parse error. EZDLAB_WORKERS sets the default
+worker count for scans; --seed fully determines all randomized behavior.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .ezd import (
 )
 from .gradedring import build_quotient, default_bound, is_artinian_within
 from .lab import ScanConfig, power_ideal_example, scan_binomial, scan_monomial
-from .polyring import ParseError, format_ideal, format_poly, parse_ideal, parse_poly
+from .polyring import format_ideal, format_poly, parse_ideal, parse_poly
 
 SCHEMA_VERSION = 1
 
@@ -38,12 +38,26 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _ring_header(command: str, args, ring) -> dict:
+    """The keys every ring command's JSON report starts with."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "nvars": args.nvars,
+        "bound": ring.bound,
+        "ideal": format_ideal(ring.spec),
+    }
+
+
 def _read_ideal_text(args) -> str:
     if args.file is not None and args.ideal is not None:
         raise ValueError("give the ideal inline or with --file, not both")
     if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.file}: {exc.strerror}") from exc
     if args.ideal is None:
         raise ValueError("no ideal given (inline argument or --file)")
     return args.ideal
@@ -89,11 +103,7 @@ def cmd_hilbert(args) -> int:
     if args.format == "json":
         _emit_json(
             {
-                "schema_version": SCHEMA_VERSION,
-                "command": "hilbert",
-                "nvars": args.nvars,
-                "bound": ring.bound,
-                "ideal": format_ideal(ring.spec),
+                **_ring_header("hilbert", args, ring),
                 "values": list(hf.values),
                 "artinian": artinian,
                 "artinian_within_bound": hf.artinian_within_bound,
@@ -115,19 +125,15 @@ def cmd_ezd(args) -> int:
         ell = parse_poly(args.form, args.nvars)
         if ell.degree != 1:
             raise ValueError("--form must be a linear form")
-        # on a truncated ring only degrees whose target stays in bound are known
-        top = ring.top_degree if ring.complete else ring.bound - 1
-        ann_dims = [annihilator_degree(ring, ell, d).dim for d in range(top + 1)]
+        if not ring.complete:
+            raise ValueError("ring does not vanish within the degree bound; raise the bound")
+        ann_dims = [annihilator_degree(ring, ell, d).dim for d in range(ring.top_degree + 1)]
         found = find_ezd_complement(ring, ell)
         if args.format == "json":
             _emit_json(
                 {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "ezd",
+                    **_ring_header("ezd", args, ring),
                     "mode": "form",
-                    "nvars": args.nvars,
-                    "bound": ring.bound,
-                    "ideal": format_ideal(ring.spec),
                     "form": format_poly(ell),
                     "found": found is not None,
                     "annihilator_dims": ann_dims,
@@ -147,12 +153,8 @@ def cmd_ezd(args) -> int:
     verdict = generic_ezd_decision(ring, args.trials, args.seed)
     if args.format == "json":
         payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "ezd",
+            **_ring_header("ezd", args, ring),
             "mode": "generic",
-            "nvars": args.nvars,
-            "bound": ring.bound,
-            "ideal": format_ideal(ring.spec),
             "report": verdict.report.to_json_dict() if verdict.report else None,
         }
         payload.update(verdict.to_json_dict())
@@ -171,13 +173,7 @@ def cmd_wlp(args) -> int:
     ring = _build_ring(args)
     report = wlp_check(ring, args.trials, args.seed)
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "wlp",
-            "nvars": args.nvars,
-            "bound": ring.bound,
-            "ideal": format_ideal(ring.spec),
-        }
+        payload = _ring_header("wlp", args, ring)
         payload.update(report.to_json_dict())
         _emit_json(payload)
     else:
@@ -195,11 +191,7 @@ def cmd_socle(args) -> int:
     if args.format == "json":
         _emit_json(
             {
-                "schema_version": SCHEMA_VERSION,
-                "command": "socle",
-                "nvars": args.nvars,
-                "bound": ring.bound,
-                "ideal": format_ideal(ring.spec),
+                **_ring_header("socle", args, ring),
                 "dims": list(dims),
                 "total": total,
                 "gorenstein": total == 1,
@@ -217,14 +209,8 @@ def cmd_yoshino(args) -> int:
     report = yoshino_conditions(ring)
     expected = degree2_generator_count(args.nvars)
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "yoshino",
-            "nvars": args.nvars,
-            "bound": ring.bound,
-            "ideal": format_ideal(ring.spec),
-            "degree2_generator_count": expected,
-        }
+        payload = _ring_header("yoshino", args, ring)
+        payload["degree2_generator_count"] = expected
         payload.update(asdict(report))
         _emit_json(payload)
     else:
@@ -365,9 +351,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

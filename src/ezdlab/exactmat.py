@@ -26,23 +26,25 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+@dataclass(frozen=True, slots=True)
 class QMatrix:
-    """Immutable dense matrix of rationals, stored row-major."""
+    """Immutable dense matrix of rationals, stored row-major.
 
-    __slots__ = ("rows", "cols", "data")
+    `data` may be given as any iterable of numbers; it is stored as a tuple
+    of Fractions.
+    """
 
-    def __init__(self, rows: int, cols: int, entries: Iterable) -> None:
-        data = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in entries)
-        if rows < 0 or cols < 0:
+    rows: int
+    cols: int
+    data: tuple[Rational, ...]
+
+    def __post_init__(self) -> None:
+        data = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.data)
+        if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if len(data) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        if len(data) != self.rows * self.cols:
+            raise ValueError(f"expected {self.rows * self.cols} entries, got {len(data)}")
         object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "QMatrix":
@@ -56,17 +58,6 @@ class QMatrix:
 
     def entry(self, i: int, j: int) -> Rational:
         return self.data[i * self.cols + j]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
 
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"

@@ -21,12 +21,12 @@ from .gradedring import GradedQuotient, build_quotient
 from .polyring import (
     HomogPoly,
     IdealKind,
-    Monomial,
     format_ideal,
     format_poly,
     linear_form,
     make_ideal,
     monomials_of_degree,
+    variable,
 )
 
 ZERO = Fraction(0)
@@ -330,9 +330,7 @@ def socle_dims(ring: GradedQuotient) -> tuple[int, ...]:
     for d in range(top + 1):
         blocks = []
         for i in range(ring.nvars):
-            exps = [0] * ring.nvars
-            exps[i] = 1
-            m = mult_map(ring, HomogPoly.from_monomial(Monomial(tuple(exps))), d)
+            m = mult_map(ring, variable(ring.nvars, i), d)
             blocks.extend(m.row(r) for r in range(m.rows))
         if blocks:
             stacked = QMatrix.from_rows(blocks)

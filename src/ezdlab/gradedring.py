@@ -40,68 +40,42 @@ class HilbertFn:
 @dataclass(frozen=True)
 class _DegreeComponent:
     monomials: tuple[Monomial, ...]
+    index: dict[Monomial, int]  # monomial -> position in `monomials`
     relations: Subspace  # I_d in the coefficient space of `monomials`
     quotient_cols: tuple[int, ...]
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class GradedQuotient:
-    """Per-degree bases and normal-form operators for R = P/I, degrees 0..bound."""
+    """Per-degree bases and normal-form operators for R = P/I, degrees 0..bound.
 
-    __slots__ = (
-        "spec", "bound", "_components", "_indexes", "_dims", "_hilbert", "_first_vanishing",
-    )
+    `top_degree` is the last degree with a nonzero piece when every degree
+    past the bound is known to vanish, and None otherwise.
+    """
 
-    def __init__(self, spec: IdealSpec, bound: int, components: tuple[_DegreeComponent, ...]):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "_components", components)
-        object.__setattr__(
-            self,
-            "_indexes",
-            tuple({m: i for i, m in enumerate(c.monomials)} for c in components),
-        )
-        object.__setattr__(self, "_dims", tuple(len(c.quotient_cols) for c in components))
-        object.__setattr__(self, "_hilbert", _hilbert_from_dims(self._dims))
-        first = self._dims.index(0) if 0 in self._dims else None
-        if first is None and spec.kind is IdealKind.MONOMIAL:
-            powers = pure_power_exponents(spec)
-            # Standard monomials die after sum(a_i - 1), so a bound reaching
-            # that degree already shows every later degree is zero.
-            if powers is not None and sum(a - 1 for a in powers.values()) <= bound:
-                first = bound + 1
-        object.__setattr__(self, "_first_vanishing", first)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedQuotient is immutable")
+    spec: IdealSpec
+    bound: int
+    components: tuple[_DegreeComponent, ...]
+    hilbert: HilbertFn
+    top_degree: int | None
 
     @property
     def nvars(self) -> int:
         return self.spec.nvars
 
     @property
-    def hilbert(self) -> HilbertFn:
-        return self._hilbert
-
-    @property
     def artinian_within_bound(self) -> bool:
-        return self._hilbert.artinian_within_bound
+        return self.hilbert.artinian_within_bound
 
     @property
     def complete(self) -> bool:
         """Whether every degree past the bound is known to vanish."""
-        return self._first_vanishing is not None
-
-    @property
-    def top_degree(self) -> int | None:
-        """Last degree with a nonzero piece, when the ring is complete."""
-        if self._first_vanishing is None:
-            return None
-        return self._first_vanishing - 1
+        return self.top_degree is not None
 
     def dim(self, degree: int) -> int:
         if not 0 <= degree <= self.bound:
             raise ValueError(f"degree {degree} outside bound {self.bound}")
-        return self._dims[degree]
+        return len(self.components[degree].quotient_cols)
 
     def dim_extended(self, degree: int) -> int:
         """dim R_degree, extending past the bound when the ring has vanished."""
@@ -114,12 +88,12 @@ class GradedQuotient:
     def basis_monomials(self, degree: int) -> tuple[Monomial, ...]:
         if not 0 <= degree <= self.bound:
             raise ValueError(f"degree {degree} outside bound {self.bound}")
-        comp = self._components[degree]
+        comp = self.components[degree]
         return tuple(comp.monomials[j] for j in comp.quotient_cols)
 
     def relation_subspace(self, degree: int) -> Subspace:
         """I_d as a canonical subspace of the degree-d coefficient space."""
-        return self._components[degree].relations
+        return self.components[degree].relations
 
     def normal_form(self, p: HomogPoly) -> tuple[Fraction, ...]:
         """Coordinates of p in the degree-deg(p) quotient basis; zero iff p is in I."""
@@ -128,8 +102,8 @@ class GradedQuotient:
         d = p.degree
         if not 0 <= d <= self.bound:
             raise ValueError(f"degree {d} outside bound {self.bound}")
-        comp = self._components[d]
-        index = self._indexes[d]
+        comp = self.components[d]
+        index = comp.index
         v = [ZERO] * len(comp.monomials)
         for m, c in p.coeffs.items():
             v[index[m]] = c
@@ -153,17 +127,20 @@ def _hilbert_from_dims(dims: tuple[int, ...]) -> HilbertFn:
     return HilbertFn(dims, artinian, top)
 
 
-def _component(monos: tuple[Monomial, ...], relations: Subspace) -> _DegreeComponent:
+def _component(
+    monos: tuple[Monomial, ...], index: dict[Monomial, int], relations: Subspace
+) -> _DegreeComponent:
     pivots = {p for p, _ in relations.rows}
     free = tuple(i for i in range(len(monos)) if i not in pivots)
-    return _DegreeComponent(monos, relations, free)
+    return _DegreeComponent(monos, index, relations, free)
 
 
 def _component_combinatorial(nvars: int, degree: int, gens: tuple[Monomial, ...]) -> _DegreeComponent:
     monos = monomials_of_degree(nvars, degree)
     # I_d is spanned by the monomials it contains: one unit row each.
     rows = tuple((i, ()) for i, m in enumerate(monos) if in_monomial_ideal(m, gens))
-    return _component(monos, Subspace(len(monos), rows))
+    index = {m: i for i, m in enumerate(monos)}
+    return _component(monos, index, Subspace(len(monos), rows))
 
 
 def _component_elimination(spec: IdealSpec, degree: int) -> _DegreeComponent:
@@ -179,7 +156,7 @@ def _component_elimination(spec: IdealSpec, degree: int) -> _DegreeComponent:
             for gm, c in g.coeffs.items():
                 row[index[m * gm]] = c
             rows.append(row)
-    return _component(monos, Subspace.from_vectors(ncols, rows))
+    return _component(monos, index, Subspace.from_vectors(ncols, rows))
 
 
 def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = False) -> GradedQuotient:
@@ -208,7 +185,15 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
             raise RuntimeError(f"H({d}) = {dim} after H({d - 1}) = 0")
         prev_dim = dim
         components.append(comp)
-    return GradedQuotient(spec, bound, tuple(components))
+    hilbert = _hilbert_from_dims(tuple(len(c.quotient_cols) for c in components))
+    top = hilbert.top_degree
+    if top is None:
+        powers = pure_power_exponents(spec)
+        # Standard monomials die after sum(a_i - 1), so a bound reaching
+        # that degree already shows every later degree is zero.
+        if powers is not None and sum(a - 1 for a in powers.values()) <= bound:
+            top = bound
+    return GradedQuotient(spec, bound, tuple(components), hilbert, top)
 
 
 def pure_power_exponents(spec: IdealSpec) -> dict[int, int] | None:

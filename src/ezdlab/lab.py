@@ -92,15 +92,9 @@ class ScanConfig:
 
     def echo(self) -> dict:
         # Workers are an execution detail and stay out of serialized reports.
-        return {
-            "nvars": self.nvars,
-            "max_degree": self.max_degree,
-            "bound": self.bound,
-            "require_artinian": self.require_artinian,
-            "symmetry_reduction": self.symmetry_reduction,
-            "seed": self.seed,
-            "trials": self.trials,
-        }
+        out = asdict(self)
+        del out["workers"]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +303,49 @@ def _monomial_task(cfg: ScanConfig, payload: tuple[int, str]):
         dim_at,
         drop_ok,
     )
-    counterexample = None
+    counterexamples = []
     if drop_ok is False:
-        counterexample = Counterexample(
-            idx,
-            text,
-            f"generic exact pair with partner degree {t} but "
-            f"dim R_{t + 1} = {dim_at} while dim R_{t} - 1 = {dim_prev - 1}",
+        counterexamples.append(
+            Counterexample(
+                idx,
+                text,
+                f"generic exact pair with partner degree {t} but "
+                f"dim R_{t + 1} = {dim_at} while dim R_{t} - 1 = {dim_prev - 1}",
+            )
         )
-    return record, counterexample
+    return record, counterexamples
 
 
-def _run_ordered(fn, payloads: list, workers: int) -> list:
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            chunk = max(1, len(payloads) // (workers * 4))
-            return list(ex.map(fn, payloads, chunksize=chunk))
-    return [fn(p) for p in payloads]
+def _run_scan(
+    family: str, cfg: ScanConfig, task, payloads: list[tuple[int, str]],
+    skipped: list[SkippedInstance], start: float,
+) -> ScanReport:
+    """Run `task(cfg, payload)` over the payloads in order and collect the report.
+
+    A task returns a SkippedInstance or a (record, counterexamples) pair;
+    `skipped` holds the instances rejected before any task ran.
+    """
+    fn = partial(task, cfg)
+    if cfg.workers > 1 and len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
+            chunk = max(1, len(payloads) // (cfg.workers * 4))
+            results = list(ex.map(fn, payloads, chunksize=chunk))
+    else:
+        results = [fn(p) for p in payloads]
+    instances = []
+    counterexamples: list[Counterexample] = []
+    for res in results:
+        if isinstance(res, SkippedInstance):
+            skipped.append(res)
+            continue
+        record, cexs = res
+        instances.append(record)
+        counterexamples.extend(cexs)
+    skipped.sort(key=lambda s: s.index)
+    return ScanReport(
+        family, cfg, tuple(instances), tuple(counterexamples), tuple(skipped),
+        time.perf_counter() - start,
+    )
 
 
 def scan_monomial(cfg: ScanConfig) -> ScanReport:
@@ -334,22 +354,7 @@ def scan_monomial(cfg: ScanConfig) -> ScanReport:
     payloads = [
         (idx, format_ideal(spec)) for idx, spec in enumerate(enumerate_monomial_ideals(cfg))
     ]
-    results = _run_ordered(partial(_monomial_task, cfg), payloads, cfg.workers)
-    instances = []
-    counterexamples = []
-    skipped = []
-    for res in results:
-        if isinstance(res, SkippedInstance):
-            skipped.append(res)
-            continue
-        record, counterexample = res
-        instances.append(record)
-        if counterexample is not None:
-            counterexamples.append(counterexample)
-    return ScanReport(
-        "monomial", cfg, tuple(instances), tuple(counterexamples), tuple(skipped),
-        time.perf_counter() - start,
-    )
+    return _run_scan("monomial", cfg, _monomial_task, payloads, [], start)
 
 
 # ---------------------------------------------------------------------------
@@ -463,21 +468,7 @@ def scan_binomial(cfg: ScanConfig) -> ScanReport:
                 continue
             payloads.append((idx, text))
             idx += 1
-    results = _run_ordered(partial(_binomial_task, cfg), payloads, cfg.workers)
-    instances = []
-    counterexamples: list[Counterexample] = []
-    for res in results:
-        if isinstance(res, SkippedInstance):
-            skipped.append(res)
-            continue
-        record, cexs = res
-        instances.append(record)
-        counterexamples.extend(cexs)
-    skipped.sort(key=lambda s: s.index)
-    return ScanReport(
-        "binomial", cfg, tuple(instances), tuple(counterexamples), tuple(skipped),
-        time.perf_counter() - start,
-    )
+    return _run_scan("binomial", cfg, _binomial_task, payloads, skipped, start)
 
 
 # ---------------------------------------------------------------------------

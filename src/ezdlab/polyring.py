@@ -115,6 +115,7 @@ def minimalize_monomial_gens(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(kept)
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class HomogPoly:
     """Homogeneous polynomial with rational coefficients.
 
@@ -122,7 +123,9 @@ class HomogPoly:
     degree so that sums and products stay well-typed.
     """
 
-    __slots__ = ("nvars", "degree", "coeffs")
+    nvars: int
+    degree: int
+    coeffs: dict[Monomial, Fraction]
 
     def __init__(self, nvars: int, degree: int, coeffs: Mapping[Monomial, Rational] | Iterable = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -140,9 +143,6 @@ class HomogPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", store)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomogPoly is immutable")
 
     @classmethod
     def zero(cls, nvars: int, degree: int) -> "HomogPoly":
@@ -209,15 +209,8 @@ class HomogPoly:
             out = out * self
         return out
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HomogPoly)
-            and self.nvars == other.nvars
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
     def __hash__(self) -> int:
+        # `coeffs` is a dict, so the generated field hash would fail.
         return hash((self.nvars, self.degree, frozenset(self.coeffs.items())))
 
     def __repr__(self) -> str:

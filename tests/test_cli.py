@@ -1,11 +1,17 @@
 """Command-line behavior: outputs, schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from ezdlab.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 HILBERT_GOLDEN = textwrap.dedent(
     """\
@@ -233,6 +239,29 @@ def test_ideal_from_file(tmp_path, capsys):
     code, out, _ = run(capsys, "hilbert", "-n", "2", "-D", "3", "--file", str(path))
     assert code == 0
     assert out.splitlines()[0] == "H(0..3): 1 2 1 0"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_file_exits_2(tmp_path, kind):
+    path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ezdlab", "hilbert", "-n", "2", "--file", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot read ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_ezd_form_truncated_ring_exits_2(capsys, fmt):
+    code, out, err = run(
+        capsys, "ezd", "-n", "2", "-D", "3", "x1^2", "--form", "x1+x2", "--format", fmt
+    )
+    assert code == 2
+    assert out == ""
+    assert "ring does not vanish within the degree bound; raise the bound" in err
 
 
 def test_both_sources_rejected(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Quotient construction, Hilbert functions, normal forms, Artinian detection."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from ezdlab.exactmat import QMatrix
 from ezdlab.gradedring import (
     build_quotient,
     default_bound,
@@ -120,6 +123,8 @@ def test_monomial_oracle_equivalence_random():
         fast = build_quotient(spec, bound)
         slow = build_quotient(spec, bound, force_elimination=True)
         assert fast.hilbert.values == slow.hilbert.values
+        assert fast.top_degree == slow.top_degree
+        assert fast.complete == slow.complete
         for d in range(bound + 1):
             assert fast.basis_monomials(d) == slow.basis_monomials(d)
             monos = monomials_of_degree(nvars, d)
@@ -174,3 +179,38 @@ def test_power_quotient_midpoint_inequality():
         ring = build_quotient(spec, total + 1)
         assert ring.hilbert.values[total] == 1  # one-dimensional top
         assert ring.dim(d - 1) <= ring.dim(d)
+
+
+ROUND_TRIPS = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=list(ROUND_TRIPS))
+def test_values_and_rings_round_trip(round_trip):
+    p = parse_poly("x1^2 - 3/2*x1*x2", 2)
+    assert round_trip(p) == p
+    assert hash(round_trip(p)) == hash(p)
+    m = QMatrix.from_rows([[1, Fraction(1, 2)], [0, -3]])
+    assert round_trip(m) == m
+    spec = parse_ideal("x1^2 + x2*x3, x2^2, x3^2, x1*x2", 3)
+    assert round_trip(spec) == spec
+    ring = build_quotient(spec, 5)
+    copied = round_trip(ring)
+    assert copied.hilbert == ring.hilbert
+    assert copied.top_degree == ring.top_degree
+    for text in ("x1*x3 + 2*x2*x3", "x1^2*x3 - x3^3", "x1*x2*x3"):
+        q = parse_poly(text, 3)
+        assert copied.normal_form(q) == ring.normal_form(q)
+
+
+def test_value_types_are_frozen():
+    values = [
+        (parse_poly("x1 + x2", 2), "degree"),
+        (QMatrix(1, 1, [1]), "data"),
+        (build_quotient(parse_ideal("x1^2, x2^2", 2), 3), "bound"),
+    ]
+    for value, field_name in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field_name, 0)
