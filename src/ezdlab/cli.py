@@ -223,10 +223,19 @@ def cmd_yoshino(args) -> int:
     return 0
 
 
+def _env_workers() -> int:
+    raw = os.environ.get("EZDLAB_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"EZDLAB_WORKERS must be a positive integer, got {raw!r}")
+    return workers
+
+
 def cmd_scan(args) -> int:
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("EZDLAB_WORKERS", "1"))
+    workers = args.workers if args.workers is not None else _env_workers()
     cfg = ScanConfig(
         nvars=args.nvars,
         max_degree=args.max_deg,
@@ -237,31 +246,40 @@ def cmd_scan(args) -> int:
         trials=args.trials,
         workers=workers,
     )
-    report = scan_monomial(cfg) if args.family == "monomial" else scan_binomial(cfg)
-    if args.format == "json":
-        text = report.to_json(full=args.full)
-    elif args.format == "csv":
-        text = report.to_csv()
+    scan = scan_monomial if args.family == "monomial" else scan_binomial
+    if args.out is None:
+        report = scan(cfg)
+        sys.stdout.write(_scan_text(report, args))
     else:
-        lines = [
-            f"family: {report.family}",
-            f"instances examined: {report.examined}",
-            f"with generic exact pair: {report.with_generic_ezd}",
-            f"skipped: {len(report.skipped)}",
-            f"counterexamples: {len(report.counterexamples)}",
-        ]
-        for c in report.counterexamples:
-            lines.append(f"  [{c.index}] {c.ideal}: {c.reason}")
-        lines.append(f"elapsed: {report.elapsed:.2f}s")
-        text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # Opened before the scan, so an unwritable path costs no scan time.
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
+        with fh:
+            report = scan(cfg)
+            fh.write(_scan_text(report, args))
         print(f"wrote {args.out}: {report.examined} instances, "
               f"{len(report.counterexamples)} counterexamples")
-    else:
-        sys.stdout.write(text)
     return 0 if report.passes else 1
+
+
+def _scan_text(report, args) -> str:
+    if args.format == "json":
+        return report.to_json(full=args.full)
+    if args.format == "csv":
+        return report.to_csv()
+    lines = [
+        f"family: {report.family}",
+        f"instances examined: {report.examined}",
+        f"with generic exact pair: {report.with_generic_ezd}",
+        f"skipped: {len(report.skipped)}",
+        f"counterexamples: {len(report.counterexamples)}",
+    ]
+    for c in report.counterexamples:
+        lines.append(f"  [{c.index}] {c.ideal}: {c.reason}")
+    lines.append(f"elapsed: {report.elapsed:.2f}s")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_example(args) -> int:

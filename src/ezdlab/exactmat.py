@@ -2,10 +2,13 @@
 
 All scalars are `fractions.Fraction`, so ranks, kernels and echelon forms
 are computed exactly. Matrices in this package are small and dense (at most
-a few hundred columns), so Gauss-Jordan elimination with normalized pivots
-is fast enough and, crucially, yields the *unique* reduced row echelon
-form. Downstream code relies on that uniqueness: two subspaces are equal
-exactly when their canonical bases are identical.
+a few thousand cells). `rref` clears denominators row by row and runs a
+fraction-free Gauss-Jordan elimination on integers, in the manner of
+Bareiss (1968), keeping every row primitive by dividing out the gcd of its
+entries; only at the end does it divide each pivot row by its pivot. The
+result is the *unique* reduced row echelon form over the rationals.
+Downstream code relies on that uniqueness: two subspaces are equal exactly
+when their canonical bases are identical.
 
 `Subspace` is the one echelon-basis type. It keeps the nonzero rows of the
 reduced echelon form sparsely, each as its pivot column and the other
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -39,7 +43,9 @@ class QMatrix:
     data: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
-        data = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.data)
+        data = tuple(self.data)
+        if not set(map(type, data)) <= {Fraction}:
+            data = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in data)
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         if len(data) != self.rows * self.cols:
@@ -68,11 +74,26 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
 
     The result is the canonical rref: pivot entries are 1 with zeros above
     and below, so row-equivalent matrices produce equal output.
+
+    The elimination runs on integers. Each row is first scaled by the lcm
+    of its denominators; eliminating column c from row i replaces it by
+    p*row_i - f*row_r, where p is the pivot and f the row's entry, and then
+    divides it by the gcd of its entries. Every step scales rows by nonzero
+    factors or adds multiples of other rows, so the row space, the zero
+    pattern and the pivots are those of the rational Gauss-Jordan
+    elimination; dividing each pivot row by its pivot at the end gives the
+    same canonical form.
     """
-    a = [list(m.row(i)) for i in range(m.rows)]
+    a = []
+    for i in range(m.rows):
+        row = m.row(i)
+        scale = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (scale // x.denominator) for x in row])
     pivots: list[int] = []
     r = 0
     for c in range(m.cols):
+        if r == m.rows:
+            break
         p = None
         for i in range(r, m.rows):
             if a[i][c]:
@@ -82,20 +103,25 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
-        pv = a[r][c]
-        if pv != 1:
-            inv = ONE / pv
-            a[r] = [x * inv for x in a[r]]
         row_r = a[r]
+        pv = row_r[c]
         for i in range(m.rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], row_r)]
+            f = a[i][c]
+            if i != r and f:
+                g = gcd(pv, f)
+                s, t = pv // g, f // g
+                row = [s * x - t * y for x, y in zip(a[i], row_r)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == m.rows:
-            break
-    flat = [x for row in a for x in row]
+    flat = []
+    for i, row in enumerate(a):
+        if i < r:
+            pv = row[pivots[i]]
+            flat.extend(Fraction(x, pv) if x else ZERO for x in row)
+        else:
+            flat.extend([ZERO] * len(row))
     return QMatrix(m.rows, m.cols, flat), tuple(pivots)
 
 

@@ -56,7 +56,7 @@ def mult_map(ring: GradedQuotient, f: HomogPoly, d: int) -> QMatrix:
             return QMatrix(0, len(source), ())
         raise ValueError(f"target degree {target_degree} outside bound {ring.bound}")
     nrows = ring.dim(target_degree)
-    cols = [ring.normal_form(f * HomogPoly.from_monomial(b)) for b in source]
+    cols = [ring.product_normal_form(f, b) for b in source]
     entries = [cols[j][i] for i in range(nrows) for j in range(len(source))]
     return QMatrix(nrows, len(source), entries)
 
@@ -72,7 +72,7 @@ def principal_ideal_degree(ring: GradedQuotient, y: HomogPoly, d: int) -> Subspa
     if y.is_zero() or d < y.degree:
         return Subspace.zero(dim_d)
     shift = d - y.degree
-    vectors = [ring.normal_form(HomogPoly.from_monomial(m) * y) for m in monomials_of_degree(ring.nvars, shift)]
+    vectors = [ring.product_normal_form(y, m) for m in monomials_of_degree(ring.nvars, shift)]
     return Subspace.from_vectors(dim_d, vectors)
 
 

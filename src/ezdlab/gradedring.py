@@ -2,17 +2,20 @@
 
 For each degree d the relation space I_d is spanned by the products m*g of
 the generators by complementary-degree monomials. For monomial ideals that
-span is a coordinate subspace and is found purely by divisibility tests;
-otherwise the product rows go through one exact elimination per degree.
-Either way each degree stores I_d as a sparse echelon `Subspace` of the
-monomial coefficient space, so normal forms are one `Subspace.reduce` pass
-and the quotient basis is the set of non-pivot monomials.
+span is a coordinate subspace, and the monomials outside it come from those
+one degree down by an order-ideal closure; otherwise the product rows go
+through one exact elimination per degree. Either way each degree stores
+I_d as a sparse echelon `Subspace` of the monomial coefficient space, so
+normal forms are one `Subspace.reduce` pass and the quotient basis is the
+set of non-pivot monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 from .exactmat import Subspace
 from .polyring import (
@@ -20,8 +23,6 @@ from .polyring import (
     IdealKind,
     IdealSpec,
     Monomial,
-    in_monomial_ideal,
-    minimalize_monomial_gens,
     monomials_of_degree,
 )
 
@@ -43,6 +44,7 @@ class _DegreeComponent:
     index: dict[Monomial, int]  # monomial -> position in `monomials`
     relations: Subspace  # I_d in the coefficient space of `monomials`
     quotient_cols: tuple[int, ...]
+    coords: dict[tuple[int, ...], int]  # basis monomial's exponents -> quotient coordinate
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -110,6 +112,31 @@ class GradedQuotient:
         v = comp.relations.reduce(v)
         return tuple(v[j] for j in comp.quotient_cols)
 
+    def product_normal_form(self, f: HomogPoly, m: Monomial) -> tuple[Fraction, ...]:
+        """`normal_form(f * m)` for a monomial m.
+
+        Modulo a monomial ideal every monomial is a basis monomial or zero,
+        so there each term of f*m goes straight to its quotient coordinate,
+        looked up by the sum of the exponent vectors, with no product
+        polynomial and no reduction.
+        """
+        if self.spec.kind is not IdealKind.MONOMIAL:
+            return self.normal_form(f * HomogPoly.from_monomial(m))
+        if f.nvars != self.nvars or m.nvars != self.nvars:
+            raise ValueError("variable counts differ")
+        d = f.degree + m.degree
+        if not 0 <= d <= self.bound:
+            raise ValueError(f"degree {d} outside bound {self.bound}")
+        coords = self.components[d].coords
+        v = [ZERO] * len(coords)
+        shift = m.exps
+        for g, c in f.coeffs.items():
+            # distinct terms of f give distinct products: each coordinate is set once
+            i = coords.get(tuple(map(add, g.exps, shift)))
+            if i is not None:
+                v[i] = c
+        return tuple(v)
+
     def basis_poly(self, degree: int, coords) -> HomogPoly:
         """The polynomial with the given coordinates in the quotient basis."""
         basis = self.basis_monomials(degree)
@@ -132,20 +159,48 @@ def _component(
 ) -> _DegreeComponent:
     pivots = {p for p, _ in relations.rows}
     free = tuple(i for i in range(len(monos)) if i not in pivots)
-    return _DegreeComponent(monos, index, relations, free)
+    coords = {monos[j].exps: k for k, j in enumerate(free)}
+    return _DegreeComponent(monos, index, relations, free, coords)
 
 
-def _component_combinatorial(nvars: int, degree: int, gens: tuple[Monomial, ...]) -> _DegreeComponent:
+@lru_cache(maxsize=None)
+def _monomial_index(nvars: int, degree: int) -> dict[Monomial, int]:
+    """Position of each degree-d monomial in graded-lex order (shared; never mutated)."""
+    return {m: i for i, m in enumerate(monomials_of_degree(nvars, degree))}
+
+
+def _component_combinatorial(
+    nvars: int, degree: int, gens: set[tuple[int, ...]], below: set[tuple[int, ...]]
+) -> tuple[_DegreeComponent, set[tuple[int, ...]]]:
+    """The degree-d component of P/I for a monomial ideal I, and its standard monomials.
+
+    `gens` holds the generators' exponent vectors and `below` those of the
+    standard monomials (the monomials outside I) of degree d-1. A monomial
+    lies in I exactly when it is a generator or some m/x_i does, since a
+    generator dividing m properly divides m/x_i for a variable where the
+    two differ. So the standard monomials of degree d are the products
+    s*x_i of standard s that are no generator and whose every m/x_j is
+    standard.
+    """
+    if degree == 0:
+        candidates = {(0,) * nvars}
+    else:
+        candidates = {s[:i] + (s[i] + 1,) + s[i + 1 :] for s in below for i in range(nvars)}
+    standard = {
+        e for e in candidates
+        if e not in gens
+        and all(e[:j] + (e[j] - 1,) + e[j + 1 :] in below for j in range(nvars) if e[j])
+    }
     monos = monomials_of_degree(nvars, degree)
     # I_d is spanned by the monomials it contains: one unit row each.
-    rows = tuple((i, ()) for i, m in enumerate(monos) if in_monomial_ideal(m, gens))
-    index = {m: i for i, m in enumerate(monos)}
-    return _component(monos, index, Subspace(len(monos), rows))
+    rows = tuple((i, ()) for i, m in enumerate(monos) if m.exps not in standard)
+    relations = Subspace(len(monos), rows)
+    return _component(monos, _monomial_index(nvars, degree), relations), standard
 
 
 def _component_elimination(spec: IdealSpec, degree: int) -> _DegreeComponent:
     monos = monomials_of_degree(spec.nvars, degree)
-    index = {m: i for i, m in enumerate(monos)}
+    index = _monomial_index(spec.nvars, degree)
     ncols = len(monos)
     rows: list[list[Fraction]] = []
     for g in spec.generators:
@@ -162,22 +217,23 @@ def _component_elimination(spec: IdealSpec, degree: int) -> _DegreeComponent:
 def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = False) -> GradedQuotient:
     """Construct R = P/I with all per-degree data for degrees 0..bound.
 
-    Monomial ideals go through the divisibility path unless
+    Monomial ideals go through the closure path unless
     `force_elimination` asks for the generic elimination path (used as a
     cross-check oracle in the tests).
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     combinatorial = spec.kind is IdealKind.MONOMIAL and not force_elimination
-    gens = minimalize_monomial_gens(spec.monomial_generators()) if combinatorial else ()
+    if combinatorial:
+        gens = {g.exps for g in spec.monomial_generators()}
+    standard: set[tuple[int, ...]] = set()  # standard monomials one degree down
     components = []
     prev_dim = None
     for d in range(bound + 1):
-        comp = (
-            _component_combinatorial(spec.nvars, d, gens)
-            if combinatorial
-            else _component_elimination(spec, d)
-        )
+        if combinatorial:
+            comp, standard = _component_combinatorial(spec.nvars, d, gens, standard)
+        else:
+            comp = _component_elimination(spec, d)
         dim = len(comp.quotient_cols)
         # The irrelevant ideal is generated in degree 1, so a vanished degree
         # can never be followed by a nonzero one.

@@ -101,27 +101,8 @@ class ScanConfig:
 # enumeration
 
 
-def _has_all_pure_powers(chosen: list[Monomial], nvars: int) -> bool:
-    covered = set()
-    for m in chosen:
-        nz = [i for i, e in enumerate(m.exps) if e]
-        if len(nz) == 1:
-            covered.add(nz[0])
-    return len(covered) == nvars
-
-
-def _multiset_key(exps_list) -> tuple:
-    return tuple(sorted((sum(e), tuple(-x for x in e)) for e in exps_list))
-
-
-def _is_canonical(chosen: list[Monomial], nvars: int) -> bool:
-    """Least generator multiset over all variable permutations."""
-    base = _multiset_key([m.exps for m in chosen])
-    for perm in permutations(range(nvars)):
-        permuted = [tuple(m.exps[p] for p in perm) for m in chosen]
-        if _multiset_key(permuted) < base:
-            return False
-    return True
+def _divides(e: tuple[int, ...], f: tuple[int, ...]) -> bool:
+    return all(a <= b for a, b in zip(e, f))
 
 
 def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[IdealSpec]:
@@ -130,30 +111,71 @@ def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[IdealSpec]:
     Minimal generating sets are exactly the divisibility antichains, so each
     ideal appears once. With `require_artinian` only ideals containing a
     pure power of every variable are emitted; with `symmetry_reduction`
-    only the canonical representative of each variable-permutation class.
+    only the canonical representative of each variable-permutation class:
+    the one whose generators, sorted in graded-lex order, come first.
+
+    Candidates are indexed in graded-lex order and sets of them are
+    bitmasks. The search grows each antichain by one candidate past its
+    last, in increasing order, and emits a set after all its extensions,
+    which is the order of an include-first walk over the candidates.
     """
-    candidates = [
-        m for d in range(2, cfg.max_degree + 1) for m in monomials_of_degree(cfg.nvars, d)
+    n = cfg.nvars
+    candidates = [m for d in range(2, cfg.max_degree + 1) for m in monomials_of_degree(n, d)]
+    exps = [m.exps for m in candidates]
+    position = {e: i for i, e in enumerate(exps)}
+    # comparable[i]: candidates that divide candidate i or that it divides
+    comparable = [
+        sum(1 << j for j, f in enumerate(exps) if _divides(e, f) or _divides(f, e))
+        for e in exps
     ]
+    # pure_var[i]: bit v when candidate i is a pure power of variable v
+    pure_var = [1 << e.index(max(e)) if e.count(0) == n - 1 else 0 for e in exps]
+    # passed[i]: variables whose last pure-power candidate comes before i;
+    # an Artinian set growing past i must already hold a pure power of each
+    last_pure = [max(i for i, bit in enumerate(pure_var) if bit == 1 << v) for v in range(n)]
+    passed = [sum(1 << v for v in range(n) if last_pure[v] < i) for i in range(len(exps))]
+    every_var = (1 << n) - 1
+    # images[k][i]: index of candidate i under the k-th non-identity permutation
+    images = [
+        [position[tuple(e[p] for p in perm)] for e in exps]
+        for perm in permutations(range(n)) if perm != tuple(range(n))
+    ] if cfg.symmetry_reduction else []
 
-    def dfs(i: int, chosen: list[Monomial]) -> Iterator[IdealSpec]:
-        if i == len(candidates):
-            if not chosen:
-                return
-            if cfg.require_artinian and not _has_all_pure_powers(chosen, cfg.nvars):
-                return
-            if cfg.symmetry_reduction and not _is_canonical(chosen, cfg.nvars):
-                return
-            yield monomial_ideal(cfg.nvars, chosen)
+    def canonical(chosen: int, members: list[int]) -> bool:
+        # Sets of equal size compare as sorted index tuples; the permuted
+        # set is smaller exactly when the least index in which the two
+        # differ belongs to it.
+        for image in images:
+            permuted = 0
+            for i in members:
+                permuted |= 1 << image[i]
+            diff = permuted ^ chosen
+            if permuted & diff & -diff:
+                return False
+        return True
+
+    def grow(chosen: int, members: list[int], free: int, covered: int) -> Iterator[IdealSpec]:
+        # `free`: candidates past the last member and comparable to none;
+        # `covered`: variables with a pure power among the members.
+        while free:
+            low = free & -free
+            free ^= low
+            i = low.bit_length() - 1
+            cov = covered | pure_var[i]
+            if cfg.require_artinian and passed[i] & ~cov:
+                break  # no later candidate is a pure power of that variable
+            members.append(i)
+            yield from grow(chosen | low, members, free & ~comparable[i], cov)
+            members.pop()
+        if not members:
             return
-        m = candidates[i]
-        if not any(c.divides(m) or m.divides(c) for c in chosen):
-            chosen.append(m)
-            yield from dfs(i + 1, chosen)
-            chosen.pop()
-        yield from dfs(i + 1, chosen)
+        if cfg.require_artinian and covered != every_var:
+            return
+        if cfg.symmetry_reduction and not canonical(chosen, members):
+            return
+        yield monomial_ideal(n, [candidates[i] for i in members])
 
-    yield from dfs(0, [])
+    yield from grow(0, [], (1 << len(candidates)) - 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,12 @@ class HomogPoly:
             if m.degree != degree:
                 raise ValueError(f"monomial of degree {m.degree} in a degree-{degree} polynomial")
             if c:
-                store[m] = store.get(m, ZERO) + c
-                if not store[m]:
-                    del store[m]
+                if m in store:
+                    c += store[m]
+                    if not c:
+                        del store[m]
+                        continue
+                store[m] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", store)
@@ -290,7 +293,8 @@ def make_ideal(nvars: int, gens: Iterable[HomogPoly]) -> IdealSpec:
             continue
         terms = g.terms()
         if len(terms) == 1:
-            kept.append(HomogPoly.from_monomial(terms[0][0]))
+            m, c = terms[0]
+            kept.append(g if c == 1 else HomogPoly.from_monomial(m))
         else:
             kept.append(g)
 

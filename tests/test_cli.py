@@ -218,6 +218,46 @@ def test_scan_out_file(tmp_path, capsys):
     assert payload["examined"] == 2
 
 
+@pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+def test_scan_unwritable_out_exits_2(tmp_path, kind):
+    path = tmp_path / "absent" / "report.json" if kind == "missing-dir" else tmp_path
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ezdlab", "scan", "monomial", "-n", "2", "--max-deg", "2",
+         "--out", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_scan_out_opened_before_scan(tmp_path, capsys, monkeypatch):
+    def no_scan(cfg):
+        raise AssertionError("the scan ran before --out was checked")
+
+    monkeypatch.setattr("ezdlab.cli.scan_monomial", no_scan)
+    code, _, err = run(capsys, "scan", "monomial", "-n", "2", "--out", str(tmp_path / "x" / "y"))
+    assert code == 2
+    assert err.startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
+def test_bad_workers_env_exits_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("EZDLAB_WORKERS", raw)
+    code, out, err = run(capsys, "scan", "monomial", "-n", "2", "--max-deg", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: EZDLAB_WORKERS must be a positive integer, got {raw!r}\n"
+
+
+def test_workers_env_sets_default(capsys, monkeypatch):
+    monkeypatch.setenv("EZDLAB_WORKERS", "2")
+    code, out, _ = run(capsys, "scan", "monomial", "-n", "2", "--max-deg", "2")
+    assert code == 0
+    assert "instances examined: 2" in out
+
+
 def test_example_command(capsys):
     code, out, _ = run(capsys, "example", "-n", "3", "-d", "2")
     assert code == 0

@@ -3,11 +3,44 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ezdlab.exactmat import QMatrix, Subspace, kernel_basis, rank, rref, subspace_equal
 
 F = Fraction
+ONE = F(1)
+
+
+def fraction_rref(m):
+    """Gauss-Jordan over Fractions with normalized pivots: the rref oracle."""
+    a = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        p = None
+        for i in range(r, m.rows):
+            if a[i][c]:
+                p = i
+                break
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+        pv = a[r][c]
+        if pv != 1:
+            inv = ONE / pv
+            a[r] = [x * inv for x in a[r]]
+        row_r = a[r]
+        for i in range(m.rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    flat = [x for row in a for x in row]
+    return QMatrix(m.rows, m.cols, flat), tuple(pivots)
 
 
 def mat(rows):
@@ -97,6 +130,39 @@ def matrices(draw, max_dim=5):
     return QMatrix(nrows, ncols, entries)
 
 
+oracle_entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@st.composite
+def oracle_matrices(draw, max_dim=7):
+    """Any shape from 0x0 to max_dim x max_dim, with some rows and columns zeroed."""
+    nrows = draw(st.integers(0, max_dim))
+    ncols = draw(st.integers(0, max_dim))
+    zero_rows = draw(st.sets(st.integers(0, max_dim - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max_dim - 1), max_size=2))
+    data = [
+        0 if i in zero_rows or j in zero_cols else draw(oracle_entries)
+        for i in range(nrows)
+        for j in range(ncols)
+    ]
+    return QMatrix(nrows, ncols, data)
+
+
+@settings(deadline=None, max_examples=200)
+@given(oracle_matrices())
+@example(QMatrix(0, 3, ()))
+@example(QMatrix(3, 0, ()))
+@example(QMatrix(0, 0, ()))
+@example(mat([[F(1, 2), F(-1, 3)], [F(3, 4), F(5, 6)], [F(-7, 10), 0], [2, F(1, 9)]]))
+@example(mat([[0, 0, 0], [0, F(2, 3), F(-4, 9)], [0, 0, 0], [0, F(-1, 5), F(2, 15)]]))
+def test_rref_matches_fraction_gauss_jordan(m):
+    assert rref(m) == fraction_rref(m)
+
+
 @settings(deadline=None, max_examples=60)
 @given(matrices())
 def test_rank_nullity(m):
@@ -123,7 +189,7 @@ def int_rows_and_vector(draw, max_dim=5):
 def test_sparse_subspace_matches_dense_rref(data):
     rows, v = data
     sub = Subspace.from_vectors(len(v), rows)
-    red, _ = rref(mat(rows))
+    red, _ = fraction_rref(mat(rows))
     nonzero = tuple(r for r in (red.row(i) for i in range(red.rows)) if any(r))
     assert sub.basis == nonzero
     assert (not any(sub.reduce(v))) == (rank(mat(rows + [v])) == rank(mat(rows)))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ezdlab.exactmat import QMatrix, rank, subspace_equal
+from ezdlab.exactmat import QMatrix, Subspace, rank, subspace_equal
 from ezdlab.ezd import (
     GenericDecision,
     PairVerdict,
@@ -26,7 +26,9 @@ from ezdlab.ezd import (
 from ezdlab.gradedring import build_quotient
 from ezdlab.polyring import (
     HomogPoly,
+    Monomial,
     format_poly,
+    monomial_ideal,
     monomials_of_degree,
     parse_ideal,
     parse_poly,
@@ -59,6 +61,50 @@ def test_mult_map_polynomial_ring_injective():
     free = ring_of("", 3, 3)
     m = mult_map(free, parse_poly("x1", 3), 1)
     assert rank(m) == 3
+
+
+def _normal_form_mult_map(ring, f, d):
+    """One product and one normal form per column: the mult_map oracle."""
+    source = ring.basis_monomials(d)
+    cols = [ring.normal_form(f * HomogPoly.from_monomial(b)) for b in source]
+    nrows = ring.dim(d + f.degree)
+    return QMatrix(nrows, len(source), [cols[j][i] for i in range(nrows) for j in range(len(source))])
+
+
+def _normal_form_principal_ideal(ring, y, d):
+    """The principal_ideal_degree oracle, built from normal forms."""
+    if d < y.degree:
+        return Subspace.zero(ring.dim(d))
+    shifts = monomials_of_degree(ring.nvars, d - y.degree)
+    vectors = [ring.normal_form(HomogPoly.from_monomial(m) * y) for m in shifts]
+    return Subspace.from_vectors(ring.dim(d), vectors)
+
+
+def test_monomial_lookup_maps_match_normal_forms():
+    rng = random.Random(4242)
+    shared_rows = 0
+    for trial in range(40):
+        nvars = rng.randint(2, 3)
+        if trial == 0:
+            spec = monomial_ideal(nvars, [Monomial((0,) * nvars)])  # the unit ideal
+        else:
+            pool = [m for d in range(1, 4) for m in monomials_of_degree(nvars, d)]
+            spec = monomial_ideal(nvars, rng.sample(pool, rng.randint(1, 5)))
+        bound = rng.randint(2, 5)
+        ring = build_quotient(spec, bound)
+        for deg in (1, 2):
+            monos = monomials_of_degree(nvars, deg)
+            terms = rng.sample(monos, rng.randint(2, len(monos)))
+            f = HomogPoly(nvars, deg, [(m, F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))) for m in terms])
+            for d in range(bound - deg + 1):
+                got = mult_map(ring, f, d)
+                assert got == _normal_form_mult_map(ring, f, d)
+                # rows fed by several columns: terms of different products
+                # landing on the same target coordinate
+                shared_rows += sum(1 for i in range(got.rows) if sum(1 for x in got.row(i) if x) > 1)
+            for d in range(bound + 1):
+                assert principal_ideal_degree(ring, f, d) == _normal_form_principal_ideal(ring, f, d)
+    assert shared_rows > 0
 
 
 def test_annihilator_examples():

@@ -116,10 +116,17 @@ def _random_monomial_spec(rng, nvars, max_degree):
 def test_monomial_oracle_equivalence_random():
     rng = random.Random(20260811)
     coeff_rng = random.Random(11)
+    cases = []
     for _ in range(40):
         nvars = rng.randint(2, 3)
-        spec = _random_monomial_spec(rng, nvars, 3)
-        bound = rng.randint(2, 5)
+        cases.append((nvars, _random_monomial_spec(rng, nvars, 3), rng.randint(2, 5)))
+    # the unit ideal, and generators of degree 1
+    for text, nvars, bound in [
+        ("1", 2, 3), ("1", 3, 2), ("x1", 2, 4), ("x2, x1^3", 2, 4),
+        ("x1, x2, x3", 3, 2), ("x3, x1^2, x1*x2^2, x2^4", 3, 5), ("x1, x2*x3", 3, 4),
+    ]:
+        cases.append((nvars, parse_ideal(text, nvars), bound))
+    for nvars, spec, bound in cases:
         fast = build_quotient(spec, bound)
         slow = build_quotient(spec, bound, force_elimination=True)
         assert fast.hilbert.values == slow.hilbert.values

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -52,6 +52,56 @@ def brute_force_monomial_ideals(nvars, max_degree, artinian=True):
                     continue
             seen.add(minimal)
     return seen
+
+
+def _multiset_key(exps_list) -> tuple:
+    return tuple(sorted((sum(e), tuple(-x for x in e)) for e in exps_list))
+
+
+def dfs_monomial_ideals(cfg):
+    """Include-first walk over every divisibility antichain with the Artinian
+    and canonicity filters applied at the leaves: the enumeration oracle."""
+    candidates = [
+        m for d in range(2, cfg.max_degree + 1) for m in monomials_of_degree(cfg.nvars, d)
+    ]
+
+    def artinian(chosen):
+        covered = {next(i for i, e in enumerate(m.exps) if e)
+                   for m in chosen if sum(1 for e in m.exps if e) == 1}
+        return len(covered) == cfg.nvars
+
+    def canonical(chosen):
+        base = _multiset_key([m.exps for m in chosen])
+        return all(
+            _multiset_key([tuple(m.exps[p] for p in perm) for m in chosen]) >= base
+            for perm in permutations(range(cfg.nvars))
+        )
+
+    def dfs(i, chosen):
+        if i == len(candidates):
+            if chosen and (not cfg.require_artinian or artinian(chosen)) and (
+                not cfg.symmetry_reduction or canonical(chosen)
+            ):
+                yield monomial_ideal(cfg.nvars, chosen)
+            return
+        m = candidates[i]
+        if not any(c.divides(m) or m.divides(c) for c in chosen):
+            chosen.append(m)
+            yield from dfs(i + 1, chosen)
+            chosen.pop()
+        yield from dfs(i + 1, chosen)
+
+    yield from dfs(0, [])
+
+
+@pytest.mark.parametrize("artinian,symmetry", list(product([True, False], repeat=2)))
+@pytest.mark.parametrize("nvars,max_degree", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_enumerate_matches_dfs_oracle_in_order(nvars, max_degree, artinian, symmetry):
+    cfg = ScanConfig(nvars=nvars, max_degree=max_degree, require_artinian=artinian,
+                     symmetry_reduction=symmetry)
+    got = list(enumerate_monomial_ideals(cfg))
+    assert got == list(dfs_monomial_ideals(cfg))
+    assert got
 
 
 def test_enumerate_two_vars_degree_two():
