@@ -64,6 +64,8 @@ def _read_ideal_text(args) -> str:
 
 
 def _build_ring(args):
+    if args.nvars < 1:
+        raise ValueError("need at least one variable")
     spec = parse_ideal(_read_ideal_text(args), args.nvars)
     bound = args.bound
     if bound is None:

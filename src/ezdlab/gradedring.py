@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from operator import add
 
 from .exactmat import Subspace
@@ -27,6 +28,10 @@ from .polyring import (
 )
 
 ZERO = Fraction(0)
+# Largest number of monomials of degree <= bound that build_quotient accepts.
+# Larger builds are refused up front: they would run for a very long time
+# while the unbounded monomial caches keep growing.
+MAX_MONOMIALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,6 @@ class HilbertFn:
 
     values: tuple[int, ...]
     artinian_within_bound: bool
-    top_degree: int | None
 
 
 @dataclass(frozen=True)
@@ -145,15 +149,6 @@ class GradedQuotient:
         return HomogPoly(self.nvars, degree, list(zip(basis, coords)))
 
 
-def _hilbert_from_dims(dims: tuple[int, ...]) -> HilbertFn:
-    artinian = 0 in dims
-    top = None
-    if artinian:
-        first_zero = dims.index(0)
-        top = first_zero - 1
-    return HilbertFn(dims, artinian, top)
-
-
 def _component(
     monos: tuple[Monomial, ...], index: dict[Monomial, int], relations: Subspace
 ) -> _DegreeComponent:
@@ -219,10 +214,22 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
 
     Monomial ideals go through the closure path unless
     `force_elimination` asks for the generic elimination path (used as a
-    cross-check oracle in the tests).
+    cross-check oracle in the tests). Raises ValueError before building
+    anything when the monomials of degree <= bound number more than
+    MAX_MONOMIALS.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
+    # C(n + bound, k) for k = min(n, bound) is at least 2^k, so past k = 64 it
+    # is far over the cap and is neither computed nor printed.
+    k = min(spec.nvars, bound)
+    size = comb(spec.nvars + bound, k) if k <= 64 else None
+    if size is None or size > MAX_MONOMIALS:
+        count = "over 2^64" if size is None or size > 1 << 64 else size
+        raise ValueError(
+            f"{spec.nvars} variables up to degree {bound} span {count} monomials, "
+            f"more than the cap of {MAX_MONOMIALS}; lower the bound or the variable count"
+        )
     combinatorial = spec.kind is IdealKind.MONOMIAL and not force_elimination
     if combinatorial:
         gens = {g.exps for g in spec.monomial_generators()}
@@ -241,8 +248,9 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
             raise RuntimeError(f"H({d}) = {dim} after H({d - 1}) = 0")
         prev_dim = dim
         components.append(comp)
-    hilbert = _hilbert_from_dims(tuple(len(c.quotient_cols) for c in components))
-    top = hilbert.top_degree
+    dims = tuple(len(c.quotient_cols) for c in components)
+    hilbert = HilbertFn(dims, 0 in dims)
+    top = dims.index(0) - 1 if 0 in dims else None
     if top is None:
         powers = pure_power_exponents(spec)
         # Standard monomials die after sum(a_i - 1), so a bound reaching

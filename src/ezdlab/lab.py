@@ -30,8 +30,8 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import partial
 from io import StringIO
-from itertools import combinations, permutations
-from typing import Iterator
+from itertools import combinations, permutations, product
+from typing import Iterable, Iterator
 
 from .ezd import (
     EzdReport,
@@ -58,7 +58,6 @@ from .polyring import (
     minimalize_monomial_gens,
     monomial_ideal,
     monomials_of_degree,
-    parse_ideal,
     variable,
 )
 
@@ -293,9 +292,10 @@ def _csv_cell(v) -> str:
 # monomial scan
 
 
-def _monomial_task(cfg: ScanConfig, payload: tuple[int, str]):
-    idx, text = payload
-    spec = parse_ideal(text, cfg.nvars)
+def _monomial_task(cfg: ScanConfig, payload: tuple[int, tuple]):
+    idx, gens = payload
+    spec = monomial_ideal(cfg.nvars, map(Monomial, gens))
+    text = format_ideal(spec)
     bound = cfg.bound if cfg.bound is not None else default_bound(spec)
     if bound is None:
         return SkippedInstance(idx, text, "no degree bound available for a non-Artinian ideal")
@@ -338,15 +338,15 @@ def _monomial_task(cfg: ScanConfig, payload: tuple[int, str]):
     return record, counterexamples
 
 
-def _run_scan(
-    family: str, cfg: ScanConfig, task, payloads: list[tuple[int, str]],
-    skipped: list[SkippedInstance], start: float,
-) -> ScanReport:
+def _run_scan(family: str, cfg: ScanConfig, task, payloads: Iterable[tuple]) -> ScanReport:
     """Run `task(cfg, payload)` over the payloads in order and collect the report.
 
-    A task returns a SkippedInstance or a (record, counterexamples) pair;
-    `skipped` holds the instances rejected before any task ran.
+    A payload is a tuple whose first entry is the instance index, and a task
+    returns a SkippedInstance or a (record, counterexamples) pair. The clock
+    starts before the payloads are drawn, so `elapsed` covers enumeration.
     """
+    start = time.perf_counter()
+    payloads = list(payloads)
     fn = partial(task, cfg)
     if cfg.workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
@@ -355,6 +355,7 @@ def _run_scan(
     else:
         results = [fn(p) for p in payloads]
     instances = []
+    skipped = []
     counterexamples: list[Counterexample] = []
     for res in results:
         if isinstance(res, SkippedInstance):
@@ -363,7 +364,6 @@ def _run_scan(
         record, cexs = res
         instances.append(record)
         counterexamples.extend(cexs)
-    skipped.sort(key=lambda s: s.index)
     return ScanReport(
         family, cfg, tuple(instances), tuple(counterexamples), tuple(skipped),
         time.perf_counter() - start,
@@ -372,20 +372,25 @@ def _run_scan(
 
 def scan_monomial(cfg: ScanConfig) -> ScanReport:
     """Exhaustive generic-pair scan over the configured monomial family."""
-    start = time.perf_counter()
-    payloads = [
-        (idx, format_ideal(spec)) for idx, spec in enumerate(enumerate_monomial_ideals(cfg))
-    ]
-    return _run_scan("monomial", cfg, _monomial_task, payloads, [], start)
+    payloads = (
+        (idx, tuple(m.exps for m in spec.monomial_generators()))
+        for idx, spec in enumerate(enumerate_monomial_ideals(cfg))
+    )
+    return _run_scan("monomial", cfg, _monomial_task, payloads)
 
 
 # ---------------------------------------------------------------------------
 # binomial family scan
 
 
-def _binomial_task(cfg: ScanConfig, payload: tuple[int, str]):
-    idx, text = payload
-    spec = parse_ideal(text, cfg.nvars)
+def _binomial_task(cfg: ScanConfig, payload: tuple[int, tuple, tuple]):
+    idx, j_exps, (f1, f2) = payload
+    gens = [HomogPoly.from_monomial(Monomial(e)) for e in j_exps]
+    gens.append(HomogPoly(cfg.nvars, 2, [(Monomial(f1), 1), (Monomial(f2), 1)]))
+    spec = make_ideal(cfg.nvars, gens)
+    text = format_ideal(spec)
+    if f1 in j_exps or f2 in j_exps:
+        return SkippedInstance(idx, text, "binomial collapses to a monomial modulo J")
     bound = cfg.bound if cfg.bound is not None else BINOMIAL_DEFAULT_BOUND
     ring = build_quotient(spec, bound)
     if not ring.complete:
@@ -469,28 +474,17 @@ def scan_binomial(cfg: ScanConfig) -> ScanReport:
 
     Instances whose binomial collapses modulo J (some f_i already in J) are
     recorded as skipped, as are quotients that fail to vanish by the bound.
+    A payload is (index, exponents of J's generators, (f1, f2) exponents).
     """
-    start = time.perf_counter()
-    deg2 = monomials_of_degree(cfg.nvars, 2)
-    payloads: list[tuple[int, str]] = []
-    skipped: list[SkippedInstance] = []
-    idx = 0
-    for mask in range(1 << len(deg2)):
-        j_monos = [m for i, m in enumerate(deg2) if mask >> i & 1]
-        for f1, f2 in combinations(deg2, 2):
-            gens = [HomogPoly.from_monomial(m) for m in j_monos]
-            gens.append(HomogPoly.from_monomial(f1) + HomogPoly.from_monomial(f2))
-            ideal = make_ideal(cfg.nvars, gens)
-            text = format_ideal(ideal)
-            if f1 in j_monos or f2 in j_monos:
-                skipped.append(
-                    SkippedInstance(idx, text, "binomial collapses to a monomial modulo J")
-                )
-                idx += 1
-                continue
-            payloads.append((idx, text))
-            idx += 1
-    return _run_scan("binomial", cfg, _binomial_task, payloads, skipped, start)
+    deg2 = [m.exps for m in monomials_of_degree(cfg.nvars, 2)]
+    subsets = [
+        tuple(e for i, e in enumerate(deg2) if mask >> i & 1) for mask in range(1 << len(deg2))
+    ]
+    payloads = (
+        (idx, j_exps, pair)
+        for idx, (j_exps, pair) in enumerate(product(subsets, combinations(deg2, 2)))
+    )
+    return _run_scan("binomial", cfg, _binomial_task, payloads)
 
 
 # ---------------------------------------------------------------------------
@@ -641,17 +635,15 @@ class ProbeReport:
         return Fraction(self.successes, self.samples) if self.samples else Fraction(0)
 
 
-def generic_form_probe(
-    ring: GradedQuotient, samples: int = 20, seed: int = 0, search_budget: int | None = None
-) -> ProbeReport:
-    """For rings vanishing from degree 3 on: find one exact pair by sampling,
-    then report how many further sampled forms are exact (expected all)."""
+def generic_form_probe(ring: GradedQuotient, samples: int = 20, seed: int = 0) -> ProbeReport:
+    """For rings vanishing from degree 3 on: find one exact pair in at most
+    `samples` sampled forms, then report how many of `samples` further
+    sampled forms are exact (expected all)."""
     if ring.dim_extended(3) != 0:
         raise ValueError("ring must vanish from degree 3 on")
-    budget = search_budget if search_budget is not None else samples
     base = None
     searched = 0
-    for i in range(budget):
+    for i in range(samples):
         ell = generic_linear_form(ring.nvars, derived_seed(seed, i))
         searched += 1
         found = find_ezd_complement(ring, ell)
@@ -660,11 +652,11 @@ def generic_form_probe(
             break
     if base is None:
         return ProbeReport(
-            searched, None, None, f"no exact pair found in {budget} sampled forms", samples, 0
+            searched, None, None, f"no exact pair found in {samples} sampled forms", samples, 0
         )
     successes = 0
     for j in range(samples):
-        ell = generic_linear_form(ring.nvars, derived_seed(seed, budget + j))
+        ell = generic_linear_form(ring.nvars, derived_seed(seed, samples + j))
         if find_ezd_complement(ring, ell) is not None:
             successes += 1
     return ProbeReport(

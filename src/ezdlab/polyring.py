@@ -252,10 +252,6 @@ class IdealSpec:
     generators: tuple[HomogPoly, ...]
     kind: IdealKind
 
-    @property
-    def max_degree(self) -> int:
-        return max((g.degree for g in self.generators), default=0)
-
     def monomial_generators(self) -> tuple[Monomial, ...]:
         if self.kind is not IdealKind.MONOMIAL:
             raise ValueError("ideal is not monomial")

@@ -140,6 +140,31 @@ def test_zero_trials_exits_2(capsys, argv):
     assert "need at least one trial" in err
 
 
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (["hilbert", "-n", "2", "x1^100000, x2^2"], 5000250003),  # default bound 100001
+        (["hilbert", "-n", "25", "-D", "25", "x1^2"], 126410606437752),
+        # counts this large are neither computed nor printed
+        (["hilbert", "-n", "1000000", "-D", "1000000", "x1"], "over 2^64"),
+        (["hilbert", "-n", "64", "-D", "10" + "0" * 4200, "x1"], "over 2^64"),
+    ],
+)
+def test_oversized_ring_exits_2(capsys, argv, count):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"span {count} monomials, more than the cap of 100000" in err
+
+
+@pytest.mark.parametrize("nvars", ["0", "-1"])
+def test_nvars_below_one_exits_2(capsys, nvars):
+    code, out, err = run(capsys, "hilbert", "-n", nvars, "x1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need at least one variable\n"
+
+
 def test_hilbert_unit_ideal_is_artinian(capsys):
     code, out, _ = run(capsys, "hilbert", "-n", "2", "-D", "2", "3", "--format", "json")
     assert code == 0

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from ezdlab import gradedring
 from ezdlab.exactmat import QMatrix
 from ezdlab.gradedring import (
     build_quotient,
@@ -89,6 +90,26 @@ def test_normal_form_out_of_bound():
     ring = build_quotient(parse_ideal("x1^2, x2^2", 2), 2)
     with pytest.raises(ValueError):
         ring.normal_form(parse_poly("x1^3", 2))
+
+
+def test_top_degree_without_a_zero_in_the_bound():
+    # H = 1 2 1 stops at the bound, but the pure powers show R_3 = 0.
+    ring = build_quotient(parse_ideal("x1^2, x2^2", 2), 2)
+    assert ring.hilbert.values == (1, 2, 1)
+    assert not ring.hilbert.artinian_within_bound
+    assert ring.top_degree == 2
+    assert ring.complete
+    assert not hasattr(ring.hilbert, "top_degree")
+
+
+def test_size_cap_refuses_before_building(monkeypatch):
+    monkeypatch.setattr(gradedring, "MAX_MONOMIALS", 10)
+    spec = parse_ideal("x1^3, x2^3", 2)
+    assert build_quotient(spec, 3).hilbert.values == (1, 2, 3, 2)  # 10 monomials
+    with pytest.raises(ValueError, match="span 15 monomials, more than the cap of 10"):
+        build_quotient(spec, 4)
+    with pytest.raises(ValueError, match="cap of 10"):
+        build_quotient(spec, 4, force_elimination=True)
 
 
 def test_is_artinian_examples():

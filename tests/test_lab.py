@@ -6,6 +6,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from ezdlab import polyring
 from ezdlab.ezd import PairVerdict, find_ezd_complement, generic_linear_form
 from ezdlab.gradedring import build_quotient, default_bound
 from ezdlab.lab import (
@@ -200,6 +201,30 @@ def test_scan_determinism_across_workers():
     r1, r2 = scan_monomial(cfg1), scan_monomial(cfg2)
     assert r1.to_json(full=True) == r2.to_json(full=True)
     assert r1.to_csv() == r2.to_csv()
+
+
+def test_binomial_scan_determinism_across_workers():
+    r1, r2 = (scan_binomial(ScanConfig(nvars=3, seed=1, workers=w)) for w in (1, 2))
+    assert r1.to_json(full=True) == r2.to_json(full=True)
+    assert r1.to_csv() == r2.to_csv()
+    # Collapse skips are decided by the tasks, so they come back through the pool.
+    indices = [s.index for s in r2.skipped]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    reasons = [s.reason for s in r2.skipped]
+    assert reasons.count("binomial collapses to a monomial modulo J") == 720
+    assert reasons.count("does not vanish by degree 6") == 186
+    assert r2.examined == 54
+
+
+def test_scans_do_not_parse_ideal_text(monkeypatch):
+    def refuse(text):
+        raise AssertionError(f"scan parsed ideal text {text!r}")
+
+    monkeypatch.setattr(polyring, "_tokenize", refuse)
+    monomial = scan_monomial(ScanConfig(nvars=2, max_degree=3))
+    binomial = scan_binomial(ScanConfig(nvars=2))
+    assert monomial.passes and monomial.examined > 0
+    assert binomial.passes and binomial.examined > 0
 
 
 def test_power_ideal_example_instances():
