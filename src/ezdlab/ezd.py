@@ -1,12 +1,17 @@
 """Multiplication maps, annihilators, and exact zero divisor detection.
 
-A pair (x, y) is a pair of exact zero divisors when Ann(x) = (y) and
-Ann(y) = (x). Everything here works degree by degree on a built
-GradedQuotient: annihilator pieces are kernels of multiplication maps,
-principal-ideal pieces are spans of shifted normal forms, and the two
-sides are compared as canonical subspaces. Both directions are always
-checked even where Artinian-ness makes one imply the other; the second
-check is cheap and catches truncation mistakes.
+A pair (x, y) is a pair of exact zero divisors when x and y are nonzero
+in R, Ann(x) = (y) and Ann(y) = (x). Everything here works degree by
+degree on a built GradedQuotient, and a dimension is a rank: with r_f(d)
+the rank of multiplication by f from R_d, dim Ann(f)_d = dim R_d - r_f(d)
+and dim (f)_d = r_f(d - deg f). The containment (y)_d in Ann(x)_d holds
+exactly when xy*R_{d-deg y} = 0, and given it, equality is equality of
+dimensions. A subspace is built only where its vectors are used, as for
+the kernel vector `find_ezd_complement` offers as a partner. An element
+that is zero in R (the zero polynomial, one in I, one past the top
+degree, any element of the zero ring) is never part of a pair. Both
+directions are always checked even where Artinian-ness makes one imply
+the other; the second check is cheap and catches truncation mistakes.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exactmat import QMatrix, Subspace, kernel_basis, rank, subspace_equal
+from .exactmat import QMatrix, Subspace, kernel_basis, rank
 from .gradedring import GradedQuotient, build_quotient
 from .polyring import (
     HomogPoly,
@@ -119,36 +124,43 @@ class EzdReport:
 
 
 def is_ezd_pair(ring: GradedQuotient, x: HomogPoly, y: HomogPoly) -> EzdReport:
-    """Check whether (x, y) is a pair of exact zero divisors in the ring."""
+    """Check whether (x, y) is a pair of exact zero divisors in the ring.
+
+    The table's dimensions come from the rank lists r_x and r_y. Since
+    (xy)_{k+1} = R_1*(xy)_k, xy*R_s is nonzero exactly for s below some
+    z, so (y)_d lies in Ann(x)_d exactly when d < deg y or d - deg y >= z.
+    """
     ring_id = format_ideal(ring.spec)
     if not ring.complete:
         return EzdReport(
             ring_id, x, y, False, (), PairVerdict.TRUNCATED,
             "ring does not vanish within the degree bound; raise the bound",
         )
-    if x.is_zero() or y.is_zero():
+    top = ring.top_degree
+    r_x = [rank(mult_map(ring, x, d)) for d in range(top + 1)]
+    r_y = [rank(mult_map(ring, y, d)) for d in range(top + 1)]
+    # f is zero in R exactly when f*1 is, i.e. r_f(0) = 0; the zero ring
+    # (top = -1) has no element other than zero.
+    if top < 0 or not (r_x[0] and r_y[0]):
         return EzdReport(ring_id, x, y, True, (), PairVerdict.NOT_PAIR, "zero element")
 
-    top = ring.top_degree
-    prod_degree = x.degree + y.degree
-    if prod_degree <= ring.bound:
-        product_zero = not any(ring.normal_form(x * y))
-    else:
-        product_zero = True  # the ring has already vanished below that degree
+    xy = x * y
+    z = 0
+    while xy.degree + z <= top and any(mult_map(ring, xy, z).data):
+        z += 1
+    product_zero = z == 0
 
     rows = []
     all_equal = True
     reason = None
     for d in range(top + 1):
-        ann_x = annihilator_degree(ring, x, d)
-        ideal_y = principal_ideal_degree(ring, y, d)
-        ann_y = annihilator_degree(ring, y, d)
-        ideal_x = principal_ideal_degree(ring, x, d)
-        eq_xy = subspace_equal(ann_x, ideal_y)
-        eq_yx = subspace_equal(ann_y, ideal_x)
-        rows.append(
-            DegreeRow(d, ring.dim(d), ann_x.dim, ideal_y.dim, ann_y.dim, ideal_x.dim, eq_xy, eq_yx)
-        )
+        dim_d = ring.dim(d)
+        ann_x, ann_y = dim_d - r_x[d], dim_d - r_y[d]
+        ideal_y = r_y[d - y.degree] if d >= y.degree else 0
+        ideal_x = r_x[d - x.degree] if d >= x.degree else 0
+        eq_xy = (d < y.degree or d - y.degree >= z) and ann_x == ideal_y
+        eq_yx = (d < x.degree or d - x.degree >= z) and ann_y == ideal_x
+        rows.append(DegreeRow(d, dim_d, ann_x, ideal_y, ann_y, ideal_x, eq_xy, eq_yx))
         if all_equal and not (eq_xy and eq_yx):
             all_equal = False
             side = "Ann(x) vs (y)" if not eq_xy else "Ann(y) vs (x)"
@@ -332,11 +344,7 @@ def socle_dims(ring: GradedQuotient) -> tuple[int, ...]:
         for i in range(ring.nvars):
             m = mult_map(ring, variable(ring.nvars, i), d)
             blocks.extend(m.row(r) for r in range(m.rows))
-        if blocks:
-            stacked = QMatrix.from_rows(blocks)
-        else:
-            stacked = QMatrix(0, ring.dim(d), ())
-        dims.append(kernel_basis(stacked).dim)
+        dims.append(ring.dim(d) - rank(QMatrix.from_rows(blocks)))
     return tuple(dims)
 
 

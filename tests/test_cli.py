@@ -114,6 +114,18 @@ def test_ezd_form_no_partner(capsys):
     assert "no exact partner" in out
 
 
+@pytest.mark.parametrize("form", [None, "x1 + x2"])
+def test_ezd_zero_form_has_no_partner(capsys, form):
+    # In k[x1,x2]/(x1, x2) = k every linear form is zero, so none is an
+    # exact zero divisor (its annihilator is the whole ring, spanned by 1).
+    extra = [] if form is None else ["--form", form]
+    code, out, _ = run(capsys, "ezd", "-n", "2", "x1, x2", *extra, "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["witness"], payload["report"]) == (None, None)
+    assert payload.get("decision", "no") == "no" and payload.get("found", False) is False
+
+
 def test_ezd_json_schema(capsys):
     code, out, _ = run(capsys, "ezd", "-n", "2", "x1^2, x2^2", "--format", "json")
     assert code == 0

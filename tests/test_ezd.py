@@ -7,6 +7,7 @@ import pytest
 
 from ezdlab.exactmat import QMatrix, Subspace, rank, subspace_equal
 from ezdlab.ezd import (
+    DegreeRow,
     GenericDecision,
     PairVerdict,
     annihilator_degree,
@@ -23,11 +24,13 @@ from ezdlab.ezd import (
     wlp_check,
     yoshino_conditions,
 )
-from ezdlab.gradedring import build_quotient
+from ezdlab.gradedring import build_quotient, default_bound
 from ezdlab.polyring import (
     HomogPoly,
+    IdealKind,
     Monomial,
     format_poly,
+    make_ideal,
     monomial_ideal,
     monomials_of_degree,
     parse_ideal,
@@ -155,6 +158,124 @@ def test_is_ezd_pair_truncated():
     free = ring_of("", 2, 3)
     rep = is_ezd_pair(free, parse_poly("x1", 2), parse_poly("x2", 2))
     assert rep.verdict is PairVerdict.TRUNCATED
+
+
+def _subspace_pair_table(ring, x, y):
+    """The pair table from four canonical subspaces per degree: the oracle.
+
+    Ann(x)_d and Ann(y)_d are kernels, (y)_d and (x)_d spans of shifted
+    normal forms, and each side is compared as a canonical subspace.
+    """
+    if x.degree + y.degree <= ring.bound:
+        product_zero = not any(ring.normal_form(x * y))
+    else:
+        product_zero = True
+    rows = []
+    for d in range(ring.top_degree + 1):
+        ann_x = annihilator_degree(ring, x, d)
+        ideal_y = principal_ideal_degree(ring, y, d)
+        ann_y = annihilator_degree(ring, y, d)
+        ideal_x = principal_ideal_degree(ring, x, d)
+        rows.append(DegreeRow(
+            d, ring.dim(d), ann_x.dim, ideal_y.dim, ann_y.dim, ideal_x.dim,
+            subspace_equal(ann_x, ideal_y), subspace_equal(ann_y, ideal_x),
+        ))
+    return product_zero, tuple(rows)
+
+
+def _random_form(rng, nvars, degree):
+    monos = monomials_of_degree(nvars, degree)
+    terms = rng.sample(monos, rng.randint(1, len(monos)))
+    return HomogPoly(nvars, degree, [(m, F(rng.choice([-3, -2, -1, 1, 2, 3]))) for m in terms])
+
+
+def _oracle_rings(rng):
+    """Eight complete rings of each kind: monomial, one binomial, general."""
+    rings = []
+    for kind in IdealKind:
+        built = 0
+        while built < 8:
+            n = rng.randint(2, 3)
+            quadrics = monomials_of_degree(n, 2)
+            if kind is IdealKind.MONOMIAL:
+                powers = [Monomial(tuple(rng.randint(2, 3) * (i == j) for i in range(n))) for j in range(n)]
+                extra = rng.sample(quadrics + monomials_of_degree(n, 3), rng.randint(0, 2))
+                spec = monomial_ideal(n, powers + extra)
+                bound = default_bound(spec)
+            elif kind is IdealKind.MONOMIAL_PLUS_ONE_BINOMIAL:
+                squares = [Monomial(tuple(2 * (i == j) for i in range(n))) for j in range(n)]
+                m1, m2 = rng.sample(quadrics, 2)
+                gens = squares + rng.sample(quadrics, rng.randint(0, 1))
+                binomial = HomogPoly(n, 2, [(m1, F(1)), (m2, F(1))])
+                spec = make_ideal(n, [HomogPoly.from_monomial(m) for m in gens] + [binomial])
+                bound = n + 1
+            else:
+                spec = make_ideal(n, [_random_form(rng, n, 2) for _ in range(n)])
+                bound = 2 * n
+            ring = build_quotient(spec, bound)
+            if spec.kind is kind and ring.complete and ring.top_degree >= 1:
+                rings.append(ring)
+                built += 1
+    return rings
+
+
+def test_rank_table_matches_subspace_oracle():
+    """is_ezd_pair reads its table from ranks and one product scan; the
+    four-subspace construction must give the same table on random pairs."""
+    rng = random.Random(2024)
+    pairs = nonzero_products = dims_agree_not_contained = exact = 0
+    for ring in _oracle_rings(rng):
+        n = ring.nvars
+        for _ in range(16):
+            x = _random_form(rng, n, rng.randint(0, min(3, ring.top_degree)))
+            b = rng.randint(0, min(3, ring.top_degree))
+            ann = annihilator_degree(ring, x, b) if rng.random() < 0.6 else None
+            if ann is not None and ann.dim:
+                # a partner from Ann(x): the product vanishes
+                coeffs = [rng.randint(-2, 2) or 1 for _ in range(ann.dim)]
+                vec = [sum(c * v[i] for c, v in zip(coeffs, ann.basis)) for i in range(ring.dim(b))]
+                y = ring.basis_poly(b, vec)
+            else:
+                y = _random_form(rng, n, b)
+            if not (any(ring.normal_form(x)) and any(ring.normal_form(y))):
+                continue  # zero in R: test_zero_in_ring_is_never_a_pair
+            report = is_ezd_pair(ring, x, y)
+            product_zero, table = _subspace_pair_table(ring, x, y)
+            assert (report.product_zero, report.table) == (product_zero, table), (ring.spec, x, y)
+            assert (report.verdict is PairVerdict.EXACT_PAIR) == (
+                product_zero and all(r.equal_xy and r.equal_yx for r in table)
+            )
+            pairs += 1
+            nonzero_products += not product_zero
+            exact += report.verdict is PairVerdict.EXACT_PAIR
+            dims_agree_not_contained += sum(
+                (r.dim_ann_x == r.dim_ideal_y and not r.equal_xy)
+                + (r.dim_ann_y == r.dim_ideal_x and not r.equal_yx)
+                for r in table
+            )
+    assert pairs >= 300
+    assert nonzero_products > 0
+    assert exact > 0
+    assert dims_agree_not_contained > 0
+
+
+@pytest.mark.parametrize(
+    "ideal, n, bound, x, y",
+    [
+        ("x1^2, x2^2", 2, 3, "x1^2", "1"),  # x in I
+        ("x1^2, x2^2", 2, 3, "3", "x1^2"),  # y in I
+        ("x1^2, x2^2", 2, 3, "x1^3", "1"),  # past the top degree
+        ("x1^2, x2^2", 2, 3, "x1^5", "x1 + x2"),  # past the bound
+        ("x1^2, x2^2", 2, 3, "x1 + x2", "0"),  # the zero polynomial
+        ("1", 2, 2, "x1", "x2"),  # the zero ring
+    ],
+)
+def test_zero_in_ring_is_never_a_pair(ideal, n, bound, x, y):
+    ring = ring_of(ideal, n, bound)
+    for a, b in ((x, y), (y, x)):
+        rep = is_ezd_pair(ring, parse_poly(a, n), parse_poly(b, n))
+        assert rep.verdict is PairVerdict.NOT_PAIR
+        assert rep.reason == "zero element"
 
 
 def test_find_complement_squares():
