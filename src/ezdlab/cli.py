@@ -16,13 +16,14 @@ import os
 import sys
 from dataclasses import asdict
 
+from .exactmat import rank
 from .ezd import (
     GenericDecision,
     PairVerdict,
-    annihilator_degree,
     degree2_generator_count,
     find_ezd_complement,
     generic_ezd_decision,
+    mult_map,
     socle_dims,
     wlp_check,
     yoshino_conditions,
@@ -129,7 +130,9 @@ def cmd_ezd(args) -> int:
             raise ValueError("--form must be a linear form")
         if not ring.complete:
             raise ValueError("ring does not vanish within the degree bound; raise the bound")
-        ann_dims = [annihilator_degree(ring, ell, d).dim for d in range(ring.top_degree + 1)]
+        ann_dims = [
+            ring.dim(d) - rank(mult_map(ring, ell, d)) for d in range(ring.top_degree + 1)
+        ]
         found = find_ezd_complement(ring, ell)
         if args.format == "json":
             _emit_json(
@@ -305,7 +308,8 @@ def _add_ring_arguments(p: argparse.ArgumentParser, with_trials: bool = False) -
     p.add_argument("--file", help="read generators from a file instead")
     p.add_argument("-n", "--nvars", type=int, required=True, help="number of variables")
     p.add_argument("-D", "--bound", type=int, default=None,
-                   help="degree bound (defaults to the socle bound for Artinian monomial ideals)")
+                   help="degree bound (defaults to the socle bound when every variable "
+                        "has a pure power among the generators)")
     p.add_argument("--format", choices=["table", "json"], default="table")
     if with_trials:
         p.add_argument("--trials", type=int, default=3)

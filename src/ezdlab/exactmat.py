@@ -126,7 +126,9 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
 
 
 def rank(m: QMatrix) -> int:
-    """Number of pivots of rref(m)."""
+    """Number of pivots of rref(m); 0 for a matrix with no rows or no columns."""
+    if not (m.rows and m.cols):
+        return 0
     _, pivots = rref(m)
     return len(pivots)
 

@@ -190,12 +190,13 @@ def find_ezd_complement(ring: GradedQuotient, ell: HomogPoly) -> tuple[HomogPoly
         return None
     top = ring.top_degree
     for t in range(top + 1):
-        sub = annihilator_degree(ring, ell, t)
-        if sub.dim == 0:
+        m = mult_map(ring, ell, t)
+        nullity = m.cols - rank(m)
+        if nullity == 0:
             continue
-        if sub.dim >= 2:
+        if nullity >= 2:
             return None
-        q = ring.basis_poly(t, sub.basis[0])
+        q = ring.basis_poly(t, kernel_basis(m).basis[0])
         report = is_ezd_pair(ring, ell, q)
         if report.verdict is PairVerdict.EXACT_PAIR:
             return q, report

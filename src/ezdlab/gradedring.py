@@ -1,13 +1,16 @@
 """Graded quotients R = P/I built degree by degree up to a bound.
 
 For each degree d the relation space I_d is spanned by the products m*g of
-the generators by complementary-degree monomials. For monomial ideals that
-span is a coordinate subspace, and the monomials outside it come from those
-one degree down by an order-ideal closure; otherwise the product rows go
-through one exact elimination per degree. Either way each degree stores
-I_d as a sparse echelon `Subspace` of the monomial coefficient space, so
-normal forms are one `Subspace.reduce` pass and the quotient basis is the
-set of non-pivot monomials.
+the generators by complementary-degree monomials. The single-term
+generators form a monomial ideal M, whose standard monomials (those outside
+M) come from those one degree down by an order-ideal closure; M_d is
+spanned by the other monomials. The multiples of the remaining generators
+are eliminated on the standard columns only, since their entries elsewhere
+lie in M_d. There is one path: a monomial ideal has nothing to eliminate,
+and an ideal without single-term generators is eliminated on every column.
+Each degree stores I_d as a sparse echelon `Subspace` of the monomial
+coefficient space, so normal forms are one `Subspace.reduce` pass and the
+quotient basis is the set of non-pivot monomials.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .polyring import (
 )
 
 ZERO = Fraction(0)
+Exps = tuple[int, ...]  # a monomial's exponent vector
 # Largest number of monomials of degree <= bound that build_quotient accepts.
 # Larger builds are refused up front: they would run for a very long time
 # while the unbounded monomial caches keep growing.
@@ -48,7 +52,7 @@ class _DegreeComponent:
     index: dict[Monomial, int]  # monomial -> position in `monomials`
     relations: Subspace  # I_d in the coefficient space of `monomials`
     quotient_cols: tuple[int, ...]
-    coords: dict[tuple[int, ...], int]  # basis monomial's exponents -> quotient coordinate
+    coords: dict[Exps, int]  # basis monomial's exponents -> quotient coordinate
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -149,33 +153,30 @@ class GradedQuotient:
         return HomogPoly(self.nvars, degree, list(zip(basis, coords)))
 
 
-def _component(
-    monos: tuple[Monomial, ...], index: dict[Monomial, int], relations: Subspace
-) -> _DegreeComponent:
-    pivots = {p for p, _ in relations.rows}
-    free = tuple(i for i in range(len(monos)) if i not in pivots)
-    coords = {monos[j].exps: k for k, j in enumerate(free)}
-    return _DegreeComponent(monos, index, relations, free, coords)
-
-
 @lru_cache(maxsize=None)
 def _monomial_index(nvars: int, degree: int) -> dict[Monomial, int]:
     """Position of each degree-d monomial in graded-lex order (shared; never mutated)."""
     return {m: i for i, m in enumerate(monomials_of_degree(nvars, degree))}
 
 
-def _component_combinatorial(
-    nvars: int, degree: int, gens: set[tuple[int, ...]], below: set[tuple[int, ...]]
-) -> tuple[_DegreeComponent, set[tuple[int, ...]]]:
-    """The degree-d component of P/I for a monomial ideal I, and its standard monomials.
+def _component(
+    nvars: int, degree: int, gens: set[Exps], others: list[HomogPoly], below: set[Exps]
+) -> tuple[_DegreeComponent, set[Exps]]:
+    """The degree-d component of P/I, and the standard monomials of M in degree d.
 
-    `gens` holds the generators' exponent vectors and `below` those of the
-    standard monomials (the monomials outside I) of degree d-1. A monomial
-    lies in I exactly when it is a generator or some m/x_i does, since a
-    generator dividing m properly divides m/x_i for a variable where the
-    two differ. So the standard monomials of degree d are the products
-    s*x_i of standard s that are no generator and whose every m/x_j is
-    standard.
+    `gens` holds the exponent vectors of M's generators, `others` the
+    remaining generators of I and `below` the standard monomials of M of
+    degree d-1. A monomial lies in M exactly when it is a generator or some
+    m/x_i does, since a generator dividing m properly divides m/x_i for a
+    variable where the two differ. So the standard monomials of degree d
+    are the products s*x_i of standard s that are no generator and whose
+    every m/x_j is standard.
+
+    M_d has one unit row per monomial outside the closure. The multiples of
+    `others`, with their M_d entries dropped, are eliminated on the
+    standard columns. Neither set of rows has an entry in the other's pivot
+    columns, so merged in pivot order they are the reduced echelon basis of
+    I_d.
     """
     if degree == 0:
         candidates = {(0,) * nvars}
@@ -187,36 +188,39 @@ def _component_combinatorial(
         and all(e[:j] + (e[j] - 1,) + e[j + 1 :] in below for j in range(nvars) if e[j])
     }
     monos = monomials_of_degree(nvars, degree)
-    # I_d is spanned by the monomials it contains: one unit row each.
-    rows = tuple((i, ()) for i, m in enumerate(monos) if m.exps not in standard)
-    relations = Subspace(len(monos), rows)
-    return _component(monos, _monomial_index(nvars, degree), relations), standard
-
-
-def _component_elimination(spec: IdealSpec, degree: int) -> _DegreeComponent:
-    monos = monomials_of_degree(spec.nvars, degree)
-    index = _monomial_index(spec.nvars, degree)
-    ncols = len(monos)
-    rows: list[list[Fraction]] = []
-    for g in spec.generators:
-        if g.degree > degree:
-            continue
-        for m in monomials_of_degree(spec.nvars, degree - g.degree):
-            row = [ZERO] * ncols
-            for gm, c in g.coeffs.items():
-                row[index[m * gm]] = c
-            rows.append(row)
-    return _component(monos, index, Subspace.from_vectors(ncols, rows))
+    rows = [(i, ()) for i, m in enumerate(monos) if m.exps not in standard]
+    active = [g for g in others if g.degree <= degree]
+    if active:
+        cols = [i for i, m in enumerate(monos) if m.exps in standard]
+        col = {monos[i].exps: k for k, i in enumerate(cols)}
+        vectors = []
+        for g in active:
+            for m in monomials_of_degree(nvars, degree - g.degree):
+                v = [ZERO] * len(cols)
+                for gm, c in g.coeffs.items():
+                    k = col.get(tuple(map(add, m.exps, gm.exps)))
+                    if k is not None:
+                        v[k] = c
+                vectors.append(v)
+        echelon = Subspace.from_vectors(len(cols), vectors)
+        rows += [(cols[p], tuple((cols[j], x) for j, x in rest)) for p, rest in echelon.rows]
+        rows.sort()
+    pivots = {p for p, _ in rows}
+    free = tuple(i for i in range(len(monos)) if i not in pivots)
+    coords = {monos[j].exps: k for k, j in enumerate(free)}
+    relations = Subspace(len(monos), tuple(rows))
+    index = _monomial_index(nvars, degree)
+    return _DegreeComponent(monos, index, relations, free, coords), standard
 
 
 def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = False) -> GradedQuotient:
     """Construct R = P/I with all per-degree data for degrees 0..bound.
 
-    Monomial ideals go through the closure path unless
-    `force_elimination` asks for the generic elimination path (used as a
-    cross-check oracle in the tests). Raises ValueError before building
-    anything when the monomials of degree <= bound number more than
-    MAX_MONOMIALS.
+    The single-term generators are closed combinatorially and only the
+    others are eliminated; `force_elimination` eliminates every generator
+    (the cross-check oracle of the tests). Raises ValueError before
+    building anything when the monomials of degree <= bound number more
+    than MAX_MONOMIALS.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -230,17 +234,14 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
             f"{spec.nvars} variables up to degree {bound} span {count} monomials, "
             f"more than the cap of {MAX_MONOMIALS}; lower the bound or the variable count"
         )
-    combinatorial = spec.kind is IdealKind.MONOMIAL and not force_elimination
-    if combinatorial:
-        gens = {g.exps for g in spec.monomial_generators()}
-    standard: set[tuple[int, ...]] = set()  # standard monomials one degree down
+    single = [] if force_elimination else [g for g in spec.generators if len(g.coeffs) == 1]
+    gens = {m.exps for g in single for m in g.coeffs}  # M's generators
+    others = [g for g in spec.generators if g not in single]
+    standard: set[Exps] = set()  # standard monomials of M one degree down
     components = []
     prev_dim = None
     for d in range(bound + 1):
-        if combinatorial:
-            comp, standard = _component_combinatorial(spec.nvars, d, gens, standard)
-        else:
-            comp = _component_elimination(spec, d)
+        comp, standard = _component(spec.nvars, d, gens, others, standard)
         dim = len(comp.quotient_cols)
         # The irrelevant ideal is generated in degree 1, so a vanished degree
         # can never be followed by a nonzero one.
@@ -261,41 +262,39 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
 
 
 def pure_power_exponents(spec: IdealSpec) -> dict[int, int] | None:
-    """For a monomial ideal: minimal pure-power exponent per variable.
+    """Minimal pure-power exponent per variable among the single-term generators.
 
     Returns None unless every variable has a pure power among the
-    generators (the exact Artinian test for monomial ideals).
+    generators. P/I is then a quotient of the Artinian ring P/(pure
+    powers), so it is Artinian too; for monomial ideals the test is exact.
     """
-    if spec.kind is not IdealKind.MONOMIAL:
-        return None
     best: dict[int, int] = {}
-    for m in spec.monomial_generators():
-        nz = [(i, e) for i, e in enumerate(m.exps) if e]
+    for g in spec.generators:
+        if len(g.coeffs) != 1:
+            continue
+        nz = [(i, e) for m in g.coeffs for i, e in enumerate(m.exps) if e]
         if len(nz) == 1:
             i, e = nz[0]
-            if i not in best or e < best[i]:
-                best[i] = e
-    if len(best) != spec.nvars:
-        return None
-    return best
+            best[i] = min(e, best.get(i, e))
+    return best if len(best) == spec.nvars else None
 
 
 def is_artinian_within(ring: GradedQuotient) -> bool:
-    """Whether the ring is Artinian; exact for monomial ideals, else within bound.
+    """Whether the ring is Artinian; exact for monomial ideals and pure powers, else within bound.
 
-    A ring that vanished within the bound is Artinian whatever the ideal; a
-    monomial ideal with a pure power of every variable is Artinian even when
-    the bound stops short of the vanishing degree.
+    A ring that vanished within the bound is Artinian whatever the ideal; an
+    ideal with a pure power of every variable among its generators is
+    Artinian even when the bound stops short of the vanishing degree.
     """
     return ring.artinian_within_bound or pure_power_exponents(ring.spec) is not None
 
 
 def default_bound(spec: IdealSpec) -> int | None:
-    """Degree bound sum(a_i - 1) + 1 for Artinian monomial ideals, else None.
+    """Degree bound sum(a_i - 1) + 1 when every variable has a pure power, else None.
 
-    With pure powers x_i^{a_i} among the generators no standard monomial
-    survives past degree sum(a_i - 1), so this bound always witnesses the
-    vanishing degree.
+    With pure powers x_i^{a_i} among the generators no monomial outside
+    them survives past degree sum(a_i - 1), in P/I as in P/(pure powers),
+    so this bound always witnesses the vanishing degree.
     """
     powers = pure_power_exponents(spec)
     if powers is None:

@@ -33,6 +33,7 @@ from io import StringIO
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator
 
+from .exactmat import rank
 from .ezd import (
     EzdReport,
     GenericDecision,
@@ -43,6 +44,7 @@ from .ezd import (
     generic_ezd_decision,
     generic_linear_form,
     is_ezd_pair,
+    mult_map,
 )
 from .gradedring import GradedQuotient, build_quotient, default_bound
 from .polyring import (
@@ -104,14 +106,16 @@ def _divides(e: tuple[int, ...], f: tuple[int, ...]) -> bool:
     return all(a <= b for a, b in zip(e, f))
 
 
-def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[IdealSpec]:
+def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All monomial ideals with minimal generators of degree 2..max_degree.
 
-    Minimal generating sets are exactly the divisibility antichains, so each
-    ideal appears once. With `require_artinian` only ideals containing a
-    pure power of every variable are emitted; with `symmetry_reduction`
-    only the canonical representative of each variable-permutation class:
-    the one whose generators, sorted in graded-lex order, come first.
+    Each ideal is yielded as the exponent tuples of its minimal generators,
+    in graded-lex order. Minimal generating sets are exactly the
+    divisibility antichains, so each ideal appears once. With
+    `require_artinian` only ideals containing a pure power of every
+    variable are emitted; with `symmetry_reduction` only the canonical
+    representative of each variable-permutation class: the one whose
+    generators, sorted in graded-lex order, come first.
 
     Candidates are indexed in graded-lex order and sets of them are
     bitmasks. The search grows each antichain by one candidate past its
@@ -119,8 +123,7 @@ def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[IdealSpec]:
     which is the order of an include-first walk over the candidates.
     """
     n = cfg.nvars
-    candidates = [m for d in range(2, cfg.max_degree + 1) for m in monomials_of_degree(n, d)]
-    exps = [m.exps for m in candidates]
+    exps = [m.exps for d in range(2, cfg.max_degree + 1) for m in monomials_of_degree(n, d)]
     position = {e: i for i, e in enumerate(exps)}
     # comparable[i]: candidates that divide candidate i or that it divides
     comparable = [
@@ -153,7 +156,7 @@ def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[IdealSpec]:
                 return False
         return True
 
-    def grow(chosen: int, members: list[int], free: int, covered: int) -> Iterator[IdealSpec]:
+    def grow(chosen: int, members: list[int], free: int, covered: int) -> Iterator[tuple]:
         # `free`: candidates past the last member and comparable to none;
         # `covered`: variables with a pure power among the members.
         while free:
@@ -172,9 +175,9 @@ def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[IdealSpec]:
             return
         if cfg.symmetry_reduction and not canonical(chosen, members):
             return
-        yield monomial_ideal(n, [candidates[i] for i in members])
+        yield tuple(exps[i] for i in members)
 
-    yield from grow(0, [], (1 << len(candidates)) - 1, 0)
+    yield from grow(0, [], (1 << len(exps)) - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +375,7 @@ def _run_scan(family: str, cfg: ScanConfig, task, payloads: Iterable[tuple]) -> 
 
 def scan_monomial(cfg: ScanConfig) -> ScanReport:
     """Exhaustive generic-pair scan over the configured monomial family."""
-    payloads = (
-        (idx, tuple(m.exps for m in spec.monomial_generators()))
-        for idx, spec in enumerate(enumerate_monomial_ideals(cfg))
-    )
-    return _run_scan("monomial", cfg, _monomial_task, payloads)
+    return _run_scan("monomial", cfg, _monomial_task, enumerate(enumerate_monomial_ideals(cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +395,7 @@ def _binomial_task(cfg: ScanConfig, payload: tuple[int, tuple, tuple]):
     if not ring.complete:
         return SkippedInstance(idx, text, f"does not vanish by degree {bound}")
     n = cfg.nvars
-    r2 = ring.dim(2)
+    r1, r2 = ring.dim(1), ring.dim(2)
     boundary = r2 == n - 1
     instance_seed = derived_seed(cfg.seed, idx)
     ann1_dims = []
@@ -414,7 +413,7 @@ def _binomial_task(cfg: ScanConfig, payload: tuple[int, tuple, tuple]):
             counterexamples.append(
                 Counterexample(idx, text, f"colon identity failed: {lhs} != {rhs}")
             )
-        ann1_dims.append(annihilator_degree(ring, ell, 1).dim)
+        ann1_dims.append(r1 - rank(mult_map(ring, ell, 1)))
         found = find_ezd_complement(ring, ell)
         if found is None or found[0].degree != 1:
             continue

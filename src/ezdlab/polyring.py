@@ -255,7 +255,7 @@ class IdealSpec:
     def monomial_generators(self) -> tuple[Monomial, ...]:
         if self.kind is not IdealKind.MONOMIAL:
             raise ValueError("ideal is not monomial")
-        return tuple(g.support()[0] for g in self.generators)
+        return tuple(next(iter(g.coeffs)) for g in self.generators)
 
     def binomial_parts(self) -> tuple[tuple[Monomial, ...], Monomial, Monomial]:
         """For the monomial-plus-one-binomial shape: (J monomials, f1, f2)."""

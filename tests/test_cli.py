@@ -186,6 +186,28 @@ def test_hilbert_unit_ideal_is_artinian(capsys):
     assert payload["artinian_within_bound"] is True
 
 
+MIXED_ARTINIAN = "x1^2, x2^2, x3^2, x1*x2 + x2*x3"
+
+
+def test_hilbert_mixed_ideal_reads_pure_powers(capsys):
+    # the bound stops before the ring vanishes, but every variable has a pure power
+    code, out, _ = run(capsys, "hilbert", "-n", "3", "-D", "2", MIXED_ARTINIAN)
+    assert code == 0
+    assert out.splitlines() == ["H(0..2): 1 3 2", "artinian: yes"]
+    code, out, _ = run(capsys, "hilbert", "-n", "3", MIXED_ARTINIAN)
+    assert code == 0
+    assert out.splitlines() == ["H(0..4): 1 3 2 0 0", "artinian: yes (top degree 2)"]
+
+
+def test_ezd_mixed_ideal_has_default_bound(capsys):
+    code, out, err = run(capsys, "ezd", "-n", "3", MIXED_ARTINIAN, "--format", "json")
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["bound"] == 4
+    assert payload["decision"] == "generically_yes"
+
+
 def test_wlp_holds(capsys):
     code, out, _ = run(capsys, "wlp", "-n", "2", "-D", "4", "x1^3, x2^3")
     assert code == 0

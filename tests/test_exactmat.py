@@ -69,6 +69,10 @@ def test_rank_examples():
     assert rank(mat([[0, 0, 0], [0, 0, 0], [0, 0, 0]])) == 0
     assert rank(mat([[1, 0], [0, 1]])) == 2
     assert rank(mat([[1, 1]])) == 1
+    # no rows or no columns
+    assert rank(QMatrix(0, 3, ())) == 0
+    assert rank(QMatrix(3, 0, ())) == 0
+    assert rank(QMatrix(0, 0, ())) == 0
 
 
 def test_kernel_line():

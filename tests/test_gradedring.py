@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,8 @@ from ezdlab.gradedring import (
 from ezdlab.polyring import (
     HomogPoly,
     format_monomial,
+    in_monomial_ideal,
+    make_ideal,
     minimalize_monomial_gens,
     monomial_ideal,
     monomials_of_degree,
@@ -125,6 +128,10 @@ def test_default_bound():
     assert default_bound(parse_ideal("x1^3, x2^3", 2)) == 5
     assert default_bound(parse_ideal("x1*x2", 2)) is None
     assert pure_power_exponents(parse_ideal("x1^2, x1*x2, x2^3", 2)) == {0: 2, 1: 3}
+    # pure powers among the monomial generators of any ideal bound it too
+    assert default_bound(parse_ideal("x1^2, x2^2, x3^2, x1*x2 + x2*x3", 3)) == 4
+    assert default_bound(parse_ideal("x1^3, x2^2, x1^2 + 2*x1*x2", 2)) == 4
+    assert default_bound(parse_ideal("x1^2, x1*x2 + x2^2", 2)) is None
 
 
 def _random_monomial_spec(rng, nvars, max_degree):
@@ -158,6 +165,101 @@ def test_monomial_oracle_equivalence_random():
             monos = monomials_of_degree(nvars, d)
             p = HomogPoly(nvars, d, [(m, coeff_rng.randint(-3, 3)) for m in monos])
             assert fast.normal_form(p) == slow.normal_form(p)
+
+
+def _assert_builds_agree(spec, bound, rng):
+    """The single build path against eliminating every generator."""
+    fast = build_quotient(spec, bound)
+    slow = build_quotient(spec, bound, force_elimination=True)
+    assert fast.hilbert == slow.hilbert
+    assert fast.top_degree == slow.top_degree
+    for d in range(bound + 1):
+        assert fast.basis_monomials(d) == slow.basis_monomials(d)
+        assert fast.relation_subspace(d) == slow.relation_subspace(d)
+        monos = monomials_of_degree(spec.nvars, d)
+        p = HomogPoly(spec.nvars, d, [(m, rng.randint(-3, 3)) for m in monos])
+        assert fast.normal_form(p) == slow.normal_form(p)
+
+
+def _binomial_family(nvars):
+    """Every J + (f1 + f2) with J, f1, f2 in degree 2 and neither f_i in J."""
+    quadrics = monomials_of_degree(nvars, 2)
+    for mask in range(1 << len(quadrics)):
+        j = [m for i, m in enumerate(quadrics) if mask >> i & 1]
+        for f1, f2 in combinations(quadrics, 2):
+            if f1 not in j and f2 not in j:
+                binomial = HomogPoly(nvars, 2, [(f1, 1), (f2, 1)])
+                yield make_ideal(nvars, [HomogPoly.from_monomial(m) for m in j] + [binomial])
+
+
+def test_binomial_family_builds_match_elimination():
+    rng = random.Random(3)
+    specs = list(_binomial_family(3))
+    assert len(specs) == 240
+    for spec in specs:
+        _assert_builds_agree(spec, 6, rng)
+
+
+def _random_form(rng, nvars, degree, terms):
+    monos = rng.sample(monomials_of_degree(nvars, degree), terms)
+    return HomogPoly(nvars, degree, [(m, rng.choice([-2, -1, 1, 3, Fraction(1, 2)])) for m in monos])
+
+
+def test_mixed_ideal_builds_match_elimination():
+    rng = random.Random(20261018)
+    family = list(_binomial_family(3))
+    cases = []
+    # colon-shaped J + (f1 + f2) + (l), as colon_identity_dims builds them
+    for spec in rng.sample(family, 12):
+        ell = _random_form(rng, 3, 1, rng.randint(1, 3))
+        cases.append((make_ideal(3, list(spec.generators) + [ell]), rng.randint(2, 4)))
+    # monomials of degree 1..3 mixed with forms of two or more terms
+    for _ in range(30):
+        nvars = rng.randint(3, 4)
+        pool = [m for d in (1, 2, 3) for m in monomials_of_degree(nvars, d)]
+        gens = [HomogPoly.from_monomial(m) for m in rng.sample(pool, rng.randint(0, 4))]
+        for _ in range(rng.randint(1, 2)):
+            degree = rng.randint(1, 3)
+            terms = rng.randint(2, min(4, len(monomials_of_degree(nvars, degree))))
+            gens.append(_random_form(rng, nvars, degree, terms))
+        cases.append((make_ideal(nvars, gens), rng.randint(2, 5 if nvars == 3 else 4)))
+    assert any(len(g.coeffs) == 1 for spec, _ in cases for g in spec.generators)
+    for spec, bound in cases:
+        _assert_builds_agree(spec, bound, rng)
+
+
+def _eliminated_widths(monkeypatch, spec, bound):
+    widths = []
+    from_vectors = gradedring.Subspace.from_vectors
+
+    def spy(ambient_dim, vectors):
+        vectors = list(vectors)
+        widths.append((ambient_dim, {len(v) for v in vectors}))
+        return from_vectors(ambient_dim, vectors)
+
+    monkeypatch.setattr(gradedring.Subspace, "from_vectors", spy)
+    ring = build_quotient(spec, bound)
+    monkeypatch.undo()
+    return ring, widths
+
+
+def test_only_standard_columns_are_eliminated(monkeypatch):
+    spec = parse_ideal("x1^2, x2^2, x3^2, x1*x2 + x2*x3", 3)
+    squares = [m for m in monomials_of_degree(3, 2) if max(m.exps) == 2]
+    ring, widths = _eliminated_widths(monkeypatch, spec, 4)
+    # one matrix per degree the binomial reaches, one column per monomial
+    # outside (x1^2, x2^2, x3^2): 3, 1 and 0 of them in degrees 2, 3, 4
+    expected = [
+        sum(1 for m in monomials_of_degree(3, d) if not in_monomial_ideal(m, squares))
+        for d in (2, 3, 4)
+    ]
+    assert expected == [3, 1, 0]
+    assert [ambient for ambient, _ in widths] == expected
+    assert all(lengths <= {ambient} for ambient, lengths in widths)
+    assert ring.hilbert.values == (1, 3, 2, 0, 0)
+    # a monomial ideal has nothing to eliminate
+    _, widths = _eliminated_widths(monkeypatch, parse_ideal("x1^2, x2^2, x1*x3, x3^3", 3), 5)
+    assert widths == []
 
 
 def test_vanishing_persists():

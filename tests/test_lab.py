@@ -6,7 +6,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from ezdlab import polyring
+from ezdlab import lab, polyring
 from ezdlab.ezd import PairVerdict, find_ezd_complement, generic_linear_form
 from ezdlab.gradedring import build_quotient, default_bound
 from ezdlab.lab import (
@@ -83,7 +83,7 @@ def dfs_monomial_ideals(cfg):
             if chosen and (not cfg.require_artinian or artinian(chosen)) and (
                 not cfg.symmetry_reduction or canonical(chosen)
             ):
-                yield monomial_ideal(cfg.nvars, chosen)
+                yield tuple(m.exps for m in chosen)
             return
         m = candidates[i]
         if not any(c.divides(m) or m.divides(c) for c in chosen):
@@ -107,27 +107,26 @@ def test_enumerate_matches_dfs_oracle_in_order(nvars, max_degree, artinian, symm
 
 def test_enumerate_two_vars_degree_two():
     cfg = ScanConfig(nvars=2, max_degree=2, symmetry_reduction=False)
-    ideals = {s.monomial_generators() for s in enumerate_monomial_ideals(cfg)}
-    squares = monomial_ideal(2, [Monomial((2, 0)), Monomial((0, 2))]).monomial_generators()
-    full = monomial_ideal(
-        2, [Monomial((2, 0)), Monomial((1, 1)), Monomial((0, 2))]
-    ).monomial_generators()
+    ideals = set(enumerate_monomial_ideals(cfg))
+    squares = ((2, 0), (0, 2))
+    full = ((2, 0), (1, 1), (0, 2))
     assert ideals == {squares, full}
 
 
 def test_enumerate_matches_brute_force():
     cfg = ScanConfig(nvars=2, max_degree=3, symmetry_reduction=False)
-    enumerated = {frozenset(s.monomial_generators()) for s in enumerate_monomial_ideals(cfg)}
-    oracle = {frozenset(g) for g in brute_force_monomial_ideals(2, 3)}
+    enumerated = {frozenset(gens) for gens in enumerate_monomial_ideals(cfg)}
+    oracle = {frozenset(m.exps for m in g) for g in brute_force_monomial_ideals(2, 3)}
     assert enumerated == oracle
 
 
 def test_enumerate_emits_antichains_once():
     cfg = ScanConfig(nvars=3, max_degree=2, symmetry_reduction=False)
     seen = []
-    for spec in enumerate_monomial_ideals(cfg):
-        gens = spec.monomial_generators()
-        assert gens == minimalize_monomial_gens(gens)
+    for gens in enumerate_monomial_ideals(cfg):
+        # minimal, and listed in graded-lex order
+        monos = tuple(map(Monomial, gens))
+        assert monos == minimalize_monomial_gens(monos)
         seen.append(frozenset(gens))
     assert len(seen) == len(set(seen))
 
@@ -144,14 +143,27 @@ def test_symmetry_reduction_never_increases():
 def test_symmetry_classes_cover_everything():
     base = ScanConfig(nvars=2, max_degree=3, symmetry_reduction=False)
     reduced = ScanConfig(nvars=2, max_degree=3, symmetry_reduction=True)
-    all_sets = {frozenset(m.exps for m in s.monomial_generators())
-                for s in enumerate_monomial_ideals(base)}
-    reps = [s.monomial_generators() for s in enumerate_monomial_ideals(reduced)]
+    all_sets = {frozenset(gens) for gens in enumerate_monomial_ideals(base)}
+    reps = list(enumerate_monomial_ideals(reduced))
     covered = set()
     for gens in reps:
         for perm in [(0, 1), (1, 0)]:
-            covered.add(frozenset(tuple(m.exps[p] for p in perm) for m in gens))
+            covered.add(frozenset(tuple(e[p] for p in perm) for e in gens))
     assert covered == all_sets
+
+
+def test_scan_builds_each_monomial_ideal_once(monkeypatch):
+    # enumeration yields exponent tuples, so only the worker builds the IdealSpec
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return monomial_ideal(*args)
+
+    monkeypatch.setattr(lab, "monomial_ideal", counting)
+    report = scan_monomial(ScanConfig(3, 3))
+    assert report.examined + len(report.skipped) == 103
+    assert len(calls) == 103
 
 
 def test_scan_monomial_small():
