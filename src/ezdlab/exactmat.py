@@ -1,14 +1,19 @@
 """Exact linear algebra over the rationals.
 
-All scalars are `fractions.Fraction`, so ranks, kernels and echelon forms
-are computed exactly. Matrices in this package are small and dense (at most
-a few thousand cells). `rref` clears denominators row by row and runs a
-fraction-free Gauss-Jordan elimination on integers, in the manner of
-Bareiss (1968), keeping every row primitive by dividing out the gcd of its
-entries; only at the end does it divide each pivot row by its pivot. The
-result is the *unique* reduced row echelon form over the rationals.
-Downstream code relies on that uniqueness: two subspaces are equal exactly
-when their canonical bases are identical.
+Matrix entries are Python `int`s or `fractions.Fraction`s, both exact
+rationals, so ranks, kernels and echelon forms are computed exactly.
+Matrices in this package are small and dense (at most a few thousand
+cells). Both eliminations run on integers: a row holding a Fraction is
+first scaled by the lcm of its denominators, and an int row is used as it
+is. `rref` then runs a fraction-free Gauss-Jordan elimination, in the
+manner of Bareiss (1968), keeping every row primitive by dividing out the
+gcd of its entries; only at the end does it divide each pivot row by its
+pivot. The result is the *unique* reduced row echelon form over the
+rationals, with Fraction entries. Downstream code relies on that
+uniqueness: two subspaces are equal exactly when their canonical bases are
+identical. `rank` needs only the pivot count, so it stops at a row echelon
+form: no elimination above the pivots, no division by them and no Fraction
+matrix.
 
 `Subspace` is the one echelon-basis type. It keeps the nonzero rows of the
 reduced echelon form sparsely, each as its pivot column and the other
@@ -35,17 +40,20 @@ class QMatrix:
     """Immutable dense matrix of rationals, stored row-major.
 
     `data` may be given as any iterable of numbers; it is stored as a tuple
-    of Fractions.
+    whose `int` and `Fraction` entries are kept as they are and whose other
+    entries are converted to Fractions. An int equals and hashes like the
+    Fraction of the same value, so a matrix of ints equals its Fraction
+    twin.
     """
 
     rows: int
     cols: int
-    data: tuple[Rational, ...]
+    data: tuple[Rational | int, ...]
 
     def __post_init__(self) -> None:
         data = tuple(self.data)
-        if not set(map(type, data)) <= {Fraction}:
-            data = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in data)
+        if not set(map(type, data)) <= {int, Fraction}:
+            data = tuple(x if type(x) in (int, Fraction) else Fraction(x) for x in data)
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         if len(data) != self.rows * self.cols:
@@ -62,40 +70,44 @@ class QMatrix:
     def row(self, i: int) -> tuple:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
-    def entry(self, i: int, j: int) -> Rational:
+    def entry(self, i: int, j: int) -> Rational | int:
         return self.data[i * self.cols + j]
 
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"
 
 
-def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
-    """Reduced row echelon form of `m` and its pivot column indices.
+def _integer_rows(m: QMatrix) -> list[list[int]]:
+    """The rows of `m` as int lists; a row holding a Fraction is scaled by
+    the lcm of its denominators, which keeps its span and zero pattern."""
+    data, n = m.data, m.cols
+    rows = [list(data[i * n : (i + 1) * n]) for i in range(m.rows)]
+    if Fraction in set(map(type, data)):
+        for i, row in enumerate(rows):
+            if Fraction in set(map(type, row)):
+                scale = lcm(*(x.denominator for x in row))
+                rows[i] = [x.numerator * (scale // x.denominator) for x in row]
+    return rows
 
-    The result is the canonical rref: pivot entries are 1 with zeros above
-    and below, so row-equivalent matrices produce equal output.
 
-    The elimination runs on integers. Each row is first scaled by the lcm
-    of its denominators; eliminating column c from row i replaces it by
-    p*row_i - f*row_r, where p is the pivot and f the row's entry, and then
-    divides it by the gcd of its entries. Every step scales rows by nonzero
-    factors or adds multiples of other rows, so the row space, the zero
-    pattern and the pivots are those of the rational Gauss-Jordan
-    elimination; dividing each pivot row by its pivot at the end gives the
-    same canonical form.
+def _eliminate(a: list[list[int]], ncols: int, *, reduced: bool) -> list[int]:
+    """Fraction-free elimination of the integer rows `a` in place; the pivot columns.
+
+    Eliminating column c from row i replaces it by p*row_i - f*row_r, where
+    p is the pivot and f the row's entry, and then divides it by the gcd of
+    its entries. Every step scales rows by nonzero factors or adds
+    multiples of other rows, so the row space, the zero pattern and the
+    pivots are those of the rational elimination. Rows below each pivot are
+    always cleared, which leaves a row echelon form with the pivot rows
+    first; `reduced` clears the rows above too (Gauss-Jordan).
     """
-    a = []
-    for i in range(m.rows):
-        row = m.row(i)
-        scale = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (scale // x.denominator) for x in row])
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
-        if r == m.rows:
+    for c in range(ncols):
+        if r == len(a):
             break
         p = None
-        for i in range(r, m.rows):
+        for i in range(r, len(a)):
             if a[i][c]:
                 p = i
                 break
@@ -105,7 +117,7 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
             a[r], a[p] = a[p], a[r]
         row_r = a[r]
         pv = row_r[c]
-        for i in range(m.rows):
+        for i in range(len(a)) if reduced else range(r + 1, len(a)):
             f = a[i][c]
             if i != r and f:
                 g = gcd(pv, f)
@@ -115,9 +127,22 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
                 a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
+    """Reduced row echelon form of `m` and its pivot column indices.
+
+    The result is the canonical rref, with Fraction entries: pivot entries
+    are 1 with zeros above and below, so row-equivalent matrices produce
+    equal output. It is the fraction-free Gauss-Jordan elimination of the
+    integer rows, with each pivot row divided by its pivot at the end.
+    """
+    a = _integer_rows(m)
+    pivots = _eliminate(a, m.cols, reduced=True)
     flat = []
     for i, row in enumerate(a):
-        if i < r:
+        if i < len(pivots):
             pv = row[pivots[i]]
             flat.extend(Fraction(x, pv) if x else ZERO for x in row)
         else:
@@ -126,11 +151,14 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
 
 
 def rank(m: QMatrix) -> int:
-    """Number of pivots of rref(m); 0 for a matrix with no rows or no columns."""
+    """Number of pivots of rref(m); 0 for a matrix with no rows or no columns.
+
+    The elimination of `rref` stopped at a row echelon form: nothing above
+    a pivot is cleared, nothing is divided and no Fraction is built.
+    """
     if not (m.rows and m.cols):
         return 0
-    _, pivots = rref(m)
-    return len(pivots)
+    return len(_eliminate([row for row in _integer_rows(m) if any(row)], m.cols, reduced=False))
 
 
 EchelonRow = tuple[int, tuple[tuple[int, Rational], ...]]  # pivot column, other nonzeros

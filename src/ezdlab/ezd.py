@@ -20,6 +20,7 @@ import random
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import add
 
 from .exactmat import QMatrix, Subspace, kernel_basis, rank
 from .gradedring import GradedQuotient, build_quotient
@@ -51,19 +52,37 @@ def mult_map(ring: GradedQuotient, f: HomogPoly, d: int) -> QMatrix:
     Columns correspond to the degree-d basis monomials. When the target
     degree lies past the bound of an Artinian-within-bound ring the target
     space is zero and a 0-row matrix is returned.
+
+    Modulo a monomial ideal every product of f's terms with a basis
+    monomial is a basis monomial or zero, so the entries are f's
+    coefficients, each written at the row of its product's quotient
+    coordinate: an integral coefficient as an `int`, any other as a
+    Fraction. Other rings take one normal form per column.
     """
     if f.nvars != ring.nvars:
         raise ValueError("variable counts differ")
     source = ring.basis_monomials(d)
     target_degree = d + f.degree
+    ncols = len(source)
     if target_degree > ring.bound:
         if ring.complete:
-            return QMatrix(0, len(source), ())
+            return QMatrix(0, ncols, ())
         raise ValueError(f"target degree {target_degree} outside bound {ring.bound}")
     nrows = ring.dim(target_degree)
-    cols = [ring.product_normal_form(f, b) for b in source]
-    entries = [cols[j][i] for i in range(nrows) for j in range(len(source))]
-    return QMatrix(nrows, len(source), entries)
+    if ring.spec.kind is not IdealKind.MONOMIAL:
+        cols = [ring.product_normal_form(f, b) for b in source]
+        return QMatrix(nrows, ncols, [cols[j][i] for i in range(nrows) for j in range(ncols)])
+    coords = ring.components[target_degree].coords
+    terms = [(g.exps, c.numerator if c.denominator == 1 else c) for g, c in f.coeffs.items()]
+    data = [0] * (nrows * ncols)
+    for j, b in enumerate(source):
+        shift = b.exps
+        for g, c in terms:
+            # distinct terms of f give distinct products: each entry is set once
+            i = coords.get(tuple(map(add, g, shift)))
+            if i is not None:
+                data[i * ncols + j] = c
+    return QMatrix(nrows, ncols, data)
 
 
 def annihilator_degree(ring: GradedQuotient, f: HomogPoly, d: int) -> Subspace:

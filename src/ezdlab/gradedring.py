@@ -189,9 +189,10 @@ def _component(
     }
     monos = monomials_of_degree(nvars, degree)
     rows = [(i, ()) for i, m in enumerate(monos) if m.exps not in standard]
+    cols = tuple(i for i, m in enumerate(monos) if m.exps in standard)
+    free = cols  # the quotient basis when nothing is eliminated
     active = [g for g in others if g.degree <= degree]
     if active:
-        cols = [i for i, m in enumerate(monos) if m.exps in standard]
         col = {monos[i].exps: k for k, i in enumerate(cols)}
         vectors = []
         for g in active:
@@ -205,8 +206,8 @@ def _component(
         echelon = Subspace.from_vectors(len(cols), vectors)
         rows += [(cols[p], tuple((cols[j], x) for j, x in rest)) for p, rest in echelon.rows]
         rows.sort()
-    pivots = {p for p, _ in rows}
-    free = tuple(i for i in range(len(monos)) if i not in pivots)
+        pivots = {cols[p] for p, _ in echelon.rows}
+        free = tuple(i for i in cols if i not in pivots)
     coords = {monos[j].exps: k for k, j in enumerate(free)}
     relations = Subspace(len(monos), tuple(rows))
     index = _monomial_index(nvars, degree)

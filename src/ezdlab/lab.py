@@ -33,7 +33,6 @@ from io import StringIO
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator
 
-from .exactmat import rank
 from .ezd import (
     EzdReport,
     GenericDecision,
@@ -44,7 +43,6 @@ from .ezd import (
     generic_ezd_decision,
     generic_linear_form,
     is_ezd_pair,
-    mult_map,
 )
 from .gradedring import GradedQuotient, build_quotient, default_bound
 from .polyring import (
@@ -53,6 +51,7 @@ from .polyring import (
     IdealSpec,
     Monomial,
     format_ideal,
+    format_monomial,
     format_poly,
     in_monomial_ideal,
     linear_form,
@@ -259,11 +258,11 @@ class ScanReport:
             "examined": self.examined,
             "with_generic_ezd": self.with_generic_ezd,
             "skipped": len(self.skipped),
-            "counterexamples": [asdict(c) for c in self.counterexamples],
+            "counterexamples": [_record_dict(c) for c in self.counterexamples],
         }
         if full:
-            out["instances"] = [asdict(r) for r in self.instances]
-            out["skipped_instances"] = [asdict(s) for s in self.skipped]
+            out["instances"] = [_record_dict(r) for r in self.instances]
+            out["skipped_instances"] = [_record_dict(s) for s in self.skipped]
         return out
 
     def to_json(self, full: bool = False) -> str:
@@ -279,6 +278,12 @@ class ScanReport:
         for r in self.instances:
             writer.writerow([_csv_cell(getattr(r, name)) for name in names])
         return buf.getvalue()
+
+
+def _record_dict(record) -> dict:
+    """A record's fields by name. Records hold only scalars and flat tuples,
+    so this shallow dict serializes as `asdict` would, without its deep copy."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def _csv_cell(v) -> str:
@@ -297,8 +302,10 @@ def _csv_cell(v) -> str:
 
 def _monomial_task(cfg: ScanConfig, payload: tuple[int, tuple]):
     idx, gens = payload
-    spec = monomial_ideal(cfg.nvars, map(Monomial, gens))
-    text = format_ideal(spec)
+    monos = [Monomial(e) for e in gens]
+    spec = monomial_ideal(cfg.nvars, monos)
+    # format_ideal's text: every generator of a monomial ideal has coefficient 1
+    text = ", ".join(map(format_monomial, monos))
     bound = cfg.bound if cfg.bound is not None else default_bound(spec)
     if bound is None:
         return SkippedInstance(idx, text, "no degree bound available for a non-Artinian ideal")
@@ -413,7 +420,8 @@ def _binomial_task(cfg: ScanConfig, payload: tuple[int, tuple, tuple]):
             counterexamples.append(
                 Counterexample(idx, text, f"colon identity failed: {lhs} != {rhs}")
             )
-        ann1_dims.append(r1 - rank(mult_map(ring, ell, 1)))
+        # rhs = dim R_2 - rank(ell: R_1 -> R_2), so dim Ann(ell)_1 = r1 - r2 + rhs
+        ann1_dims.append(r1 - r2 + rhs)
         found = find_ezd_complement(ring, ell)
         if found is None or found[0].degree != 1:
             continue

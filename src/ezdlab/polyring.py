@@ -287,9 +287,8 @@ def make_ideal(nvars: int, gens: Iterable[HomogPoly]) -> IdealSpec:
             raise ValueError("generator variable count does not match")
         if g.is_zero():
             continue
-        terms = g.terms()
-        if len(terms) == 1:
-            m, c = terms[0]
+        if len(g.coeffs) == 1:
+            (m, c), = g.coeffs.items()
             kept.append(g if c == 1 else HomogPoly.from_monomial(m))
         else:
             kept.append(g)

@@ -142,14 +142,14 @@ oracle_entries = st.one_of(
 
 
 @st.composite
-def oracle_matrices(draw, max_dim=7):
+def oracle_matrices(draw, max_dim=7, entries=oracle_entries):
     """Any shape from 0x0 to max_dim x max_dim, with some rows and columns zeroed."""
     nrows = draw(st.integers(0, max_dim))
     ncols = draw(st.integers(0, max_dim))
     zero_rows = draw(st.sets(st.integers(0, max_dim - 1), max_size=2))
     zero_cols = draw(st.sets(st.integers(0, max_dim - 1), max_size=2))
     data = [
-        0 if i in zero_rows or j in zero_cols else draw(oracle_entries)
+        0 if i in zero_rows or j in zero_cols else draw(entries)
         for i in range(nrows)
         for j in range(ncols)
     ]
@@ -165,6 +165,25 @@ def oracle_matrices(draw, max_dim=7):
 @example(mat([[0, 0, 0], [0, F(2, 3), F(-4, 9)], [0, 0, 0], [0, F(-1, 5), F(2, 15)]]))
 def test_rref_matches_fraction_gauss_jordan(m):
     assert rref(m) == fraction_rref(m)
+
+
+# int entries stay ints in a QMatrix, so these draw int-only, Fraction-only
+# and mixed matrices; a zeroed row of a Fraction matrix is an int row.
+typed_matrices = st.one_of(
+    oracle_matrices(entries=st.integers(-9, 9)),
+    oracle_matrices(entries=st.fractions(min_value=-20, max_value=20, max_denominator=12)),
+    oracle_matrices(entries=st.integers(-40, 40).map(Fraction)),
+    oracle_matrices(),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(typed_matrices)
+@example(mat([[3, 6], [2, 4]]))
+@example(mat([[2, 4, 1], [F(1, 2), 1, 0], [0, 0, F(3, 7)]]))
+def test_rank_matches_fraction_gauss_jordan(m):
+    """rank stops at a row echelon form; the Fraction elimination counts the same pivots."""
+    assert rank(m) == len(fraction_rref(m)[1])
 
 
 @settings(deadline=None, max_examples=60)

@@ -30,6 +30,7 @@ from ezdlab.polyring import (
     IdealKind,
     Monomial,
     format_poly,
+    linear_form,
     make_ideal,
     monomial_ideal,
     monomials_of_degree,
@@ -108,6 +109,31 @@ def test_monomial_lookup_maps_match_normal_forms():
             for d in range(bound + 1):
                 assert principal_ideal_degree(ring, f, d) == _normal_form_principal_ideal(ring, f, d)
     assert shared_rows > 0
+
+
+def test_integer_forms_give_int_maps_on_monomial_rings():
+    """mult_map of an integer form on a monomial ring holds only ints and
+    equals the normal-form map, whose entries are Fractions."""
+    rng = random.Random(808)
+    forms = 0
+    for trial in range(25):
+        nvars = rng.randint(2, 4)
+        pool = [m for d in range(2, 4) for m in monomials_of_degree(nvars, d)]
+        spec = monomial_ideal(nvars, rng.sample(pool, rng.randint(1, 6)))
+        bound = rng.randint(2, 5)
+        ring = build_quotient(spec, bound)
+        quad_terms = rng.sample(monomials_of_degree(nvars, 2), rng.randint(1, 3))
+        for f in (
+            linear_form([1] * nvars),
+            generic_linear_form(nvars, trial),
+            HomogPoly(nvars, 2, [(m, rng.choice([-1, 1]) * rng.randint(1, 10**6)) for m in quad_terms]),
+        ):
+            forms += 1
+            for d in range(bound - f.degree + 1):
+                got = mult_map(ring, f, d)
+                assert all(type(x) is int for x in got.data)
+                assert got == _normal_form_mult_map(ring, f, d)
+    assert forms == 75
 
 
 def test_annihilator_examples():

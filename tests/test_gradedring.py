@@ -324,6 +324,15 @@ def test_values_and_rings_round_trip(round_trip):
     assert hash(round_trip(p)) == hash(p)
     m = QMatrix.from_rows([[1, Fraction(1, 2)], [0, -3]])
     assert round_trip(m) == m
+    # int entries are kept, and equal and hash like their Fraction twins
+    ints = QMatrix.from_rows([[1, 0], [0, -3]])
+    twin = QMatrix.from_rows([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-3)]])
+    assert ints == twin and hash(ints) == hash(twin)
+    for q in (ints, twin):
+        copied = round_trip(q)
+        assert copied == ints == twin and hash(copied) == hash(twin)
+        assert [type(x) for x in copied.data] == [type(x) for x in q.data]
+    assert {type(x) for x in ints.data} == {int}
     spec = parse_ideal("x1^2 + x2*x3, x2^2, x3^2, x1*x2", 3)
     assert round_trip(spec) == spec
     ring = build_quotient(spec, 5)

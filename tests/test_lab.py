@@ -1,13 +1,22 @@
 """Enumeration, scans, the named experiments, and their negative controls."""
 
+import json
 import random
+from dataclasses import asdict, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
 
-from ezdlab import lab, polyring
-from ezdlab.ezd import PairVerdict, find_ezd_complement, generic_linear_form
+from ezdlab import ezd, lab, polyring
+from ezdlab.exactmat import rank
+from ezdlab.ezd import (
+    PairVerdict,
+    derived_seed,
+    find_ezd_complement,
+    generic_linear_form,
+    mult_map,
+)
 from ezdlab.gradedring import build_quotient, default_bound
 from ezdlab.lab import (
     ScanConfig,
@@ -226,6 +235,56 @@ def test_binomial_scan_determinism_across_workers():
     assert reasons.count("binomial collapses to a monomial modulo J") == 720
     assert reasons.count("does not vanish by degree 6") == 186
     assert r2.examined == 54
+
+
+@pytest.mark.parametrize(
+    "scan, cfg",
+    [(scan_monomial, ScanConfig(3, 3)), (scan_binomial, ScanConfig(2, seed=3))],
+    ids=["monomial", "binomial"],
+)
+def test_full_json_matches_asdict_form(scan, cfg):
+    report = scan(cfg)
+    report = replace(report, counterexamples=(lab.Counterexample(7, "x1^2", "a reason"),))
+    assert report.instances
+    expected = dict(
+        report.to_json_dict(),
+        counterexamples=[asdict(c) for c in report.counterexamples],
+        instances=[asdict(r) for r in report.instances],
+        skipped_instances=[asdict(s) for s in report.skipped],
+    )
+    assert report.to_json(full=True) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_binomial_scan_degree_one_builds(monkeypatch):
+    """ann1_dims is read from the colon identity, so it builds no map of its own."""
+    builds = []
+
+    def counting(ring, f, d):
+        if f.degree == 1 and d == 1:
+            builds.append(f)
+        return mult_map(ring, f, d)
+
+    assert not hasattr(lab, "mult_map")  # so every build goes through ezd
+    monkeypatch.setattr(ezd, "mult_map", counting)
+    report = scan_binomial(ScanConfig(3, seed=1, workers=1))
+    assert report.examined == 54
+    # 54 rings x 3 trials = 162 (ring, form) pairs; one build fewer per pair
+    # than with a separate rank for ann1_dims, which made 729.
+    assert len(builds) == 729 - 162
+
+
+def test_binomial_ann1_dims_match_direct_ranks():
+    """ann1_dims, read from the colon identity, against dim R_1 - rank(ell: R_1 -> R_2)."""
+    cfg = ScanConfig(3, seed=4)
+    report = scan_binomial(cfg)
+    seen = set()
+    for rec in report.instances:
+        ring = build_quotient(parse_ideal(rec.ideal, 3), 6)
+        seed = derived_seed(cfg.seed, rec.index)
+        ells = [generic_linear_form(3, derived_seed(seed, t)) for t in range(cfg.trials)]
+        assert rec.ann1_dims == tuple(ring.dim(1) - rank(mult_map(ring, ell, 1)) for ell in ells)
+        seen.add(rec.ann1_dims)
+    assert seen == {(0, 0, 0), (1, 1, 1), (2, 2, 2)}
 
 
 def test_scans_do_not_parse_ideal_text(monkeypatch):
