@@ -31,7 +31,6 @@ from .polyring import (
     format_poly,
     linear_form,
     make_ideal,
-    monomials_of_degree,
     variable,
 )
 
@@ -70,7 +69,7 @@ def mult_map(ring: GradedQuotient, f: HomogPoly, d: int) -> QMatrix:
         raise ValueError(f"target degree {target_degree} outside bound {ring.bound}")
     nrows = ring.dim(target_degree)
     if ring.spec.kind is not IdealKind.MONOMIAL:
-        cols = [ring.product_normal_form(f, b) for b in source]
+        cols = [ring.normal_form(f * HomogPoly.from_monomial(b)) for b in source]
         return QMatrix(nrows, ncols, [cols[j][i] for i in range(nrows) for j in range(ncols)])
     coords = ring.components[target_degree].coords
     terms = [(g.exps, c.numerator if c.denominator == 1 else c) for g, c in f.coeffs.items()]
@@ -91,13 +90,17 @@ def annihilator_degree(ring: GradedQuotient, f: HomogPoly, d: int) -> Subspace:
 
 
 def principal_ideal_degree(ring: GradedQuotient, y: HomogPoly, d: int) -> Subspace:
-    """Degree-d piece of the principal ideal (y) as a subspace of R_d."""
+    """Degree-d piece of the principal ideal (y) as a subspace of R_d.
+
+    (y)_d is y*R_{d-deg y}, the column space of mult_map(ring, y, d - deg y):
+    a monomial outside the quotient basis is congruent mod I to a
+    combination of basis monomials, so its product with y adds nothing.
+    """
     dim_d = ring.dim(d)
     if y.is_zero() or d < y.degree:
         return Subspace.zero(dim_d)
-    shift = d - y.degree
-    vectors = [ring.product_normal_form(y, m) for m in monomials_of_degree(ring.nvars, shift)]
-    return Subspace.from_vectors(dim_d, vectors)
+    m = mult_map(ring, y, d - y.degree)
+    return Subspace.from_vectors(dim_d, (m.data[j :: m.cols] for j in range(m.cols)))
 
 
 class PairVerdict(Enum):

@@ -24,7 +24,6 @@ from operator import add
 from .exactmat import Subspace
 from .polyring import (
     HomogPoly,
-    IdealKind,
     IdealSpec,
     Monomial,
     monomials_of_degree,
@@ -119,31 +118,6 @@ class GradedQuotient:
             v[index[m]] = c
         v = comp.relations.reduce(v)
         return tuple(v[j] for j in comp.quotient_cols)
-
-    def product_normal_form(self, f: HomogPoly, m: Monomial) -> tuple[Fraction, ...]:
-        """`normal_form(f * m)` for a monomial m.
-
-        Modulo a monomial ideal every monomial is a basis monomial or zero,
-        so there each term of f*m goes straight to its quotient coordinate,
-        looked up by the sum of the exponent vectors, with no product
-        polynomial and no reduction.
-        """
-        if self.spec.kind is not IdealKind.MONOMIAL:
-            return self.normal_form(f * HomogPoly.from_monomial(m))
-        if f.nvars != self.nvars or m.nvars != self.nvars:
-            raise ValueError("variable counts differ")
-        d = f.degree + m.degree
-        if not 0 <= d <= self.bound:
-            raise ValueError(f"degree {d} outside bound {self.bound}")
-        coords = self.components[d].coords
-        v = [ZERO] * len(coords)
-        shift = m.exps
-        for g, c in f.coeffs.items():
-            # distinct terms of f give distinct products: each coordinate is set once
-            i = coords.get(tuple(map(add, g.exps, shift)))
-            if i is not None:
-                v[i] = c
-        return tuple(v)
 
     def basis_poly(self, degree: int, coords) -> HomogPoly:
         """The polynomial with the given coordinates in the quotient basis."""
