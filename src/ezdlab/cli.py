@@ -256,13 +256,15 @@ def cmd_scan(args) -> int:
         report = scan(cfg)
         sys.stdout.write(_scan_text(report, args))
     else:
-        # Opened before the scan, so an unwritable path costs no scan time.
+        # Opened before the scan, so an unwritable path costs no scan time, and
+        # for appending, so a failed scan leaves an existing file as it was.
         try:
-            fh = open(args.out, "w", encoding="utf-8")
+            fh = open(args.out, "a", encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
         with fh:
             report = scan(cfg)
+            fh.truncate(0)
             fh.write(_scan_text(report, args))
         print(f"wrote {args.out}: {report.examined} instances, "
               f"{len(report.counterexamples)} counterexamples")

@@ -18,8 +18,7 @@ matrix.
 `Subspace` is the one echelon-basis type. It keeps the nonzero rows of the
 reduced echelon form sparsely, each as its pivot column and the other
 nonzero entries, so reducing a vector touches only those entries; graded
-quotients store their relation spaces in this form and take normal forms
-with `Subspace.reduce`.
+quotients read each pivot monomial's normal form off these rows.
 """
 
 from __future__ import annotations

@@ -52,11 +52,10 @@ def mult_map(ring: GradedQuotient, f: HomogPoly, d: int) -> QMatrix:
     degree lies past the bound of an Artinian-within-bound ring the target
     space is zero and a 0-row matrix is returned.
 
-    Modulo a monomial ideal every product of f's terms with a basis
-    monomial is a basis monomial or zero, so the entries are f's
-    coefficients, each written at the row of its product's quotient
-    coordinate: an integral coefficient as an `int`, any other as a
-    Fraction. Other rings take one normal form per column.
+    Column j sums c*NF(g*b_j) over the terms c*g of f, read from the
+    target degree's normal-form table. f's integral coefficients are
+    converted to `int` once, so on a monomial ring, where every normal form
+    is a unit coordinate or zero, an integer form gives an `int` matrix.
     """
     if f.nvars != ring.nvars:
         raise ValueError("variable counts differ")
@@ -68,19 +67,15 @@ def mult_map(ring: GradedQuotient, f: HomogPoly, d: int) -> QMatrix:
             return QMatrix(0, ncols, ())
         raise ValueError(f"target degree {target_degree} outside bound {ring.bound}")
     nrows = ring.dim(target_degree)
-    if ring.spec.kind is not IdealKind.MONOMIAL:
-        cols = [ring.normal_form(f * HomogPoly.from_monomial(b)) for b in source]
-        return QMatrix(nrows, ncols, [cols[j][i] for i in range(nrows) for j in range(ncols)])
-    coords = ring.components[target_degree].coords
+    normal_forms = ring.components[target_degree].normal_forms
     terms = [(g.exps, c.numerator if c.denominator == 1 else c) for g, c in f.coeffs.items()]
     data = [0] * (nrows * ncols)
     for j, b in enumerate(source):
         shift = b.exps
         for g, c in terms:
-            # distinct terms of f give distinct products: each entry is set once
-            i = coords.get(tuple(map(add, g, shift)))
-            if i is not None:
-                data[i * ncols + j] = c
+            # outside monomial rings two products can share a coordinate: entries add up
+            for i, a in normal_forms[tuple(map(add, g, shift))]:
+                data[i * ncols + j] += c * a
     return QMatrix(nrows, ncols, data)
 
 

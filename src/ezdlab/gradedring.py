@@ -8,16 +8,16 @@ spanned by the other monomials. The multiples of the remaining generators
 are eliminated on the standard columns only, since their entries elsewhere
 lie in M_d. There is one path: a monomial ideal has nothing to eliminate,
 and an ideal without single-term generators is eliminated on every column.
-Each degree stores I_d as a sparse echelon `Subspace` of the monomial
-coefficient space, so normal forms are one `Subspace.reduce` pass and the
-quotient basis is the set of non-pivot monomials.
+Each degree stores one table, from every monomial to its normal form as
+sparse (quotient coordinate, coefficient) pairs, read off the reduced
+echelon basis of I_d: the quotient basis is the set of non-pivot standard
+monomials. Normal forms and multiplication maps are sums over this table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from operator import add
 
@@ -47,11 +47,9 @@ class HilbertFn:
 
 @dataclass(frozen=True)
 class _DegreeComponent:
-    monomials: tuple[Monomial, ...]
-    index: dict[Monomial, int]  # monomial -> position in `monomials`
-    relations: Subspace  # I_d in the coefficient space of `monomials`
-    quotient_cols: tuple[int, ...]
-    coords: dict[Exps, int]  # basis monomial's exponents -> quotient coordinate
+    basis: tuple[Monomial, ...]  # the quotient basis, in monomial order
+    # every monomial's exponents -> its normal form as (quotient coordinate, coefficient)
+    normal_forms: dict[Exps, tuple[tuple[int, int | Fraction], ...]]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -84,7 +82,7 @@ class GradedQuotient:
     def dim(self, degree: int) -> int:
         if not 0 <= degree <= self.bound:
             raise ValueError(f"degree {degree} outside bound {self.bound}")
-        return len(self.components[degree].quotient_cols)
+        return len(self.components[degree].basis)
 
     def dim_extended(self, degree: int) -> int:
         """dim R_degree, extending past the bound when the ring has vanished."""
@@ -97,12 +95,20 @@ class GradedQuotient:
     def basis_monomials(self, degree: int) -> tuple[Monomial, ...]:
         if not 0 <= degree <= self.bound:
             raise ValueError(f"degree {degree} outside bound {self.bound}")
-        comp = self.components[degree]
-        return tuple(comp.monomials[j] for j in comp.quotient_cols)
+        return self.components[degree].basis
 
     def relation_subspace(self, degree: int) -> Subspace:
-        """I_d as a canonical subspace of the degree-d coefficient space."""
-        return self.components[degree].relations
+        """I_d as a canonical subspace of the degree-d coefficient space: its
+        reduced echelon basis is m - NF(m) over the monomials outside the basis."""
+        comp = self.components[degree]
+        monos = monomials_of_degree(self.nvars, degree)
+        basis = set(comp.basis)
+        cols = [i for i, m in enumerate(monos) if m in basis]
+        rows = tuple(
+            (i, tuple((cols[k], -c) for k, c in comp.normal_forms[m.exps]))
+            for i, m in enumerate(monos) if m not in basis
+        )
+        return Subspace(len(monos), rows)
 
     def normal_form(self, p: HomogPoly) -> tuple[Fraction, ...]:
         """Coordinates of p in the degree-deg(p) quotient basis; zero iff p is in I."""
@@ -112,12 +118,11 @@ class GradedQuotient:
         if not 0 <= d <= self.bound:
             raise ValueError(f"degree {d} outside bound {self.bound}")
         comp = self.components[d]
-        index = comp.index
-        v = [ZERO] * len(comp.monomials)
+        v = [ZERO] * len(comp.basis)
         for m, c in p.coeffs.items():
-            v[index[m]] = c
-        v = comp.relations.reduce(v)
-        return tuple(v[j] for j in comp.quotient_cols)
+            for k, a in comp.normal_forms[m.exps]:
+                v[k] += c * a
+        return tuple(v)
 
     def basis_poly(self, degree: int, coords) -> HomogPoly:
         """The polynomial with the given coordinates in the quotient basis."""
@@ -125,12 +130,6 @@ class GradedQuotient:
         if len(coords) != len(basis):
             raise ValueError("coordinate length does not match quotient dimension")
         return HomogPoly(self.nvars, degree, list(zip(basis, coords)))
-
-
-@lru_cache(maxsize=None)
-def _monomial_index(nvars: int, degree: int) -> dict[Monomial, int]:
-    """Position of each degree-d monomial in graded-lex order (shared; never mutated)."""
-    return {m: i for i, m in enumerate(monomials_of_degree(nvars, degree))}
 
 
 def _component(
@@ -146,11 +145,11 @@ def _component(
     are the products s*x_i of standard s that are no generator and whose
     every m/x_j is standard.
 
-    M_d has one unit row per monomial outside the closure. The multiples of
-    `others`, with their M_d entries dropped, are eliminated on the
-    standard columns. Neither set of rows has an entry in the other's pivot
-    columns, so merged in pivot order they are the reduced echelon basis of
-    I_d.
+    Every monomial of M_d is zero in R. The multiples of `others`, with
+    their M_d entries dropped, are eliminated on the standard columns. A
+    row m_p + sum c_j m_j of the reduced echelon basis has its other entries
+    in non-pivot columns only, so NF(m_p) = -sum c_j m_j, and the non-pivot
+    standard monomials are the quotient basis, each its own unit coordinate.
     """
     if degree == 0:
         candidates = {(0,) * nvars}
@@ -162,12 +161,12 @@ def _component(
         and all(e[:j] + (e[j] - 1,) + e[j + 1 :] in below for j in range(nvars) if e[j])
     }
     monos = monomials_of_degree(nvars, degree)
-    rows = [(i, ()) for i, m in enumerate(monos) if m.exps not in standard]
-    cols = tuple(i for i, m in enumerate(monos) if m.exps in standard)
-    free = cols  # the quotient basis when nothing is eliminated
+    cols = [m for m in monos if m.exps in standard]
+    basis = cols  # the quotient basis when nothing is eliminated
+    normal_forms = dict.fromkeys((m.exps for m in monos), ())
     active = [g for g in others if g.degree <= degree]
     if active:
-        col = {monos[i].exps: k for k, i in enumerate(cols)}
+        col = {m.exps: k for k, m in enumerate(cols)}
         vectors = []
         for g in active:
             for m in monomials_of_degree(nvars, degree - g.degree):
@@ -178,14 +177,17 @@ def _component(
                         v[k] = c
                 vectors.append(v)
         echelon = Subspace.from_vectors(len(cols), vectors)
-        rows += [(cols[p], tuple((cols[j], x) for j, x in rest)) for p, rest in echelon.rows]
-        rows.sort()
-        pivots = {cols[p] for p, _ in echelon.rows}
-        free = tuple(i for i in cols if i not in pivots)
-    coords = {monos[j].exps: k for k, j in enumerate(free)}
-    relations = Subspace(len(monos), tuple(rows))
-    index = _monomial_index(nvars, degree)
-    return _DegreeComponent(monos, index, relations, free, coords), standard
+        pivots = {p for p, _ in echelon.rows}
+        free = [k for k in range(len(cols)) if k not in pivots]
+        coord = {k: q for q, k in enumerate(free)}  # standard column -> quotient coordinate
+        basis = [cols[k] for k in free]
+        for p, rest in echelon.rows:
+            normal_forms[cols[p].exps] = tuple(
+                (coord[j], -x.numerator if x.denominator == 1 else -x) for j, x in rest
+            )
+    for q, m in enumerate(basis):
+        normal_forms[m.exps] = ((q, 1),)
+    return _DegreeComponent(tuple(basis), normal_forms), standard
 
 
 def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = False) -> GradedQuotient:
@@ -217,14 +219,14 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
     prev_dim = None
     for d in range(bound + 1):
         comp, standard = _component(spec.nvars, d, gens, others, standard)
-        dim = len(comp.quotient_cols)
+        dim = len(comp.basis)
         # The irrelevant ideal is generated in degree 1, so a vanished degree
         # can never be followed by a nonzero one.
         if prev_dim == 0 and dim != 0:
             raise RuntimeError(f"H({d}) = {dim} after H({d - 1}) = 0")
         prev_dim = dim
         components.append(comp)
-    dims = tuple(len(c.quotient_cols) for c in components)
+    dims = tuple(len(c.basis) for c in components)
     hilbert = HilbertFn(dims, 0 in dims)
     top = dims.index(0) - 1 if 0 in dims else None
     if top is None:

@@ -301,6 +301,23 @@ def test_scan_out_opened_before_scan(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: cannot write ")
 
 
+def test_failed_scan_keeps_existing_out(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("an earlier report\n" * 1000)
+    code, _, err = run(
+        capsys, "scan", "monomial", "-n", "3", "--max-deg", "2", "-D", "100", "--out", str(target)
+    )
+    assert code == 2
+    assert "more than the cap" in err
+    assert target.read_text() == "an earlier report\n" * 1000
+    # a scan that succeeds replaces the whole file, however long it was
+    code, _, _ = run(
+        capsys, "scan", "monomial", "-n", "2", "--max-deg", "2", "--format", "json", "--out", str(target)
+    )
+    assert code == 0
+    assert json.loads(target.read_text())["examined"] == 2
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
 def test_bad_workers_env_exits_2(capsys, monkeypatch, raw):
     monkeypatch.setenv("EZDLAB_WORKERS", raw)

@@ -67,26 +67,41 @@ def test_mult_map_polynomial_ring_injective():
     assert rank(m) == 3
 
 
-def _normal_form_mult_map(ring, f, d):
-    """One product and one normal form per column: the mult_map oracle."""
-    source = ring.basis_monomials(d)
-    cols = [ring.normal_form(f * HomogPoly.from_monomial(b)) for b in source]
-    nrows = ring.dim(d + f.degree)
+def _normal_form_mult_map(oracle, f, d):
+    """One product and one normal form per column: the mult_map oracle.
+
+    `oracle` is the ring built with force_elimination=True, so the normal
+    forms never come from the table of the ring under test.
+    """
+    source = oracle.basis_monomials(d)
+    cols = [oracle.normal_form(f * HomogPoly.from_monomial(b)) for b in source]
+    nrows = oracle.dim(d + f.degree)
     return QMatrix(nrows, len(source), [cols[j][i] for i in range(nrows) for j in range(len(source))])
 
 
-def _normal_form_principal_ideal(ring, y, d):
-    """The principal_ideal_degree oracle, built from normal forms."""
+def _normal_form_principal_ideal(oracle, y, d):
+    """The principal_ideal_degree oracle, built from the oracle ring's normal forms."""
     if d < y.degree:
-        return Subspace.zero(ring.dim(d))
-    shifts = monomials_of_degree(ring.nvars, d - y.degree)
-    vectors = [ring.normal_form(HomogPoly.from_monomial(m) * y) for m in shifts]
-    return Subspace.from_vectors(ring.dim(d), vectors)
+        return Subspace.zero(oracle.dim(d))
+    shifts = monomials_of_degree(oracle.nvars, d - y.degree)
+    vectors = [oracle.normal_form(HomogPoly.from_monomial(m) * y) for m in shifts]
+    return Subspace.from_vectors(oracle.dim(d), vectors)
+
+
+def _rational_form(rng, nvars, degree, denominators):
+    """A form of two or more terms; coefficients are ±a/b with a <= 9, b <= denominators."""
+    all_monos = monomials_of_degree(nvars, degree)
+    monos = rng.sample(all_monos, rng.randint(2, len(all_monos)))
+    coeffs = [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, denominators)) for _ in monos]
+    return HomogPoly(nvars, degree, list(zip(monos, coeffs)))
 
 
 def test_monomial_lookup_maps_match_normal_forms():
+    """mult_map and principal_ideal_degree against normal forms of the
+    eliminating build, on monomial, binomial, mixed and complete
+    intersection rings, for integer and fractional forms."""
     rng = random.Random(4242)
-    shared_rows = 0
+    cases = []
     for trial in range(40):
         nvars = rng.randint(2, 3)
         if trial == 0:
@@ -94,20 +109,41 @@ def test_monomial_lookup_maps_match_normal_forms():
         else:
             pool = [m for d in range(1, 4) for m in monomials_of_degree(nvars, d)]
             spec = monomial_ideal(nvars, rng.sample(pool, rng.randint(1, 5)))
-        bound = rng.randint(2, 5)
+        cases.append((spec, rng.randint(2, 5)))
+    # a sample of the n=3 binomial family J + (f1 + f2), J and f_i in degree 2
+    quadrics = monomials_of_degree(3, 2)
+    for _ in range(12):
+        f1, f2 = rng.sample(quadrics, 2)
+        j = [HomogPoly.from_monomial(m) for m in quadrics if m not in (f1, f2) and rng.random() < 0.5]
+        cases.append((make_ideal(3, j + [HomogPoly(3, 2, [(f1, 1), (f2, 1)])]), rng.randint(3, 6)))
+    # monomials of degree 1..3 mixed with forms of two or more terms
+    for _ in range(10):
+        nvars = rng.randint(3, 4)
+        pool = [m for d in (1, 2, 3) for m in monomials_of_degree(nvars, d)]
+        gens = [HomogPoly.from_monomial(m) for m in rng.sample(pool, rng.randint(0, 3))]
+        gens.append(_rational_form(rng, nvars, rng.randint(1, 3), 4))
+        cases.append((make_ideal(nvars, gens), rng.randint(2, 4)))
+    # complete intersections with random integer coefficients in [-9, 9]
+    for degs in ((2, 2, 2), (2, 2, 2), (2, 2, 3), (2, 3, 3)):
+        gens = [HomogPoly(3, d, [(m, rng.randint(-9, 9)) for m in monomials_of_degree(3, d)]) for d in degs]
+        cases.append((make_ideal(3, gens), sum(d - 1 for d in degs) + 1))
+    assert sum(spec.kind is not IdealKind.MONOMIAL for spec, _ in cases) == 26
+    shared_rows = 0
+    for spec, bound in cases:
         ring = build_quotient(spec, bound)
+        oracle = build_quotient(spec, bound, force_elimination=True)
+        nvars = spec.nvars
         for deg in (1, 2):
-            monos = monomials_of_degree(nvars, deg)
-            terms = rng.sample(monos, rng.randint(2, len(monos)))
-            f = HomogPoly(nvars, deg, [(m, F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))) for m in terms])
-            for d in range(bound - deg + 1):
-                got = mult_map(ring, f, d)
-                assert got == _normal_form_mult_map(ring, f, d)
-                # rows fed by several columns: terms of different products
-                # landing on the same target coordinate
-                shared_rows += sum(1 for i in range(got.rows) if sum(1 for x in got.row(i) if x) > 1)
-            for d in range(bound + 1):
-                assert principal_ideal_degree(ring, f, d) == _normal_form_principal_ideal(ring, f, d)
+            for denominators in (1, 6):  # integer forms, then fractional ones
+                f = _rational_form(rng, nvars, deg, denominators)
+                for d in range(bound - deg + 1):
+                    got = mult_map(ring, f, d)
+                    assert got == _normal_form_mult_map(oracle, f, d)
+                    # rows fed by several columns: terms of different products
+                    # landing on the same target coordinate
+                    shared_rows += sum(1 for i in range(got.rows) if sum(1 for x in got.row(i) if x) > 1)
+                for d in range(bound + 1):
+                    assert principal_ideal_degree(ring, f, d) == _normal_form_principal_ideal(oracle, f, d)
     assert shared_rows > 0
 
 
@@ -122,6 +158,7 @@ def test_integer_forms_give_int_maps_on_monomial_rings():
         spec = monomial_ideal(nvars, rng.sample(pool, rng.randint(1, 6)))
         bound = rng.randint(2, 5)
         ring = build_quotient(spec, bound)
+        oracle = build_quotient(spec, bound, force_elimination=True)
         quad_terms = rng.sample(monomials_of_degree(nvars, 2), rng.randint(1, 3))
         for f in (
             linear_form([1] * nvars),
@@ -132,7 +169,7 @@ def test_integer_forms_give_int_maps_on_monomial_rings():
             for d in range(bound - f.degree + 1):
                 got = mult_map(ring, f, d)
                 assert all(type(x) is int for x in got.data)
-                assert got == _normal_form_mult_map(ring, f, d)
+                assert got == _normal_form_mult_map(oracle, f, d)
     assert forms == 75
 
 

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from ezdlab import gradedring
-from ezdlab.exactmat import QMatrix
+from ezdlab.exactmat import QMatrix, Subspace
 from ezdlab.gradedring import (
     build_quotient,
     default_bound,
@@ -167,8 +167,25 @@ def test_monomial_oracle_equivalence_random():
             assert fast.normal_form(p) == slow.normal_form(p)
 
 
+def _reduced_normal_form(spec, p):
+    """The normal-form oracle: p's coefficient vector reduced by the echelon
+    basis of every generator multiple, on the non-pivot monomials."""
+    monos = monomials_of_degree(spec.nvars, p.degree)
+    multiples = [
+        HomogPoly.from_monomial(m) * g
+        for g in spec.generators if g.degree <= p.degree
+        for m in monomials_of_degree(spec.nvars, p.degree - g.degree)
+    ]
+    relations = Subspace.from_vectors(len(monos), ([q.coefficient(m) for m in monos] for q in multiples))
+    v = relations.reduce([p.coefficient(m) for m in monos])
+    pivots = {pivot for pivot, _ in relations.rows}
+    free = [j for j in range(len(monos)) if j not in pivots]
+    return tuple(monos[j] for j in free), tuple(v[j] for j in free)
+
+
 def _assert_builds_agree(spec, bound, rng):
-    """The single build path against eliminating every generator."""
+    """The single build path against eliminating every generator, and its
+    normal forms against reduction by all generator multiples."""
     fast = build_quotient(spec, bound)
     slow = build_quotient(spec, bound, force_elimination=True)
     assert fast.hilbert == slow.hilbert
@@ -179,6 +196,7 @@ def _assert_builds_agree(spec, bound, rng):
         monos = monomials_of_degree(spec.nvars, d)
         p = HomogPoly(spec.nvars, d, [(m, rng.randint(-3, 3)) for m in monos])
         assert fast.normal_form(p) == slow.normal_form(p)
+        assert (fast.basis_monomials(d), fast.normal_form(p)) == _reduced_normal_form(spec, p)
 
 
 def _binomial_family(nvars):
