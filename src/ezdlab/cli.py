@@ -4,8 +4,9 @@ Subcommands: hilbert, ezd, wlp, socle, yoshino, scan, example. Every
 command honors --format json with a stable schema (top-level
 "schema_version" field); human tables print exact rationals so witnesses
 can be pasted back in. Exit codes: 0 pass, 1 counterexample or failed
-check, 2 usage, input or parse error. EZDLAB_WORKERS sets the default
-worker count for scans; --seed fully determines all randomized behavior.
+check, 2 usage, input or parse error, 3 internal error (a broken
+invariant). EZDLAB_WORKERS sets the default worker count for scans;
+--seed fully determines all randomized behavior.
 """
 
 from __future__ import annotations
@@ -380,6 +381,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # A broken invariant is a fault of the program, not a counterexample.
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

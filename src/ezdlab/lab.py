@@ -12,7 +12,9 @@ Two families are scanned exhaustively at desk scale:
   form may admit a verified degree-1 partner; on the stratum the verdict
   is recorded without assertion, the partner is split into halves
   compatible with J + (f1) and J + (f2), and the degree-2 colon-dimension
-  identity is checked on every instance.
+  identity is checked on every instance. A candidate is skipped before
+  anything is built when its binomial collapses modulo J or when the
+  supports of J and f show the quotient is not Artinian.
 
 Scans are deterministic: per-instance seeds depend only on the configured
 seed and the instance index, work is distributed in enumeration order, and
@@ -50,7 +52,6 @@ from .polyring import (
     IdealKind,
     IdealSpec,
     Monomial,
-    format_ideal,
     format_monomial,
     format_poly,
     in_monomial_ideal,
@@ -389,15 +390,44 @@ def scan_monomial(cfg: ScanConfig) -> ScanReport:
 # binomial family scan
 
 
+def _binomial_is_artinian(nvars: int, j_exps: tuple, f1: tuple, f2: tuple) -> bool:
+    """Whether J + (f1 + f2) is Artinian, read from the supports alone.
+
+    J is generated by degree-2 monomials and f = f1 + f2 with f1 != f2 of
+    degree 2. Over the algebraic closure the zero set of J is the union of
+    the coordinate subspaces L_S, S a variable set containing the support
+    of no generator of J. On L_S with |S| >= 2 the restriction of f is zero
+    or a nonzero form in at least two variables, so it has a projective
+    zero; on L_{i} it is the coefficient of x_i^2 times x_i^2. Hilbert
+    functions do not change under field extension, so the ring vanishes
+    in high degree exactly when no pair of variables escapes J and every
+    x_i^2 outside J is f1 or f2.
+    """
+    supports = [frozenset(i for i, e in enumerate(g) if e) for g in j_exps]
+    if not all(
+        any(s <= {i, j} for s in supports) for i, j in combinations(range(nvars), 2)
+    ):
+        return False
+    squares = [tuple(2 if k == i else 0 for k in range(nvars)) for i in range(nvars)]
+    return all(sq in j_exps or sq in (f1, f2) for sq in squares)
+
+
 def _binomial_task(cfg: ScanConfig, payload: tuple[int, tuple, tuple]):
     idx, j_exps, (f1, f2) = payload
-    gens = [HomogPoly.from_monomial(Monomial(e)) for e in j_exps]
-    gens.append(HomogPoly(cfg.nvars, 2, [(Monomial(f1), 1), (Monomial(f2), 1)]))
-    spec = make_ideal(cfg.nvars, gens)
-    text = format_ideal(spec)
+    j_monos = [Monomial(e) for e in j_exps]
+    # format_ideal's text: J's generators have coefficient 1, and f1 comes
+    # before f2 in graded-lex order
+    binomial = f"{format_monomial(Monomial(f1))} + {format_monomial(Monomial(f2))}"
+    text = ", ".join([*map(format_monomial, j_monos), binomial])
     if f1 in j_exps or f2 in j_exps:
         return SkippedInstance(idx, text, "binomial collapses to a monomial modulo J")
     bound = cfg.bound if cfg.bound is not None else BINOMIAL_DEFAULT_BOUND
+    # a non-Artinian ring vanishes by no bound, so it is skipped unbuilt
+    if not _binomial_is_artinian(cfg.nvars, j_exps, f1, f2):
+        return SkippedInstance(idx, text, f"does not vanish by degree {bound}")
+    gens = [HomogPoly.from_monomial(m) for m in j_monos]
+    gens.append(HomogPoly(cfg.nvars, 2, [(Monomial(f1), 1), (Monomial(f2), 1)]))
+    spec = make_ideal(cfg.nvars, gens)
     ring = build_quotient(spec, bound)
     if not ring.complete:
         return SkippedInstance(idx, text, f"does not vanish by degree {bound}")
@@ -481,7 +511,11 @@ def scan_binomial(cfg: ScanConfig) -> ScanReport:
 
     Instances whose binomial collapses modulo J (some f_i already in J) are
     recorded as skipped, as are quotients that fail to vanish by the bound.
-    A payload is (index, exponents of J's generators, (f1, f2) exponents).
+    A collapse and a non-Artinian quotient (`_binomial_is_artinian`), which
+    vanishes by no bound, are decided from exponent tuples before any ring
+    is built; only Artinian candidates are built and checked against the
+    bound. A payload is (index, exponents of J's generators, (f1, f2)
+    exponents).
     """
     deg2 = [m.exps for m in monomials_of_degree(cfg.nvars, 2)]
     subsets = [

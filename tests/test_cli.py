@@ -301,6 +301,21 @@ def test_scan_out_opened_before_scan(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: cannot write ")
 
 
+def test_internal_fault_exits_3(tmp_path, capsys, monkeypatch):
+    def broken_scan(cfg):
+        raise RuntimeError("H(3) = 1 after H(2) = 0")
+
+    monkeypatch.setattr("ezdlab.cli.scan_binomial", broken_scan)
+    target = tmp_path / "report.json"
+    target.write_text("an earlier report\n")
+    code, out, err = run(capsys, "scan", "binomial", "-n", "3", "--out", str(target))
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: H(3) = 1 after H(2) = 0\n"
+    assert "Traceback" not in err
+    assert target.read_text() == "an earlier report\n"
+
+
 def test_failed_scan_keeps_existing_out(tmp_path, capsys):
     target = tmp_path / "report.json"
     target.write_text("an earlier report\n" * 1000)

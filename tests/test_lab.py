@@ -237,6 +237,94 @@ def test_binomial_scan_determinism_across_workers():
     assert r2.examined == 54
 
 
+def binomial_payloads(nvars):
+    """The binomial scan's candidates in index order, enumerated independently:
+    (J exponents, f1, f2) with J any set of degree-2 monomials and f1 < f2."""
+    deg2 = [m.exps for m in monomials_of_degree(nvars, 2)]
+    return [
+        (tuple(e for i, e in enumerate(deg2) if mask >> i & 1), f1, f2)
+        for mask in range(1 << len(deg2))
+        for f1, f2 in combinations(deg2, 2)
+    ]
+
+
+def binomial_spec(nvars, j_exps, f1, f2):
+    gens = [HomogPoly.from_monomial(Monomial(e)) for e in j_exps]
+    gens.append(HomogPoly(nvars, 2, [(Monomial(f1), 1), (Monomial(f2), 1)]))
+    return polyring.make_ideal(nvars, gens)
+
+
+def test_binomial_support_test_matches_build_oracle():
+    """The support test against build_quotient(spec, 6).complete. An Artinian
+    ideal generated by quadrics holds a regular sequence of n quadrics, so its
+    ring vanishes by degree n + 1 <= 6 here and the bound decides."""
+    n3 = [(3, p) for p in binomial_payloads(3) if p[1] not in p[0] and p[2] not in p[0]]
+    assert len(n3) == 240
+    n4 = [p for p in binomial_payloads(4) if p[1] not in p[0] and p[2] not in p[0]]
+    sample = [(4, p) for p in random.Random(2024).sample(n4, 200)]
+    verdicts = set()
+    for n, (j_exps, f1, f2) in n3 + sample:
+        artinian = lab._binomial_is_artinian(n, j_exps, f1, f2)
+        assert artinian == build_quotient(binomial_spec(n, j_exps, f1, f2), 6).complete, (
+            n, j_exps, f1, f2,
+        )
+        verdicts.add((n, artinian))
+    assert verdicts == {(3, True), (3, False), (4, True), (4, False)}
+    assert sum(lab._binomial_is_artinian(3, *p) for _, p in n3) == 54
+
+
+@pytest.mark.parametrize(
+    "n, ideal, artinian",
+    [
+        (3, "x1^2, x2^2, x3^2, x1*x2 + x1*x3", True),  # J holds every square
+        (3, "x1^2 + x2^2", False),  # J = (): a pair of variables escapes J
+        (2, "x1*x2, x1^2 + x2^2", True),
+        (2, "x1^2, x1*x2 + x2^2", True),
+        (2, "x1^2 + x1*x2", False),
+    ],
+)
+def test_binomial_support_test_named_cases(n, ideal, artinian):
+    spec = parse_ideal(ideal, n)
+    j_monos, f1, f2 = spec.binomial_parts()
+    j_exps = tuple(m.exps for m in j_monos)
+    assert lab._binomial_is_artinian(n, j_exps, f1.exps, f2.exps) is artinian
+    assert build_quotient(spec, 6).complete is artinian
+
+
+def test_binomial_skips_build_nothing(monkeypatch):
+    """Only candidates that pass both skips build an IdealSpec and a ring."""
+    made, built = [], []
+
+    def counting_make(*args):
+        made.append(polyring.make_ideal(*args))
+        return made[-1]
+
+    def counting_build(spec, bound, **kw):
+        built.append(spec)
+        return build_quotient(spec, bound, **kw)
+
+    monkeypatch.setattr(lab, "make_ideal", counting_make)
+    monkeypatch.setattr(lab, "build_quotient", counting_build)
+    report = scan_binomial(ScanConfig(3, seed=1))
+    examined = sorted(r.ideal for r in report.instances)
+    assert len(examined) == 54
+    assert sorted(map(format_ideal, made)) == examined
+    # the partner splits build monomial halves J + (f1); every other build is
+    # one of the examined candidates
+    candidates = [s for s in built if s.kind is polyring.IdealKind.MONOMIAL_PLUS_ONE_BINOMIAL]
+    assert sorted(map(format_ideal, candidates)) == examined
+    assert all(s.kind is polyring.IdealKind.MONOMIAL for s in built if s not in candidates)
+
+
+def test_binomial_ideal_text_matches_format_ideal():
+    """Each record's ideal text, formatted from exponents, is format_ideal's."""
+    report = scan_binomial(ScanConfig(3, seed=1))
+    texts = {r.index: r.ideal for r in report.instances + report.skipped}
+    expected = [format_ideal(binomial_spec(3, *p)) for p in binomial_payloads(3)]
+    assert len(expected) == 960
+    assert [texts[i] for i in range(960)] == expected
+
+
 @pytest.mark.parametrize(
     "scan, cfg",
     [(scan_monomial, ScanConfig(3, 3)), (scan_binomial, ScanConfig(2, seed=3))],
