@@ -241,12 +241,13 @@ def _env_workers() -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.family == "binomial" and (args.max_deg != 2 or args.no_symmetry):
+        raise ValueError("--max-deg and --no-symmetry apply to the monomial family only")
     workers = args.workers if args.workers is not None else _env_workers()
     cfg = ScanConfig(
         nvars=args.nvars,
         max_degree=args.max_deg,
         bound=args.bound,
-        require_artinian=not args.include_non_artinian,
         symmetry_reduction=not args.no_symmetry,
         seed=args.seed,
         trials=args.trials,
@@ -352,13 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--nvars", type=int, required=True)
     p.add_argument("--max-deg", type=int, default=2, help="max generator degree (monomial family)")
     p.add_argument("-D", "--bound", type=int, default=None)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=3,
+                   help="sampled linear forms per instance (binomial family; the monomial "
+                        "family is decided exactly through the all-ones form)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the sampled forms (binomial family only)")
     p.add_argument("--workers", type=int, default=None,
                    help="parallel workers (default: EZDLAB_WORKERS or 1)")
     p.add_argument("--no-symmetry", action="store_true",
-                   help="do not reduce by variable permutations")
-    p.add_argument("--include-non-artinian", action="store_true")
+                   help="do not reduce by variable permutations (monomial family)")
     p.add_argument("--full", action="store_true", help="include per-instance records in JSON")
     p.add_argument("--out", help="write the report to a file")
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")

@@ -28,8 +28,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -47,7 +45,7 @@ class QMatrix:
 
     rows: int
     cols: int
-    data: tuple[Rational | int, ...]
+    data: tuple[Fraction | int, ...]
 
     def __post_init__(self) -> None:
         data = tuple(self.data)
@@ -69,7 +67,7 @@ class QMatrix:
     def row(self, i: int) -> tuple:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
-    def entry(self, i: int, j: int) -> Rational | int:
+    def entry(self, i: int, j: int) -> Fraction | int:
         return self.data[i * self.cols + j]
 
     def __repr__(self) -> str:
@@ -160,7 +158,7 @@ def rank(m: QMatrix) -> int:
     return len(_eliminate([row for row in _integer_rows(m) if any(row)], m.cols, reduced=False))
 
 
-EchelonRow = tuple[int, tuple[tuple[int, Rational], ...]]  # pivot column, other nonzeros
+EchelonRow = tuple[int, tuple[tuple[int, Fraction], ...]]  # pivot column, other nonzeros
 
 
 @dataclass(frozen=True)
@@ -201,7 +199,7 @@ class Subspace:
         return len(self.rows)
 
     @property
-    def basis(self) -> tuple[tuple[Rational, ...], ...]:
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
         """The canonical basis as dense coordinate vectors."""
         dense = []
         for pivot, rest in self.rows:

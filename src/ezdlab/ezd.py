@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from enum import Enum
-from fractions import Fraction
 from operator import add
 
 from .exactmat import QMatrix, Subspace, kernel_basis, rank
@@ -33,9 +32,6 @@ from .polyring import (
     make_ideal,
     variable,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 COEFF_RANGE = 10**6  # sampled coefficients are nonzero integers in [-10^6, 10^6]
 

@@ -71,10 +71,6 @@ class GradedQuotient:
         return self.spec.nvars
 
     @property
-    def artinian_within_bound(self) -> bool:
-        return self.hilbert.artinian_within_bound
-
-    @property
     def complete(self) -> bool:
         """Whether every degree past the bound is known to vanish."""
         return self.top_degree is not None
@@ -96,19 +92,6 @@ class GradedQuotient:
         if not 0 <= degree <= self.bound:
             raise ValueError(f"degree {degree} outside bound {self.bound}")
         return self.components[degree].basis
-
-    def relation_subspace(self, degree: int) -> Subspace:
-        """I_d as a canonical subspace of the degree-d coefficient space: its
-        reduced echelon basis is m - NF(m) over the monomials outside the basis."""
-        comp = self.components[degree]
-        monos = monomials_of_degree(self.nvars, degree)
-        basis = set(comp.basis)
-        cols = [i for i, m in enumerate(monos) if m in basis]
-        rows = tuple(
-            (i, tuple((cols[k], -c) for k, c in comp.normal_forms[m.exps]))
-            for i, m in enumerate(monos) if m not in basis
-        )
-        return Subspace(len(monos), rows)
 
     def normal_form(self, p: HomogPoly) -> tuple[Fraction, ...]:
         """Coordinates of p in the degree-deg(p) quotient basis; zero iff p is in I."""
@@ -263,7 +246,7 @@ def is_artinian_within(ring: GradedQuotient) -> bool:
     ideal with a pure power of every variable among its generators is
     Artinian even when the bound stops short of the vanishing degree.
     """
-    return ring.artinian_within_bound or pure_power_exponents(ring.spec) is not None
+    return ring.hilbert.artinian_within_bound or pure_power_exponents(ring.spec) is not None
 
 
 def default_bound(spec: IdealSpec) -> int | None:

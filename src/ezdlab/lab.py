@@ -49,7 +49,6 @@ from .ezd import (
 from .gradedring import GradedQuotient, build_quotient, default_bound
 from .polyring import (
     HomogPoly,
-    IdealKind,
     IdealSpec,
     Monomial,
     format_monomial,
@@ -57,7 +56,6 @@ from .polyring import (
     in_monomial_ideal,
     linear_form,
     make_ideal,
-    minimalize_monomial_gens,
     monomial_ideal,
     monomials_of_degree,
     variable,
@@ -73,7 +71,6 @@ class ScanConfig:
     nvars: int
     max_degree: int = 2
     bound: int | None = None
-    require_artinian: bool = True
     symmetry_reduction: bool = True
     seed: int = 0
     trials: int = 3
@@ -93,8 +90,10 @@ class ScanConfig:
 
     def echo(self) -> dict:
         # Workers are an execution detail and stay out of serialized reports.
+        # Scans examine Artinian ideals only; schema 1 still records that.
         out = asdict(self)
         del out["workers"]
+        out["require_artinian"] = True
         return out
 
 
@@ -107,15 +106,16 @@ def _divides(e: tuple[int, ...], f: tuple[int, ...]) -> bool:
 
 
 def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All monomial ideals with minimal generators of degree 2..max_degree.
+    """All Artinian monomial ideals with minimal generators of degree 2..max_degree.
 
     Each ideal is yielded as the exponent tuples of its minimal generators,
     in graded-lex order. Minimal generating sets are exactly the
-    divisibility antichains, so each ideal appears once. With
-    `require_artinian` only ideals containing a pure power of every
-    variable are emitted; with `symmetry_reduction` only the canonical
-    representative of each variable-permutation class: the one whose
-    generators, sorted in graded-lex order, come first.
+    divisibility antichains, so each ideal appears once. Only ideals
+    containing a pure power of every variable are emitted: a non-Artinian
+    monomial ideal never vanishes, so a scan could only skip it. With
+    `symmetry_reduction` only the canonical representative of each
+    variable-permutation class is emitted: the one whose generators,
+    sorted in graded-lex order, come first.
 
     Candidates are indexed in graded-lex order and sets of them are
     bitmasks. The search grows each antichain by one candidate past its
@@ -164,14 +164,12 @@ def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[tuple[tuple[int, ...]
             free ^= low
             i = low.bit_length() - 1
             cov = covered | pure_var[i]
-            if cfg.require_artinian and passed[i] & ~cov:
+            if passed[i] & ~cov:
                 break  # no later candidate is a pure power of that variable
             members.append(i)
             yield from grow(chosen | low, members, free & ~comparable[i], cov)
             members.pop()
-        if not members:
-            return
-        if cfg.require_artinian and covered != every_var:
+        if covered != every_var:
             return
         if cfg.symmetry_reduction and not canonical(chosen, members):
             return
@@ -307,9 +305,8 @@ def _monomial_task(cfg: ScanConfig, payload: tuple[int, tuple]):
     spec = monomial_ideal(cfg.nvars, monos)
     # format_ideal's text: every generator of a monomial ideal has coefficient 1
     text = ", ".join(map(format_monomial, monos))
+    # enumeration emits Artinian ideals only, so the default bound exists
     bound = cfg.bound if cfg.bound is not None else default_bound(spec)
-    if bound is None:
-        return SkippedInstance(idx, text, "no degree bound available for a non-Artinian ideal")
     ring = build_quotient(spec, bound)
     if not ring.complete:
         return SkippedInstance(idx, text, f"does not vanish by degree {bound}")
@@ -554,30 +551,6 @@ def power_ideal_example(n: int, d: int) -> EzdReport:
         term = (ell0 ** i) * (x1 ** (d - 1 - i))
         q = q + term if i % 2 == 0 else q - term
     return is_ezd_pair(ring, ell, q)
-
-
-def check_support_multiples(ring: GradedQuotient, ell: HomogPoly, q: HomogPoly) -> list[tuple[Monomial, Monomial]]:
-    """Brute-force oracle for kernel elements of monomial quotients.
-
-    Requires ell*q = 0 in the ring. Every monomial in the support of q,
-    multiplied up to degree 2*deg(q)+1, must land in the ideal; offending
-    (support monomial, multiple) pairs are returned and expected absent.
-    """
-    if ring.spec.kind is not IdealKind.MONOMIAL:
-        raise ValueError("oracle applies to monomial ideals")
-    if any(ring.normal_form(ell * q)):
-        raise ValueError("precondition failed: ell*q is nonzero in the ring")
-    t = q.degree
-    gens = minimalize_monomial_gens(ring.spec.monomial_generators())
-    support = [
-        m for m, c in zip(ring.basis_monomials(t), ring.normal_form(q)) if c
-    ]
-    violations = []
-    for mu in support:
-        for big in monomials_of_degree(ring.nvars, 2 * t + 1):
-            if mu.divides(big) and not in_monomial_ideal(big, gens):
-                violations.append((mu, big))
-    return violations
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,6 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exactmat import Rational
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -127,7 +125,7 @@ class HomogPoly:
     degree: int
     coeffs: dict[Monomial, Fraction]
 
-    def __init__(self, nvars: int, degree: int, coeffs: Mapping[Monomial, Rational] | Iterable = ()):
+    def __init__(self, nvars: int, degree: int, coeffs: Mapping[Monomial, Fraction] | Iterable = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         store: dict[Monomial, Fraction] = {}
         for m, c in items:
@@ -152,7 +150,7 @@ class HomogPoly:
         return cls(nvars, degree, ())
 
     @classmethod
-    def from_monomial(cls, m: Monomial, coeff: Rational = ONE) -> "HomogPoly":
+    def from_monomial(cls, m: Monomial, coeff: Fraction = ONE) -> "HomogPoly":
         return cls(m.nvars, m.degree, [(m, coeff)])
 
     def is_zero(self) -> bool:
@@ -251,11 +249,6 @@ class IdealSpec:
     nvars: int
     generators: tuple[HomogPoly, ...]
     kind: IdealKind
-
-    def monomial_generators(self) -> tuple[Monomial, ...]:
-        if self.kind is not IdealKind.MONOMIAL:
-            raise ValueError("ideal is not monomial")
-        return tuple(next(iter(g.coeffs)) for g in self.generators)
 
     def binomial_parts(self) -> tuple[tuple[Monomial, ...], Monomial, Monomial]:
         """For the monomial-plus-one-binomial shape: (J monomials, f1, f2)."""
@@ -482,19 +475,20 @@ class _PolyParser:
     def parse_term(self) -> tuple[Fraction, Monomial]:
         coeff = ONE
         exps = [0] * self.nvars
-        saw_factor = False
+        need_factor = True  # at the start and after every '*'
         while True:
             tok = self.peek()
             if tok is None or tok.kind in "+-":
                 break
             coeff, exps = self.parse_factor(coeff, exps)
-            saw_factor = True
+            need_factor = False
             nxt = self.peek()
             if nxt is not None and nxt.kind == "*":
                 self.take()
+                need_factor = True
                 continue
             break
-        if not saw_factor:
+        if need_factor:
             tok = self.peek() or self.toks[-1]
             raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
         return coeff, Monomial(tuple(exps))

@@ -26,7 +26,6 @@ from ezdlab.gradedring import build_quotient, default_bound
 from ezdlab.lab import (
     BINOMIAL_DEFAULT_BOUND,
     ScanConfig,
-    check_support_multiples,
     generic_form_probe,
     power_ideal_example,
     scan_binomial,
@@ -42,6 +41,8 @@ from ezdlab.polyring import (
     parse_ideal,
     parse_poly,
 )
+
+from support_oracle import check_support_multiples
 
 F = Fraction
 

@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, schemas, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ezdlab.cli import main
 
@@ -333,6 +336,20 @@ def test_failed_scan_keeps_existing_out(tmp_path, capsys):
     assert json.loads(target.read_text())["examined"] == 2
 
 
+@pytest.mark.parametrize("flags", [["--max-deg", "3"], ["--no-symmetry"]])
+def test_scan_binomial_rejects_monomial_options(capsys, flags):
+    code, out, err = run(capsys, "scan", "binomial", "-n", "2", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-deg and --no-symmetry apply to the monomial family only\n"
+
+
+def test_scan_binomial_accepts_default_max_deg(capsys):
+    explicit = run(capsys, "scan", "binomial", "-n", "2", "--max-deg", "2", "--format", "json")
+    assert explicit == run(capsys, "scan", "binomial", "-n", "2", "--format", "json")
+    assert explicit[0] == 0
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
 def test_bad_workers_env_exits_2(capsys, monkeypatch, raw):
     monkeypatch.setenv("EZDLAB_WORKERS", raw)
@@ -407,3 +424,26 @@ def test_no_source_rejected(capsys):
     code, _, err = run(capsys, "hilbert", "-n", "2", "-D", "2")
     assert code == 2
     assert "no ideal" in err
+
+
+# The characters of the ideal grammar: variables, integers, operators,
+# separators, comments and whitespace.
+GRAMMAR_ALPHABET = "x0123456789^*/+-,#\n\t\r "
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["hilbert", "ezd"]),
+    text=st.text(alphabet=GRAMMAR_ALPHABET, max_size=40),
+    nvars=st.integers(1, 3),
+    bound=st.none() | st.integers(0, 4),
+)
+def test_no_input_gives_a_traceback(command, text, nvars, bound):
+    argv = [command, "-n", str(nvars)]
+    if bound is not None:
+        argv += ["-D", str(bound)]
+    # after "--" the text is the ideal even when it starts with "-"
+    argv += ["--", text]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)

@@ -40,7 +40,7 @@ def test_build_squares_bases():
 def test_build_zero_ideal():
     ring = build_quotient(parse_ideal("", 2), 2)
     assert ring.hilbert.values == (1, 2, 3)
-    assert not ring.artinian_within_bound
+    assert not ring.hilbert.artinian_within_bound
 
 
 def test_build_binomial_dims():
@@ -74,19 +74,15 @@ def test_normal_form_examples():
 
 
 def test_relation_subspace():
+    # every generator multiple of degree within the bound is zero in R
     spec = parse_ideal("x1^2, x1*x2 + x2^2", 2)
     ring = build_quotient(spec, 3)
     for d in range(4):
-        sub = ring.relation_subspace(d)
-        assert sub.dim + ring.dim(d) == len(monomials_of_degree(2, d))
-        # every generator multiple of matching degree lies in the span
         for g in spec.generators:
             if g.degree > d:
                 continue
             for m in monomials_of_degree(2, d - g.degree):
-                prod = HomogPoly.from_monomial(m) * g
-                vec = [prod.coefficient(mm) for mm in monomials_of_degree(2, d)]
-                assert sub.contains_vector(vec)
+                assert not any(ring.normal_form(HomogPoly.from_monomial(m) * g))
 
 
 def test_normal_form_out_of_bound():
@@ -191,8 +187,8 @@ def _assert_builds_agree(spec, bound, rng):
     assert fast.hilbert == slow.hilbert
     assert fast.top_degree == slow.top_degree
     for d in range(bound + 1):
-        assert fast.basis_monomials(d) == slow.basis_monomials(d)
-        assert fast.relation_subspace(d) == slow.relation_subspace(d)
+        assert fast.components[d].basis == slow.components[d].basis
+        assert fast.components[d].normal_forms == slow.components[d].normal_forms
         monos = monomials_of_degree(spec.nvars, d)
         p = HomogPoly(spec.nvars, d, [(m, rng.randint(-3, 3)) for m in monos])
         assert fast.normal_form(p) == slow.normal_form(p)

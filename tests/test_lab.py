@@ -21,7 +21,6 @@ from ezdlab.gradedring import build_quotient, default_bound
 from ezdlab.lab import (
     ScanConfig,
     check_split_support,
-    check_support_multiples,
     decompose_partner,
     enumerate_monomial_ideals,
     generic_form_probe,
@@ -41,6 +40,8 @@ from ezdlab.polyring import (
     parse_ideal,
     parse_poly,
 )
+
+from support_oracle import check_support_multiples
 
 F = Fraction
 
@@ -68,7 +69,7 @@ def _multiset_key(exps_list) -> tuple:
     return tuple(sorted((sum(e), tuple(-x for x in e)) for e in exps_list))
 
 
-def dfs_monomial_ideals(cfg):
+def dfs_monomial_ideals(cfg, artinian_only=True):
     """Include-first walk over every divisibility antichain with the Artinian
     and canonicity filters applied at the leaves: the enumeration oracle."""
     candidates = [
@@ -89,7 +90,7 @@ def dfs_monomial_ideals(cfg):
 
     def dfs(i, chosen):
         if i == len(candidates):
-            if chosen and (not cfg.require_artinian or artinian(chosen)) and (
+            if chosen and (not artinian_only or artinian(chosen)) and (
                 not cfg.symmetry_reduction or canonical(chosen)
             ):
                 yield tuple(m.exps for m in chosen)
@@ -107,11 +108,23 @@ def dfs_monomial_ideals(cfg):
 @pytest.mark.parametrize("artinian,symmetry", list(product([True, False], repeat=2)))
 @pytest.mark.parametrize("nvars,max_degree", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
 def test_enumerate_matches_dfs_oracle_in_order(nvars, max_degree, artinian, symmetry):
-    cfg = ScanConfig(nvars=nvars, max_degree=max_degree, require_artinian=artinian,
-                     symmetry_reduction=symmetry)
+    """The enumeration is the oracle's walk with its Artinian filter. Without
+    the filter the walk adds only ideals whose rings never vanish, which a
+    scan could only skip."""
+    cfg = ScanConfig(nvars=nvars, max_degree=max_degree, symmetry_reduction=symmetry)
     got = list(enumerate_monomial_ideals(cfg))
-    assert got == list(dfs_monomial_ideals(cfg))
     assert got
+    oracle = list(dfs_monomial_ideals(cfg, artinian_only=artinian))
+    if artinian:
+        assert got == oracle
+        return
+    kept = set(got)
+    assert [gens for gens in oracle if gens in kept] == got
+    dropped = [gens for gens in oracle if gens not in kept]
+    assert dropped
+    for gens in dropped:
+        ring = build_quotient(monomial_ideal(nvars, map(Monomial, gens)), max_degree + 2)
+        assert 0 not in ring.hilbert.values and not ring.complete
 
 
 def test_enumerate_two_vars_degree_two():

@@ -105,6 +105,12 @@ def test_parse_errors_carry_position():
         parse_poly("1/0", 2)
 
 
+@pytest.mark.parametrize("text", ["2*", "x1*", "x1* + x2", "x1*x2 - 3*"])
+def test_parse_rejects_dangling_star(text):
+    with pytest.raises(ParseError, match="expected a term"):
+        parse_poly(text, 2)
+
+
 def test_parse_comments_newlines_whitespace():
     text = """
     # squares of both variables
