@@ -241,8 +241,6 @@ def _env_workers() -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.family == "binomial" and (args.max_deg != 2 or args.no_symmetry):
-        raise ValueError("--max-deg and --no-symmetry apply to the monomial family only")
     workers = args.workers if args.workers is not None else _env_workers()
     cfg = ScanConfig(
         nvars=args.nvars,

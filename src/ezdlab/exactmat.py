@@ -210,32 +210,6 @@ class Subspace:
             dense.append(tuple(v))
         return tuple(dense)
 
-    def reduce(self, vector: Sequence) -> tuple:
-        """Residue of `vector` after eliminating along the canonical basis.
-
-        The residue is zero in every pivot column, and zero exactly when
-        the vector lies in the subspace. Entries may be ints or Fractions;
-        only the entries an elimination step touches become Fractions.
-        """
-        if len(vector) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        v = list(vector)
-        for pivot, rest in self.rows:
-            c = v[pivot]
-            if c:
-                v[pivot] = ZERO
-                for j, rj in rest:
-                    v[j] -= c * rj
-        return tuple(v)
-
-    def contains_vector(self, vector: Sequence) -> bool:
-        return not any(self.reduce(vector))
-
-    def contains(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return all(self.contains_vector(b) for b in other.basis)
-
 
 def kernel_basis(m: QMatrix) -> Subspace:
     """Canonical basis of the right null space {v : m v = 0}."""

@@ -254,8 +254,11 @@ def default_bound(spec: IdealSpec) -> int | None:
 
     With pure powers x_i^{a_i} among the generators no monomial outside
     them survives past degree sum(a_i - 1), in P/I as in P/(pure powers),
-    so this bound always witnesses the vanishing degree.
+    so this bound always witnesses the vanishing degree. A nonzero constant
+    generator makes P/I zero, so its bound is 0.
     """
+    if any(g.degree == 0 for g in spec.generators):
+        return 0
     powers = pure_power_exponents(spec)
     if powers is None:
         return None

@@ -512,8 +512,11 @@ def scan_binomial(cfg: ScanConfig) -> ScanReport:
     vanishes by no bound, are decided from exponent tuples before any ring
     is built; only Artinian candidates are built and checked against the
     bound. A payload is (index, exponents of J's generators, (f1, f2)
-    exponents).
+    exponents). The scan uses neither `max_degree` nor `symmetry_reduction`
+    yet the report echoes both, so only their defaults are accepted.
     """
+    if cfg.max_degree != 2 or not cfg.symmetry_reduction:
+        raise ValueError("max_degree and symmetry_reduction apply to the monomial family only")
     deg2 = [m.exps for m in monomials_of_degree(cfg.nvars, 2)]
     subsets = [
         tuple(e for i, e in enumerate(deg2) if mask >> i & 1) for mask in range(1 << len(deg2))

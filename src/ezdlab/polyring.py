@@ -14,17 +14,19 @@ Ideal text grammar
     ideal        generators separated by commas or newlines
     comments     ``#`` to end of line; whitespace is insignificant
 
-Parsing rejects non-homogeneous polynomials and reports syntax errors with
-line and column numbers.
+Integers and variable indices are ASCII digits ``0-9``. Any other character,
+a non-homogeneous polynomial and every other fault in the text (an integer
+too long for ``int`` among them) raise ParseError with its line and column.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -278,30 +280,20 @@ def make_ideal(nvars: int, gens: Iterable[HomogPoly]) -> IdealSpec:
     for g in gens:
         if g.nvars != nvars:
             raise ValueError("generator variable count does not match")
-        if g.is_zero():
-            continue
         if len(g.coeffs) == 1:
             (m, c), = g.coeffs.items()
             kept.append(g if c == 1 else HomogPoly.from_monomial(m))
-        else:
+        elif g.coeffs:
             kept.append(g)
 
-    if all(len(g.coeffs) == 1 for g in kept):
+    multi = [i for i, g in enumerate(kept) if len(g.coeffs) > 1]
+    if not multi:
         return IdealSpec(nvars, tuple(kept), IdealKind.MONOMIAL)
-
-    two_term = [i for i, g in enumerate(kept) if len(g.coeffs) == 2]
-    rest_single = all(len(g.coeffs) == 1 for i, g in enumerate(kept) if i not in two_term)
-    if len(two_term) == 1 and rest_single:
-        i = two_term[0]
-        g = kept[i]
-        (m1, c1), (m2, c2) = g.terms()
-        singles_deg2 = all(
-            kept[j].degree == 2 for j in range(len(kept)) if j != i
-        )
-        if c1 == c2 and g.degree == 2 and singles_deg2:
-            kept[i] = HomogPoly(nvars, 2, [(m1, ONE), (m2, ONE)])
-            return IdealSpec(nvars, tuple(kept), IdealKind.MONOMIAL_PLUS_ONE_BINOMIAL)
-
+    terms = kept[multi[0]].terms()
+    if (len(multi) == 1 and len(terms) == 2 and terms[0][1] == terms[1][1]
+            and all(g.degree == 2 for g in kept)):
+        kept[multi[0]] = HomogPoly(nvars, 2, [(m, ONE) for m, _ in terms])
+        return IdealSpec(nvars, tuple(kept), IdealKind.MONOMIAL_PLUS_ONE_BINOMIAL)
     return IdealSpec(nvars, tuple(kept), IdealKind.GENERAL)
 
 
@@ -358,66 +350,48 @@ def format_ideal(spec: IdealSpec) -> str:
 # parsing
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # int, var, ^, *, /, +, -, sep
+class _Token(NamedTuple):
+    kind: str  # int, var, or the operator itself: ^ * / + -
     text: str
     line: int
     col: int
+    value: int | None  # the integer, or the variable's index
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            toks.append(_Token("sep", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch == ",":
-            toks.append(_Token("sep", ",", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in "+-*/^":
-            toks.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            start, c0 = i, col
-            while i < n and text[i].isdigit():
-                i += 1
-                col += 1
-            toks.append(_Token("int", text[start:i], line, c0))
-            continue
-        if ch == "x":
-            start, c0 = i, col
-            i += 1
-            col += 1
-            d0 = i
-            while i < n and text[i].isdigit():
-                i += 1
-                col += 1
-            if i == d0:
-                raise ParseError("expected a variable like x1", line, c0)
-            toks.append(_Token("var", text[start:i], line, c0))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    return toks
+# One named group per token kind; `bad` takes any character no other group
+# starts with. Digits are ASCII only.
+_TOKEN = re.compile(
+    r"(?P<sep>[,\n])|(?P<skip>[ \t\r]+|#[^\n]*)|(?P<int>[0-9]+)|x(?P<var>[0-9]+)"
+    r"|(?P<op>[-+*/^])|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
+def _tokenize(text: str) -> list[list[_Token]]:
+    """Tokens of each comma- or newline-separated segment, empty ones dropped."""
+    segments: list[list[_Token]] = [[]]
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, tok_text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "sep":
+            if segments[-1]:
+                segments.append([])
+            if tok_text == "\n":
+                line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            if tok_text == "x":
+                raise ParseError("expected a variable like x1", line, col)
+            raise ParseError(f"unexpected character {tok_text!r}", line, col)
+        elif kind == "op":
+            segments[-1].append(_Token(tok_text, tok_text, line, col, None))
+        elif kind != "skip":
+            digits = m.group(kind)
+            try:
+                value = int(digits)
+            except ValueError:  # longer than Python's int string conversion limit
+                raise ParseError(f"integer too long ({len(digits)} digits)", line, col) from None
+            segments[-1].append(_Token(kind, tok_text, line, col, value))
+    return segments if segments[-1] else segments[:-1]
 
 
 class _PolyParser:
@@ -437,26 +411,25 @@ class _PolyParser:
         self.pos += 1
         return tok
 
+    def accept(self, kind: str) -> bool:
+        tok = self.peek()
+        if tok is None or tok.kind != kind:
+            return False
+        self.pos += 1
+        return True
+
     def parse_poly(self) -> HomogPoly:
-        if not self.toks:
-            raise ParseError("empty polynomial", 1, 1)
-        coeffs: dict[Monomial, Fraction] = {}
+        terms: list[tuple[Monomial, Fraction]] = []
         degree: int | None = None
-        first = True
-        while self.peek() is not None:
-            tok = self.peek()
-            sign = ONE
-            if tok.kind in "+-":
-                self.take()
-                sign = ONE if tok.kind == "+" else -ONE
-            elif not first:
+        while (tok := self.peek()) is not None:
+            if tok.kind in ("+", "-"):
+                self.pos += 1
+                if self.peek() is None:
+                    raise ParseError("dangling sign", tok.line, tok.col)
+            elif terms:
                 raise ParseError(f"expected '+' or '-', found {tok.text!r}", tok.line, tok.col)
             start = self.peek()
-            if start is None:
-                last = self.toks[-1]
-                raise ParseError("dangling sign", last.line, last.col)
             coeff, mono = self.parse_term()
-            coeff *= sign
             if degree is None:
                 degree = mono.degree
             elif mono.degree != degree:
@@ -465,98 +438,61 @@ class _PolyParser:
                     start.line,
                     start.col,
                 )
-            if coeff:
-                coeffs[mono] = coeffs.get(mono, ZERO) + coeff
-                if not coeffs[mono]:
-                    del coeffs[mono]
-            first = False
-        return HomogPoly(self.nvars, degree, coeffs)
+            terms.append((mono, -coeff if tok.kind == "-" else coeff))
+        # HomogPoly adds up repeated monomials and drops zero coefficients.
+        return HomogPoly(self.nvars, degree, terms)
 
     def parse_term(self) -> tuple[Fraction, Monomial]:
         coeff = ONE
         exps = [0] * self.nvars
-        need_factor = True  # at the start and after every '*'
-        while True:
+        while True:  # a factor at the start and after every '*'
             tok = self.peek()
-            if tok is None or tok.kind in "+-":
-                break
-            coeff, exps = self.parse_factor(coeff, exps)
-            need_factor = False
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "*":
-                self.take()
-                need_factor = True
-                continue
-            break
-        if need_factor:
-            tok = self.peek() or self.toks[-1]
-            raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
-        return coeff, Monomial(tuple(exps))
+            if tok is None or tok.kind in ("+", "-"):
+                tok = tok or self.toks[-1]
+                raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
+            coeff = self.parse_factor(coeff, exps)
+            if not self.accept("*"):
+                return coeff, Monomial(tuple(exps))
 
-    def parse_factor(self, coeff: Fraction, exps: list[int]) -> tuple[Fraction, list[int]]:
+    def parse_factor(self, coeff: Fraction, exps: list[int]) -> Fraction:
+        """Fold one factor into `coeff` (returned) and `exps` (in place)."""
         tok = self.take()
         if tok.kind == "int":
-            num = int(tok.text)
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "/":
-                self.take()
-                den_tok = self.take()
-                if den_tok.kind != "int":
-                    raise ParseError("expected an integer denominator", den_tok.line, den_tok.col)
-                den = int(den_tok.text)
-                if den == 0:
-                    raise ParseError("zero denominator", den_tok.line, den_tok.col)
-                return coeff * Fraction(num, den), exps
-            return coeff * num, exps
+            if not self.accept("/"):
+                return coeff * tok.value
+            den = self.take()
+            if den.kind != "int":
+                raise ParseError("expected an integer denominator", den.line, den.col)
+            if den.value == 0:
+                raise ParseError("zero denominator", den.line, den.col)
+            return coeff * Fraction(tok.value, den.value)
         if tok.kind == "var":
-            idx = int(tok.text[1:])
-            if not (1 <= idx <= self.nvars):
+            if not 1 <= tok.value <= self.nvars:
                 raise ParseError(
                     f"unknown variable {tok.text} (expected x1..x{self.nvars})", tok.line, tok.col
                 )
             power = 1
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "^":
-                self.take()
+            if self.accept("^"):
                 e_tok = self.take()
                 if e_tok.kind != "int":
                     raise ParseError("expected an integer exponent", e_tok.line, e_tok.col)
-                power = int(e_tok.text)
-            exps = list(exps)
-            exps[idx - 1] += power
-            return coeff, exps
+                power = e_tok.value
+            exps[tok.value - 1] += power
+            return coeff
         raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
 
 
 def parse_poly(text: str, nvars: int) -> HomogPoly:
     """Parse a single homogeneous polynomial."""
-    toks = _tokenize(text)
-    segments = _split_segments(toks)
-    if len(segments) != 1:
-        if not segments:
-            raise ParseError("empty polynomial", 1, 1)
+    segments = _tokenize(text)
+    if not segments:
+        raise ParseError("empty polynomial", 1, 1)
+    if len(segments) > 1:
         extra = segments[1][0]
         raise ParseError("expected a single polynomial", extra.line, extra.col)
     return _PolyParser(segments[0], nvars).parse_poly()
 
 
-def _split_segments(toks: list[_Token]) -> list[list[_Token]]:
-    segments: list[list[_Token]] = []
-    current: list[_Token] = []
-    for tok in toks:
-        if tok.kind == "sep":
-            if current:
-                segments.append(current)
-                current = []
-        else:
-            current.append(tok)
-    if current:
-        segments.append(current)
-    return segments
-
-
 def parse_ideal(text: str, nvars: int) -> IdealSpec:
     """Parse a comma/newline separated generator list into an IdealSpec."""
-    toks = _tokenize(text)
-    gens = [_PolyParser(seg, nvars).parse_poly() for seg in _split_segments(toks)]
-    return make_ideal(nvars, gens)
+    return make_ideal(nvars, [_PolyParser(seg, nvars).parse_poly() for seg in _tokenize(text)])

@@ -189,6 +189,12 @@ def test_hilbert_unit_ideal_is_artinian(capsys):
     assert payload["artinian_within_bound"] is True
 
 
+def test_hilbert_unit_ideal_default_bound(capsys):
+    # the bound -D 0 gives, found without -D
+    assert run(capsys, "hilbert", "-n", "2", "1") == (
+        0, "H(0..0): 0\nartinian: yes (top degree -1)\n", "")
+
+
 MIXED_ARTINIAN = "x1^2, x2^2, x3^2, x1*x2 + x2*x3"
 
 
@@ -341,7 +347,7 @@ def test_scan_binomial_rejects_monomial_options(capsys, flags):
     code, out, err = run(capsys, "scan", "binomial", "-n", "2", *flags)
     assert code == 2
     assert out == ""
-    assert err == "error: --max-deg and --no-symmetry apply to the monomial family only\n"
+    assert err == "error: max_degree and symmetry_reduction apply to the monomial family only\n"
 
 
 def test_scan_binomial_accepts_default_max_deg(capsys):

@@ -27,6 +27,7 @@ from ezdlab.polyring import (
     parse_ideal,
     parse_poly,
 )
+from subspace_oracle import reduce_vector
 
 
 def test_build_squares_bases():
@@ -128,6 +129,9 @@ def test_default_bound():
     assert default_bound(parse_ideal("x1^2, x2^2, x3^2, x1*x2 + x2*x3", 3)) == 4
     assert default_bound(parse_ideal("x1^3, x2^2, x1^2 + 2*x1*x2", 2)) == 4
     assert default_bound(parse_ideal("x1^2, x1*x2 + x2^2", 2)) is None
+    # a nonzero constant generator makes the ring zero from degree 0 on
+    assert default_bound(parse_ideal("1", 2)) == 0
+    assert default_bound(parse_ideal("x1*x2, -3", 2)) == 0
 
 
 def _random_monomial_spec(rng, nvars, max_degree):
@@ -173,7 +177,7 @@ def _reduced_normal_form(spec, p):
         for m in monomials_of_degree(spec.nvars, p.degree - g.degree)
     ]
     relations = Subspace.from_vectors(len(monos), ([q.coefficient(m) for m in monos] for q in multiples))
-    v = relations.reduce([p.coefficient(m) for m in monos])
+    v = reduce_vector(relations, [p.coefficient(m) for m in monos])
     pivots = {pivot for pivot, _ in relations.rows}
     free = [j for j in range(len(monos)) if j not in pivots]
     return tuple(monos[j] for j in free), tuple(v[j] for j in free)

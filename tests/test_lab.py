@@ -329,6 +329,15 @@ def test_binomial_skips_build_nothing(monkeypatch):
     assert all(s.kind is polyring.IdealKind.MONOMIAL for s in built if s not in candidates)
 
 
+@pytest.mark.parametrize("options", [{"max_degree": 4}, {"symmetry_reduction": False}])
+def test_scan_binomial_rejects_monomial_options(monkeypatch, options):
+    """The scan uses neither option, which its report would echo, so it
+    refuses both before any candidate runs."""
+    monkeypatch.setattr(lab, "_run_scan", lambda *args: pytest.fail("a candidate ran"))
+    with pytest.raises(ValueError, match="^max_degree and symmetry_reduction apply to the monomial family only$"):
+        scan_binomial(ScanConfig(nvars=2, **options))
+
+
 def test_binomial_ideal_text_matches_format_ideal():
     """Each record's ideal text, formatted from exponents, is format_ideal's."""
     report = scan_binomial(ScanConfig(3, seed=1))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ezdlab.polyring import (
     HomogPoly,
@@ -103,6 +103,67 @@ def test_parse_errors_carry_position():
         parse_poly("x9", 2)
     with pytest.raises(ParseError):
         parse_poly("1/0", 2)
+
+
+# One malformed input per ParseError message: (reader, text, message, line, column).
+PARSE_ERROR_GOLDEN = [
+    (parse_poly, "x1 + ?", "unexpected character '?'", 1, 6),
+    (parse_poly, "x1 +\n  xa", "expected a variable like x1", 2, 3),
+    (parse_poly, "  # only a comment", "empty polynomial", 1, 1),
+    (parse_poly, "x1, x2", "expected a single polynomial", 1, 5),
+    (parse_ideal, "x1^2,\n\tx2^2 - 2/", "unexpected end of input", 2, 11),
+    (parse_poly, "x1 x2", "expected '+' or '-', found 'x2'", 1, 4),
+    (parse_poly, "x1 +", "dangling sign", 1, 4),
+    (parse_ideal, "x1^2,\n x2^2 # c\n x1*x2 + x2", "term of degree 1 in a polynomial of degree 2", 3, 10),
+    (parse_poly, "x1 + - x2", "expected a term, found '-'", 1, 6),
+    (parse_poly, "1/x1", "expected an integer denominator", 1, 3),
+    (parse_poly, "1/0*x1", "zero denominator", 1, 3),
+    (parse_poly, "x3", "unknown variable x3 (expected x1..x2)", 1, 1),
+    (parse_poly, "x1^x2", "expected an integer exponent", 1, 4),
+    (parse_poly, "x1*^2", "unexpected '^'", 1, 4),
+]
+
+
+@pytest.mark.parametrize("read, text, message, line, col", PARSE_ERROR_GOLDEN)
+def test_parse_error_golden(read, text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        read(text, 2)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"line {line}, column {col}: {message}", line, col)
+
+
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("x1^\u00b2", "unexpected character '\u00b2'", 1, 4),
+    ("x1^\u0663", "unexpected character '\u0663'", 1, 4),
+    ("x\u0663", "expected a variable like x1", 1, 1),
+    (f"{LONG}*x1", "integer too long (5000 digits)", 1, 1),
+    (f"x1 + 1/{LONG}*x2", "integer too long (5000 digits)", 1, 8),
+    (f"x1^2 +\n x2^{LONG}", "integer too long (5000 digits)", 2, 5),
+    (f"x{LONG}", "integer too long (5000 digits)", 1, 1),
+], ids=["superscript", "arabic-indic", "arabic-indic-index",
+        "long-coefficient", "long-denominator", "long-exponent", "long-index"])
+def test_parse_error_beyond_ascii_digits(text, message, line, col):
+    # Integers are ASCII 0-9 only, and one longer than Python's string
+    # conversion limit is a positioned error, not int()'s ValueError.
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, 2)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"line {line}, column {col}: {message}", line, col)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.text(max_size=40), st.integers(1, 3))
+@example("x1^\u00b2, x2^2", 2)
+@example(LONG, 2)
+def test_any_text_parses_or_raises_parse_error(text, nvars):
+    for read in (parse_ideal, parse_poly):
+        try:
+            read(text, nvars)
+        except ParseError:
+            pass
 
 
 @pytest.mark.parametrize("text", ["2*", "x1*", "x1* + x2", "x1*x2 - 3*"])
