@@ -105,7 +105,11 @@ def test_parse_errors_carry_position():
         parse_poly("1/0", 2)
 
 
-# One malformed input per ParseError message: (reader, text, message, line, column).
+LONG = "1" * 5000
+
+# One malformed input per ParseError message: (reader, text, message, line,
+# column). Integers are ASCII 0-9 only, and one longer than Python's string
+# conversion limit is a positioned error too, not int()'s ValueError.
 PARSE_ERROR_GOLDEN = [
     (parse_poly, "x1 + ?", "unexpected character '?'", 1, 6),
     (parse_poly, "x1 +\n  xa", "expected a variable like x1", 2, 3),
@@ -121,6 +125,17 @@ PARSE_ERROR_GOLDEN = [
     (parse_poly, "x3", "unknown variable x3 (expected x1..x2)", 1, 1),
     (parse_poly, "x1^x2", "expected an integer exponent", 1, 4),
     (parse_poly, "x1*^2", "unexpected '^'", 1, 4),
+    (parse_poly, "x1^\u00b2", "unexpected character '\u00b2'", 1, 4),
+    (parse_poly, "x1^\u0663", "unexpected character '\u0663'", 1, 4),
+    (parse_poly, "x\u0663", "expected a variable like x1", 1, 1),
+    pytest.param(parse_poly, f"{LONG}*x1", "integer too long (5000 digits)", 1, 1,
+                 id="long-coefficient"),
+    pytest.param(parse_poly, f"x1 + 1/{LONG}*x2", "integer too long (5000 digits)", 1, 8,
+                 id="long-denominator"),
+    pytest.param(parse_ideal, f"x1^2,\n x2^{LONG}", "integer too long (5000 digits)", 2, 5,
+                 id="long-exponent"),
+    pytest.param(parse_poly, f"x{LONG}", "integer too long (5000 digits)", 1, 1,
+                 id="long-index"),
 ]
 
 
@@ -128,28 +143,6 @@ PARSE_ERROR_GOLDEN = [
 def test_parse_error_golden(read, text, message, line, col):
     with pytest.raises(ParseError) as err:
         read(text, 2)
-    assert (str(err.value), err.value.line, err.value.col) == (
-        f"line {line}, column {col}: {message}", line, col)
-
-
-LONG = "1" * 5000
-
-
-@pytest.mark.parametrize("text, message, line, col", [
-    ("x1^\u00b2", "unexpected character '\u00b2'", 1, 4),
-    ("x1^\u0663", "unexpected character '\u0663'", 1, 4),
-    ("x\u0663", "expected a variable like x1", 1, 1),
-    (f"{LONG}*x1", "integer too long (5000 digits)", 1, 1),
-    (f"x1 + 1/{LONG}*x2", "integer too long (5000 digits)", 1, 8),
-    (f"x1^2 +\n x2^{LONG}", "integer too long (5000 digits)", 2, 5),
-    (f"x{LONG}", "integer too long (5000 digits)", 1, 1),
-], ids=["superscript", "arabic-indic", "arabic-indic-index",
-        "long-coefficient", "long-denominator", "long-exponent", "long-index"])
-def test_parse_error_beyond_ascii_digits(text, message, line, col):
-    # Integers are ASCII 0-9 only, and one longer than Python's string
-    # conversion limit is a positioned error, not int()'s ValueError.
-    with pytest.raises(ParseError) as err:
-        parse_poly(text, 2)
     assert (str(err.value), err.value.line, err.value.col) == (
         f"line {line}, column {col}: {message}", line, col)
 
