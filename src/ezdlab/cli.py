@@ -30,7 +30,9 @@ from .ezd import (
     yoshino_conditions,
 )
 from .gradedring import build_quotient, default_bound, is_artinian_within
-from .lab import ScanConfig, power_ideal_example, scan_binomial, scan_monomial
+from .lab import (
+    BINOMIAL_DEFAULT_BOUND, ScanConfig, power_ideal_example, scan_binomial, scan_monomial,
+)
 from .polyring import format_ideal, format_poly, parse_ideal, parse_poly
 
 SCHEMA_VERSION = 1
@@ -245,7 +247,6 @@ def cmd_scan(args) -> int:
     cfg = ScanConfig(
         nvars=args.nvars,
         max_degree=args.max_deg,
-        bound=args.bound,
         symmetry_reduction=not args.no_symmetry,
         seed=args.seed,
         trials=args.trials,
@@ -257,15 +258,22 @@ def cmd_scan(args) -> int:
         sys.stdout.write(_scan_text(report, args))
     else:
         # Opened before the scan, so an unwritable path costs no scan time, and
-        # for appending, so a failed scan leaves an existing file as it was.
+        # for appending, so a failed scan leaves an existing file as it was and
+        # removes one it created.
+        created = not os.path.exists(args.out)
         try:
             fh = open(args.out, "a", encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
-        with fh:
-            report = scan(cfg)
-            fh.truncate(0)
-            fh.write(_scan_text(report, args))
+        try:
+            with fh:
+                report = scan(cfg)
+                fh.truncate(0)
+                fh.write(_scan_text(report, args))
+        except BaseException:
+            if created:
+                os.remove(args.out)
+            raise
         print(f"wrote {args.out}: {report.examined} instances, "
               f"{len(report.counterexamples)} counterexamples")
     return 0 if report.passes else 1
@@ -346,11 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ring_arguments(p)
     p.set_defaults(func=cmd_yoshino)
 
-    p = sub.add_parser("scan", help="exhaustive family scan")
+    p = sub.add_parser(
+        "scan",
+        help="exhaustive family scan",
+        description="Exhaustive family scan. Scans take no -D: each family fixes the degree "
+                    "its rings are built to, the socle bound of each monomial ideal and "
+                    f"{BINOMIAL_DEFAULT_BOUND} for the binomial family.",
+    )
     p.add_argument("family", choices=["monomial", "binomial"])
     p.add_argument("-n", "--nvars", type=int, required=True)
     p.add_argument("--max-deg", type=int, default=2, help="max generator degree (monomial family)")
-    p.add_argument("-D", "--bound", type=int, default=None)
     p.add_argument("--trials", type=int, default=3,
                    help="sampled linear forms per instance (binomial family; the monomial "
                         "family is decided exactly through the all-ones form)")

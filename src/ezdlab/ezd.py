@@ -256,43 +256,37 @@ class GenericVerdict:
         }
 
 
+def trial_decision(successes: int, trials: int) -> GenericDecision:
+    """Yes when every trial found an exact pair, no when none did, and
+    inconclusive otherwise: mixed outcomes are never resolved by majority."""
+    if successes == trials:
+        return GenericDecision.GENERICALLY_YES
+    return GenericDecision.INCONCLUSIVE if successes else GenericDecision.NO
+
+
 def generic_ezd_decision(ring: GradedQuotient, trials: int = 3, seed: int = 0) -> GenericVerdict:
     """Decide whether a generic linear form is part of an exact pair.
 
     Monomial ideals admit a deterministic reduction: rescaling variables is
     a ring automorphism, so the all-ones form stands in for every form with
-    all coefficients nonzero and the answer is exact. Other ideals are
-    sampled `trials` times with independent large random coefficients;
-    mixed outcomes are reported inconclusive, never resolved by majority.
+    all coefficients nonzero and the answer is exact, from one trial. Other
+    ideals are sampled `trials` times with independent large random
+    coefficients and decided by `trial_decision`.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if not ring.complete:
         raise ValueError("ring does not vanish within the degree bound; raise the bound")
-    if ring.spec.kind is IdealKind.MONOMIAL:
-        ell = linear_form([1] * ring.nvars)
-        found = find_ezd_complement(ring, ell)
-        if found is None:
-            return GenericVerdict(GenericDecision.NO, None, 1, seed, True)
-        q, report = found
-        return GenericVerdict(GenericDecision.GENERICALLY_YES, q, 1, seed, True, report)
-
-    successes = 0
-    witness = None
-    witness_report = None
-    for t in range(trials):
-        ell = generic_linear_form(ring.nvars, derived_seed(seed, t))
-        found = find_ezd_complement(ring, ell)
-        if found is not None:
-            successes += 1
-            witness, witness_report = found
-    if successes == trials:
-        return GenericVerdict(
-            GenericDecision.GENERICALLY_YES, witness, trials, seed, False, witness_report
-        )
-    if successes == 0:
-        return GenericVerdict(GenericDecision.NO, None, trials, seed, False)
-    return GenericVerdict(GenericDecision.INCONCLUSIVE, witness, trials, seed, False, witness_report)
+    exact = ring.spec.kind is IdealKind.MONOMIAL
+    if exact:
+        forms = [linear_form([1] * ring.nvars)]
+    else:
+        forms = [generic_linear_form(ring.nvars, derived_seed(seed, t)) for t in range(trials)]
+    pairs = [find_ezd_complement(ring, ell) for ell in forms]
+    found = [pair for pair in pairs if pair is not None]
+    witness, report = found[-1] if found else (None, None)
+    decision = trial_decision(len(found), len(forms))
+    return GenericVerdict(decision, witness, len(forms), seed, exact, report)
 
 
 @dataclass(frozen=True)

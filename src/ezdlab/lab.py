@@ -45,6 +45,7 @@ from .ezd import (
     generic_ezd_decision,
     generic_linear_form,
     is_ezd_pair,
+    trial_decision,
 )
 from .gradedring import GradedQuotient, build_quotient, default_bound
 from .polyring import (
@@ -62,15 +63,17 @@ from .polyring import (
 )
 
 BINOMIAL_DEFAULT_BOUND = 6  # vanishing cap for the degree-2 family
+_NONVANISHING = f"does not vanish by degree {BINOMIAL_DEFAULT_BOUND}"
 
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Configuration shared by the family scans."""
+    """Configuration shared by the family scans. There is no degree bound:
+    a monomial ideal's ring is built to its socle bound `default_bound`, a
+    binomial candidate's to `BINOMIAL_DEFAULT_BOUND`."""
 
     nvars: int
     max_degree: int = 2
-    bound: int | None = None
     symmetry_reduction: bool = True
     seed: int = 0
     trials: int = 3
@@ -81,8 +84,6 @@ class ScanConfig:
             raise ValueError("need at least two variables")
         if self.max_degree < 2:
             raise ValueError("max generator degree must be at least 2")
-        if self.bound is not None and self.bound < self.max_degree:
-            raise ValueError("bound must be at least the max generator degree")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.workers < 1:
@@ -90,9 +91,11 @@ class ScanConfig:
 
     def echo(self) -> dict:
         # Workers are an execution detail and stay out of serialized reports.
-        # Scans examine Artinian ideals only; schema 1 still records that.
+        # Scans examine Artinian ideals only, each built to the bound its
+        # family fixes; schema 1 still records both.
         out = asdict(self)
         del out["workers"]
+        out["bound"] = None
         out["require_artinian"] = True
         return out
 
@@ -305,11 +308,9 @@ def _monomial_task(cfg: ScanConfig, payload: tuple[int, tuple]):
     spec = monomial_ideal(cfg.nvars, monos)
     # format_ideal's text: every generator of a monomial ideal has coefficient 1
     text = ", ".join(map(format_monomial, monos))
-    # enumeration emits Artinian ideals only, so the default bound exists
-    bound = cfg.bound if cfg.bound is not None else default_bound(spec)
-    ring = build_quotient(spec, bound)
-    if not ring.complete:
-        return SkippedInstance(idx, text, f"does not vanish by degree {bound}")
+    # enumeration emits Artinian ideals only, so the socle bound exists and
+    # the ring vanishes by it
+    ring = build_quotient(spec, default_bound(spec))
     verdict = generic_ezd_decision(ring, cfg.trials, derived_seed(cfg.seed, idx))
     witness = verdict.witness
     if verdict.decision is GenericDecision.GENERICALLY_YES:
@@ -418,102 +419,72 @@ def _binomial_task(cfg: ScanConfig, payload: tuple[int, tuple, tuple]):
     text = ", ".join([*map(format_monomial, j_monos), binomial])
     if f1 in j_exps or f2 in j_exps:
         return SkippedInstance(idx, text, "binomial collapses to a monomial modulo J")
-    bound = cfg.bound if cfg.bound is not None else BINOMIAL_DEFAULT_BOUND
     # a non-Artinian ring vanishes by no bound, so it is skipped unbuilt
     if not _binomial_is_artinian(cfg.nvars, j_exps, f1, f2):
-        return SkippedInstance(idx, text, f"does not vanish by degree {bound}")
+        return SkippedInstance(idx, text, _NONVANISHING)
     gens = [HomogPoly.from_monomial(m) for m in j_monos]
     gens.append(HomogPoly(cfg.nvars, 2, [(Monomial(f1), 1), (Monomial(f2), 1)]))
     spec = make_ideal(cfg.nvars, gens)
-    ring = build_quotient(spec, bound)
+    ring = build_quotient(spec, BINOMIAL_DEFAULT_BOUND)
     if not ring.complete:
-        return SkippedInstance(idx, text, f"does not vanish by degree {bound}")
+        return SkippedInstance(idx, text, _NONVANISHING)
     n = cfg.nvars
     r1, r2 = ring.dim(1), ring.dim(2)
     boundary = r2 == n - 1
     instance_seed = derived_seed(cfg.seed, idx)
-    ann1_dims = []
-    deg1_found = 0
-    witness = None
-    decompose_ok: bool | None = None
-    support_ok: bool | None = None
-    colon_ok = True
-    counterexamples: list[Counterexample] = []
+    # per-trial outcomes: colon identities, ann1 dims, degree-1 partners, and
+    # for each partner its split and that split's support check
+    colon_ok, ann1_dims, partners, splits_ok, supports_ok = [], [], [], [], []
+    faults: list[str] = []
     for t in range(cfg.trials):
         ell = generic_linear_form(n, derived_seed(instance_seed, t))
         lhs, rhs = colon_identity_dims(ring, ell)
+        colon_ok.append(lhs == rhs)
         if lhs != rhs:
-            colon_ok = False
-            counterexamples.append(
-                Counterexample(idx, text, f"colon identity failed: {lhs} != {rhs}")
-            )
+            faults.append(f"colon identity failed: {lhs} != {rhs}")
         # rhs = dim R_2 - rank(ell: R_1 -> R_2), so dim Ann(ell)_1 = r1 - r2 + rhs
         ann1_dims.append(r1 - r2 + rhs)
         found = find_ezd_complement(ring, ell)
         if found is None or found[0].degree != 1:
             continue
         q = found[0]
-        deg1_found += 1
-        witness = q
+        partners.append(q)
         if not boundary:
-            counterexamples.append(
-                Counterexample(
-                    idx, text,
-                    f"dim R_2 = {r2} != {n - 1} yet {format_poly(ell)} has the verified "
-                    f"degree-1 partner {format_poly(q)}",
-                )
+            faults.append(
+                f"dim R_2 = {r2} != {n - 1} yet {format_poly(ell)} has the verified "
+                f"degree-1 partner {format_poly(q)}"
             )
         split = decompose_partner(spec, ell, q)
+        splits_ok.append(split is not None)
         if split is None:
-            decompose_ok = False
-            counterexamples.append(
-                Counterexample(idx, text, f"partner split failed for {format_poly(ell)}")
-            )
-        else:
-            if decompose_ok is None:
-                decompose_ok = True
-            bad = check_split_support(spec, ell, split.q1, split.q2)
-            if bad:
-                support_ok = False
-                counterexamples.append(
-                    Counterexample(idx, text, f"split support check failed: {bad[0]}")
-                )
-            elif support_ok is None:
-                support_ok = True
-    if deg1_found == cfg.trials:
-        decision = GenericDecision.GENERICALLY_YES
-    elif deg1_found == 0:
-        decision = GenericDecision.NO
-    else:
-        decision = GenericDecision.INCONCLUSIVE
+            faults.append(f"partner split failed for {format_poly(ell)}")
+            continue
+        bad = check_split_support(spec, ell, split.q1, split.q2)
+        supports_ok.append(not bad)
+        if bad:
+            faults.append(f"split support check failed: {bad[0]}")
     record = BinomialInstance(
-        idx,
-        text,
-        ring.hilbert.values,
-        r2,
-        boundary,
-        decision.value,
-        tuple(ann1_dims),
-        deg1_found,
-        format_poly(witness) if witness is not None else None,
-        decompose_ok,
-        support_ok,
-        colon_ok,
+        idx, text, ring.hilbert.values, r2, boundary,
+        trial_decision(len(partners), cfg.trials).value, tuple(ann1_dims), len(partners),
+        format_poly(partners[-1]) if partners else None,
+        all(splits_ok) if splits_ok else None, all(supports_ok) if supports_ok else None,
+        all(colon_ok),
     )
-    return record, counterexamples
+    return record, [Counterexample(idx, text, reason) for reason in faults]
 
 
 def scan_binomial(cfg: ScanConfig) -> ScanReport:
     """Scan J + (f1 + f2) with J and f1, f2 in degree 2, f1 != f2.
 
     Instances whose binomial collapses modulo J (some f_i already in J) are
-    recorded as skipped, as are quotients that fail to vanish by the bound.
-    A collapse and a non-Artinian quotient (`_binomial_is_artinian`), which
-    vanishes by no bound, are decided from exponent tuples before any ring
-    is built; only Artinian candidates are built and checked against the
-    bound. A payload is (index, exponents of J's generators, (f1, f2)
-    exponents). The scan uses neither `max_degree` nor `symmetry_reduction`
-    yet the report echoes both, so only their defaults are accepted.
+    recorded as skipped, as are quotients that fail to vanish by the fixed
+    bound `BINOMIAL_DEFAULT_BOUND`. A collapse and a non-Artinian quotient
+    (`_binomial_is_artinian`), which vanishes by no bound, are decided from
+    exponent tuples before any ring is built; only Artinian candidates are
+    built and checked against the bound. A payload is (index, exponents of
+    J's generators, (f1, f2) exponents). The scan uses neither `max_degree`
+    nor `symmetry_reduction` yet the report echoes both, so only their
+    defaults are accepted.
     """
     if cfg.max_degree != 2 or not cfg.symmetry_reduction:
         raise ValueError("max_degree and symmetry_reduction apply to the monomial family only")

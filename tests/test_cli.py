@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -253,7 +254,38 @@ def test_scan_json_and_worker_determinism(capsys):
     payload = json.loads(out1)
     assert payload["schema_version"] == 1
     assert payload["counterexamples"] == []
-    assert "workers" not in payload["config"]
+    # schema 1's config: no workers, and the two fixed settings still echoed
+    assert payload["config"] == {
+        "nvars": 3, "max_degree": 3, "bound": None, "symmetry_reduction": True,
+        "seed": 7, "trials": 3, "require_artinian": True,
+    }
+
+
+def test_binomial_scan_json_and_worker_determinism(capsys):
+    args = ["scan", "binomial", "-n", "3", "--seed", "5", "--trials", "2",
+            "--format", "json", "--full"]
+    code1, out1, _ = run(capsys, *args, "--workers", "1")
+    code2, out2, _ = run(capsys, *args, "--workers", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    payload = json.loads(out1)
+    assert payload["schema_version"] == 1
+    assert payload["counterexamples"] == []
+    assert payload["config"] == {
+        "nvars": 3, "max_degree": 2, "bound": None, "symmetry_reduction": True,
+        "seed": 5, "trials": 2, "require_artinian": True,
+    }
+
+
+def test_scan_takes_no_bound(capsys):
+    # each family fixes the degree its rings are built to
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "monomial", "-n", "2", "-D", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ezdlab")
+    assert "error: unrecognized arguments: -D 3" in captured.err
 
 
 def test_scan_monomial_csv(capsys):
@@ -328,11 +360,12 @@ def test_internal_fault_exits_3(tmp_path, capsys, monkeypatch):
 def test_failed_scan_keeps_existing_out(tmp_path, capsys):
     target = tmp_path / "report.json"
     target.write_text("an earlier report\n" * 1000)
+    # scan_binomial refuses the option after --out is opened
     code, _, err = run(
-        capsys, "scan", "monomial", "-n", "3", "--max-deg", "2", "-D", "100", "--out", str(target)
+        capsys, "scan", "binomial", "-n", "2", "--max-deg", "3", "--out", str(target)
     )
     assert code == 2
-    assert "more than the cap" in err
+    assert "apply to the monomial family only" in err
     assert target.read_text() == "an earlier report\n" * 1000
     # a scan that succeeds replaces the whole file, however long it was
     code, _, _ = run(
@@ -340,6 +373,17 @@ def test_failed_scan_keeps_existing_out(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(target.read_text())["examined"] == 2
+
+
+def test_failed_scan_removes_out_it_created(tmp_path, capsys):
+    target = tmp_path / "new.json"
+    code, out, err = run(
+        capsys, "scan", "binomial", "-n", "2", "--max-deg", "3", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert "apply to the monomial family only" in err
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("flags", [["--max-deg", "3"], ["--no-symmetry"]])
@@ -354,6 +398,21 @@ def test_scan_binomial_accepts_default_max_deg(capsys):
     explicit = run(capsys, "scan", "binomial", "-n", "2", "--max-deg", "2", "--format", "json")
     assert explicit == run(capsys, "scan", "binomial", "-n", "2", "--format", "json")
     assert explicit[0] == 0
+
+
+def test_readme_commands_run(capsys):
+    """Every `ezdlab` line of the README's command block runs through the
+    parser to exit 0 or 1, so the examples cannot drift from the options."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines() if line.startswith("ezdlab ")]
+    assert lines
+    for line in lines:
+        try:
+            code, _, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        except SystemExit as exc:
+            pytest.fail(f"{line!r} exits {exc.code} in the parser")
+        assert code in (0, 1), (line, err)
+        assert "Traceback" not in err, line
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])

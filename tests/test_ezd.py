@@ -21,6 +21,7 @@ from ezdlab.ezd import (
     mult_map,
     principal_ideal_degree,
     socle_dims,
+    trial_decision,
     wlp_check,
     yoshino_conditions,
 )
@@ -387,6 +388,14 @@ def test_generic_decision_no():
     v = generic_ezd_decision(DROP2)
     assert v.decision is GenericDecision.NO
     assert v.exact
+
+
+@pytest.mark.parametrize(
+    "successes, trials, decision",
+    [(3, 3, "generically_yes"), (0, 3, "no"), (1, 3, "inconclusive"), (1, 1, "generically_yes")],
+)
+def test_trial_decision(successes, trials, decision):
+    assert trial_decision(successes, trials) is GenericDecision(decision)
 
 
 def test_generic_decision_requires_vanishing():
