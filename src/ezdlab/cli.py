@@ -326,12 +326,23 @@ def _add_ring_arguments(p: argparse.ArgumentParser, with_trials: bool = False) -
         p.add_argument("--seed", type=int, default=0)
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reports the arguments a subcommand does not know with the
+    subcommand's own usage line; the root parser would print its own."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ezdlab",
         description="Hilbert functions and exact zero divisor analysis for graded quotient rings",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     p = sub.add_parser("hilbert", help="Hilbert function H(0..D) of P/I")
     _add_ring_arguments(p)

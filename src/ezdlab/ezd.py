@@ -12,6 +12,12 @@ that is zero in R (the zero polynomial, one in I, one past the top
 degree, any element of the zero ring) is never part of a pair. Both
 directions are always checked even where Artinian-ness makes one imply
 the other; the second check is cheap and catches truncation mistakes.
+
+The Hilbert series alone can prove that no linear form has a partner: a
+pair (ell, y) with deg ell = 1 and deg y = t splits H_R as the Hilbert
+function of R/(ell) times 1 + z + ... + z^t (`hilbert_admits_pair`), so
+`find_ezd_complement` builds no map for a linear form in a ring where no
+t allows that split.
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from enum import Enum
+from math import comb
 from operator import add
+from typing import Sequence
 
 from .exactmat import QMatrix, Subspace, kernel_basis, rank
 from .gradedring import GradedQuotient, build_quotient
@@ -189,17 +197,75 @@ def is_ezd_pair(ring: GradedQuotient, x: HomogPoly, y: HomogPoly) -> EzdReport:
     return EzdReport(ring_id, x, y, product_zero, tuple(rows), verdict, reason)
 
 
+def macaulay_bound(h: int, d: int) -> int:
+    """Macaulay's bound h^<d>, the largest H(d+1) of a standard graded
+    algebra with H(d) = h, for d >= 1.
+
+    With the d-binomial expansion h = C(k_d, d) + C(k_{d-1}, d-1) + ... +
+    C(k_j, j), k_d > k_{d-1} > ... > k_j >= j >= 1, taken greedily, the
+    bound is C(k_d + 1, d + 1) + ... + C(k_j + 1, j + 1).
+    """
+    if d < 1 or h < 0:
+        raise ValueError("need d >= 1 and h >= 0")
+    out = 0
+    while h:
+        k = d
+        while comb(k + 1, d) <= h:
+            k += 1
+        h -= comb(k, d)
+        out += comb(k + 1, d + 1)
+        d -= 1
+    return out
+
+
+def hilbert_admits_pair(values: Sequence[int]) -> bool:
+    """Whether a ring with Hilbert function `values` (H(0), H(1), ..., with
+    any trailing zeros) can have a linear form in an exact pair.
+
+    If (ell, y) is an exact pair with deg ell = 1 and deg y = t, then
+    Ann(ell) = (y) gives 0 -> (R/(y))(-1) -> R -> R/(ell) -> 0 and
+    Ann(y) = (ell) gives 0 -> (R/(ell))(-t) -> R -> R/(y) -> 0. Together
+    they force H_R(z) = q(z)(1 + z + ... + z^t) with q the Hilbert function
+    of the standard graded algebra R/(ell): q(0) = 1, q >= 0 and
+    q(d+1) <= q(d)^<d>. As ell and y are nonzero, 1 <= t <= top; when no such t
+    divides H_R with a quotient of that kind, no linear form has a partner.
+    """
+    h = list(values)
+    while h and not h[-1]:
+        h.pop()
+    top = len(h) - 1
+    total = sum(h)
+    for t in range(1, top + 1):
+        if total % (t + 1):  # at z = 1 the split reads sum H = (t + 1) * sum q
+            continue
+        # q(d) = H(d) - q(d-1) - ... - q(d-t); [t+1]_z divides H exactly
+        # when the recurrence stops at degree top - t
+        q: list[int] = []
+        for d in range(top + 1):
+            q.append(h[d] - sum(q[max(0, d - t) : d]))
+        if any(q[top - t + 1 :]):
+            continue
+        q = q[: top - t + 1]
+        if q[0] == 1 and min(q) >= 0 and all(
+            q[d + 1] <= macaulay_bound(q[d], d) for d in range(1, len(q) - 1)
+        ):
+            return True
+    return False
+
+
 def find_ezd_complement(ring: GradedQuotient, ell: HomogPoly) -> tuple[HomogPoly, EzdReport] | None:
     """Locate the canonical exact partner of `ell`, if one exists.
 
     Any homogeneous partner must live in the least degree where Ann(ell)
     is nonzero, and that piece must be one-dimensional to be principal.
     The candidate is the canonical generator of that piece (first nonzero
-    coordinate scaled to 1); the full pair check then decides.
+    coordinate scaled to 1); the full pair check then decides. A linear
+    form whose ring fails `hilbert_admits_pair` has no partner, and no
+    map is built.
     """
-    if not ring.complete:
+    if not ring.complete or ell.is_zero():
         return None
-    if ell.is_zero():
+    if ell.degree == 1 and not hilbert_admits_pair(ring.hilbert.values):
         return None
     top = ring.top_degree
     for t in range(top + 1):

@@ -12,6 +12,8 @@ Each degree stores one table, from every monomial to its normal form as
 sparse (quotient coordinate, coefficient) pairs, read off the reduced
 echelon basis of I_d: the quotient basis is the set of non-pivot standard
 monomials. Normal forms and multiplication maps are sums over this table.
+For a monomial ideal the closure alone gives the Hilbert function, which
+`monomial_hilbert` reads off without building any table.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import add
+from typing import Iterator
 
 from .exactmat import Subspace
 from .polyring import (
     HomogPoly,
+    IdealKind,
     IdealSpec,
     Monomial,
     monomials_of_degree,
@@ -31,7 +35,8 @@ from .polyring import (
 
 ZERO = Fraction(0)
 Exps = tuple[int, ...]  # a monomial's exponent vector
-# Largest number of monomials of degree <= bound that build_quotient accepts.
+# Largest number of monomials of degree <= bound that build_quotient and
+# monomial_hilbert accept.
 # Larger builds are refused up front: they would run for a very long time
 # while the unbounded monomial caches keep growing.
 MAX_MONOMIALS = 100_000
@@ -115,34 +120,41 @@ class GradedQuotient:
         return HomogPoly(self.nvars, degree, list(zip(basis, coords)))
 
 
-def _component(
-    nvars: int, degree: int, gens: set[Exps], others: list[HomogPoly], below: set[Exps]
-) -> tuple[_DegreeComponent, set[Exps]]:
-    """The degree-d component of P/I, and the standard monomials of M in degree d.
+def _order_ideal(nvars: int, gens: set[Exps], bound: int) -> Iterator[set[Exps]]:
+    """The standard monomials of M (those outside it) in degrees 0..bound, in turn.
 
-    `gens` holds the exponent vectors of M's generators, `others` the
-    remaining generators of I and `below` the standard monomials of M of
-    degree d-1. A monomial lies in M exactly when it is a generator or some
-    m/x_i does, since a generator dividing m properly divides m/x_i for a
-    variable where the two differ. So the standard monomials of degree d
-    are the products s*x_i of standard s that are no generator and whose
-    every m/x_j is standard.
-
-    Every monomial of M_d is zero in R. The multiples of `others`, with
-    their M_d entries dropped, are eliminated on the standard columns. A
-    row m_p + sum c_j m_j of the reduced echelon basis has its other entries
-    in non-pivot columns only, so NF(m_p) = -sum c_j m_j, and the non-pivot
-    standard monomials are the quotient basis, each its own unit coordinate.
+    `gens` holds the exponent vectors of M's generators. A monomial lies in
+    M exactly when it is a generator or some m/x_i does, since a generator
+    dividing m properly divides m/x_i for a variable where the two differ.
+    So the standard monomials of degree d are the monomials of degree d
+    that are no generator and whose every m/x_j is standard of degree d-1:
+    exactly those reached from a standard s*x_i once per variable they
+    contain.
     """
-    if degree == 0:
-        candidates = {(0,) * nvars}
-    else:
-        candidates = {s[:i] + (s[i] + 1,) + s[i + 1 :] for s in below for i in range(nvars)}
-    standard = {
-        e for e in candidates
-        if e not in gens
-        and all(e[:j] + (e[j] - 1,) + e[j + 1 :] in below for j in range(nvars) if e[j])
-    }
+    standard = {(0,) * nvars} - gens
+    yield standard
+    for _ in range(bound):
+        reached: dict[Exps, int] = {}
+        for s in standard:
+            for i in range(nvars):
+                e = s[:i] + (s[i] + 1,) + s[i + 1 :]
+                reached[e] = reached.get(e, 0) + 1
+        standard = {e for e, k in reached.items() if k == nvars - e.count(0) and e not in gens}
+        yield standard
+
+
+def _component(
+    nvars: int, degree: int, standard: set[Exps], others: list[HomogPoly]
+) -> _DegreeComponent:
+    """The degree-d component of P/I, given the standard monomials of M in degree d.
+
+    Every monomial of M_d is zero in R. The multiples of `others`, the
+    generators of I outside M, with their M_d entries dropped, are
+    eliminated on the standard columns. A row m_p + sum c_j m_j of the
+    reduced echelon basis has its other entries in non-pivot columns only,
+    so NF(m_p) = -sum c_j m_j, and the non-pivot standard monomials are the
+    quotient basis, each its own unit coordinate.
+    """
     monos = monomials_of_degree(nvars, degree)
     cols = [m for m in monos if m.exps in standard]
     basis = cols  # the quotient basis when nothing is eliminated
@@ -170,7 +182,23 @@ def _component(
             )
     for q, m in enumerate(basis):
         normal_forms[m.exps] = ((q, 1),)
-    return _DegreeComponent(tuple(basis), normal_forms), standard
+    return _DegreeComponent(tuple(basis), normal_forms)
+
+
+def _refuse_oversize(nvars: int, bound: int) -> None:
+    """Raise ValueError when the monomials of degree <= bound number more than MAX_MONOMIALS."""
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    # C(n + bound, k) for k = min(n, bound) is at least 2^k, so past k = 64 it
+    # is far over the cap and is neither computed nor printed.
+    k = min(nvars, bound)
+    size = comb(nvars + bound, k) if k <= 64 else None
+    if size is None or size > MAX_MONOMIALS:
+        count = "over 2^64" if size is None or size > 1 << 64 else size
+        raise ValueError(
+            f"{nvars} variables up to degree {bound} span {count} monomials, "
+            f"more than the cap of {MAX_MONOMIALS}; lower the bound or the variable count"
+        )
 
 
 def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = False) -> GradedQuotient:
@@ -182,26 +210,14 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
     building anything when the monomials of degree <= bound number more
     than MAX_MONOMIALS.
     """
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    # C(n + bound, k) for k = min(n, bound) is at least 2^k, so past k = 64 it
-    # is far over the cap and is neither computed nor printed.
-    k = min(spec.nvars, bound)
-    size = comb(spec.nvars + bound, k) if k <= 64 else None
-    if size is None or size > MAX_MONOMIALS:
-        count = "over 2^64" if size is None or size > 1 << 64 else size
-        raise ValueError(
-            f"{spec.nvars} variables up to degree {bound} span {count} monomials, "
-            f"more than the cap of {MAX_MONOMIALS}; lower the bound or the variable count"
-        )
+    _refuse_oversize(spec.nvars, bound)
     single = [] if force_elimination else [g for g in spec.generators if len(g.coeffs) == 1]
     gens = {m.exps for g in single for m in g.coeffs}  # M's generators
     others = [g for g in spec.generators if g not in single]
-    standard: set[Exps] = set()  # standard monomials of M one degree down
     components = []
     prev_dim = None
-    for d in range(bound + 1):
-        comp, standard = _component(spec.nvars, d, gens, others, standard)
+    for d, standard in enumerate(_order_ideal(spec.nvars, gens, bound)):
+        comp = _component(spec.nvars, d, standard, others)
         dim = len(comp.basis)
         # The irrelevant ideal is generated in degree 1, so a vanished degree
         # can never be followed by a nonzero one.
@@ -219,6 +235,21 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
         if powers is not None and sum(a - 1 for a in powers.values()) <= bound:
             top = bound
     return GradedQuotient(spec, bound, tuple(components), hilbert, top)
+
+
+def monomial_hilbert(spec: IdealSpec, bound: int) -> HilbertFn:
+    """The Hilbert function of P/I for a monomial ideal I, degrees 0..bound.
+
+    It counts the standard monomials of the closure `build_quotient` runs
+    and builds no normal-form table, so it equals
+    `build_quotient(spec, bound).hilbert` at a fraction of the cost.
+    """
+    if spec.kind is not IdealKind.MONOMIAL:
+        raise ValueError("the ideal is not generated by monomials")
+    _refuse_oversize(spec.nvars, bound)
+    gens = {m.exps for g in spec.generators for m in g.coeffs}
+    dims = tuple(map(len, _order_ideal(spec.nvars, gens, bound)))
+    return HilbertFn(dims, 0 in dims)
 
 
 def pure_power_exponents(spec: IdealSpec) -> dict[int, int] | None:

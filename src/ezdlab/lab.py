@@ -5,7 +5,10 @@ Two families are scanned exhaustively at desk scale:
 * Artinian monomial ideals with generators up to a degree cap. For these
   the generic-linear-form question is decided exactly through the all-ones
   form, and whenever a generic exact pair with partner degree t exists the
-  scan asserts the Hilbert drop dim R_{t+1} = dim R_t - 1.
+  scan asserts the Hilbert drop dim R_{t+1} = dim R_t - 1. The Hilbert
+  function comes from the order-ideal closure alone; the ring is built
+  only when its Hilbert series admits a linear form in an exact pair
+  (`ezd.hilbert_admits_pair`), and every other ideal is recorded as "no".
 
 * "Monomial plus one binomial" ideals J + (f1 + f2) with everything in
   degree 2. Off the boundary stratum dim R_2 = n - 1 no sampled linear
@@ -17,7 +20,8 @@ Two families are scanned exhaustively at desk scale:
   supports of J and f show the quotient is not Artinian.
 
 Scans are deterministic: per-instance seeds depend only on the configured
-seed and the instance index, work is distributed in enumeration order, and
+seed and the instance index, work is distributed in enumeration order in
+fixed-size chunks, each sent to the workers as soon as it is drawn, and
 reports serialize without timing data, so re-runs with different worker
 counts emit byte-identical JSON.
 """
@@ -44,10 +48,11 @@ from .ezd import (
     find_ezd_complement,
     generic_ezd_decision,
     generic_linear_form,
+    hilbert_admits_pair,
     is_ezd_pair,
     trial_decision,
 )
-from .gradedring import GradedQuotient, build_quotient, default_bound
+from .gradedring import GradedQuotient, build_quotient, default_bound, monomial_hilbert
 from .polyring import (
     HomogPoly,
     IdealSpec,
@@ -63,6 +68,7 @@ from .polyring import (
 )
 
 BINOMIAL_DEFAULT_BOUND = 6  # vanishing cap for the degree-2 family
+_CHUNKSIZE = 256  # payloads per task sent to a worker process
 _NONVANISHING = f"does not vanish by degree {BINOMIAL_DEFAULT_BOUND}"
 
 
@@ -310,24 +316,30 @@ def _monomial_task(cfg: ScanConfig, payload: tuple[int, tuple]):
     text = ", ".join(map(format_monomial, monos))
     # enumeration emits Artinian ideals only, so the socle bound exists and
     # the ring vanishes by it
-    ring = build_quotient(spec, default_bound(spec))
-    verdict = generic_ezd_decision(ring, cfg.trials, derived_seed(cfg.seed, idx))
-    witness = verdict.witness
-    if verdict.decision is GenericDecision.GENERICALLY_YES:
+    bound = default_bound(spec)
+    hilbert = monomial_hilbert(spec, bound).values
+    # When the series rules out every linear form the decision is "no",
+    # as the all-ones form would find, and no ring is built.
+    decision, witness = GenericDecision.NO, None
+    if hilbert_admits_pair(hilbert):
+        ring = build_quotient(spec, bound)
+        verdict = generic_ezd_decision(ring, cfg.trials, derived_seed(cfg.seed, idx))
+        decision, witness = verdict.decision, verdict.witness
+    if decision is GenericDecision.GENERICALLY_YES:
         if witness is None:
             raise RuntimeError(f"instance {idx}: generic exact pair without a witness")
         t = witness.degree
-        dim_prev = ring.dim(t)
-        dim_at = ring.dim_extended(t + 1)
+        # the socle bound lies past the top degree, so H(t + 1) is listed
+        dim_prev, dim_at = hilbert[t], hilbert[t + 1]
         drop_ok = dim_at == dim_prev - 1
     else:
         t = dim_prev = dim_at = drop_ok = None
     record = MonomialInstance(
         idx,
         text,
-        ring.hilbert.values,
-        verdict.decision.value,
-        verdict.exact,
+        hilbert,
+        decision.value,
+        True,  # a monomial ideal is decided exactly, through the all-ones form
         t,
         format_poly(witness) if witness is not None else None,
         dim_prev,
@@ -355,12 +367,12 @@ def _run_scan(family: str, cfg: ScanConfig, task, payloads: Iterable[tuple]) -> 
     starts before the payloads are drawn, so `elapsed` covers enumeration.
     """
     start = time.perf_counter()
-    payloads = list(payloads)
     fn = partial(task, cfg)
-    if cfg.workers > 1 and len(payloads) > 1:
+    if cfg.workers > 1:
+        # ex.map submits each chunk as soon as it is drawn, so the workers
+        # start while the parent is still enumerating
         with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-            chunk = max(1, len(payloads) // (cfg.workers * 4))
-            results = list(ex.map(fn, payloads, chunksize=chunk))
+            results = list(ex.map(fn, payloads, chunksize=_CHUNKSIZE))
     else:
         results = [fn(p) for p in payloads]
     instances = []

@@ -1,0 +1,26 @@
+"""The exact partner of a form found by ranks alone, with no Hilbert series
+test: an oracle for the tests, which the package itself never needs."""
+
+from ezdlab.exactmat import kernel_basis, rank
+from ezdlab.ezd import PairVerdict, is_ezd_pair, mult_map
+
+
+def find_ezd_complement_by_ranks(ring, ell):
+    """`find_ezd_complement` without its series test: the least degree t
+    where Ann(ell) is nonzero must be one-dimensional, and its canonical
+    generator must pass the full pair check."""
+    if not ring.complete or ell.is_zero():
+        return None
+    for t in range(ring.top_degree + 1):
+        m = mult_map(ring, ell, t)
+        nullity = m.cols - rank(m)
+        if nullity == 0:
+            continue
+        if nullity >= 2:
+            return None
+        q = ring.basis_poly(t, kernel_basis(m).basis[0])
+        report = is_ezd_pair(ring, ell, q)
+        if report.verdict is PairVerdict.EXACT_PAIR:
+            return q, report
+        return None
+    return None

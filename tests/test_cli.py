@@ -284,8 +284,25 @@ def test_scan_takes_no_bound(capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage: ezdlab")
-    assert "error: unrecognized arguments: -D 3" in captured.err
+    assert captured.err.startswith("usage: ezdlab scan ")
+    assert "ezdlab scan: error: unrecognized arguments: -D 3" in captured.err
+
+
+@pytest.mark.parametrize("argv,prog", [
+    (["hilbert", "x1^2", "extra", "-n", "1"], "ezdlab hilbert"),
+    (["ezd", "x1^2", "-n", "1", "--bogus=3"], "ezdlab ezd"),
+    (["example", "-n", "2", "-d", "2", "--trials", "3"], "ezdlab example"),
+    (["--bogus", "hilbert", "x1^2", "-n", "1"], "ezdlab"),
+])
+def test_unknown_arguments_name_their_parser(capsys, argv, prog):
+    """An argument is reported by the parser it was given to, with that
+    parser's usage line: a subcommand's own, or the root's before it."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert f"{prog}: error: unrecognized arguments: " in err
 
 
 def test_scan_monomial_csv(capsys):

@@ -15,6 +15,7 @@ from ezdlab.ezd import (
     derived_seed,
     find_ezd_complement,
     generic_linear_form,
+    hilbert_admits_pair,
     mult_map,
 )
 from ezdlab.gradedring import build_quotient, default_bound
@@ -385,8 +386,12 @@ def test_binomial_scan_degree_one_builds(monkeypatch):
     report = scan_binomial(ScanConfig(3, seed=1, workers=1))
     assert report.examined == 54
     # 54 rings x 3 trials = 162 (ring, form) pairs; one build fewer per pair
-    # than with a separate rank for ann1_dims, which made 729.
-    assert len(builds) == 729 - 162
+    # than with a separate rank for ann1_dims, which made 729. The Hilbert
+    # series of 15 of the 54 rings admits no linear form in an exact pair,
+    # so find_ezd_complement builds no map for their 45 pairs.
+    rejected = sum(1 for r in report.instances if not hilbert_admits_pair(r.hilbert))
+    assert rejected == 15
+    assert len(builds) == 729 - 162 - 3 * rejected == 522
 
 
 def test_binomial_ann1_dims_match_direct_ranks():
