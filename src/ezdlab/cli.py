@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from dataclasses import asdict
 
@@ -265,14 +266,19 @@ def cmd_scan(args) -> int:
             fh = open(args.out, "a", encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
+        report = None
         try:
             with fh:
                 report = scan(cfg)
-                fh.truncate(0)
+                # a device such as /dev/null or a pipe cannot be truncated
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
                 fh.write(_scan_text(report, args))
-        except BaseException:
+        except BaseException as exc:
             if created:
                 os.remove(args.out)
+            if isinstance(exc, OSError) and report is not None:
+                raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
             raise
         print(f"wrote {args.out}: {report.examined} instances, "
               f"{len(report.counterexamples)} counterexamples")

@@ -13,21 +13,26 @@ sparse (quotient coordinate, coefficient) pairs, read off the reduced
 echelon basis of I_d: the quotient basis is the set of non-pivot standard
 monomials. Normal forms and multiplication maps are sums over this table.
 For a monomial ideal the closure alone gives the Hilbert function, which
-`monomial_hilbert` reads off without building any table.
+`monomial_hilbert` reads off the generators' exponent vectors without
+building an IdealSpec or any table, and `socle_bound` reads the default
+degree bound off the same vectors; `default_bound` applies that one rule to
+the single-term generators of any ideal. The closure looks up each
+monomial's successors m*x_i in a table shared across calls, since the
+ideals of a scan share most of their standard monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from operator import add
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .exactmat import Subspace
 from .polyring import (
     HomogPoly,
-    IdealKind,
     IdealSpec,
     Monomial,
     monomials_of_degree,
@@ -120,6 +125,12 @@ class GradedQuotient:
         return HomogPoly(self.nvars, degree, list(zip(basis, coords)))
 
 
+@lru_cache(maxsize=1 << 12)
+def _successors(e: Exps) -> tuple[Exps, ...]:
+    """The exponent vectors of m*x_1, ..., m*x_n for the monomial m with exponents e."""
+    return tuple(e[:i] + (e[i] + 1,) + e[i + 1 :] for i in range(len(e)))
+
+
 def _order_ideal(nvars: int, gens: set[Exps], bound: int) -> Iterator[set[Exps]]:
     """The standard monomials of M (those outside it) in degrees 0..bound, in turn.
 
@@ -136,8 +147,7 @@ def _order_ideal(nvars: int, gens: set[Exps], bound: int) -> Iterator[set[Exps]]
     for _ in range(bound):
         reached: dict[Exps, int] = {}
         for s in standard:
-            for i in range(nvars):
-                e = s[:i] + (s[i] + 1,) + s[i + 1 :]
+            for e in _successors(s):
                 reached[e] = reached.get(e, 0) + 1
         standard = {e for e, k in reached.items() if k == nvars - e.count(0) and e not in gens}
         yield standard
@@ -229,45 +239,51 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
     hilbert = HilbertFn(dims, 0 in dims)
     top = dims.index(0) - 1 if 0 in dims else None
     if top is None:
-        powers = pure_power_exponents(spec)
-        # Standard monomials die after sum(a_i - 1), so a bound reaching
-        # that degree already shows every later degree is zero.
-        if powers is not None and sum(a - 1 for a in powers.values()) <= bound:
+        # Standard monomials die before the socle bound, so a bound reaching
+        # the degree before it already shows every later degree is zero.
+        socle = default_bound(spec)
+        if socle is not None and socle - 1 <= bound:
             top = bound
     return GradedQuotient(spec, bound, tuple(components), hilbert, top)
 
 
-def monomial_hilbert(spec: IdealSpec, bound: int) -> HilbertFn:
-    """The Hilbert function of P/I for a monomial ideal I, degrees 0..bound.
+def monomial_hilbert(nvars: int, gens: set[Exps], bound: int) -> HilbertFn:
+    """The Hilbert function of P/M, degrees 0..bound, for the monomial ideal M
+    generated by the monomials with exponent vectors `gens`.
 
     It counts the standard monomials of the closure `build_quotient` runs
-    and builds no normal-form table, so it equals
-    `build_quotient(spec, bound).hilbert` at a fraction of the cost.
+    and builds no IdealSpec and no normal-form table, so it equals
+    `build_quotient(monomial_ideal(...), bound).hilbert` at a fraction of
+    the cost. Raises ValueError like `build_quotient` on a negative or
+    oversized bound.
     """
-    if spec.kind is not IdealKind.MONOMIAL:
-        raise ValueError("the ideal is not generated by monomials")
-    _refuse_oversize(spec.nvars, bound)
-    gens = {m.exps for g in spec.generators for m in g.coeffs}
-    dims = tuple(map(len, _order_ideal(spec.nvars, gens, bound)))
+    _refuse_oversize(nvars, bound)
+    dims = tuple(map(len, _order_ideal(nvars, gens, bound)))
     return HilbertFn(dims, 0 in dims)
 
 
-def pure_power_exponents(spec: IdealSpec) -> dict[int, int] | None:
-    """Minimal pure-power exponent per variable among the single-term generators.
+def socle_bound(nvars: int, gens: Iterable[Exps]) -> int | None:
+    """Degree bound sum(a_i - 1) + 1 when the monomials with exponent vectors
+    `gens` include a pure power of every variable, x_i^{a_i} the least; 0
+    when they include the constant 1, and None otherwise.
 
-    Returns None unless every variable has a pure power among the
-    generators. P/I is then a quotient of the Artinian ring P/(pure
-    powers), so it is Artinian too; for monomial ideals the test is exact.
+    In P/I for an ideal I holding those pure powers no monomial survives
+    past degree sum(a_i - 1), so the bound always witnesses the vanishing
+    degree. This one rule serves `default_bound` and the monomial scan,
+    which reads it off exponent tuples without an IdealSpec.
     """
-    best: dict[int, int] = {}
-    for g in spec.generators:
-        if len(g.coeffs) != 1:
-            continue
-        nz = [(i, e) for m in g.coeffs for i, e in enumerate(m.exps) if e]
-        if len(nz) == 1:
-            i, e = nz[0]
-            best[i] = min(e, best.get(i, e))
-    return best if len(best) == spec.nvars else None
+    least: dict[int, int] = {}
+    for e in gens:
+        zeros = e.count(0)
+        if zeros == nvars:
+            return 0
+        if zeros == nvars - 1:
+            a = max(e)
+            i = e.index(a)
+            least[i] = min(a, least.get(i, a))
+    if len(least) < nvars:
+        return None
+    return sum(a - 1 for a in least.values()) + 1
 
 
 def is_artinian_within(ring: GradedQuotient) -> bool:
@@ -277,20 +293,16 @@ def is_artinian_within(ring: GradedQuotient) -> bool:
     ideal with a pure power of every variable among its generators is
     Artinian even when the bound stops short of the vanishing degree.
     """
-    return ring.hilbert.artinian_within_bound or pure_power_exponents(ring.spec) is not None
+    return ring.hilbert.artinian_within_bound or default_bound(ring.spec) is not None
 
 
 def default_bound(spec: IdealSpec) -> int | None:
-    """Degree bound sum(a_i - 1) + 1 when every variable has a pure power, else None.
+    """The `socle_bound` of the single-term generators: sum(a_i - 1) + 1 when
+    every variable has a pure power among them, 0 when one is a nonzero
+    constant, else None.
 
-    With pure powers x_i^{a_i} among the generators no monomial outside
-    them survives past degree sum(a_i - 1), in P/I as in P/(pure powers),
-    so this bound always witnesses the vanishing degree. A nonzero constant
-    generator makes P/I zero, so its bound is 0.
+    P/I is a quotient of P/M for the monomial ideal M those generators
+    span, so the bound holds for every ideal I, monomial or not.
     """
-    if any(g.degree == 0 for g in spec.generators):
-        return 0
-    powers = pure_power_exponents(spec)
-    if powers is None:
-        return None
-    return sum(a - 1 for a in powers.values()) + 1
+    single = (m.exps for g in spec.generators if len(g.coeffs) == 1 for m in g.coeffs)
+    return socle_bound(spec.nvars, single)

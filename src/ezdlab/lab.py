@@ -5,10 +5,12 @@ Two families are scanned exhaustively at desk scale:
 * Artinian monomial ideals with generators up to a degree cap. For these
   the generic-linear-form question is decided exactly through the all-ones
   form, and whenever a generic exact pair with partner degree t exists the
-  scan asserts the Hilbert drop dim R_{t+1} = dim R_t - 1. The Hilbert
-  function comes from the order-ideal closure alone; the ring is built
-  only when its Hilbert series admits a linear form in an exact pair
-  (`ezd.hilbert_admits_pair`), and every other ideal is recorded as "no".
+  scan asserts the Hilbert drop dim R_{t+1} = dim R_t - 1. The socle
+  bound and the Hilbert function come from the generators' exponent
+  tuples alone, through the order-ideal closure; the IdealSpec and the
+  ring are built only when the Hilbert series admits a linear form in an
+  exact pair (`ezd.hilbert_admits_pair`), and every other ideal is
+  recorded as "no".
 
 * "Monomial plus one binomial" ideals J + (f1 + f2) with everything in
   degree 2. Off the boundary stratum dim R_2 = n - 1 no sampled linear
@@ -52,7 +54,9 @@ from .ezd import (
     is_ezd_pair,
     trial_decision,
 )
-from .gradedring import GradedQuotient, build_quotient, default_bound, monomial_hilbert
+from .gradedring import (
+    GradedQuotient, build_quotient, default_bound, monomial_hilbert, socle_bound,
+)
 from .polyring import (
     HomogPoly,
     IdealSpec,
@@ -75,7 +79,7 @@ _NONVANISHING = f"does not vanish by degree {BINOMIAL_DEFAULT_BOUND}"
 @dataclass(frozen=True)
 class ScanConfig:
     """Configuration shared by the family scans. There is no degree bound:
-    a monomial ideal's ring is built to its socle bound `default_bound`, a
+    a monomial ideal's ring is built to its socle bound (`socle_bound`), a
     binomial candidate's to `BINOMIAL_DEFAULT_BOUND`."""
 
     nvars: int
@@ -311,18 +315,17 @@ def _csv_cell(v) -> str:
 def _monomial_task(cfg: ScanConfig, payload: tuple[int, tuple]):
     idx, gens = payload
     monos = [Monomial(e) for e in gens]
-    spec = monomial_ideal(cfg.nvars, monos)
     # format_ideal's text: every generator of a monomial ideal has coefficient 1
     text = ", ".join(map(format_monomial, monos))
     # enumeration emits Artinian ideals only, so the socle bound exists and
     # the ring vanishes by it
-    bound = default_bound(spec)
-    hilbert = monomial_hilbert(spec, bound).values
+    bound = socle_bound(cfg.nvars, gens)
+    hilbert = monomial_hilbert(cfg.nvars, set(gens), bound).values
     # When the series rules out every linear form the decision is "no",
-    # as the all-ones form would find, and no ring is built.
+    # as the all-ones form would find, and neither ideal nor ring is built.
     decision, witness = GenericDecision.NO, None
     if hilbert_admits_pair(hilbert):
-        ring = build_quotient(spec, bound)
+        ring = build_quotient(monomial_ideal(cfg.nvars, monos), bound)
         verdict = generic_ezd_decision(ring, cfg.trials, derived_seed(cfg.seed, idx))
         decision, witness = verdict.decision, verdict.witness
     if decision is GenericDecision.GENERICALLY_YES:

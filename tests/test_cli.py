@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, schemas, exit codes, determinism."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -400,6 +401,43 @@ def test_failed_scan_removes_out_it_created(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "apply to the monomial family only" in err
+    assert not target.exists()
+
+
+def test_scan_out_to_devnull(capsys):
+    # a device cannot be truncated; the report is written to it all the same
+    code, out, err = run(capsys, "scan", "monomial", "-n", "2", "--out", os.devnull)
+    assert code == 0
+    assert out == f"wrote {os.devnull}: 2 instances, 0 counterexamples\n"
+    assert err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_scan_out_full_device_exits_2(capsys):
+    # /dev/full accepts the open and fails the write with ENOSPC
+    code, out, err = run(capsys, "scan", "monomial", "-n", "2", "--out", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_scan_write_failure_exits_2_and_removes_out(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "new.json"
+
+    def failing_open(path, mode, **kw):
+        fh = open(path, mode, **kw)
+
+        def write(text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr("ezdlab.cli.open", failing_open, raising=False)
+    code, out, err = run(capsys, "scan", "monomial", "-n", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
     assert not target.exists()
 
 

@@ -14,10 +14,13 @@ from ezdlab.gradedring import (
     build_quotient,
     default_bound,
     is_artinian_within,
-    pure_power_exponents,
+    monomial_hilbert,
+    socle_bound,
 )
+from ezdlab.lab import ScanConfig, enumerate_monomial_ideals
 from ezdlab.polyring import (
     HomogPoly,
+    Monomial,
     format_monomial,
     in_monomial_ideal,
     make_ideal,
@@ -124,7 +127,13 @@ def test_default_bound():
     assert default_bound(parse_ideal("x1^2, x2^2", 2)) == 3
     assert default_bound(parse_ideal("x1^3, x2^3", 2)) == 5
     assert default_bound(parse_ideal("x1*x2", 2)) is None
-    assert pure_power_exponents(parse_ideal("x1^2, x1*x2, x2^3", 2)) == {0: 2, 1: 3}
+    assert default_bound(parse_ideal("x1^2, x1*x2, x2^3", 2)) == 4
+    # the exponent-level rule: least pure power per variable, constant 1 gives 0
+    assert socle_bound(2, [(2, 0), (1, 1), (0, 3)]) == 4
+    assert socle_bound(2, [(2, 0), (0, 2), (3, 0)]) == 3
+    assert socle_bound(2, [(2, 0), (1, 1)]) is None
+    assert socle_bound(3, [(2, 0, 0), (0, 0, 0)]) == 0
+    assert socle_bound(2, []) is None
     # pure powers among the monomial generators of any ideal bound it too
     assert default_bound(parse_ideal("x1^2, x2^2, x3^2, x1*x2 + x2*x3", 3)) == 4
     assert default_bound(parse_ideal("x1^3, x2^2, x1^2 + 2*x1*x2", 2)) == 4
@@ -132,6 +141,29 @@ def test_default_bound():
     # a nonzero constant generator makes the ring zero from degree 0 on
     assert default_bound(parse_ideal("1", 2)) == 0
     assert default_bound(parse_ideal("x1*x2, -3", 2)) == 0
+
+
+def _pure_power_bound(nvars, monos):
+    """sum(a_i - 1) + 1 over the least pure power x_i^{a_i} of each variable, or None."""
+    least = [min((m.degree for m in monos if m.exps[i] == m.degree), default=None)
+             for i in range(nvars)]
+    return None if None in least else sum(a - 1 for a in least) + 1
+
+
+@pytest.mark.parametrize("nvars,max_degree,count", [(3, 4, 5693), (4, 3, 8350)])
+def test_socle_bound_matches_default_bound(nvars, max_degree, count):
+    """On every ideal a monomial scan enumerates, the exponent-level bound
+    it reads equals default_bound of the built IdealSpec and a count of
+    pure powers over Monomials, and the ring vanishes at that bound."""
+    seen = 0
+    for gens in enumerate_monomial_ideals(ScanConfig(nvars, max_degree)):
+        monos = [Monomial(e) for e in gens]
+        bound = socle_bound(nvars, gens)
+        assert bound == default_bound(monomial_ideal(nvars, monos)), gens
+        assert bound == _pure_power_bound(nvars, monos), gens
+        assert monomial_hilbert(nvars, set(gens), bound).values[-1] == 0, gens
+        seen += 1
+    assert seen == count
 
 
 def _random_monomial_spec(rng, nvars, max_degree):

@@ -181,18 +181,28 @@ def test_symmetry_classes_cover_everything():
     assert covered == all_sets
 
 
-def test_scan_builds_each_monomial_ideal_once(monkeypatch):
-    # enumeration yields exponent tuples, so only the worker builds the IdealSpec
+def test_scan_builds_ideal_specs_only_for_admitted_rings(monkeypatch):
+    # enumeration yields exponent tuples and a worker reads the socle bound
+    # and H from them, so an IdealSpec is built only for a ring the Hilbert
+    # series admits: one per build_quotient call
     calls = []
+    built = []
 
-    def counting(*args):
+    def counting_ideal(*args):
         calls.append(args)
         return monomial_ideal(*args)
 
-    monkeypatch.setattr(lab, "monomial_ideal", counting)
+    def counting_build(spec, bound, **kw):
+        built.append(spec)
+        return build_quotient(spec, bound, **kw)
+
+    monkeypatch.setattr(lab, "monomial_ideal", counting_ideal)
+    monkeypatch.setattr(lab, "build_quotient", counting_build)
     report = scan_monomial(ScanConfig(3, 3))
     assert report.examined + len(report.skipped) == 103
-    assert len(calls) == 103
+    assert len(calls) == 29
+    assert len(calls) == len(built)
+    assert len(built) == sum(hilbert_admits_pair(r.hilbert) for r in report.instances)
 
 
 def test_scan_monomial_small():
