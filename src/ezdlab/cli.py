@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exhaustive family scan",
         description="Exhaustive family scan. Scans take no -D: each family fixes the degree "
                     "its rings are built to, the socle bound of each monomial ideal and "
-                    f"{BINOMIAL_DEFAULT_BOUND} for the binomial family.",
+                    f"max({BINOMIAL_DEFAULT_BOUND}, n + 1) for the binomial family.",
     )
     p.add_argument("family", choices=["monomial", "binomial"])
     p.add_argument("-n", "--nvars", type=int, required=True)

@@ -72,13 +72,12 @@ def mult_map(ring: GradedQuotient, f: HomogPoly, d: int) -> QMatrix:
         raise ValueError(f"target degree {target_degree} outside bound {ring.bound}")
     nrows = ring.dim(target_degree)
     normal_forms = ring.components[target_degree].normal_forms
-    terms = [(g.exps, c.numerator if c.denominator == 1 else c) for g, c in f.coeffs.items()]
+    terms = [(g, c.numerator if c.denominator == 1 else c) for g, c in f.coeffs.items()]
     data = [0] * (nrows * ncols)
     for j, b in enumerate(source):
-        shift = b.exps
         for g, c in terms:
             # outside monomial rings two products can share a coordinate: entries add up
-            for i, a in normal_forms[tuple(map(add, g, shift))]:
+            for i, a in normal_forms[tuple(map(add, g, b))]:
                 data[i * ncols + j] += c * a
     return QMatrix(nrows, ncols, data)
 

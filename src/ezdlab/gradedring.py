@@ -39,7 +39,6 @@ from .polyring import (
 )
 
 ZERO = Fraction(0)
-Exps = tuple[int, ...]  # a monomial's exponent vector
 # Largest number of monomials of degree <= bound that build_quotient and
 # monomial_hilbert accept.
 # Larger builds are refused up front: they would run for a very long time
@@ -58,8 +57,8 @@ class HilbertFn:
 @dataclass(frozen=True)
 class _DegreeComponent:
     basis: tuple[Monomial, ...]  # the quotient basis, in monomial order
-    # every monomial's exponents -> its normal form as (quotient coordinate, coefficient)
-    normal_forms: dict[Exps, tuple[tuple[int, int | Fraction], ...]]
+    # every monomial -> its normal form as (quotient coordinate, coefficient)
+    normal_forms: dict[Monomial, tuple[tuple[int, int | Fraction], ...]]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -113,7 +112,7 @@ class GradedQuotient:
         comp = self.components[d]
         v = [ZERO] * len(comp.basis)
         for m, c in p.coeffs.items():
-            for k, a in comp.normal_forms[m.exps]:
+            for k, a in comp.normal_forms[m]:
                 v[k] += c * a
         return tuple(v)
 
@@ -126,17 +125,17 @@ class GradedQuotient:
 
 
 @lru_cache(maxsize=1 << 12)
-def _successors(e: Exps) -> tuple[Exps, ...]:
-    """The exponent vectors of m*x_1, ..., m*x_n for the monomial m with exponents e."""
+def _successors(e: Monomial) -> tuple[Monomial, ...]:
+    """The monomials e*x_1, ..., e*x_n."""
     return tuple(e[:i] + (e[i] + 1,) + e[i + 1 :] for i in range(len(e)))
 
 
-def _order_ideal(nvars: int, gens: set[Exps], bound: int) -> Iterator[set[Exps]]:
+def _order_ideal(nvars: int, gens: set[Monomial], bound: int) -> Iterator[set[Monomial]]:
     """The standard monomials of M (those outside it) in degrees 0..bound, in turn.
 
-    `gens` holds the exponent vectors of M's generators. A monomial lies in
-    M exactly when it is a generator or some m/x_i does, since a generator
-    dividing m properly divides m/x_i for a variable where the two differ.
+    `gens` holds M's generators. A monomial lies in M exactly when it is a
+    generator or some m/x_i does, since a generator dividing m properly
+    divides m/x_i for a variable where the two differ.
     So the standard monomials of degree d are the monomials of degree d
     that are no generator and whose every m/x_j is standard of degree d-1:
     exactly those reached from a standard s*x_i once per variable they
@@ -145,7 +144,7 @@ def _order_ideal(nvars: int, gens: set[Exps], bound: int) -> Iterator[set[Exps]]
     standard = {(0,) * nvars} - gens
     yield standard
     for _ in range(bound):
-        reached: dict[Exps, int] = {}
+        reached: dict[Monomial, int] = {}
         for s in standard:
             for e in _successors(s):
                 reached[e] = reached.get(e, 0) + 1
@@ -154,7 +153,7 @@ def _order_ideal(nvars: int, gens: set[Exps], bound: int) -> Iterator[set[Exps]]
 
 
 def _component(
-    nvars: int, degree: int, standard: set[Exps], others: list[HomogPoly]
+    nvars: int, degree: int, standard: set[Monomial], others: list[HomogPoly]
 ) -> _DegreeComponent:
     """The degree-d component of P/I, given the standard monomials of M in degree d.
 
@@ -166,18 +165,18 @@ def _component(
     quotient basis, each its own unit coordinate.
     """
     monos = monomials_of_degree(nvars, degree)
-    cols = [m for m in monos if m.exps in standard]
+    cols = [m for m in monos if m in standard]
     basis = cols  # the quotient basis when nothing is eliminated
-    normal_forms = dict.fromkeys((m.exps for m in monos), ())
+    normal_forms = dict.fromkeys(monos, ())
     active = [g for g in others if g.degree <= degree]
     if active:
-        col = {m.exps: k for k, m in enumerate(cols)}
+        col = {m: k for k, m in enumerate(cols)}
         vectors = []
         for g in active:
             for m in monomials_of_degree(nvars, degree - g.degree):
                 v = [ZERO] * len(cols)
                 for gm, c in g.coeffs.items():
-                    k = col.get(tuple(map(add, m.exps, gm.exps)))
+                    k = col.get(tuple(map(add, m, gm)))
                     if k is not None:
                         v[k] = c
                 vectors.append(v)
@@ -187,11 +186,11 @@ def _component(
         coord = {k: q for q, k in enumerate(free)}  # standard column -> quotient coordinate
         basis = [cols[k] for k in free]
         for p, rest in echelon.rows:
-            normal_forms[cols[p].exps] = tuple(
+            normal_forms[cols[p]] = tuple(
                 (coord[j], -x.numerator if x.denominator == 1 else -x) for j, x in rest
             )
     for q, m in enumerate(basis):
-        normal_forms[m.exps] = ((q, 1),)
+        normal_forms[m] = ((q, 1),)
     return _DegreeComponent(tuple(basis), normal_forms)
 
 
@@ -222,7 +221,7 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
     """
     _refuse_oversize(spec.nvars, bound)
     single = [] if force_elimination else [g for g in spec.generators if len(g.coeffs) == 1]
-    gens = {m.exps for g in single for m in g.coeffs}  # M's generators
+    gens = {m for g in single for m in g.coeffs}  # M's generators
     others = [g for g in spec.generators if g not in single]
     components = []
     prev_dim = None
@@ -247,9 +246,9 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
     return GradedQuotient(spec, bound, tuple(components), hilbert, top)
 
 
-def monomial_hilbert(nvars: int, gens: set[Exps], bound: int) -> HilbertFn:
+def monomial_hilbert(nvars: int, gens: set[Monomial], bound: int) -> HilbertFn:
     """The Hilbert function of P/M, degrees 0..bound, for the monomial ideal M
-    generated by the monomials with exponent vectors `gens`.
+    generated by the monomials `gens`.
 
     It counts the standard monomials of the closure `build_quotient` runs
     and builds no IdealSpec and no normal-form table, so it equals
@@ -262,10 +261,10 @@ def monomial_hilbert(nvars: int, gens: set[Exps], bound: int) -> HilbertFn:
     return HilbertFn(dims, 0 in dims)
 
 
-def socle_bound(nvars: int, gens: Iterable[Exps]) -> int | None:
-    """Degree bound sum(a_i - 1) + 1 when the monomials with exponent vectors
-    `gens` include a pure power of every variable, x_i^{a_i} the least; 0
-    when they include the constant 1, and None otherwise.
+def socle_bound(nvars: int, gens: Iterable[Monomial]) -> int | None:
+    """Degree bound sum(a_i - 1) + 1 when the monomials `gens` include a
+    pure power of every variable, x_i^{a_i} the least; 0 when they include
+    the constant 1, and None otherwise.
 
     In P/I for an ideal I holding those pure powers no monomial survives
     past degree sum(a_i - 1), so the bound always witnesses the vanishing
@@ -304,5 +303,5 @@ def default_bound(spec: IdealSpec) -> int | None:
     P/I is a quotient of P/M for the monomial ideal M those generators
     span, so the bound holds for every ideal I, monomial or not.
     """
-    single = (m.exps for g in spec.generators if len(g.coeffs) == 1 for m in g.coeffs)
+    single = (m for g in spec.generators if len(g.coeffs) == 1 for m in g.coeffs)
     return socle_bound(spec.nvars, single)

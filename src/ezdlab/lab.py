@@ -39,6 +39,7 @@ from fractions import Fraction
 from functools import partial
 from io import StringIO
 from itertools import combinations, permutations, product
+from operator import add
 from typing import Iterable, Iterator
 
 from .ezd import (
@@ -61,6 +62,7 @@ from .polyring import (
     HomogPoly,
     IdealSpec,
     Monomial,
+    divides,
     format_monomial,
     format_poly,
     in_monomial_ideal,
@@ -71,7 +73,7 @@ from .polyring import (
     variable,
 )
 
-BINOMIAL_DEFAULT_BOUND = 6  # vanishing cap for the degree-2 family
+BINOMIAL_DEFAULT_BOUND = 6  # least degree a binomial candidate's ring is built to
 _CHUNKSIZE = 256  # payloads per task sent to a worker process
 _NONVANISHING = f"does not vanish by degree {BINOMIAL_DEFAULT_BOUND}"
 
@@ -80,7 +82,7 @@ _NONVANISHING = f"does not vanish by degree {BINOMIAL_DEFAULT_BOUND}"
 class ScanConfig:
     """Configuration shared by the family scans. There is no degree bound:
     a monomial ideal's ring is built to its socle bound (`socle_bound`), a
-    binomial candidate's to `BINOMIAL_DEFAULT_BOUND`."""
+    binomial candidate's to max(`BINOMIAL_DEFAULT_BOUND`, nvars + 1)."""
 
     nvars: int
     max_degree: int = 2
@@ -114,16 +116,12 @@ class ScanConfig:
 # enumeration
 
 
-def _divides(e: tuple[int, ...], f: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(e, f))
-
-
-def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[tuple[tuple[int, ...], ...]]:
+def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[tuple[Monomial, ...]]:
     """All Artinian monomial ideals with minimal generators of degree 2..max_degree.
 
-    Each ideal is yielded as the exponent tuples of its minimal generators,
-    in graded-lex order. Minimal generating sets are exactly the
-    divisibility antichains, so each ideal appears once. Only ideals
+    Each ideal is yielded as its minimal generators, in graded-lex order.
+    Minimal generating sets are exactly the divisibility antichains, so
+    each ideal appears once. Only ideals
     containing a pure power of every variable are emitted: a non-Artinian
     monomial ideal never vanishes, so a scan could only skip it. With
     `symmetry_reduction` only the canonical representative of each
@@ -136,11 +134,11 @@ def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[tuple[tuple[int, ...]
     which is the order of an include-first walk over the candidates.
     """
     n = cfg.nvars
-    exps = [m.exps for d in range(2, cfg.max_degree + 1) for m in monomials_of_degree(n, d)]
+    exps = [e for d in range(2, cfg.max_degree + 1) for e in monomials_of_degree(n, d)]
     position = {e: i for i, e in enumerate(exps)}
     # comparable[i]: candidates that divide candidate i or that it divides
     comparable = [
-        sum(1 << j for j, f in enumerate(exps) if _divides(e, f) or _divides(f, e))
+        sum(1 << j for j, f in enumerate(exps) if divides(e, f) or divides(f, e))
         for e in exps
     ]
     # pure_var[i]: bit v when candidate i is a pure power of variable v
@@ -314,9 +312,8 @@ def _csv_cell(v) -> str:
 
 def _monomial_task(cfg: ScanConfig, payload: tuple[int, tuple]):
     idx, gens = payload
-    monos = [Monomial(e) for e in gens]
     # format_ideal's text: every generator of a monomial ideal has coefficient 1
-    text = ", ".join(map(format_monomial, monos))
+    text = ", ".join(map(format_monomial, gens))
     # enumeration emits Artinian ideals only, so the socle bound exists and
     # the ring vanishes by it
     bound = socle_bound(cfg.nvars, gens)
@@ -325,7 +322,7 @@ def _monomial_task(cfg: ScanConfig, payload: tuple[int, tuple]):
     # as the all-ones form would find, and neither ideal nor ring is built.
     decision, witness = GenericDecision.NO, None
     if hilbert_admits_pair(hilbert):
-        ring = build_quotient(monomial_ideal(cfg.nvars, monos), bound)
+        ring = build_quotient(monomial_ideal(cfg.nvars, gens), bound)
         verdict = generic_ezd_decision(ring, cfg.trials, derived_seed(cfg.seed, idx))
         decision, witness = verdict.decision, verdict.witness
     if decision is GenericDecision.GENERICALLY_YES:
@@ -427,23 +424,26 @@ def _binomial_is_artinian(nvars: int, j_exps: tuple, f1: tuple, f2: tuple) -> bo
 
 def _binomial_task(cfg: ScanConfig, payload: tuple[int, tuple, tuple]):
     idx, j_exps, (f1, f2) = payload
-    j_monos = [Monomial(e) for e in j_exps]
+    n = cfg.nvars
     # format_ideal's text: J's generators have coefficient 1, and f1 comes
     # before f2 in graded-lex order
-    binomial = f"{format_monomial(Monomial(f1))} + {format_monomial(Monomial(f2))}"
-    text = ", ".join([*map(format_monomial, j_monos), binomial])
+    binomial = f"{format_monomial(f1)} + {format_monomial(f2)}"
+    text = ", ".join([*map(format_monomial, j_exps), binomial])
     if f1 in j_exps or f2 in j_exps:
         return SkippedInstance(idx, text, "binomial collapses to a monomial modulo J")
     # a non-Artinian ring vanishes by no bound, so it is skipped unbuilt
-    if not _binomial_is_artinian(cfg.nvars, j_exps, f1, f2):
+    if not _binomial_is_artinian(n, j_exps, f1, f2):
         return SkippedInstance(idx, text, _NONVANISHING)
-    gens = [HomogPoly.from_monomial(m) for m in j_monos]
-    gens.append(HomogPoly(cfg.nvars, 2, [(Monomial(f1), 1), (Monomial(f2), 1)]))
-    spec = make_ideal(cfg.nvars, gens)
-    ring = build_quotient(spec, BINOMIAL_DEFAULT_BOUND)
+    gens = [HomogPoly.from_monomial(e) for e in j_exps]
+    gens.append(HomogPoly(n, 2, [(f1, 1), (f2, 1)]))
+    spec = make_ideal(n, gens)
+    # An Artinian ideal generated by quadrics holds a regular sequence of n
+    # quadrics, so its ring is a quotient of a complete intersection with
+    # top degree n and vanishes from degree n + 1 on.
+    bound = max(BINOMIAL_DEFAULT_BOUND, n + 1)
+    ring = build_quotient(spec, bound)
     if not ring.complete:
-        return SkippedInstance(idx, text, _NONVANISHING)
-    n = cfg.nvars
+        raise RuntimeError(f"instance {idx}: Artinian {text} does not vanish by degree {bound}")
     r1, r2 = ring.dim(1), ring.dim(2)
     boundary = r2 == n - 1
     instance_seed = derived_seed(cfg.seed, idx)
@@ -492,18 +492,18 @@ def scan_binomial(cfg: ScanConfig) -> ScanReport:
     """Scan J + (f1 + f2) with J and f1, f2 in degree 2, f1 != f2.
 
     Instances whose binomial collapses modulo J (some f_i already in J) are
-    recorded as skipped, as are quotients that fail to vanish by the fixed
-    bound `BINOMIAL_DEFAULT_BOUND`. A collapse and a non-Artinian quotient
-    (`_binomial_is_artinian`), which vanishes by no bound, are decided from
-    exponent tuples before any ring is built; only Artinian candidates are
-    built and checked against the bound. A payload is (index, exponents of
-    J's generators, (f1, f2) exponents). The scan uses neither `max_degree`
+    recorded as skipped, as are non-Artinian quotients
+    (`_binomial_is_artinian`), which vanish by no bound. Both are decided
+    from exponent tuples before any ring is built. Only Artinian candidates
+    are built, to max(`BINOMIAL_DEFAULT_BOUND`, nvars + 1), by which each
+    one vanishes; one that does not raises RuntimeError. A payload is
+    (index, J's generators, (f1, f2)). The scan uses neither `max_degree`
     nor `symmetry_reduction` yet the report echoes both, so only their
     defaults are accepted.
     """
     if cfg.max_degree != 2 or not cfg.symmetry_reduction:
         raise ValueError("max_degree and symmetry_reduction apply to the monomial family only")
-    deg2 = [m.exps for m in monomials_of_degree(cfg.nvars, 2)]
+    deg2 = monomials_of_degree(cfg.nvars, 2)
     subsets = [
         tuple(e for i, e in enumerate(deg2) if mask >> i & 1) for mask in range(1 << len(deg2))
     ]
@@ -527,8 +527,8 @@ def power_ideal_example(n: int, d: int) -> EzdReport:
     """
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
-    gens = [Monomial((d,) + (0,) * (n - 1))]
-    gens.extend(Monomial((0,) + m.exps) for m in monomials_of_degree(n - 1, d))
+    gens = [(d,) + (0,) * (n - 1)]
+    gens.extend((0,) + m for m in monomials_of_degree(n - 1, d))
     spec = monomial_ideal(n, gens)
     # Every variable has the pure power x_i^d, so the default bound exists.
     ring = build_quotient(spec, default_bound(spec))
@@ -612,12 +612,12 @@ def check_split_support(
     vars_ = monomials_of_degree(n, 1)
     for part, qq, f in (("a", q1, f1), ("b", q2, f2)):
         for u in vars_:
-            if not qq.coefficient(u) or u.divides(f):
+            if not qq.coefficient(u) or divides(u, f):
                 continue
             for big in monomials_of_degree(n, 2):
                 if big == f:
                     continue
-                if not in_monomial_ideal(u * big, j_monos):
+                if not in_monomial_ideal(tuple(map(add, u, big)), j_monos):
                     violations.append((part, u, big))
     return violations
 

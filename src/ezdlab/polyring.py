@@ -1,10 +1,19 @@
 """Monomials, homogeneous polynomials, ideal descriptions, and their text grammar.
 
+Monomials
+    A monomial is its exponent tuple, one non-negative entry per variable:
+    x1^2*x3 in three variables is (2, 0, 1). Every layer uses this one form.
+    `HomogPoly` validates the tuples it is given; the parser builds only
+    valid ones.
+
 Monomial order
     Graded lexicographic with x1 taking precedence over x2 over x3 and so on.
     Within a degree, monomials heavier in earlier variables come first, so the
     degree-2 monomials in two variables enumerate as x1^2, x1*x2, x2^2. All
-    bases, reports and pretty-printed polynomials use this order.
+    bases, reports and pretty-printed polynomials use this order, and
+    `monomial_key` is its one definition. A tuple's native order is plain
+    lex, not this one: (0, 2) < (2, 0), so monomials are never compared or
+    sorted without the key.
 
 Ideal text grammar
     variables    x1, x2, ..., xN
@@ -25,7 +34,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 ZERO = Fraction(0)
@@ -45,44 +55,17 @@ class NonHomogeneousError(ParseError):
     """A polynomial mixes terms of different degrees."""
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Monomial:
-    """Monomial as a vector of non-negative exponents, one per variable."""
+Monomial = tuple[int, ...]  # exponent vector, one entry per variable
 
-    exps: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(e < 0 for e in self.exps):
-            raise ValueError("exponents must be non-negative")
+def monomial_key(m: Monomial) -> tuple:
+    """Graded-lex sort key: lower degree first, then earlier-variable-heavy first."""
+    return (sum(m), tuple(-e for e in m))
 
-    @property
-    def nvars(self) -> int:
-        return len(self.exps)
 
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def key(self) -> tuple:
-        # Graded lex: lower degree first, then earlier-variable-heavy first.
-        return (self.degree, tuple(-e for e in self.exps))
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.key() < other.key()
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def divides(self, other: "Monomial") -> bool:
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def __repr__(self) -> str:
-        return f"Monomial({format_monomial(self)!r})"
+def divides(a: Monomial, b: Monomial) -> bool:
+    """Whether the monomial `a` divides `b`; both must have the same variable count."""
+    return all(x <= y for x, y in zip(a, b, strict=True))
 
 
 @lru_cache(maxsize=None)
@@ -100,18 +83,18 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
         for e in range(remaining, -1, -1):
             yield from gen(prefix + (e,), remaining - e, k - 1)
 
-    return tuple(Monomial(t) for t in gen((), degree, nvars))
+    return tuple(gen((), degree, nvars))
 
 
 def in_monomial_ideal(m: Monomial, gens: Iterable[Monomial]) -> bool:
     """Membership in a monomial ideal: some generator divides `m`."""
-    return any(g.divides(m) for g in gens)
+    return any(divides(g, m) for g in gens)
 
 
 def minimalize_monomial_gens(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Drop duplicate and divisibility-redundant generators."""
-    unique = sorted(set(gens))
-    kept = [g for g in unique if not any(h.divides(g) for h in unique if h != g)]
+    unique = sorted(set(gens), key=monomial_key)
+    kept = [g for g in unique if not any(divides(h, g) for h in unique if h != g)]
     return tuple(kept)
 
 
@@ -132,10 +115,12 @@ class HomogPoly:
         store: dict[Monomial, Fraction] = {}
         for m, c in items:
             c = c if isinstance(c, Fraction) else Fraction(c)
-            if m.nvars != nvars:
+            if len(m) != nvars:
                 raise ValueError("monomial variable count does not match")
-            if m.degree != degree:
-                raise ValueError(f"monomial of degree {m.degree} in a degree-{degree} polynomial")
+            if sum(m) != degree:
+                raise ValueError(f"monomial of degree {sum(m)} in a degree-{degree} polynomial")
+            if min(m, default=0) < 0:
+                raise ValueError("exponents must be non-negative")
             if c:
                 if m in store:
                     c += store[m]
@@ -153,7 +138,7 @@ class HomogPoly:
 
     @classmethod
     def from_monomial(cls, m: Monomial, coeff: Fraction = ONE) -> "HomogPoly":
-        return cls(m.nvars, m.degree, [(m, coeff)])
+        return cls(len(m), sum(m), [(m, coeff)])
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -163,7 +148,7 @@ class HomogPoly:
 
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
         """(monomial, coefficient) pairs in graded-lex order."""
-        return tuple(sorted(self.coeffs.items(), key=lambda mc: mc[0].key()))
+        return tuple(sorted(self.coeffs.items(), key=lambda mc: monomial_key(mc[0])))
 
     def support(self) -> tuple[Monomial, ...]:
         return tuple(m for m, _ in self.terms())
@@ -194,7 +179,7 @@ class HomogPoly:
             out: dict[Monomial, Fraction] = {}
             for m1, c1 in self.coeffs.items():
                 for m2, c2 in other.coeffs.items():
-                    m = m1 * m2
+                    m = tuple(map(add, m1, m2))
                     out[m] = out.get(m, ZERO) + c1 * c2
             return HomogPoly(self.nvars, self.degree + other.degree, out)
         return HomogPoly(
@@ -207,7 +192,7 @@ class HomogPoly:
     def __pow__(self, k: int) -> "HomogPoly":
         if k < 0:
             raise ValueError("negative power")
-        out = HomogPoly(self.nvars, 0, [(Monomial((0,) * self.nvars), ONE)])
+        out = HomogPoly(self.nvars, 0, [((0,) * self.nvars, ONE)])
         for _ in range(k):
             out = out * self
         return out
@@ -224,7 +209,7 @@ def variable(nvars: int, index: int) -> HomogPoly:
     """The linear form x_{index+1} (zero-based index)."""
     exps = [0] * nvars
     exps[index] = 1
-    return HomogPoly.from_monomial(Monomial(tuple(exps)))
+    return HomogPoly.from_monomial(tuple(exps))
 
 
 def linear_form(coeffs: Sequence) -> HomogPoly:
@@ -234,7 +219,7 @@ def linear_form(coeffs: Sequence) -> HomogPoly:
     for i, c in enumerate(coeffs):
         exps = [0] * n
         exps[i] = 1
-        terms.append((Monomial(tuple(exps)), Fraction(c)))
+        terms.append((tuple(exps), Fraction(c)))
     return HomogPoly(n, 1, terms)
 
 
@@ -308,7 +293,7 @@ def monomial_ideal(nvars: int, monomials: Iterable[Monomial]) -> IdealSpec:
 
 def format_monomial(m: Monomial) -> str:
     parts = []
-    for i, e in enumerate(m.exps):
+    for i, e in enumerate(m):
         if e == 1:
             parts.append(f"x{i + 1}")
         elif e > 1:
@@ -317,7 +302,7 @@ def format_monomial(m: Monomial) -> str:
 
 
 def _format_coeff_mono(c: Fraction, m: Monomial) -> str:
-    if m.degree == 0:
+    if not any(m):
         return str(c)
     mono = format_monomial(m)
     if c == 1:
@@ -430,11 +415,12 @@ class _PolyParser:
                 raise ParseError(f"expected '+' or '-', found {tok.text!r}", tok.line, tok.col)
             start = self.peek()
             coeff, mono = self.parse_term()
+            mono_degree = sum(mono)
             if degree is None:
-                degree = mono.degree
-            elif mono.degree != degree:
+                degree = mono_degree
+            elif mono_degree != degree:
                 raise NonHomogeneousError(
-                    f"term of degree {mono.degree} in a polynomial of degree {degree}",
+                    f"term of degree {mono_degree} in a polynomial of degree {degree}",
                     start.line,
                     start.col,
                 )
@@ -452,7 +438,7 @@ class _PolyParser:
                 raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
             coeff = self.parse_factor(coeff, exps)
             if not self.accept("*"):
-                return coeff, Monomial(tuple(exps))
+                return coeff, tuple(exps)
 
     def parse_factor(self, coeff: Fraction, exps: list[int]) -> Fraction:
         """Fold one factor into `coeff` (returned) and `exps` (in place)."""

@@ -6,6 +6,7 @@ from ezdlab.polyring import (
     HomogPoly,
     IdealKind,
     Monomial,
+    divides,
     in_monomial_ideal,
     minimalize_monomial_gens,
     monomials_of_degree,
@@ -29,6 +30,6 @@ def check_support_multiples(ring: GradedQuotient, ell: HomogPoly, q: HomogPoly) 
     violations = []
     for mu in support:
         for big in monomials_of_degree(ring.nvars, 2 * t + 1):
-            if mu.divides(big) and not in_monomial_ideal(big, gens):
+            if divides(mu, big) and not in_monomial_ideal(big, gens):
                 violations.append((mu, big))
     return violations

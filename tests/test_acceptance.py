@@ -33,7 +33,6 @@ from ezdlab.lab import (
 )
 from ezdlab.polyring import (
     HomogPoly,
-    Monomial,
     linear_form,
     minimalize_monomial_gens,
     monomial_ideal,
@@ -131,7 +130,7 @@ def _drop_two_rings(count):
         for i in range(n):
             e = [0] * n
             e[i] = rng.choice([2, 3])
-            gens.add(Monomial(tuple(e)))
+            gens.add(tuple(e))
         pool = [m for d in (2, 3) for m in monomials_of_degree(n, d)]
         gens.update(rng.sample(pool, rng.randint(0, 4)))
         spec = monomial_ideal(n, minimalize_monomial_gens(gens))

@@ -1,21 +1,25 @@
-"""The benchmark's tracer wraps ezdlab functions by name; every name must exist."""
+"""The benchmark's scripts use ezdlab by name: every name the tracer wraps
+must exist, and the library inputs of ring-analysis must still give their
+reference records."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _load_bench(name: str):
+    """Import bench/<name>.py read-only, outside the package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_resolve():
-    spans = _load_spans()
+    spans = _load_bench("spans")
     missing = []
     for modname, attr in spans.TRACED:
         owner = importlib.import_module("ezdlab." + modname)
@@ -27,3 +31,14 @@ def test_traced_names_resolve():
         if not found:
             missing.append(f"{modname}.{attr}")
     assert not missing, f"bench/spans.py traces names ezdlab lacks: {missing}"
+
+
+def test_ring_analysis_inputs_match_references():
+    """One ring of each kind the ring-analysis pool draws, built by
+    `make_ring_input` through the package root, `Monomial(...)` included;
+    otherwise only a benchmark run would show a break there."""
+    workloads = _load_bench("workloads")
+    refs = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
+    for item in ("ci/3/2.2.2/v0", "mci/3/2.2.2", "mci/4/2.2.2.2", "pow/3/3"):
+        record = workloads.analyse_ring(*workloads.make_ring_input(item))
+        assert workloads.record_digest(record) == refs[item], item

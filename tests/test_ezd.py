@@ -29,7 +29,6 @@ from ezdlab.gradedring import build_quotient, default_bound
 from ezdlab.polyring import (
     HomogPoly,
     IdealKind,
-    Monomial,
     format_poly,
     linear_form,
     make_ideal,
@@ -107,7 +106,7 @@ def test_monomial_lookup_maps_match_normal_forms():
     for trial in range(40):
         nvars = rng.randint(2, 3)
         if trial == 0:
-            spec = monomial_ideal(nvars, [Monomial((0,) * nvars)])  # the unit ideal
+            spec = monomial_ideal(nvars, [(0,) * nvars])  # the unit ideal
         else:
             pool = [m for d in range(1, 4) for m in monomials_of_degree(nvars, d)]
             spec = monomial_ideal(nvars, rng.sample(pool, rng.randint(1, 5)))
@@ -263,12 +262,12 @@ def _oracle_rings(rng):
             n = rng.randint(2, 3)
             quadrics = monomials_of_degree(n, 2)
             if kind is IdealKind.MONOMIAL:
-                powers = [Monomial(tuple(rng.randint(2, 3) * (i == j) for i in range(n))) for j in range(n)]
+                powers = [tuple(rng.randint(2, 3) * (i == j) for i in range(n)) for j in range(n)]
                 extra = rng.sample(quadrics + monomials_of_degree(n, 3), rng.randint(0, 2))
                 spec = monomial_ideal(n, powers + extra)
                 bound = default_bound(spec)
             elif kind is IdealKind.MONOMIAL_PLUS_ONE_BINOMIAL:
-                squares = [Monomial(tuple(2 * (i == j) for i in range(n))) for j in range(n)]
+                squares = [tuple(2 * (i == j) for i in range(n)) for j in range(n)]
                 m1, m2 = rng.sample(quadrics, 2)
                 gens = squares + rng.sample(quadrics, rng.randint(0, 1))
                 binomial = HomogPoly(n, 2, [(m1, F(1)), (m2, F(1))])

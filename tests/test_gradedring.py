@@ -20,7 +20,6 @@ from ezdlab.gradedring import (
 from ezdlab.lab import ScanConfig, enumerate_monomial_ideals
 from ezdlab.polyring import (
     HomogPoly,
-    Monomial,
     format_monomial,
     in_monomial_ideal,
     make_ideal,
@@ -145,7 +144,7 @@ def test_default_bound():
 
 def _pure_power_bound(nvars, monos):
     """sum(a_i - 1) + 1 over the least pure power x_i^{a_i} of each variable, or None."""
-    least = [min((m.degree for m in monos if m.exps[i] == m.degree), default=None)
+    least = [min((sum(m) for m in monos if m[i] == sum(m)), default=None)
              for i in range(nvars)]
     return None if None in least else sum(a - 1 for a in least) + 1
 
@@ -154,13 +153,12 @@ def _pure_power_bound(nvars, monos):
 def test_socle_bound_matches_default_bound(nvars, max_degree, count):
     """On every ideal a monomial scan enumerates, the exponent-level bound
     it reads equals default_bound of the built IdealSpec and a count of
-    pure powers over Monomials, and the ring vanishes at that bound."""
+    pure powers, and the ring vanishes at that bound."""
     seen = 0
     for gens in enumerate_monomial_ideals(ScanConfig(nvars, max_degree)):
-        monos = [Monomial(e) for e in gens]
         bound = socle_bound(nvars, gens)
-        assert bound == default_bound(monomial_ideal(nvars, monos)), gens
-        assert bound == _pure_power_bound(nvars, monos), gens
+        assert bound == default_bound(monomial_ideal(nvars, gens)), gens
+        assert bound == _pure_power_bound(nvars, gens), gens
         assert monomial_hilbert(nvars, set(gens), bound).values[-1] == 0, gens
         seen += 1
     assert seen == count
@@ -295,7 +293,7 @@ def _eliminated_widths(monkeypatch, spec, bound):
 
 def test_only_standard_columns_are_eliminated(monkeypatch):
     spec = parse_ideal("x1^2, x2^2, x3^2, x1*x2 + x2*x3", 3)
-    squares = [m for m in monomials_of_degree(3, 2) if max(m.exps) == 2]
+    squares = [m for m in monomials_of_degree(3, 2) if max(m) == 2]
     ring, widths = _eliminated_widths(monkeypatch, spec, 4)
     # one matrix per degree the binomial reaches, one column per monomial
     # outside (x1^2, x2^2, x3^2): 3, 1 and 0 of them in degrees 2, 3, 4

@@ -17,7 +17,6 @@ from ezdlab.gradedring import MAX_MONOMIALS, build_quotient, default_bound, mono
 from ezdlab.lab import ScanConfig, enumerate_monomial_ideals, scan_binomial, scan_monomial
 from ezdlab.polyring import (
     HomogPoly,
-    Monomial,
     linear_form,
     make_ideal,
     monomial_ideal,
@@ -32,10 +31,11 @@ def lex_segment_growth(nvars: int, h: int, d: int) -> int:
     """dim (P/L)_{d+1} for L generated by all but the h lex-last monomials
     of degree d: the degree-(d+1) monomials whose every degree-d divisor is
     among those h."""
-    last = set(sorted(m.exps for m in monomials_of_degree(nvars, d))[:h])
+    monos = monomials_of_degree(nvars, d)  # in graded-lex order
+    last = set(monos[len(monos) - h :])
     return sum(
         1 for m in monomials_of_degree(nvars, d + 1)
-        if all(m.exps[:i] + (e - 1,) + m.exps[i + 1 :] in last for i, e in enumerate(m.exps) if e)
+        if all(m[:i] + (e - 1,) + m[i + 1 :] in last for i, e in enumerate(m) if e)
     )
 
 
@@ -87,7 +87,7 @@ def _check_forms(ring, forms) -> int:
 
 def _monomial_rings(max_degree):
     for gens in enumerate_monomial_ideals(ScanConfig(3, max_degree)):
-        spec = monomial_ideal(3, map(Monomial, gens))
+        spec = monomial_ideal(3, gens)
         yield build_quotient(spec, default_bound(spec))
 
 
@@ -137,8 +137,8 @@ def test_series_test_random_complete_intersections(nvars, degrees):
 @pytest.mark.parametrize("nvars", [2, 3, 4])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_series_test_power_ideals(nvars, d):
-    gens = [Monomial((d,) + (0,) * (nvars - 1))]
-    gens += [Monomial((0,) + m.exps) for m in monomials_of_degree(nvars - 1, d)]
+    gens = [(d,) + (0,) * (nvars - 1)]
+    gens += [(0,) + m for m in monomials_of_degree(nvars - 1, d)]
     spec = monomial_ideal(nvars, gens)
     ring = build_quotient(spec, default_bound(spec))
     ones = linear_form([1] * nvars)
@@ -148,7 +148,7 @@ def test_series_test_power_ideals(nvars, d):
 
 
 def _monomial_exps(spec) -> set:
-    return {m.exps for g in spec.generators for m in g.coeffs}
+    return {m for g in spec.generators for m in g.coeffs}
 
 
 def test_monomial_hilbert_matches_builds():
@@ -159,7 +159,7 @@ def test_monomial_hilbert_matches_builds():
     for max_degree in (3, 4):
         ideals = list(enumerate_monomial_ideals(ScanConfig(3, max_degree)))
         for i, gens in enumerate(ideals):
-            spec = monomial_ideal(3, map(Monomial, gens))
+            spec = monomial_ideal(3, gens)
             bound = default_bound(spec)
             hf = monomial_hilbert(3, set(gens), bound)
             assert hf == build_quotient(spec, bound).hilbert, gens

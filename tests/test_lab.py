@@ -31,12 +31,13 @@ from ezdlab.lab import (
 )
 from ezdlab.polyring import (
     HomogPoly,
-    Monomial,
+    divides,
     format_ideal,
     format_poly,
     in_monomial_ideal,
     minimalize_monomial_gens,
     monomial_ideal,
+    monomial_key,
     monomials_of_degree,
     parse_ideal,
     parse_poly,
@@ -56,9 +57,9 @@ def brute_force_monomial_ideals(nvars, max_degree, artinian=True):
             minimal = minimalize_monomial_gens(subset)
             if artinian:
                 vars_with_power = {
-                    next(i for i, e in enumerate(m.exps) if e)
+                    next(i for i, e in enumerate(m) if e)
                     for m in minimal
-                    if sum(1 for e in m.exps if e) == 1
+                    if sum(1 for e in m if e) == 1
                 }
                 if len(vars_with_power) != nvars:
                     continue
@@ -67,7 +68,7 @@ def brute_force_monomial_ideals(nvars, max_degree, artinian=True):
 
 
 def _multiset_key(exps_list) -> tuple:
-    return tuple(sorted((sum(e), tuple(-x for x in e)) for e in exps_list))
+    return tuple(sorted(map(monomial_key, exps_list)))
 
 
 def dfs_monomial_ideals(cfg, artinian_only=True):
@@ -78,14 +79,14 @@ def dfs_monomial_ideals(cfg, artinian_only=True):
     ]
 
     def artinian(chosen):
-        covered = {next(i for i, e in enumerate(m.exps) if e)
-                   for m in chosen if sum(1 for e in m.exps if e) == 1}
+        covered = {next(i for i, e in enumerate(m) if e)
+                   for m in chosen if sum(1 for e in m if e) == 1}
         return len(covered) == cfg.nvars
 
     def canonical(chosen):
-        base = _multiset_key([m.exps for m in chosen])
+        base = _multiset_key(chosen)
         return all(
-            _multiset_key([tuple(m.exps[p] for p in perm) for m in chosen]) >= base
+            _multiset_key([tuple(m[p] for p in perm) for m in chosen]) >= base
             for perm in permutations(range(cfg.nvars))
         )
 
@@ -94,10 +95,10 @@ def dfs_monomial_ideals(cfg, artinian_only=True):
             if chosen and (not artinian_only or artinian(chosen)) and (
                 not cfg.symmetry_reduction or canonical(chosen)
             ):
-                yield tuple(m.exps for m in chosen)
+                yield tuple(chosen)
             return
         m = candidates[i]
-        if not any(c.divides(m) or m.divides(c) for c in chosen):
+        if not any(divides(c, m) or divides(m, c) for c in chosen):
             chosen.append(m)
             yield from dfs(i + 1, chosen)
             chosen.pop()
@@ -121,7 +122,7 @@ def test_enumerate_matches_dfs_oracle_in_order(nvars, max_degree, artinian, symm
     if artinian:
         assert got == oracle
         for gens in got:
-            spec = monomial_ideal(nvars, map(Monomial, gens))
+            spec = monomial_ideal(nvars, gens)
             ring = build_quotient(spec, default_bound(spec))
             assert ring.complete and ring.hilbert.values[-1] == 0, gens
         return
@@ -130,7 +131,7 @@ def test_enumerate_matches_dfs_oracle_in_order(nvars, max_degree, artinian, symm
     dropped = [gens for gens in oracle if gens not in kept]
     assert dropped
     for gens in dropped:
-        ring = build_quotient(monomial_ideal(nvars, map(Monomial, gens)), max_degree + 2)
+        ring = build_quotient(monomial_ideal(nvars, gens), max_degree + 2)
         assert 0 not in ring.hilbert.values and not ring.complete
 
 
@@ -145,7 +146,7 @@ def test_enumerate_two_vars_degree_two():
 def test_enumerate_matches_brute_force():
     cfg = ScanConfig(nvars=2, max_degree=3, symmetry_reduction=False)
     enumerated = {frozenset(gens) for gens in enumerate_monomial_ideals(cfg)}
-    oracle = {frozenset(m.exps for m in g) for g in brute_force_monomial_ideals(2, 3)}
+    oracle = set(map(frozenset, brute_force_monomial_ideals(2, 3)))
     assert enumerated == oracle
 
 
@@ -154,8 +155,7 @@ def test_enumerate_emits_antichains_once():
     seen = []
     for gens in enumerate_monomial_ideals(cfg):
         # minimal, and listed in graded-lex order
-        monos = tuple(map(Monomial, gens))
-        assert monos == minimalize_monomial_gens(monos)
+        assert gens == minimalize_monomial_gens(gens)
         seen.append(frozenset(gens))
     assert len(seen) == len(set(seen))
 
@@ -270,7 +270,7 @@ def test_binomial_scan_determinism_across_workers():
 def binomial_payloads(nvars):
     """The binomial scan's candidates in index order, enumerated independently:
     (J exponents, f1, f2) with J any set of degree-2 monomials and f1 < f2."""
-    deg2 = [m.exps for m in monomials_of_degree(nvars, 2)]
+    deg2 = monomials_of_degree(nvars, 2)
     return [
         (tuple(e for i, e in enumerate(deg2) if mask >> i & 1), f1, f2)
         for mask in range(1 << len(deg2))
@@ -279,8 +279,8 @@ def binomial_payloads(nvars):
 
 
 def binomial_spec(nvars, j_exps, f1, f2):
-    gens = [HomogPoly.from_monomial(Monomial(e)) for e in j_exps]
-    gens.append(HomogPoly(nvars, 2, [(Monomial(f1), 1), (Monomial(f2), 1)]))
+    gens = [HomogPoly.from_monomial(e) for e in j_exps]
+    gens.append(HomogPoly(nvars, 2, [(f1, 1), (f2, 1)]))
     return polyring.make_ideal(nvars, gens)
 
 
@@ -315,10 +315,18 @@ def test_binomial_support_test_matches_build_oracle():
 )
 def test_binomial_support_test_named_cases(n, ideal, artinian):
     spec = parse_ideal(ideal, n)
-    j_monos, f1, f2 = spec.binomial_parts()
-    j_exps = tuple(m.exps for m in j_monos)
-    assert lab._binomial_is_artinian(n, j_exps, f1.exps, f2.exps) is artinian
+    assert lab._binomial_is_artinian(n, *spec.binomial_parts()) is artinian
     assert build_quotient(spec, 6).complete is artinian
+
+
+def test_binomial_task_refuses_an_incomplete_ring(monkeypatch):
+    """An Artinian candidate's ring vanishes by degree n + 1, so one that
+    has not vanished by the bound breaks an invariant: it raises rather
+    than being recorded as a skip."""
+    monkeypatch.setattr(lab, "build_quotient", lambda spec, bound: build_quotient(spec, 1))
+    squares = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    with pytest.raises(RuntimeError, match="does not vanish by degree 6"):
+        lab._binomial_task(ScanConfig(3), (0, squares, ((1, 1, 0), (0, 1, 1))))
 
 
 def test_binomial_skips_build_nothing(monkeypatch):

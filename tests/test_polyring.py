@@ -1,6 +1,7 @@
 """Monomial order, polynomial arithmetic, the ideal grammar, and classification."""
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,48 +9,110 @@ from hypothesis import example, given, settings, strategies as st
 from ezdlab.polyring import (
     HomogPoly,
     IdealKind,
-    Monomial,
     NonHomogeneousError,
     ParseError,
+    divides,
     format_ideal,
     format_poly,
     in_monomial_ideal,
     make_ideal,
     minimalize_monomial_gens,
     monomial_ideal,
+    monomial_key,
     monomials_of_degree,
     parse_ideal,
     parse_poly,
 )
 
 
-def M(*exps):
-    return Monomial(tuple(exps))
-
-
 def test_divides_examples():
-    assert M(1, 0).divides(M(1, 1))
-    assert not M(2, 0).divides(M(1, 1))
-    assert M(0, 0).divides(M(3, 7))
+    assert divides((1, 0), (1, 1))
+    assert not divides((2, 0), (1, 1))
+    assert divides((0, 0), (3, 7))
+    with pytest.raises(ValueError):
+        divides((1, 0), (1, 1, 0))
 
 
 def test_monomials_of_degree_order():
-    out = monomials_of_degree(2, 2)
-    assert [m.exps for m in out] == [(2, 0), (1, 1), (0, 2)]
-    assert [m.exps for m in monomials_of_degree(3, 1)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert monomials_of_degree(2, 2) == ((2, 0), (1, 1), (0, 2))
+    assert monomials_of_degree(3, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert len(monomials_of_degree(3, 2)) == 6
 
 
 def test_order_strictly_increasing():
     for n, d in [(2, 3), (3, 2), (4, 3)]:
         out = monomials_of_degree(n, d)
-        assert all(a < b for a, b in zip(out, out[1:]))
+        assert all(monomial_key(a) < monomial_key(b) for a, b in zip(out, out[1:]))
+
+
+def graded_lex_cmp(a, b) -> int:
+    """The monomial order, written independently of `monomial_key`: lower
+    degree first, then a larger exponent at the first differing position."""
+    if sum(a) != sum(b):
+        return -1 if sum(a) < sum(b) else 1
+    for x, y in zip(a, b):
+        if x != y:
+            return -1 if x > y else 1
+    return 0
+
+
+GRADED_LEX = cmp_to_key(graded_lex_cmp)
+
+
+@st.composite
+def exponent_tuples(draw):
+    """A variable count and a list of monomials in that many variables."""
+    n = draw(st.integers(1, 4))
+    return n, draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=12))
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(exponent_tuples())
+def test_monomial_key_is_graded_lex(case):
+    """Sorting by the key, minimalizing generators and listing a polynomial's
+    terms all follow the oracle order, never the tuples' native lex order."""
+    n, ts = case
+    assert sorted(ts, key=monomial_key) == sorted(ts, key=GRADED_LEX)
+    minimal = minimalize_monomial_gens(ts)
+    assert list(minimal) == sorted(minimal, key=GRADED_LEX)
+    for d in set(map(sum, ts)):
+        poly = HomogPoly(n, d, [(t, 1) for t in ts if sum(t) == d])
+        assert list(poly.support()) == sorted(poly.coeffs, key=GRADED_LEX)
+
+
+def test_native_tuple_order_is_not_graded_lex():
+    ts = [(0, 2), (1, 1), (2, 0)]
+    assert sorted(ts, key=monomial_key) == [(2, 0), (1, 1), (0, 2)]
+    assert sorted(ts) == ts
+    assert minimalize_monomial_gens(ts) == ((2, 0), (1, 1), (0, 2))
+    assert HomogPoly(2, 2, [(t, 1) for t in ts]).support() == ((2, 0), (1, 1), (0, 2))
+
+
+@pytest.mark.parametrize(
+    "mono", [(3, -1), (2, 0, 0), (2,), (1, 0)], ids=["negative", "long", "short", "degree"]
+)
+def test_homog_poly_refuses_invalid_exponents(mono):
+    with pytest.raises(ValueError):
+        HomogPoly(2, 2, [(mono, 1)])
+
+
+@pytest.mark.parametrize("text, message, col", [
+    ("x1^3*x2^-1", "expected an integer exponent", 9),
+    ("x1*x3", "unknown variable x3 (expected x1..x2)", 4),
+    ("x1^2 + x2", "term of degree 1 in a polynomial of degree 2", 8),
+])
+def test_parser_refuses_invalid_exponents_before_homog_poly(text, message, col):
+    """Text that would give a negative exponent, a third variable or a
+    mixed degree is a positioned ParseError, not HomogPoly's ValueError."""
+    with pytest.raises(ParseError) as err:
+        parse_ideal(text, 2)
+    assert str(err.value) == f"line 1, column {col}: {message}"
 
 
 def test_in_monomial_ideal():
-    assert in_monomial_ideal(M(1, 2), [M(1, 1)])
-    assert not in_monomial_ideal(M(0, 3), [M(2, 0), M(1, 1)])
-    assert not in_monomial_ideal(M(1, 1), [])
+    assert in_monomial_ideal((1, 2), [(1, 1)])
+    assert not in_monomial_ideal((0, 3), [(2, 0), (1, 1)])
+    assert not in_monomial_ideal((1, 1), [])
 
 
 def test_poly_mul_examples():
@@ -71,8 +134,8 @@ def test_parse_binomial_kind():
     spec = parse_ideal("x1^2, x1*x2 + x2^2", 2)
     assert spec.kind is IdealKind.MONOMIAL_PLUS_ONE_BINOMIAL
     j, f1, f2 = spec.binomial_parts()
-    assert [m.exps for m in j] == [(2, 0)]
-    assert f1.exps == (1, 1) and f2.exps == (0, 2)
+    assert j == ((2, 0),)
+    assert f1 == (1, 1) and f2 == (0, 2)
 
 
 def test_parse_binomial_rescales_equal_coefficients():
@@ -178,18 +241,18 @@ def test_parse_comments_newlines_whitespace():
 
 def test_parse_rational_coefficients():
     p = parse_poly("-1/2*x1*x2 + x2^2", 2)
-    assert p.coefficient(M(1, 1)) == Fraction(-1, 2)
+    assert p.coefficient((1, 1)) == Fraction(-1, 2)
     assert format_poly(p) == "-1/2*x1*x2 + x2^2"
 
 
 def test_minimalize():
-    assert minimalize_monomial_gens([M(1, 0), M(1, 1)]) == (M(1, 0),)
-    assert minimalize_monomial_gens([M(2, 0), M(0, 2)]) == (M(2, 0), M(0, 2))
-    assert minimalize_monomial_gens([M(1, 1), M(1, 1)]) == (M(1, 1),)
+    assert minimalize_monomial_gens([(1, 0), (1, 1)]) == ((1, 0),)
+    assert minimalize_monomial_gens([(2, 0), (0, 2)]) == ((2, 0), (0, 2))
+    assert minimalize_monomial_gens([(1, 1), (1, 1)]) == ((1, 1),)
 
 
 def test_minimalize_preserves_membership():
-    gens = [M(2, 0, 0), M(2, 1, 0), M(0, 2, 0), M(1, 1, 1)]
+    gens = [(2, 0, 0), (2, 1, 0), (0, 2, 0), (1, 1, 1)]
     minimal = minimalize_monomial_gens(gens)
     for m in monomials_of_degree(3, 3):
         assert in_monomial_ideal(m, gens) == in_monomial_ideal(m, minimal)
