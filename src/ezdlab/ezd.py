@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import lru_cache
 from math import comb
 from operator import add
 from typing import Sequence
@@ -228,7 +229,13 @@ def hilbert_admits_pair(values: Sequence[int]) -> bool:
     of the standard graded algebra R/(ell): q(0) = 1, q >= 0 and
     q(d+1) <= q(d)^<d>. As ell and y are nonzero, 1 <= t <= top; when no such t
     divides H_R with a quotient of that kind, no linear form has a partner.
+    The answer is cached per Hilbert function: a scan's rings have few distinct ones.
     """
+    return _admits_pair(tuple(values))
+
+
+@lru_cache(maxsize=1 << 12)
+def _admits_pair(values: tuple[int, ...]) -> bool:
     h = list(values)
     while h and not h[-1]:
         h.pop()

@@ -12,13 +12,17 @@ Each degree stores one table, from every monomial to its normal form as
 sparse (quotient coordinate, coefficient) pairs, read off the reduced
 echelon basis of I_d: the quotient basis is the set of non-pivot standard
 monomials. Normal forms and multiplication maps are sums over this table.
-For a monomial ideal the closure alone gives the Hilbert function, which
-`monomial_hilbert` reads off the generators' exponent vectors without
-building an IdealSpec or any table, and `socle_bound` reads the default
-degree bound off the same vectors; `default_bound` applies that one rule to
-the single-term generators of any ideal. The closure looks up each
-monomial's successors m*x_i in a table shared across calls, since the
-ideals of a scan share most of their standard monomials.
+Before eliminating, `build_quotient` estimates the elimination's cost from
+counts alone and refuses a build past `MAX_ELIMINATION_COST`.
+
+The Hilbert function of P/M needs no standard monomial set:
+`monomial_hilbert` counts the degree-d monomials outside M as C(n+d-1, d)
+minus the popcount of the OR of the generators' degree-d divisibility
+bitmasks, each mask built once per process and shared across calls, so a
+scan reads H off the generators' exponent vectors without building an
+IdealSpec, a table or the closure. `socle_bound` reads the default degree
+bound off the same vectors; `default_bound` applies that one rule to the
+single-term generators of any ideal.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .polyring import (
     HomogPoly,
     IdealSpec,
     Monomial,
+    divides,
     monomials_of_degree,
 )
 
@@ -44,6 +49,14 @@ ZERO = Fraction(0)
 # Larger builds are refused up front: they would run for a very long time
 # while the unbounded monomial caches keep growing.
 MAX_MONOMIALS = 100_000
+# Largest elimination build_quotient runs, estimated before it starts as the
+# sum over degrees of rows x standard columns^2, a bound on dense Gauss-Jordan
+# work. On "x1^2 + x2*x3, x2^2 + x1*x4" in 4 variables, the largest ring the
+# tests build, the estimate is 2.2e8 to degree 12 (about a second) and 2.9e9
+# to degree 16 (about 5 s); to degree 31 it is 1.3e12, about nine minutes.
+# Every other ring of the tests, demos, README examples and benchmark inputs
+# is estimated at 2.8e6 or less.
+MAX_ELIMINATION_COST = 10_000_000_000
 
 
 @dataclass(frozen=True)
@@ -124,6 +137,7 @@ class GradedQuotient:
         return HomogPoly(self.nvars, degree, list(zip(basis, coords)))
 
 
+# Shared across builds: the rings a scan builds share most of their standard monomials.
 @lru_cache(maxsize=1 << 12)
 def _successors(e: Monomial) -> tuple[Monomial, ...]:
     """The monomials e*x_1, ..., e*x_n."""
@@ -210,6 +224,26 @@ def _refuse_oversize(nvars: int, bound: int) -> None:
         )
 
 
+def _refuse_costly(nvars: int, gens: set[Monomial], others: list[HomogPoly], bound: int) -> None:
+    """Raise ValueError when eliminating the multiples of `others` on the
+    standard columns of the monomial ideal generated by `gens`, degrees
+    0..bound, is estimated to cost more than MAX_ELIMINATION_COST.
+
+    The estimate is the sum over degrees of rows x columns^2: one row per
+    multiple m*g of a generator in `others`, one column per standard monomial.
+    """
+    cost = 0
+    for d, cols in enumerate(monomial_hilbert(nvars, gens, bound).values):
+        rows = sum(comb(nvars + d - g.degree - 1, d - g.degree) for g in others if g.degree <= d)
+        cost += rows * cols * cols
+    if cost > MAX_ELIMINATION_COST:
+        raise ValueError(
+            f"eliminating up to degree {bound} is estimated at {cost:,} operations "
+            f"(rows x standard columns^2 over the degrees), more than the cap of "
+            f"{MAX_ELIMINATION_COST:,}; lower the bound"
+        )
+
+
 def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = False) -> GradedQuotient:
     """Construct R = P/I with all per-degree data for degrees 0..bound.
 
@@ -217,12 +251,15 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
     others are eliminated; `force_elimination` eliminates every generator
     (the cross-check oracle of the tests). Raises ValueError before
     building anything when the monomials of degree <= bound number more
-    than MAX_MONOMIALS.
+    than MAX_MONOMIALS, or when the elimination's estimated cost exceeds
+    MAX_ELIMINATION_COST.
     """
     _refuse_oversize(spec.nvars, bound)
     single = [] if force_elimination else [g for g in spec.generators if len(g.coeffs) == 1]
     gens = {m for g in single for m in g.coeffs}  # M's generators
     others = [g for g in spec.generators if g not in single]
+    if others:
+        _refuse_costly(spec.nvars, gens, others, bound)
     components = []
     prev_dim = None
     for d, standard in enumerate(_order_ideal(spec.nvars, gens, bound)):
@@ -246,19 +283,48 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
     return GradedQuotient(spec, bound, tuple(components), hilbert, top)
 
 
-def monomial_hilbert(nvars: int, gens: set[Monomial], bound: int) -> HilbertFn:
+@lru_cache(maxsize=1 << 12)
+def _divisible_mask(e: Monomial, degree: int) -> int:
+    """Bit i set exactly when e divides the i-th monomial of the given degree."""
+    mask = 0
+    for i, m in enumerate(monomials_of_degree(len(e), degree)):
+        if divides(e, m):
+            mask |= 1 << i
+    return mask
+
+
+@lru_cache(maxsize=1 << 12)
+def _divisible_masks(e: Monomial, bound: int) -> int:
+    """The degree-d masks of e for d = 0..bound in one integer, degree d's at
+    bit C(n+d-1, n), the number of monomials of lower degree."""
+    n = len(e)
+    out = 0
+    for d in range(sum(e), bound + 1):  # e divides nothing of lower degree
+        out |= _divisible_mask(e, d) << comb(n + d - 1, n)
+    return out
+
+
+def monomial_hilbert(nvars: int, gens: Iterable[Monomial], bound: int) -> HilbertFn:
     """The Hilbert function of P/M, degrees 0..bound, for the monomial ideal M
     generated by the monomials `gens`.
 
-    It counts the standard monomials of the closure `build_quotient` runs
-    and builds no IdealSpec and no normal-form table, so it equals
-    `build_quotient(monomial_ideal(...), bound).hilbert` at a fraction of
-    the cost. Raises ValueError like `build_quotient` on a negative or
-    oversized bound.
+    H(d) is C(n+d-1, d) minus the degree-d monomials some generator divides,
+    the popcount of the OR of their divisibility masks. It builds no
+    IdealSpec, normal-form table or standard monomial set, and equals
+    `build_quotient(monomial_ideal(...), bound).hilbert`, which counts the
+    closure's standard monomials. Raises ValueError like `build_quotient` on
+    a negative or oversized bound.
     """
     _refuse_oversize(nvars, bound)
-    dims = tuple(map(len, _order_ideal(nvars, gens, bound)))
-    return HilbertFn(dims, 0 in dims)
+    covered = 0
+    for e in gens:
+        covered |= _divisible_masks(e, bound)
+    dims = []
+    for d in range(bound + 1):
+        size = comb(nvars + d - 1, d)
+        dims.append(size - (covered & ((1 << size) - 1)).bit_count())
+        covered >>= size
+    return HilbertFn(tuple(dims), 0 in dims)
 
 
 def socle_bound(nvars: int, gens: Iterable[Monomial]) -> int | None:

@@ -7,10 +7,10 @@ Two families are scanned exhaustively at desk scale:
   form, and whenever a generic exact pair with partner degree t exists the
   scan asserts the Hilbert drop dim R_{t+1} = dim R_t - 1. The socle
   bound and the Hilbert function come from the generators' exponent
-  tuples alone, through the order-ideal closure; the IdealSpec and the
-  ring are built only when the Hilbert series admits a linear form in an
-  exact pair (`ezd.hilbert_admits_pair`), and every other ideal is
-  recorded as "no".
+  tuples alone, the latter through divisibility bitmasks shared across
+  the scan (`monomial_hilbert`); the IdealSpec and the ring are built
+  only when the Hilbert series admits a linear form in an exact pair
+  (`ezd.hilbert_admits_pair`), and every other ideal is recorded as "no".
 
 * "Monomial plus one binomial" ideals J + (f1 + f2) with everything in
   degree 2. Off the boundary stratum dim R_2 = n - 1 no sampled linear
@@ -39,6 +39,7 @@ from fractions import Fraction
 from functools import partial
 from io import StringIO
 from itertools import combinations, permutations, product
+from json.encoder import encode_basestring_ascii
 from operator import add
 from typing import Iterable, Iterator
 
@@ -276,7 +277,23 @@ class ScanReport:
         return out
 
     def to_json(self, full: bool = False) -> str:
-        return json.dumps(self.to_json_dict(full), indent=2, sort_keys=True) + "\n"
+        """`json.dumps(self.to_json_dict(full), indent=2, sort_keys=True) + "\n"`,
+        with the record lists written by a flat emitter (`_records_json`)
+        instead of the pure-Python indenting encoder; every other value
+        still goes through `json.dumps`."""
+        records = {"counterexamples": self.counterexamples}
+        if full:
+            records.update(instances=self.instances, skipped_instances=self.skipped)
+        out = self.to_json_dict()
+        out.update(records)
+        lines = []
+        for key in sorted(out):
+            if key in records:
+                value = _records_json(records[key])
+            else:
+                value = json.dumps(out[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+            lines.append(f"  {encode_basestring_ascii(key)}: {value}")
+        return "{\n" + ",\n".join(lines) + "\n}\n"
 
     def to_csv(self) -> str:
         """One row per instance; the columns are the record's fields in order."""
@@ -294,6 +311,44 @@ def _record_dict(record) -> dict:
     """A record's fields by name. Records hold only scalars and flat tuples,
     so this shallow dict serializes as `asdict` would, without its deep copy."""
     return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
+# json.dumps's text for each scalar type a record field may hold
+_JSON_SCALARS = {
+    type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+}
+
+
+def _json_field(v, indent: str) -> str:
+    """`json.dumps(v, indent=2)` for a record field nested `indent` deep: a
+    scalar, or a flat tuple of scalars with one item per line."""
+    encode = _JSON_SCALARS.get(type(v))
+    if encode is not None:
+        return encode(v)
+    if type(v) is tuple and all(type(x) in _JSON_SCALARS for x in v):
+        if not v:
+            return "[]"
+        inner = ",\n" + indent + "  "
+        return "[" + inner[1:] + inner.join(_JSON_SCALARS[type(x)](x) for x in v) + "\n" + indent + "]"
+    raise TypeError(f"record field {v!r} is not a scalar or a flat tuple of scalars")
+
+
+def _records_json(records: tuple) -> str:
+    """`json.dumps([_record_dict(r) for r in records], indent=2, sort_keys=True)`
+    for records of one type, one level below the report's top, written
+    record by record."""
+    if not records:
+        return "[]"
+    names = sorted(f.name for f in fields(records[0]))
+    prefixes = [(name, f"      {encode_basestring_ascii(name)}: ") for name in names]
+    parts = []
+    for r in records:
+        body = ",\n".join(p + _json_field(getattr(r, name), "      ") for name, p in prefixes)
+        parts.append("    {\n" + body + "\n    }")
+    return "[\n" + ",\n".join(parts) + "\n  ]"
 
 
 def _csv_cell(v) -> str:
@@ -317,7 +372,7 @@ def _monomial_task(cfg: ScanConfig, payload: tuple[int, tuple]):
     # enumeration emits Artinian ideals only, so the socle bound exists and
     # the ring vanishes by it
     bound = socle_bound(cfg.nvars, gens)
-    hilbert = monomial_hilbert(cfg.nvars, set(gens), bound).values
+    hilbert = monomial_hilbert(cfg.nvars, gens, bound).values
     # When the series rules out every linear form the decision is "no",
     # as the all-ones form would find, and neither ideal nor ring is built.
     decision, witness = GenericDecision.NO, None

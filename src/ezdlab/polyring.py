@@ -291,6 +291,7 @@ def monomial_ideal(nvars: int, monomials: Iterable[Monomial]) -> IdealSpec:
 # formatting
 
 
+@lru_cache(maxsize=1 << 12)  # a scan formats the same few generators over and over
 def format_monomial(m: Monomial) -> str:
     parts = []
     for i, e in enumerate(m):

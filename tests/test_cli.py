@@ -91,6 +91,14 @@ def test_missing_bound_exits_2(capsys):
     assert "-D" in err
 
 
+def test_costly_elimination_exits_2(capsys):
+    code, out, err = run(capsys, "hilbert", "-n", "4", "-D", "31", "x1^2 + x2*x3, x2^2 + x1*x4")
+    assert (code, out) == (2, "")
+    assert "estimated at 1,332,438,594,960 operations" in err
+    assert "cap of 10,000,000,000" in err
+    assert "Traceback" not in err
+
+
 def test_ezd_generic_yes(capsys):
     code, out, _ = run(capsys, "ezd", "-n", "2", "-D", "2", "x1^2, x2^2")
     assert code == 0

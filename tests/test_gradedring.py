@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ezdlab import gradedring
 from ezdlab.exactmat import QMatrix, Subspace
@@ -112,6 +113,65 @@ def test_size_cap_refuses_before_building(monkeypatch):
         build_quotient(spec, 4)
     with pytest.raises(ValueError, match="cap of 10"):
         build_quotient(spec, 4, force_elimination=True)
+
+
+def test_elimination_cost_guard_refuses_before_eliminating(monkeypatch):
+    """The guard reads the cost off counts: degree 12 builds, degree 31 (an
+    estimated nine minutes of elimination) is refused before any degree is built."""
+    spec = parse_ideal("x1^2 + x2*x3, x2^2 + x1*x4", 4)
+    ring = build_quotient(spec, 12)
+    assert ring.hilbert.values[:4] == (1, 4, 8, 12)
+    monkeypatch.setattr(gradedring, "_component", lambda *a: pytest.fail("a degree was built"))
+    with pytest.raises(ValueError, match=(
+        r"^eliminating up to degree 31 is estimated at 1,332,438,594,960 operations "
+        r"\(rows x standard columns\^2 over the degrees\), more than the cap of "
+        r"10,000,000,000; lower the bound$"
+    )):
+        build_quotient(spec, 31)
+
+
+def test_elimination_cost_counts_only_eliminated_generators(monkeypatch):
+    """A monomial ideal eliminates nothing, so only force_elimination meets the guard."""
+    monkeypatch.setattr(gradedring, "MAX_ELIMINATION_COST", 100)
+    spec = parse_ideal("x1^3, x2^3", 2)
+    assert build_quotient(spec, 40).hilbert.values[:6] == (1, 2, 3, 2, 1, 0)
+    with pytest.raises(ValueError, match="more than the cap of 100;"):
+        build_quotient(spec, 4, force_elimination=True)
+    # degree 3: the 2 generators against 4 columns; degree 4: their 4 multiples
+    # by a variable against 5 columns; 2 * 4^2 + 4 * 5^2 = 132
+    monkeypatch.setattr(gradedring, "MAX_ELIMINATION_COST", 132)
+    assert build_quotient(spec, 4, force_elimination=True).hilbert.values == (1, 2, 3, 2, 1)
+
+
+@pytest.mark.parametrize("nvars,max_degree", [(2, 5), (3, 3), (3, 4), (4, 3)])
+def test_monomial_hilbert_matches_closure_on_scans(nvars, max_degree):
+    """The bitmask Hilbert function against the order-ideal closure, on every
+    ideal a monomial scan decides, at the socle bound it uses."""
+    for gens in enumerate_monomial_ideals(ScanConfig(nvars, max_degree)):
+        bound = socle_bound(nvars, gens)
+        closure = tuple(map(len, gradedring._order_ideal(nvars, set(gens), bound)))
+        assert monomial_hilbert(nvars, gens, bound).values == closure, gens
+
+
+@st.composite
+def _monomial_sets(draw):
+    nvars = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    return nvars, draw(st.lists(exps, max_size=6)), draw(st.integers(0, 9))
+
+
+@given(_monomial_sets())
+@example((3, [(0, 0, 0)], 3))  # the unit ideal
+@example((2, [(1, 1), (2, 1), (1, 1)], 2))  # not minimal, with a repeat
+@example((3, [(2, 2, 2)], 2))  # the bound below the generator's degree
+@settings(max_examples=300, deadline=None)
+def test_monomial_hilbert_matches_closure(case):
+    """Any generator set, minimal or not, and any bound."""
+    nvars, gens, bound = case
+    closure = tuple(map(len, gradedring._order_ideal(nvars, set(gens), bound)))
+    hf = monomial_hilbert(nvars, gens, bound)
+    assert hf.values == closure
+    assert hf.artinian_within_bound == (0 in closure)
 
 
 def test_is_artinian_examples():

@@ -378,8 +378,10 @@ def test_binomial_ideal_text_matches_format_ideal():
     ids=["monomial", "binomial"],
 )
 def test_full_json_matches_asdict_form(scan, cfg):
-    report = scan(cfg)
-    report = replace(report, counterexamples=(lab.Counterexample(7, "x1^2", "a reason"),))
+    """The flat emitter of to_json against json.dumps of the dict forms, with
+    and without counterexamples, full and summary."""
+    plain = scan(cfg)
+    report = replace(plain, counterexamples=(lab.Counterexample(7, "x1^2", "a reason"),))
     assert report.instances
     expected = dict(
         report.to_json_dict(),
@@ -388,6 +390,39 @@ def test_full_json_matches_asdict_form(scan, cfg):
         skipped_instances=[asdict(s) for s in report.skipped],
     )
     assert report.to_json(full=True) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    for r in (plain, report):
+        for full in (True, False):
+            assert r.to_json(full) == _dumps_oracle(r, full)
+
+
+def _dumps_oracle(report, full: bool) -> str:
+    return json.dumps(report.to_json_dict(full), indent=2, sort_keys=True) + "\n"
+
+
+def test_flat_json_escapes_and_empty_fields():
+    """Strings that need escaping, empty tuples, None and booleans, written
+    as json.dumps writes them, in both record families."""
+    odd = 'x1^2 "quoted" \\ back\tslash\x01 \u00e9\u4e2d \U0001d400'
+    monomial = lab.MonomialInstance(0, odd, (), "no", False, None, None, None, None, None)
+    yes = lab.MonomialInstance(1, "", (1, 0), "generically_yes", True, 0, odd, 1, 0, True)
+    binomial = lab.BinomialInstance(2, odd, (1,), 0, True, "no", (), 0, None, None, False, True)
+    cex = (lab.Counterexample(3, odd, "\n\r\"\\"), lab.Counterexample(4, "", ""))
+    skipped = (lab.SkippedInstance(5, odd, odd),)
+    cases = [
+        lab.ScanReport("monomial", ScanConfig(2), (monomial, yes), cex, skipped, 0.0),
+        lab.ScanReport("binomial", ScanConfig(2), (binomial,), (), (), 0.0),
+        lab.ScanReport("monomial", ScanConfig(2), (), (), (), 0.0),
+    ]
+    for report in cases:
+        for full in (True, False):
+            assert report.to_json(full) == _dumps_oracle(report, full)
+
+
+def test_flat_json_refuses_nested_fields():
+    record = lab.SkippedInstance(0, "x1", ("a", (1, 2)))
+    report = lab.ScanReport("monomial", ScanConfig(2), (), (), (record,), 0.0)
+    with pytest.raises(TypeError, match="not a scalar or a flat tuple"):
+        report.to_json(full=True)
 
 
 def test_binomial_scan_degree_one_builds(monkeypatch):
