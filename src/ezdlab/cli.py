@@ -30,7 +30,7 @@ from .ezd import (
     wlp_check,
     yoshino_conditions,
 )
-from .gradedring import build_quotient, default_bound, is_artinian_within
+from .gradedring import _refuse_oversize, build_quotient, default_bound, is_artinian_within
 from .lab import (
     BINOMIAL_DEFAULT_BOUND, ScanConfig, power_ideal_example, scan_binomial, scan_monomial,
 )
@@ -71,6 +71,10 @@ def _read_ideal_text(args) -> str:
 def _build_ring(args):
     if args.nvars < 1:
         raise ValueError("need at least one variable")
+    # The parser holds one exponent per variable in every term, so the size
+    # caps are met before the text is parsed: at the given bound, and at
+    # degree 1 when that is larger or the bound is read off the ideal later.
+    _refuse_oversize(args.nvars, max(args.bound or 1, 1))
     spec = parse_ideal(_read_ideal_text(args), args.nvars)
     bound = args.bound
     if bound is None:

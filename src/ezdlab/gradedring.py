@@ -49,6 +49,14 @@ ZERO = Fraction(0)
 # Larger builds are refused up front: they would run for a very long time
 # while the unbounded monomial caches keep growing.
 MAX_MONOMIALS = 100_000
+# Largest number of exponents, the monomials of degree <= bound times the
+# variables, that build_quotient and monomial_hilbert accept. A monomial is a
+# tuple of one exponent per variable, so memory grows with this count: a CLI
+# run peaks at 163 MB for 3000 variables to degree 1 (9,003,000 exponents) and
+# at 211 MB just under the cap. The largest ring the tests build, 1000
+# variables to degree 1, holds 1,001,000; every other ring that the tests,
+# demos, README examples and benchmark inputs size holds 209,440 or fewer.
+MAX_EXPONENTS = 12_000_000
 # Largest elimination build_quotient runs, estimated before it starts as the
 # sum over degrees of rows x standard columns^2, a bound on dense Gauss-Jordan
 # work. On "x1^2 + x2*x3, x2^2 + x1*x4" in 4 variables, the largest ring the
@@ -61,10 +69,14 @@ MAX_ELIMINATION_COST = 10_000_000_000
 
 @dataclass(frozen=True)
 class HilbertFn:
-    """Hilbert function values H(0..D) with the within-bound Artinian flag."""
+    """Hilbert function values H(0..D)."""
 
     values: tuple[int, ...]
-    artinian_within_bound: bool
+
+    @property
+    def artinian_within_bound(self) -> bool:
+        """Whether the ring vanished within the bound."""
+        return 0 in self.values
 
 
 @dataclass(frozen=True)
@@ -98,17 +110,7 @@ class GradedQuotient:
         return self.top_degree is not None
 
     def dim(self, degree: int) -> int:
-        if not 0 <= degree <= self.bound:
-            raise ValueError(f"degree {degree} outside bound {self.bound}")
-        return len(self.components[degree].basis)
-
-    def dim_extended(self, degree: int) -> int:
-        """dim R_degree, extending past the bound when the ring has vanished."""
-        if degree <= self.bound:
-            return self.dim(degree)
-        if self.complete:
-            return 0
-        raise ValueError(f"degree {degree} outside bound {self.bound}")
+        return len(self.basis_monomials(degree))
 
     def basis_monomials(self, degree: int) -> tuple[Monomial, ...]:
         if not 0 <= degree <= self.bound:
@@ -137,13 +139,6 @@ class GradedQuotient:
         return HomogPoly(self.nvars, degree, list(zip(basis, coords)))
 
 
-# Shared across builds: the rings a scan builds share most of their standard monomials.
-@lru_cache(maxsize=1 << 12)
-def _successors(e: Monomial) -> tuple[Monomial, ...]:
-    """The monomials e*x_1, ..., e*x_n."""
-    return tuple(e[:i] + (e[i] + 1,) + e[i + 1 :] for i in range(len(e)))
-
-
 def _order_ideal(nvars: int, gens: set[Monomial], bound: int) -> Iterator[set[Monomial]]:
     """The standard monomials of M (those outside it) in degrees 0..bound, in turn.
 
@@ -153,14 +148,17 @@ def _order_ideal(nvars: int, gens: set[Monomial], bound: int) -> Iterator[set[Mo
     So the standard monomials of degree d are the monomials of degree d
     that are no generator and whose every m/x_j is standard of degree d-1:
     exactly those reached from a standard s*x_i once per variable they
-    contain.
+    contain. No table is shared across calls: only `build_quotient` runs
+    the closure, once per built ring, too rarely for a cache to pay for
+    its code.
     """
     standard = {(0,) * nvars} - gens
     yield standard
     for _ in range(bound):
         reached: dict[Monomial, int] = {}
         for s in standard:
-            for e in _successors(s):
+            for i in range(nvars):
+                e = s[:i] + (s[i] + 1,) + s[i + 1 :]
                 reached[e] = reached.get(e, 0) + 1
         standard = {e for e, k in reached.items() if k == nvars - e.count(0) and e not in gens}
         yield standard
@@ -209,7 +207,8 @@ def _component(
 
 
 def _refuse_oversize(nvars: int, bound: int) -> None:
-    """Raise ValueError when the monomials of degree <= bound number more than MAX_MONOMIALS."""
+    """Raise ValueError when the monomials of degree <= bound number more than
+    MAX_MONOMIALS, or hold more than MAX_EXPONENTS exponents."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
     # C(n + bound, k) for k = min(n, bound) is at least 2^k, so past k = 64 it
@@ -221,6 +220,12 @@ def _refuse_oversize(nvars: int, bound: int) -> None:
         raise ValueError(
             f"{nvars} variables up to degree {bound} span {count} monomials, "
             f"more than the cap of {MAX_MONOMIALS}; lower the bound or the variable count"
+        )
+    if size * nvars > MAX_EXPONENTS:
+        raise ValueError(
+            f"{nvars} variables up to degree {bound} span {size} monomials of {nvars} "
+            f"exponents each, more than the cap of {MAX_EXPONENTS:,} exponents; "
+            f"lower the bound or the variable count"
         )
 
 
@@ -272,7 +277,6 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
         prev_dim = dim
         components.append(comp)
     dims = tuple(len(c.basis) for c in components)
-    hilbert = HilbertFn(dims, 0 in dims)
     top = dims.index(0) - 1 if 0 in dims else None
     if top is None:
         # Standard monomials die before the socle bound, so a bound reaching
@@ -280,7 +284,7 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
         socle = default_bound(spec)
         if socle is not None and socle - 1 <= bound:
             top = bound
-    return GradedQuotient(spec, bound, tuple(components), hilbert, top)
+    return GradedQuotient(spec, bound, tuple(components), HilbertFn(dims), top)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -324,7 +328,7 @@ def monomial_hilbert(nvars: int, gens: Iterable[Monomial], bound: int) -> Hilber
         size = comb(nvars + d - 1, d)
         dims.append(size - (covered & ((1 << size) - 1)).bit_count())
         covered >>= size
-    return HilbertFn(tuple(dims), 0 in dims)
+    return HilbertFn(tuple(dims))
 
 
 def socle_bound(nvars: int, gens: Iterable[Monomial]) -> int | None:

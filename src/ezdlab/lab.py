@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -40,6 +41,7 @@ from functools import partial
 from io import StringIO
 from itertools import combinations, permutations, product
 from json.encoder import encode_basestring_ascii
+from math import comb
 from operator import add
 from typing import Iterable, Iterator
 
@@ -57,7 +59,8 @@ from .ezd import (
     trial_decision,
 )
 from .gradedring import (
-    GradedQuotient, build_quotient, default_bound, monomial_hilbert, socle_bound,
+    GradedQuotient, _refuse_oversize, build_quotient, default_bound, monomial_hilbert,
+    socle_bound,
 )
 from .polyring import (
     HomogPoly,
@@ -75,6 +78,16 @@ from .polyring import (
 )
 
 BINOMIAL_DEFAULT_BOUND = 6  # least degree a binomial candidate's ring is built to
+# Largest binomial family scanned, in candidates 2^k * C(k, 2) over the k
+# degree-2 monomials: n = 5 has 3,440,640, n = 6 has 440,401,920, and the
+# scan lists all 2^k subsets of them and holds a result per candidate.
+MAX_BINOMIAL_CANDIDATES = 10_000_000
+# Largest table of candidate generators' images under the n! - 1 non-identity
+# variable permutations that symmetry reduction builds before its first ideal.
+# The largest scan named in the docs and tests, n = 4 at max-deg 4, needs
+# 1,495 entries, and n = 7 at max-deg 3 needs 564,368; n = 8 at max-deg 2
+# needs 1,451,484 and takes seconds and tens of MB.
+MAX_SYMMETRY_IMAGES = 1_000_000
 _CHUNKSIZE = 256  # payloads per task sent to a worker process
 _NONVANISHING = f"does not vanish by degree {BINOMIAL_DEFAULT_BOUND}"
 
@@ -133,8 +146,13 @@ def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[tuple[Monomial, ...]]
     bitmasks. The search grows each antichain by one candidate past its
     last, in increasing order, and emits a set after all its extensions,
     which is the order of an include-first walk over the candidates.
+    The tables are built at the call, and symmetry reduction tabulates
+    every candidate's image under each non-identity permutation: past
+    MAX_SYMMETRY_IMAGES images the call raises ValueError before any table.
     """
     n = cfg.nvars
+    if cfg.symmetry_reduction:
+        _refuse_symmetry_images(n, cfg.max_degree)
     exps = [e for d in range(2, cfg.max_degree + 1) for e in monomials_of_degree(n, d)]
     position = {e: i for i, e in enumerate(exps)}
     # comparable[i]: candidates that divide candidate i or that it divides
@@ -187,7 +205,28 @@ def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[tuple[Monomial, ...]]
             return
         yield tuple(exps[i] for i in members)
 
-    yield from grow(0, [], (1 << len(exps)) - 1, 0)
+    return grow(0, [], (1 << len(exps)) - 1, 0)
+
+
+def _refuse_symmetry_images(n: int, max_degree: int) -> None:
+    """Raise ValueError when the (n! - 1) x candidates image table of the
+    symmetry reduction would hold more than MAX_SYMMETRY_IMAGES entries.
+    n! is formed only while it stays under the cap."""
+    perms = 1
+    for i in range(2, n + 1):
+        perms *= i
+        if perms > MAX_SYMMETRY_IMAGES:
+            break
+    else:
+        # the monomials of degree 2..max_degree
+        candidates = comb(n + max_degree, n) - n - 1
+        if (perms - 1) * candidates <= MAX_SYMMETRY_IMAGES:
+            return
+    raise ValueError(
+        f"symmetry reduction in {n} variables up to degree {max_degree} maps each "
+        f"candidate generator under {n}! - 1 permutations, more than the cap of "
+        f"{MAX_SYMMETRY_IMAGES:,} images; lower the variable count or the degree"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +462,13 @@ def _run_scan(family: str, cfg: ScanConfig, task, payloads: Iterable[tuple]) -> 
     """
     start = time.perf_counter()
     fn = partial(task, cfg)
-    if cfg.workers > 1:
+    # the pool starts all its processes at the first chunk, so more than
+    # the CPUs would only add interpreters
+    workers = min(cfg.workers, os.cpu_count() or 1)
+    if workers > 1:
         # ex.map submits each chunk as soon as it is drawn, so the workers
         # start while the parent is still enumerating
-        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(fn, payloads, chunksize=_CHUNKSIZE))
     else:
         results = [fn(p) for p in payloads]
@@ -554,10 +596,18 @@ def scan_binomial(cfg: ScanConfig) -> ScanReport:
     one vanishes; one that does not raises RuntimeError. A payload is
     (index, J's generators, (f1, f2)). The scan uses neither `max_degree`
     nor `symmetry_reduction` yet the report echoes both, so only their
-    defaults are accepted.
+    defaults are accepted. A family of more than MAX_BINOMIAL_CANDIDATES
+    candidates raises ValueError before any is listed.
     """
     if cfg.max_degree != 2 or not cfg.symmetry_reduction:
         raise ValueError("max_degree and symmetry_reduction apply to the monomial family only")
+    k = comb(cfg.nvars + 1, 2)  # the degree-2 monomials
+    # 2^k alone exceeds the cap from k = its bit length on, so 2^k is formed only below it
+    if k >= MAX_BINOMIAL_CANDIDATES.bit_length() or comb(k, 2) << k > MAX_BINOMIAL_CANDIDATES:
+        raise ValueError(
+            f"the binomial family in {cfg.nvars} variables has 2^{k} x C({k}, 2) candidates, "
+            f"more than the cap of {MAX_BINOMIAL_CANDIDATES:,}; lower the variable count"
+        )
     deg2 = monomials_of_degree(cfg.nvars, 2)
     subsets = [
         tuple(e for i, e in enumerate(deg2) if mask >> i & 1) for mask in range(1 << len(deg2))
@@ -582,6 +632,8 @@ def power_ideal_example(n: int, d: int) -> EzdReport:
     """
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
+    # the size check of the build, at the socle bound, before any monomial is listed
+    _refuse_oversize(n, n * (d - 1) + 1)
     gens = [(d,) + (0,) * (n - 1)]
     gens.extend((0,) + m for m in monomials_of_degree(n - 1, d))
     spec = monomial_ideal(n, gens)
@@ -681,42 +733,27 @@ def check_split_support(
 class ProbeReport:
     """One exact pair implies generic forms are exact: sampled evidence."""
 
-    searched: int
     base_form: str | None
-    base_witness: str | None
     skipped_reason: str | None
     samples: int
     successes: int
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.successes, self.samples) if self.samples else Fraction(0)
 
 
 def generic_form_probe(ring: GradedQuotient, samples: int = 20, seed: int = 0) -> ProbeReport:
     """For rings vanishing from degree 3 on: find one exact pair in at most
     `samples` sampled forms, then report how many of `samples` further
     sampled forms are exact (expected all)."""
-    if ring.dim_extended(3) != 0:
+    if not (ring.complete and ring.top_degree < 3):
         raise ValueError("ring must vanish from degree 3 on")
-    base = None
-    searched = 0
     for i in range(samples):
-        ell = generic_linear_form(ring.nvars, derived_seed(seed, i))
-        searched += 1
-        found = find_ezd_complement(ring, ell)
-        if found is not None:
-            base = (ell, found[0])
+        base = generic_linear_form(ring.nvars, derived_seed(seed, i))
+        if find_ezd_complement(ring, base) is not None:
             break
-    if base is None:
-        return ProbeReport(
-            searched, None, None, f"no exact pair found in {samples} sampled forms", samples, 0
-        )
+    else:
+        return ProbeReport(None, f"no exact pair found in {samples} sampled forms", samples, 0)
     successes = 0
     for j in range(samples):
         ell = generic_linear_form(ring.nvars, derived_seed(seed, samples + j))
         if find_ezd_complement(ring, ell) is not None:
             successes += 1
-    return ProbeReport(
-        searched, format_poly(base[0]), format_poly(base[1]), None, samples, successes
-    )
+    return ProbeReport(format_poly(base), None, samples, successes)

@@ -35,8 +35,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from operator import add
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -75,15 +76,15 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
         raise ValueError("need at least one variable")
     if degree < 0:
         raise ValueError("degree must be non-negative")
-
-    def gen(prefix: tuple[int, ...], remaining: int, k: int) -> Iterator[tuple[int, ...]]:
-        if k == 1:
-            yield prefix + (remaining,)
-            return
-        for e in range(remaining, -1, -1):
-            yield from gen(prefix + (e,), remaining - e, k - 1)
-
-    return tuple(gen((), degree, nvars))
+    # Sorted variable-index tuples in lex order: the first index in which two
+    # differ is lower in the one heavier in that variable, so it comes first.
+    out = []
+    for indices in combinations_with_replacement(range(nvars), degree):
+        e = [0] * nvars
+        for i in indices:
+            e[i] += 1
+        out.append(tuple(e))
+    return tuple(out)
 
 
 def in_monomial_ideal(m: Monomial, gens: Iterable[Monomial]) -> bool:

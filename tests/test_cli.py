@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ezdlab import cli, lab
 from ezdlab.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -180,6 +181,50 @@ def test_oversized_ring_exits_2(capsys, argv, count):
     assert code == 2
     assert out == ""
     assert f"span {count} monomials, more than the cap of 100000" in err
+
+
+def test_hilbert_in_many_variables(capsys):
+    """Past the recursion limit in variables: no internal error (exit 3)."""
+    code, out, err = run(capsys, "hilbert", "-n", "1000", "-D", "1", "x1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["values"] == [1, 999]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-n", "20000", "-D", "1"], "span 20001 monomials of 20000 exponents each, more than "
+                                     "the cap of 12,000,000 exponents"),
+        (["-n", "1000000000"], "span 1000000001 monomials, more than the cap of 100000"),
+        # refused by variable count alone, whatever the bound
+        (["-n", "12000001", "-D", "0"], "span 12000002 monomials, more than the cap of 100000"),
+    ],
+)
+def test_many_variables_refused_before_parsing(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "parse_ideal", lambda *a: pytest.fail("ideal parsed"))
+    code, out, err = run(capsys, "hilbert", *argv, "x1")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["example", "-n", "8", "-d", "30"],
+        ["example", "-n", "10", "-d", "40"],
+        ["scan", "binomial", "-n", "6"],
+        ["scan", "binomial", "-n", "7", "--workers", "2"],
+        ["scan", "monomial", "-n", "8", "--workers", "2"],
+        ["scan", "monomial", "-n", "9"],
+    ],
+)
+def test_set_up_tables_refused_up_front(capsys, monkeypatch, argv):
+    """Each would list millions of monomials, candidates or images first."""
+    monkeypatch.setattr(lab, "monomials_of_degree", lambda *a: pytest.fail("monomials listed"))
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", None)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "more than the cap of" in err
 
 
 @pytest.mark.parametrize("nvars", ["0", "-1"])

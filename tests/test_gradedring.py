@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -95,6 +96,16 @@ def test_normal_form_out_of_bound():
         ring.normal_form(parse_poly("x1^3", 2))
 
 
+@pytest.mark.parametrize("degree", [-1, 3])
+def test_dim_out_of_bound_is_refused_by_basis_monomials(degree):
+    ring = build_quotient(parse_ideal("x1^2, x2^2", 2), 2)
+    message = f"^degree {degree} outside bound 2$"
+    with pytest.raises(ValueError, match=message):
+        ring.basis_monomials(degree)
+    with pytest.raises(ValueError, match=message):
+        ring.dim(degree)
+
+
 def test_top_degree_without_a_zero_in_the_bound():
     # H = 1 2 1 stops at the bound, but the pure powers show R_3 = 0.
     ring = build_quotient(parse_ideal("x1^2, x2^2", 2), 2)
@@ -113,6 +124,23 @@ def test_size_cap_refuses_before_building(monkeypatch):
         build_quotient(spec, 4)
     with pytest.raises(ValueError, match="cap of 10"):
         build_quotient(spec, 4, force_elimination=True)
+
+
+def test_exponent_cap_refuses_many_variables(monkeypatch):
+    """Past MAX_EXPONENTS exponents a ring is refused before any monomial is
+    listed, after the monomial cap, whose message stays first."""
+    monkeypatch.setattr(gradedring, "monomials_of_degree", lambda *a: pytest.fail("monomials listed"))
+    with pytest.raises(ValueError, match=(
+        r"^3464 variables up to degree 1 span 3465 monomials of 3464 exponents each, "
+        r"more than the cap of 12,000,000 exponents; lower the bound or the variable count$"
+    )):
+        monomial_hilbert(3464, [], 1)
+    with pytest.raises(ValueError, match="span 1 monomials of 12000001 exponents each, more than the cap"):
+        monomial_hilbert(12_000_001, [], 0)
+    with pytest.raises(ValueError, match="span 1000001 monomials, more than the cap of 100000"):
+        monomial_hilbert(1_000_000, [], 1)
+    monkeypatch.setattr(gradedring, "MAX_EXPONENTS", 3463 * 3464)
+    gradedring._refuse_oversize(3463, 1)  # exactly at the cap
 
 
 def test_elimination_cost_guard_refuses_before_eliminating(monkeypatch):
@@ -172,6 +200,11 @@ def test_monomial_hilbert_matches_closure(case):
     hf = monomial_hilbert(nvars, gens, bound)
     assert hf.values == closure
     assert hf.artinian_within_bound == (0 in closure)
+    # the flag is read off the values, which are the only field
+    assert [f.name for f in fields(gradedring.HilbertFn)] == ["values"]
+    ring_hf = build_quotient(monomial_ideal(nvars, gens), bound).hilbert
+    assert ring_hf == hf
+    assert ring_hf.artinian_within_bound == (0 in ring_hf.values)
 
 
 def test_is_artinian_examples():

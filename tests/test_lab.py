@@ -2,9 +2,10 @@
 
 import json
 import random
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb, factorial
 
 import pytest
 
@@ -560,7 +561,6 @@ def test_probe_power_example_ring():
     rep = generic_form_probe(ring, samples=20, seed=3)
     assert rep.skipped_reason is None
     assert rep.successes == rep.samples == 20
-    assert rep.fraction == 1
 
 
 def test_probe_skips_without_pair():
@@ -580,6 +580,98 @@ def test_probe_gorenstein_ring_still_probed():
 def test_probe_requires_short_ring():
     with pytest.raises(ValueError):
         generic_form_probe(build_quotient(parse_ideal("x1^3, x2^3", 2), 5))
+    # built to bound 2 and not vanished there: degree 3 is unknown, not out of range
+    ring = build_quotient(parse_ideal("x1^3, x2^3", 2), 2)
+    assert not ring.complete
+    with pytest.raises(ValueError, match="^ring must vanish from degree 3 on$"):
+        generic_form_probe(ring)
+    # built to bound 2 and known to vanish from degree 3 on
+    assert generic_form_probe(build_quotient(parse_ideal("x1^2, x2^2", 2), 2), samples=2).successes == 2
+
+
+def test_probe_report_fields():
+    assert [f.name for f in fields(lab.ProbeReport)] == [
+        "base_form", "skipped_reason", "samples", "successes",
+    ]
+
+
+def test_example_refuses_before_listing_monomials(monkeypatch):
+    """-n 8 -d 30 has socle bound 233 and C(241, 8) monomials; -n 10 -d 40
+    would list C(48, 8) degree-40 generators before the build refused."""
+    monkeypatch.setattr(lab, "monomials_of_degree", lambda *a: pytest.fail("monomials listed"))
+    with pytest.raises(ValueError, match="^8 variables up to degree 233 span 250972818245370 monomials"):
+        power_ideal_example(8, 30)
+    with pytest.raises(ValueError, match="^10 variables up to degree 391 span over 2"):
+        power_ideal_example(10, 40)
+
+
+@pytest.mark.parametrize("nvars", [6, 7, 10**9])
+def test_binomial_scan_refuses_before_listing_candidates(monkeypatch, nvars):
+    monkeypatch.setattr(lab, "monomials_of_degree", lambda *a: pytest.fail("candidates listed"))
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", None)
+    with pytest.raises(ValueError, match=(
+        f"^the binomial family in {nvars} variables has 2\\^.* candidates, "
+        "more than the cap of 10,000,000; lower the variable count$"
+    )):
+        scan_binomial(ScanConfig(nvars, workers=2))
+
+
+def test_binomial_candidate_cap_admits_five_variables():
+    k = len(monomials_of_degree(5, 2))
+    assert 2**k * comb(k, 2) == 3_440_640 <= lab.MAX_BINOMIAL_CANDIDATES
+    k = len(monomials_of_degree(6, 2))
+    assert 2**k * comb(k, 2) == 440_401_920 > lab.MAX_BINOMIAL_CANDIDATES
+
+
+@pytest.mark.parametrize("nvars, max_degree", [(8, 2), (9, 2), (10**9, 2), (3, 10**12)])
+def test_symmetry_reduction_refuses_before_any_table(monkeypatch, nvars, max_degree):
+    monkeypatch.setattr(lab, "monomials_of_degree", lambda *a: pytest.fail("candidates listed"))
+    monkeypatch.setattr(lab, "permutations", lambda *a: pytest.fail("permutations listed"))
+    cfg = ScanConfig(nvars, max_degree)
+    message = f"^symmetry reduction in {nvars} variables up to degree {max_degree} "
+    with pytest.raises(ValueError, match=message):
+        next(enumerate_monomial_ideals(cfg))
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", None)
+    with pytest.raises(ValueError, match=message):
+        scan_monomial(replace(cfg, workers=2))
+
+
+def test_symmetry_image_cap_admits_the_documented_scans():
+    """Every scan that the docs and tests name fits well under the cap; at
+    n = 8 the table alone would take seconds."""
+    for n, max_degree in [(3, 5), (4, 4), (5, 3), (7, 2), (7, 3)]:
+        lab._refuse_symmetry_images(n, max_degree)
+    assert (factorial(4) - 1) * (comb(8, 4) - 5) == 1_495
+    assert (factorial(8) - 1) * len(monomials_of_degree(8, 2)) > lab.MAX_SYMMETRY_IMAGES
+    # no symmetry reduction, no table and no refusal
+    assert next(enumerate_monomial_ideals(ScanConfig(8, symmetry_reduction=False)))
+
+
+@pytest.mark.parametrize("cpus, pool_sizes", [(2, [2]), (3, [3]), (1, []), (None, [])])
+def test_scan_pool_is_clamped_to_the_cpus(monkeypatch, cpus, pool_sizes):
+    """The pool starts all its processes at once, so it is sized to the CPUs;
+    a stand-in records the size and starts none."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads, chunksize=1):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(lab.os, "cpu_count", lambda: cpus)
+    for scan, cfg in [(scan_monomial, ScanConfig(2, 3)), (scan_binomial, ScanConfig(2))]:
+        serial = scan(cfg).to_json(full=True)
+        assert scan(replace(cfg, workers=5000)).to_json(full=True) == serial
+    assert sizes == pool_sizes * 2
 
 
 def test_scan_config_validation():

@@ -1,5 +1,6 @@
 """Monomial order, polynomial arithmetic, the ideal grammar, and classification."""
 
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -37,6 +38,27 @@ def test_monomials_of_degree_order():
     assert monomials_of_degree(2, 2) == ((2, 0), (1, 1), (0, 2))
     assert monomials_of_degree(3, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert len(monomials_of_degree(3, 2)) == 6
+    # more variables than a recursion per variable could reach
+    n = sys.getrecursionlimit() + 100
+    assert monomials_of_degree(n, 1) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert monomials_of_degree(n, 0) == ((0,) * n,)
+
+
+def recursive_monomials(nvars: int, degree: int) -> tuple:
+    """The degree-d monomials by recursion on the variables, x1's exponent
+    falling from d: graded-lex order by construction. The order oracle of
+    `monomials_of_degree`; its depth grows with the variable count."""
+    if nvars == 1:
+        return ((degree,),)
+    return tuple(
+        (e,) + rest for e in range(degree, -1, -1) for rest in recursive_monomials(nvars - 1, degree - e)
+    )
+
+
+def test_monomials_of_degree_matches_recursive_oracle():
+    for n in range(1, 7):
+        for d in range(8):
+            assert monomials_of_degree(n, d) == recursive_monomials(n, d), (n, d)
 
 
 def test_order_strictly_increasing():
