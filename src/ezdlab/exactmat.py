@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Matrix entries are Python `int`s or `fractions.Fraction`s, both exact
-rationals, so ranks, kernels and echelon forms are computed exactly.
+Every stored rational has the one form `exact` gives it: an `int` when it
+is integral, otherwise a `fractions.Fraction`. Matrix entries may mix the
+two, so ranks, kernels and echelon forms are computed exactly.
 Matrices in this package are small and dense (at most a few thousand
 cells). Both eliminations run on integers: a row holding a Fraction is
 first scaled by the lcm of its denominators, and an int row is used as it
@@ -9,7 +10,7 @@ is. `rref` then runs a fraction-free Gauss-Jordan elimination, in the
 manner of Bareiss (1968), keeping every row primitive by dividing out the
 gcd of its entries; only at the end does it divide each pivot row by its
 pivot. The result is the *unique* reduced row echelon form over the
-rationals, with Fraction entries. Downstream code relies on that
+rationals, in the form of `exact`. Downstream code relies on that
 uniqueness: two subspaces are equal exactly when their canonical bases are
 identical. `rank` needs only the pivot count, so it stops at a row echelon
 form: no elimination above the pivots, no division by them and no Fraction
@@ -28,8 +29,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def exact(x) -> int | Fraction:
+    """The rational `x` as an `int` when integral, else as a Fraction."""
+    if type(x) is not int and (x := Fraction(x)).denominator == 1:
+        return x.numerator
+    return x
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,9 +43,9 @@ class QMatrix:
 
     `data` may be given as any iterable of numbers; it is stored as a tuple
     whose `int` and `Fraction` entries are kept as they are and whose other
-    entries are converted to Fractions. An int equals and hashes like the
-    Fraction of the same value, so a matrix of ints equals its Fraction
-    twin.
+    entries go through `exact`; sums of products are not normalised. An int
+    equals and hashes like the Fraction of the same value, so a matrix of
+    ints equals its Fraction twin.
     """
 
     rows: int
@@ -50,7 +55,7 @@ class QMatrix:
     def __post_init__(self) -> None:
         data = tuple(self.data)
         if not set(map(type, data)) <= {int, Fraction}:
-            data = tuple(x if type(x) in (int, Fraction) else Fraction(x) for x in data)
+            data = tuple(x if type(x) in (int, Fraction) else exact(x) for x in data)
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         if len(data) != self.rows * self.cols:
@@ -130,7 +135,7 @@ def _eliminate(a: list[list[int]], ncols: int, *, reduced: bool) -> list[int]:
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form of `m` and its pivot column indices.
 
-    The result is the canonical rref, with Fraction entries: pivot entries
+    The result is the canonical rref in the form of `exact`: pivot entries
     are 1 with zeros above and below, so row-equivalent matrices produce
     equal output. It is the fraction-free Gauss-Jordan elimination of the
     integer rows, with each pivot row divided by its pivot at the end.
@@ -141,9 +146,9 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     for i, row in enumerate(a):
         if i < len(pivots):
             pv = row[pivots[i]]
-            flat.extend(Fraction(x, pv) if x else ZERO for x in row)
+            flat.extend(x // pv if x % pv == 0 else Fraction(x, pv) for x in row)
         else:
-            flat.extend([ZERO] * len(row))
+            flat.extend([0] * len(row))
     return QMatrix(m.rows, m.cols, flat), tuple(pivots)
 
 
@@ -158,7 +163,7 @@ def rank(m: QMatrix) -> int:
     return len(_eliminate([row for row in _integer_rows(m) if any(row)], m.cols, reduced=False))
 
 
-EchelonRow = tuple[int, tuple[tuple[int, Fraction], ...]]  # pivot column, other nonzeros
+EchelonRow = tuple[int, tuple[tuple[int, int | Fraction], ...]]  # pivot column, other nonzeros
 
 
 @dataclass(frozen=True)
@@ -199,12 +204,12 @@ class Subspace:
         return len(self.rows)
 
     @property
-    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+    def basis(self) -> tuple[tuple[int | Fraction, ...], ...]:
         """The canonical basis as dense coordinate vectors."""
         dense = []
         for pivot, rest in self.rows:
-            v = [ZERO] * self.ambient_dim
-            v[pivot] = ONE
+            v = [0] * self.ambient_dim
+            v[pivot] = 1
             for j, c in rest:
                 v[j] = c
             dense.append(tuple(v))
@@ -218,8 +223,8 @@ def kernel_basis(m: QMatrix) -> Subspace:
     free = [c for c in range(m.cols) if c not in pivot_set]
     vecs = []
     for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
+        v = [0] * m.cols
+        v[f] = 1
         for i, p in enumerate(pivots):
             v[p] = -red.entry(i, f)
         vecs.append(v)

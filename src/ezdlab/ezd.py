@@ -58,9 +58,9 @@ def mult_map(ring: GradedQuotient, f: HomogPoly, d: int) -> QMatrix:
     space is zero and a 0-row matrix is returned.
 
     Column j sums c*NF(g*b_j) over the terms c*g of f, read from the
-    target degree's normal-form table. f's integral coefficients are
-    converted to `int` once, so on a monomial ring, where every normal form
-    is a unit coordinate or zero, an integer form gives an `int` matrix.
+    target degree's normal-form table. On a monomial ring, where every
+    normal form is a unit coordinate or zero, an integer form gives an
+    `int` matrix.
     """
     if f.nvars != ring.nvars:
         raise ValueError("variable counts differ")
@@ -73,10 +73,9 @@ def mult_map(ring: GradedQuotient, f: HomogPoly, d: int) -> QMatrix:
         raise ValueError(f"target degree {target_degree} outside bound {ring.bound}")
     nrows = ring.dim(target_degree)
     normal_forms = ring.components[target_degree].normal_forms
-    terms = [(g, c.numerator if c.denominator == 1 else c) for g, c in f.coeffs.items()]
     data = [0] * (nrows * ncols)
     for j, b in enumerate(source):
-        for g, c in terms:
+        for g, c in f.coeffs.items():
             # outside monomial rings two products can share a coordinate: entries add up
             for i, a in normal_forms[tuple(map(add, g, b))]:
                 data[i * ncols + j] += c * a

@@ -34,7 +34,7 @@ from math import comb
 from operator import add
 from typing import Iterable, Iterator
 
-from .exactmat import Subspace
+from .exactmat import Subspace, exact
 from .polyring import (
     HomogPoly,
     IdealSpec,
@@ -43,7 +43,6 @@ from .polyring import (
     monomials_of_degree,
 )
 
-ZERO = Fraction(0)
 # Largest number of monomials of degree <= bound that build_quotient and
 # monomial_hilbert accept.
 # Larger builds are refused up front: they would run for a very long time
@@ -117,7 +116,7 @@ class GradedQuotient:
             raise ValueError(f"degree {degree} outside bound {self.bound}")
         return self.components[degree].basis
 
-    def normal_form(self, p: HomogPoly) -> tuple[Fraction, ...]:
+    def normal_form(self, p: HomogPoly) -> tuple[int | Fraction, ...]:
         """Coordinates of p in the degree-deg(p) quotient basis; zero iff p is in I."""
         if p.nvars != self.nvars:
             raise ValueError("variable counts differ")
@@ -125,11 +124,11 @@ class GradedQuotient:
         if not 0 <= d <= self.bound:
             raise ValueError(f"degree {d} outside bound {self.bound}")
         comp = self.components[d]
-        v = [ZERO] * len(comp.basis)
+        v = [0] * len(comp.basis)
         for m, c in p.coeffs.items():
             for k, a in comp.normal_forms[m]:
                 v[k] += c * a
-        return tuple(v)
+        return tuple(map(exact, v))
 
     def basis_poly(self, degree: int, coords) -> HomogPoly:
         """The polynomial with the given coordinates in the quotient basis."""
@@ -186,7 +185,7 @@ def _component(
         vectors = []
         for g in active:
             for m in monomials_of_degree(nvars, degree - g.degree):
-                v = [ZERO] * len(cols)
+                v = [0] * len(cols)
                 for gm, c in g.coeffs.items():
                     k = col.get(tuple(map(add, m, gm)))
                     if k is not None:
@@ -198,9 +197,7 @@ def _component(
         coord = {k: q for q, k in enumerate(free)}  # standard column -> quotient coordinate
         basis = [cols[k] for k in free]
         for p, rest in echelon.rows:
-            normal_forms[cols[p]] = tuple(
-                (coord[j], -x.numerator if x.denominator == 1 else -x) for j, x in rest
-            )
+            normal_forms[cols[p]] = tuple((coord[j], -x) for j, x in rest)
     for q, m in enumerate(basis):
         normal_forms[m] = ((q, 1),)
     return _DegreeComponent(tuple(basis), normal_forms)

@@ -88,6 +88,12 @@ MAX_BINOMIAL_CANDIDATES = 10_000_000
 # 1,495 entries, and n = 7 at max-deg 3 needs 564,368; n = 8 at max-deg 2
 # needs 1,451,484 and takes seconds and tens of MB.
 MAX_SYMMETRY_IMAGES = 1_000_000
+# Largest table of candidate generator pairs that the monomial enumeration
+# compares for divisibility before its first ideal, with or without symmetry
+# reduction: candidates squared, C(n + max_degree, n) - n - 1 of them. The
+# largest scan named in the docs and tests, n = 7 at max-deg 3, needs 12,544
+# (112 candidates); a table at the cap takes 0.4-0.8 s on a 2-core Xeon.
+MAX_COMPARABLE_PAIRS = 200_000
 _CHUNKSIZE = 256  # payloads per task sent to a worker process
 _NONVANISHING = f"does not vanish by degree {BINOMIAL_DEFAULT_BOUND}"
 
@@ -146,13 +152,15 @@ def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[tuple[Monomial, ...]]
     bitmasks. The search grows each antichain by one candidate past its
     last, in increasing order, and emits a set after all its extensions,
     which is the order of an include-first walk over the candidates.
-    The tables are built at the call, and symmetry reduction tabulates
-    every candidate's image under each non-identity permutation: past
-    MAX_SYMMETRY_IMAGES images the call raises ValueError before any table.
+    The tables are built at the call: every pair of candidates is compared,
+    and symmetry reduction tabulates every candidate's image under each
+    non-identity permutation. Past MAX_SYMMETRY_IMAGES images or
+    MAX_COMPARABLE_PAIRS pairs the call raises ValueError before any table.
     """
     n = cfg.nvars
     if cfg.symmetry_reduction:
         _refuse_symmetry_images(n, cfg.max_degree)
+    _refuse_comparable_pairs(n, cfg.max_degree)
     exps = [e for d in range(2, cfg.max_degree + 1) for e in monomials_of_degree(n, d)]
     position = {e: i for i, e in enumerate(exps)}
     # comparable[i]: candidates that divide candidate i or that it divides
@@ -226,6 +234,23 @@ def _refuse_symmetry_images(n: int, max_degree: int) -> None:
         f"symmetry reduction in {n} variables up to degree {max_degree} maps each "
         f"candidate generator under {n}! - 1 permutations, more than the cap of "
         f"{MAX_SYMMETRY_IMAGES:,} images; lower the variable count or the degree"
+    )
+
+
+def _refuse_comparable_pairs(n: int, max_degree: int) -> None:
+    """Raise ValueError when the candidate generators, the monomials of degree
+    2..max_degree, form more than MAX_COMPARABLE_PAIRS pairs. C(n + max_degree, n)
+    is at least 2^k for k = min(n, max_degree), so past k = 64 it is not formed."""
+    k = min(n, max_degree)
+    candidates = comb(n + max_degree, k) - n - 1 if k <= 64 else None
+    if candidates is not None and candidates**2 <= MAX_COMPARABLE_PAIRS:
+        return
+    count = "over 2^64" if candidates is None else f"{candidates:,}"
+    pairs = "over 2^128" if candidates is None else f"{candidates**2:,}"
+    raise ValueError(
+        f"the monomial family in {n} variables up to degree {max_degree} has {count} "
+        f"candidate generators, so {pairs} pairs to compare, more than the cap of "
+        f"{MAX_COMPARABLE_PAIRS:,}; lower the variable count or the degree"
     )
 
 
@@ -655,7 +680,7 @@ class PartnerSplit:
 
     q1: HomogPoly
     q2: HomogPoly
-    alpha: Fraction
+    alpha: int | Fraction
 
 
 def _drop_monomials(p: HomogPoly, gens: tuple[Monomial, ...]) -> HomogPoly:
@@ -688,7 +713,7 @@ def decompose_partner(spec: IdealSpec, ell: HomogPoly, q: HomogPoly) -> PartnerS
         cand = linear_form(vec)
         a1 = _drop_monomials(ell * cand, j_monos).coefficient(f1)
         if a1:
-            q1 = (alpha / a1) * cand
+            q1 = Fraction(alpha, a1) * cand
             q2 = q - q1
             tail = _drop_monomials(ell * q2, j_monos)
             if tail != HomogPoly(spec.nvars, 2, [(f2, alpha)]):
@@ -743,6 +768,8 @@ def generic_form_probe(ring: GradedQuotient, samples: int = 20, seed: int = 0) -
     """For rings vanishing from degree 3 on: find one exact pair in at most
     `samples` sampled forms, then report how many of `samples` further
     sampled forms are exact (expected all)."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
     if not (ring.complete and ring.top_degree < 3):
         raise ValueError("ring must vanish from degree 3 on")
     for i in range(samples):

@@ -39,8 +39,7 @@ from itertools import combinations_with_replacement
 from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .exactmat import exact
 
 
 class ParseError(ValueError):
@@ -103,19 +102,21 @@ def minimalize_monomial_gens(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
 class HomogPoly:
     """Homogeneous polynomial with rational coefficients.
 
-    Only nonzero coefficients are stored. The zero polynomial keeps a nominal
-    degree so that sums and products stay well-typed.
+    Only nonzero coefficients are stored, each as `exactmat.exact` gives it,
+    so an integral one is an `int` and dividing two needs `Fraction(a, b)`.
+    The zero polynomial keeps a nominal degree so that sums and products
+    stay well-typed.
     """
 
     nvars: int
     degree: int
-    coeffs: dict[Monomial, Fraction]
+    coeffs: dict[Monomial, int | Fraction]
 
-    def __init__(self, nvars: int, degree: int, coeffs: Mapping[Monomial, Fraction] | Iterable = ()):
+    def __init__(self, nvars: int, degree: int, coeffs: Mapping[Monomial, int | Fraction] | Iterable = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        store: dict[Monomial, Fraction] = {}
+        store: dict[Monomial, int | Fraction] = {}
         for m, c in items:
-            c = c if isinstance(c, Fraction) else Fraction(c)
+            c = exact(c)
             if len(m) != nvars:
                 raise ValueError("monomial variable count does not match")
             if sum(m) != degree:
@@ -124,7 +125,7 @@ class HomogPoly:
                 raise ValueError("exponents must be non-negative")
             if c:
                 if m in store:
-                    c += store[m]
+                    c = exact(c + store[m])
                     if not c:
                         del store[m]
                         continue
@@ -138,16 +139,16 @@ class HomogPoly:
         return cls(nvars, degree, ())
 
     @classmethod
-    def from_monomial(cls, m: Monomial, coeff: Fraction = ONE) -> "HomogPoly":
+    def from_monomial(cls, m: Monomial, coeff: int | Fraction = 1) -> "HomogPoly":
         return cls(len(m), sum(m), [(m, coeff)])
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.coeffs.get(m, ZERO)
+    def coefficient(self, m: Monomial) -> int | Fraction:
+        return self.coeffs.get(m, 0)
 
-    def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
+    def terms(self) -> tuple[tuple[Monomial, int | Fraction], ...]:
         """(monomial, coefficient) pairs in graded-lex order."""
         return tuple(sorted(self.coeffs.items(), key=lambda mc: monomial_key(mc[0])))
 
@@ -164,7 +165,7 @@ class HomogPoly:
         self._check_compatible(other)
         merged = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            merged[m] = merged.get(m, ZERO) + c
+            merged[m] = merged.get(m, 0) + c
         return HomogPoly(self.nvars, self.degree, merged)
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
@@ -177,15 +178,14 @@ class HomogPoly:
         if isinstance(other, HomogPoly):
             if self.nvars != other.nvars:
                 raise ValueError("variable counts differ")
-            out: dict[Monomial, Fraction] = {}
+            out: dict[Monomial, int | Fraction] = {}
             for m1, c1 in self.coeffs.items():
                 for m2, c2 in other.coeffs.items():
                     m = tuple(map(add, m1, m2))
-                    out[m] = out.get(m, ZERO) + c1 * c2
+                    out[m] = out.get(m, 0) + c1 * c2
             return HomogPoly(self.nvars, self.degree + other.degree, out)
-        return HomogPoly(
-            self.nvars, self.degree, [(m, c * Fraction(other)) for m, c in self.coeffs.items()]
-        )
+        other = exact(other)
+        return HomogPoly(self.nvars, self.degree, [(m, c * other) for m, c in self.coeffs.items()])
 
     def __rmul__(self, other) -> "HomogPoly":
         return self * other
@@ -193,7 +193,7 @@ class HomogPoly:
     def __pow__(self, k: int) -> "HomogPoly":
         if k < 0:
             raise ValueError("negative power")
-        out = HomogPoly(self.nvars, 0, [((0,) * self.nvars, ONE)])
+        out = HomogPoly(self.nvars, 0, [((0,) * self.nvars, 1)])
         for _ in range(k):
             out = out * self
         return out
@@ -220,7 +220,7 @@ def linear_form(coeffs: Sequence) -> HomogPoly:
     for i, c in enumerate(coeffs):
         exps = [0] * n
         exps[i] = 1
-        terms.append((tuple(exps), Fraction(c)))
+        terms.append((tuple(exps), c))
     return HomogPoly(n, 1, terms)
 
 
@@ -278,7 +278,7 @@ def make_ideal(nvars: int, gens: Iterable[HomogPoly]) -> IdealSpec:
     terms = kept[multi[0]].terms()
     if (len(multi) == 1 and len(terms) == 2 and terms[0][1] == terms[1][1]
             and all(g.degree == 2 for g in kept)):
-        kept[multi[0]] = HomogPoly(nvars, 2, [(m, ONE) for m, _ in terms])
+        kept[multi[0]] = HomogPoly(nvars, 2, [(m, 1) for m, _ in terms])
         return IdealSpec(nvars, tuple(kept), IdealKind.MONOMIAL_PLUS_ONE_BINOMIAL)
     return IdealSpec(nvars, tuple(kept), IdealKind.GENERAL)
 
@@ -303,7 +303,7 @@ def format_monomial(m: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _format_coeff_mono(c: Fraction, m: Monomial) -> str:
+def _format_coeff_mono(c: int | Fraction, m: Monomial) -> str:
     if not any(m):
         return str(c)
     mono = format_monomial(m)
@@ -406,7 +406,7 @@ class _PolyParser:
         return True
 
     def parse_poly(self) -> HomogPoly:
-        terms: list[tuple[Monomial, Fraction]] = []
+        terms: list[tuple[Monomial, int | Fraction]] = []
         degree: int | None = None
         while (tok := self.peek()) is not None:
             if tok.kind in ("+", "-"):
@@ -430,8 +430,8 @@ class _PolyParser:
         # HomogPoly adds up repeated monomials and drops zero coefficients.
         return HomogPoly(self.nvars, degree, terms)
 
-    def parse_term(self) -> tuple[Fraction, Monomial]:
-        coeff = ONE
+    def parse_term(self) -> tuple[int | Fraction, Monomial]:
+        coeff = 1
         exps = [0] * self.nvars
         while True:  # a factor at the start and after every '*'
             tok = self.peek()
@@ -442,7 +442,7 @@ class _PolyParser:
             if not self.accept("*"):
                 return coeff, tuple(exps)
 
-    def parse_factor(self, coeff: Fraction, exps: list[int]) -> Fraction:
+    def parse_factor(self, coeff: int | Fraction, exps: list[int]) -> int | Fraction:
         """Fold one factor into `coeff` (returned) and `exps` (in place)."""
         tok = self.take()
         if tok.kind == "int":

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ezdlab.exactmat import QMatrix, Subspace, kernel_basis, rank, rref, subspace_equal
+from ezdlab.exactmat import QMatrix, Subspace, exact, kernel_basis, rank, rref, subspace_equal
+from one_form import in_one_form
 from subspace_oracle import contains, contains_vector, reduce_vector
 
 F = Fraction
@@ -165,7 +166,9 @@ def oracle_matrices(draw, max_dim=7, entries=oracle_entries):
 @example(mat([[F(1, 2), F(-1, 3)], [F(3, 4), F(5, 6)], [F(-7, 10), 0], [2, F(1, 9)]]))
 @example(mat([[0, 0, 0], [0, F(2, 3), F(-4, 9)], [0, 0, 0], [0, F(-1, 5), F(2, 15)]]))
 def test_rref_matches_fraction_gauss_jordan(m):
-    assert rref(m) == fraction_rref(m)
+    red, pivots = rref(m)
+    assert (red, pivots) == fraction_rref(m)
+    assert all(map(in_one_form, red.data))
 
 
 # int entries stay ints in a QMatrix, so these draw int-only, Fraction-only
@@ -263,3 +266,41 @@ def test_rank_scaling_invariance(m, c, col):
             e * scale if k // m.cols == 0 else e for k, e in enumerate(m.data)
         ]
     assert rank(QMatrix(m.rows, m.cols, entries)) == rank(m)
+
+
+@pytest.mark.parametrize("value, stored", [
+    (3, 3),
+    (-7, -7),
+    (0, 0),
+    (F(6, 3), 2),
+    (F(-4, 2), -2),
+    (F(0, 5), 0),
+    (F(1, 2), F(1, 2)),
+    (F(-3, 9), F(-1, 3)),
+    (True, 1),
+    (False, 0),
+    (0.5, F(1, 2)),
+    ("3/6", F(1, 2)),
+    ("4/2", 2),
+])
+def test_exact_gives_the_one_form(value, stored):
+    """An int when integral, bools included, else a Fraction whose denominator is not 1."""
+    got = exact(value)
+    assert got == stored and type(got) is type(stored)
+    assert in_one_form(got)
+
+
+@settings(deadline=None, max_examples=200)
+@given(typed_matrices)
+@example(mat([[2, 4], [F(1, 2), F(3, 2)]]))
+@example(mat([[F(2), F(4)], [F(3), F(9)]]))
+def test_echelon_rows_and_kernels_are_in_the_one_form(m):
+    """Subspace rows, their dense basis and kernel bases store every entry as
+    `exact` would, integral Fractions in the input included."""
+    rows = [m.row(i) for i in range(m.rows)]
+    sub = Subspace.from_vectors(m.cols, rows)
+    assert all(in_one_form(x) for _, rest in sub.rows for _, x in rest)
+    assert all(in_one_form(x) for v in sub.basis for x in v)
+    kernel = kernel_basis(m)
+    assert all(in_one_form(x) for v in kernel.basis for x in v)
+    assert all(in_one_form(x) for _, rest in kernel.rows for _, x in rest)

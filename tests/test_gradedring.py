@@ -31,6 +31,7 @@ from ezdlab.polyring import (
     parse_ideal,
     parse_poly,
 )
+from one_form import in_one_form
 from subspace_oracle import reduce_vector
 
 
@@ -76,6 +77,45 @@ def test_normal_form_examples():
     assert ring.normal_form(parse_poly("x1*x2", 2)) == (1,)
     binom = build_quotient(parse_ideal("x1^2, x1*x2 + x2^2", 2), 3)
     assert binom.normal_form(parse_poly("x1*x2", 2)) == (-1,)
+
+
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def _fractional_ring_and_form(draw):
+    """A ring of 3 variables with one or two fractional quadrics and the cubes
+    of the variables, to degree 3, and a fractional form of some degree."""
+    quadrics = [
+        HomogPoly(3, 2, zip(monomials_of_degree(3, 2), draw(st.lists(_FRACTIONS, min_size=6, max_size=6))))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    cubes = [HomogPoly.from_monomial(m) for m in [(3, 0, 0), (0, 3, 0), (0, 0, 3)]]
+    degree = draw(st.integers(0, 3))
+    monos = monomials_of_degree(3, degree)
+    p = HomogPoly(3, degree, zip(monos, draw(st.lists(_FRACTIONS, min_size=len(monos), max_size=len(monos)))))
+    return make_ideal(3, quadrics + cubes), p
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(_fractional_ring_and_form())
+@example((parse_ideal("x1^2 - x2^2, x3^3", 3), parse_poly("1/2*x1^2 + 1/2*x2^2", 3)))
+@example((parse_ideal("2*x1^2 + 3*x2^2 - x3^2, 1/3*x1*x2 + x2*x3", 3), parse_poly("2/3*x1^2 - 1/4*x2*x3", 3)))
+def test_normal_forms_are_in_the_one_form(case):
+    """Every normal-form table entry and every `normal_form` coordinate is an
+    int or a Fraction with denominator other than 1, and `normal_form` equals
+    the all-Fraction sum over the table."""
+    spec, p = case
+    ring = build_quotient(spec, 3)
+    for comp in ring.components:
+        assert all(in_one_form(a) for nf in comp.normal_forms.values() for _, a in nf)
+    coords = ring.normal_form(p)
+    assert all(map(in_one_form, coords)), coords
+    expected = [Fraction(0)] * ring.dim(p.degree)
+    for m, c in p.coeffs.items():
+        for k, a in ring.components[p.degree].normal_forms[m]:
+            expected[k] += Fraction(c) * Fraction(a)
+    assert coords == tuple(expected)
 
 
 def test_relation_subspace():

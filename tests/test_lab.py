@@ -523,6 +523,23 @@ def test_decompose_partner_worked_instance():
     assert check_split_support(spec, ell, split.q1, split.q2) == []
 
 
+def test_decompose_partner_divides_coefficients_exactly():
+    """alpha = 1 and a1 = 3 are both ints, so alpha / a1 would be the float
+    0.333..., and the split would miss ell*q2 = alpha*f2 by a rounding error."""
+    spec = parse_ideal("x1^2, x1*x2 + x2^2", 2)
+    ell = parse_poly("2*x1 + 3*x2", 2)
+    q = parse_poly("1/9*x1 + 1/3*x2", 2)
+    split = decompose_partner(spec, ell, q)
+    assert split is not None
+    assert split.alpha == 1 and type(split.alpha) is int
+    assert split.q1.coeffs == {(1, 0): Fraction(1, 3)}
+    assert split.q2.coeffs == {(1, 0): Fraction(-2, 9), (0, 1): Fraction(1, 3)}
+    coeffs = [*split.q1.coeffs.values(), *split.q2.coeffs.values()]
+    assert all(type(c) is Fraction and c.denominator != 1 for c in coeffs)
+    assert split.q1 + split.q2 == q
+    assert check_split_support(spec, ell, split.q1, split.q2) == []
+
+
 def test_decompose_partner_alpha_zero_branch():
     # ell*q lies inside J and no solution reaches f1, so q splits as (q, 0)
     spec = parse_ideal("x1^2, x1*x2, x2*x3 + x3^2", 3)
@@ -589,6 +606,13 @@ def test_probe_requires_short_ring():
     assert generic_form_probe(build_quotient(parse_ideal("x1^2, x2^2", 2), 2), samples=2).successes == 2
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_probe_refuses_no_samples(samples):
+    ring = build_quotient(parse_ideal("x1^2, x2^2", 2), 2)
+    with pytest.raises(ValueError, match="^need at least one sample$"):
+        generic_form_probe(ring, samples=samples)
+
+
 def test_probe_report_fields():
     assert [f.name for f in fields(lab.ProbeReport)] == [
         "base_form", "skipped_reason", "samples", "successes",
@@ -645,6 +669,43 @@ def test_symmetry_image_cap_admits_the_documented_scans():
     assert (factorial(8) - 1) * len(monomials_of_degree(8, 2)) > lab.MAX_SYMMETRY_IMAGES
     # no symmetry reduction, no table and no refusal
     assert next(enumerate_monomial_ideals(ScanConfig(8, symmetry_reduction=False)))
+
+
+@pytest.mark.parametrize("nvars, max_degree, symmetry, candidates", [
+    (3, 40, True, "12,337"),
+    (2, 300, False, "45,448"),
+    (2, 100_000, False, "5,000,149,998"),
+    (2, 29, False, "462"),
+    (10**9, 10**9, False, "over 2\\^64"),
+])
+def test_monomial_scan_refuses_comparability_table_before_listing(
+    monkeypatch, nvars, max_degree, symmetry, candidates
+):
+    """The pairwise comparability table is refused from the candidate count
+    alone, with or without symmetry reduction, before a candidate is listed."""
+    monkeypatch.setattr(lab, "monomials_of_degree", lambda *a: pytest.fail("candidates listed"))
+    monkeypatch.setattr(lab, "permutations", lambda *a: pytest.fail("permutations listed"))
+    cfg = ScanConfig(nvars, max_degree, symmetry_reduction=symmetry)
+    message = (
+        f"^the monomial family in {nvars} variables up to degree {max_degree} has "
+        f"{candidates} candidate generators, so .* pairs to compare, more than the cap of "
+        "200,000; lower the variable count or the degree$"
+    )
+    with pytest.raises(ValueError, match=message):
+        enumerate_monomial_ideals(cfg)
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", None)
+    with pytest.raises(ValueError, match=message):
+        scan_monomial(replace(cfg, workers=2))
+
+
+def test_comparable_pair_cap_admits_the_documented_scans():
+    """The largest scan the docs and tests name, n = 7 at max-deg 3, has 112
+    candidates; the cap is more than ten times its 12,544 pairs."""
+    assert (comb(7 + 3, 7) - 7 - 1) ** 2 == 12_544
+    assert lab.MAX_COMPARABLE_PAIRS >= 10 * 12_544
+    for n, max_degree in [(2, 5), (3, 5), (4, 4), (5, 3), (7, 2), (7, 3), (8, 2), (2, 28)]:
+        lab._refuse_comparable_pairs(n, max_degree)
+    assert next(enumerate_monomial_ideals(ScanConfig(2, 28, symmetry_reduction=False)))
 
 
 @pytest.mark.parametrize("cpus, pool_sizes", [(2, [2]), (3, [3]), (1, []), (None, [])])

@@ -1,0 +1,61 @@
+"""The package's modules form layers, each importing only from those below:
+exactmat < polyring < gradedring < ezd < lab < cli. The package root and
+`__main__` are entry points above every layer."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ezdlab"
+LAYERS = ["exactmat", "polyring", "gradedring", "ezd", "lab", "cli"]
+ENTRY_POINTS = {"__init__", "__main__"}
+
+
+def _package_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) for every import of a package module, at any depth:
+    `from .x import`, `from . import x`, `from ezdlab.x import`, `import ezdlab.x`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "ezdlab":
+                continue
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.append((node.lineno, parts[0]))
+            else:
+                found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "ezdlab":
+                    found.append((node.lineno, parts[1] if len(parts) > 1 else "__init__"))
+    return sorted(found)
+
+
+def test_walker_finds_every_import_form():
+    source = (
+        "from .polyring import HomogPoly\n"
+        "from . import lab\n"
+        "def f():\n    from ezdlab.ezd import mult_map\n"
+        "import ezdlab.cli\n"
+        "from fractions import Fraction\n"
+    )
+    assert _package_imports(source) == [(1, "polyring"), (2, "lab"), (4, "ezd"), (5, "cli")]
+
+
+def test_every_module_has_a_layer():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert modules == set(LAYERS) | ENTRY_POINTS
+
+
+def test_modules_import_only_lower_layers():
+    rank = {name: i for i, name in enumerate(LAYERS)}
+    top = len(LAYERS)
+    upward = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        level = rank.get(path.stem, top)
+        for line, module in _package_imports(path.read_text()):
+            if rank.get(module, top) >= level:
+                upward.append(f"{path.name}:{line} imports {module}")
+    assert not upward, f"imports that are not from a lower layer: {upward}"

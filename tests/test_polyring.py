@@ -24,6 +24,7 @@ from ezdlab.polyring import (
     parse_ideal,
     parse_poly,
 )
+from one_form import in_one_form
 
 
 def test_divides_examples():
@@ -328,3 +329,71 @@ def test_poly_mul_distributive(p, q, r):
 def test_roundtrip_random_monomial_ideals(monos):
     spec = monomial_ideal(2, monos)
     assert parse_ideal(format_ideal(spec), 2) == spec
+
+
+def _fraction_poly(terms) -> dict:
+    """The all-Fraction oracle: coefficients summed per monomial, zeros dropped."""
+    out: dict = {}
+    for m, c in terms:
+        out[m] = out.get(m, Fraction(0)) + Fraction(c)
+    return {m: c for m, c in out.items() if c}
+
+
+def _fraction_product(a: dict, b: dict) -> dict:
+    return _fraction_poly(
+        (tuple(x + y for x, y in zip(m1, m2)), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items()
+    )
+
+
+def _assert_one_form(p: HomogPoly, oracle: dict):
+    assert all(map(in_one_form, p.coeffs.values())), p.coeffs
+    assert p.coeffs == oracle
+
+
+# integral values drawn as Fractions too, so storing them must convert
+one_form_coeffs = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    st.integers(-6, 6).map(Fraction),
+)
+
+
+@st.composite
+def _term_lists(draw, degree):
+    """Terms of a 3-variable form, monomials repeating so that halves can add up to an integer."""
+    monos = st.sampled_from(monomials_of_degree(3, degree))
+    return draw(st.lists(st.tuples(monos, one_form_coeffs), max_size=6))
+
+
+def _text(terms) -> str:
+    """Ideal text for the terms, every coefficient written as a/b."""
+    pieces = []
+    for m, c in terms:
+        c = Fraction(c)
+        mono = "*".join(f"x{i + 1}^{e}" for i, e in enumerate(m) if e)
+        pieces.append(f"{'-' if c < 0 else '+'} {abs(c.numerator)}/{c.denominator}*{mono}")
+    return " ".join(pieces)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(_term_lists(2), _term_lists(2), _term_lists(1), one_form_coeffs)
+@example([((2, 0, 0), Fraction(1, 2)), ((2, 0, 0), Fraction(1, 2))], [((2, 0, 0), Fraction(2, 3))],
+         [((1, 0, 0), Fraction(3, 2))], Fraction(4, 3))
+@example([((1, 1, 0), Fraction(1, 3))], [((1, 1, 0), Fraction(2, 3))], [((0, 0, 1), 3)], Fraction(6, 2))
+def test_coefficients_are_stored_in_the_one_form(terms_p, terms_q, terms_r, scalar):
+    """Every stored coefficient of a sum, difference, product, scalar product or
+    parsed polynomial is an int or a Fraction with denominator other than 1,
+    and equals the value of all-Fraction arithmetic."""
+    p, q, r = HomogPoly(3, 2, terms_p), HomogPoly(3, 2, terms_q), HomogPoly(3, 1, terms_r)
+    fp, fq, fr = _fraction_poly(terms_p), _fraction_poly(terms_q), _fraction_poly(terms_r)
+    _assert_one_form(p, fp)
+    _assert_one_form(p + q, _fraction_poly([*fp.items(), *fq.items()]))
+    _assert_one_form(p - q, _fraction_poly([*fp.items(), *((m, -c) for m, c in fq.items())]))
+    _assert_one_form(p * r, _fraction_product(fp, fr))
+    _assert_one_form(r ** 2, _fraction_product(fr, fr))
+    scaled = _fraction_poly((m, Fraction(scalar) * c) for m, c in fp.items())
+    _assert_one_form(p * scalar, scaled)
+    _assert_one_form(scalar * p, scaled)
+    if terms_p:
+        _assert_one_form(parse_poly(_text(terms_p), 3), fp)
+        assert all(in_one_form(p.coefficient(m)) for m in monomials_of_degree(3, 2))
