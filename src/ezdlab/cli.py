@@ -18,14 +18,13 @@ import stat
 import sys
 from dataclasses import asdict
 
-from .exactmat import rank
 from .ezd import (
     GenericDecision,
     PairVerdict,
     degree2_generator_count,
     find_ezd_complement,
     generic_ezd_decision,
-    mult_map,
+    map_rank,
     socle_dims,
     wlp_check,
     yoshino_conditions,
@@ -139,7 +138,7 @@ def cmd_ezd(args) -> int:
         if not ring.complete:
             raise ValueError("ring does not vanish within the degree bound; raise the bound")
         ann_dims = [
-            ring.dim(d) - rank(mult_map(ring, ell, d)) for d in range(ring.top_degree + 1)
+            ring.dim(d) - map_rank(ring, ell, d) for d in range(ring.top_degree + 1)
         ]
         found = find_ezd_complement(ring, ell)
         if args.format == "json":

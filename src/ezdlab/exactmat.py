@@ -6,15 +6,17 @@ two, so ranks, kernels and echelon forms are computed exactly.
 Matrices in this package are small and dense (at most a few thousand
 cells). Both eliminations run on integers: a row holding a Fraction is
 first scaled by the lcm of its denominators, and an int row is used as it
-is. `rref` then runs a fraction-free Gauss-Jordan elimination, in the
-manner of Bareiss (1968), keeping every row primitive by dividing out the
-gcd of its entries; only at the end does it divide each pivot row by its
-pivot. The result is the *unique* reduced row echelon form over the
-rationals, in the form of `exact`. Downstream code relies on that
-uniqueness: two subspaces are equal exactly when their canonical bases are
-identical. `rank` needs only the pivot count, so it stops at a row echelon
-form: no elimination above the pivots, no division by them and no Fraction
-matrix.
+is. Both start with the same fraction-free forward pass, in the manner of
+Bareiss (1968), which clears below each pivot and keeps every row
+primitive by dividing out the gcd of its entries. `rank` needs only the
+pivot count, so it stops there: no elimination above the pivots, no
+division by them and no Fraction matrix. `rref` keeps the pivot rows
+alone, back-substitutes over them from the last pivot upward with the same
+step, and only at the end divides each pivot row by its pivot; at full
+column rank the reduced rows are the unit rows and neither step runs. The
+result is the *unique* reduced row echelon form over the rationals, in the
+form of `exact`. Downstream code relies on that uniqueness: two subspaces
+are equal exactly when their canonical bases are identical.
 
 `Subspace` is the one echelon-basis type. It keeps the nonzero rows of the
 reduced echelon form sparsely, each as its pivot column and the other
@@ -31,10 +33,19 @@ from typing import Iterable, Sequence
 
 
 def exact(x) -> int | Fraction:
-    """The rational `x` as an `int` when integral, else as a Fraction."""
-    if type(x) is not int and (x := Fraction(x)).denominator == 1:
-        return x.numerator
-    return x
+    """The rational `x` as an `int` when integral, else as a Fraction.
+
+    Only an integer (a bool included) or a Fraction is accepted. A float,
+    a string or a Decimal raises TypeError: converting it would store its
+    binary value or a parse of its text as if it were the exact number.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"an exact rational must be an int or a Fraction, not {type(x).__name__}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,7 +54,8 @@ class QMatrix:
 
     `data` may be given as any iterable of numbers; it is stored as a tuple
     whose `int` and `Fraction` entries are kept as they are and whose other
-    entries go through `exact`; sums of products are not normalised. An int
+    entries go through `exact`, so a float or a string raises TypeError;
+    sums of products are not normalised. An int
     equals and hashes like the Fraction of the same value, so a matrix of
     ints equals its Fraction twin.
     """
@@ -92,16 +104,11 @@ def _integer_rows(m: QMatrix) -> list[list[int]]:
     return rows
 
 
-def _eliminate(a: list[list[int]], ncols: int, *, reduced: bool) -> list[int]:
-    """Fraction-free elimination of the integer rows `a` in place; the pivot columns.
+def _eliminate(a: list[list[int]], ncols: int) -> list[int]:
+    """Forward fraction-free elimination of the integer rows `a` in place; the pivot columns.
 
-    Eliminating column c from row i replaces it by p*row_i - f*row_r, where
-    p is the pivot and f the row's entry, and then divides it by the gcd of
-    its entries. Every step scales rows by nonzero factors or adds
-    multiples of other rows, so the row space, the zero pattern and the
-    pivots are those of the rational elimination. Rows below each pivot are
-    always cleared, which leaves a row echelon form with the pivot rows
-    first; `reduced` clears the rows above too (Gauss-Jordan).
+    Only the rows below each pivot are cleared (`_clear`), which leaves a
+    row echelon form with the pivot rows first and zero rows after them.
     """
     pivots: list[int] = []
     r = 0
@@ -117,19 +124,30 @@ def _eliminate(a: list[list[int]], ncols: int, *, reduced: bool) -> list[int]:
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
-        row_r = a[r]
-        pv = row_r[c]
-        for i in range(len(a)) if reduced else range(r + 1, len(a)):
-            f = a[i][c]
-            if i != r and f:
-                g = gcd(pv, f)
-                s, t = pv // g, f // g
-                row = [s * x - t * y for x, y in zip(a[i], row_r)]
-                g = gcd(*row)
-                a[i] = [x // g for x in row] if g > 1 else row
+        _clear(a, r, c, range(r + 1, len(a)))
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _clear(a: list[list[int]], r: int, c: int, rows: range) -> None:
+    """Clear column c of each of `rows` against the pivot a[r][c], in place.
+
+    Row i becomes p*row_i - f*row_r, where p is the pivot and f the row's
+    entry, divided by the gcd of its entries. Every step scales rows by
+    nonzero factors or adds multiples of other rows, so the row space, the
+    zero pattern and the pivots are those of the rational elimination.
+    """
+    row_r = a[r]
+    pv = row_r[c]
+    for i in rows:
+        f = a[i][c]
+        if f:
+            g = gcd(pv, f)
+            s, t = pv // g, f // g
+            row = [s * x - t * y for x, y in zip(a[i], row_r)]
+            g = gcd(*row)
+            a[i] = [x // g for x in row] if g > 1 else row
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
@@ -137,30 +155,39 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
 
     The result is the canonical rref in the form of `exact`: pivot entries
     are 1 with zeros above and below, so row-equivalent matrices produce
-    equal output. It is the fraction-free Gauss-Jordan elimination of the
-    integer rows, with each pivot row divided by its pivot at the end.
+    equal output. The forward pass of `_eliminate` finds the pivot rows,
+    back-substitution clears above their pivots, and each pivot row is
+    divided by its pivot at the end. At full column rank the reduced rows
+    are the unit rows, so neither of the last two steps runs.
     """
     a = _integer_rows(m)
-    pivots = _eliminate(a, m.cols, reduced=True)
-    flat = []
-    for i, row in enumerate(a):
-        if i < len(pivots):
-            pv = row[pivots[i]]
+    pivots = _eliminate(a, m.cols)
+    r = len(pivots)
+    if r == m.cols:
+        flat = [int(i == j) for i in range(r) for j in range(r)]
+    else:
+        del a[r:]
+        # from the last pivot upward: a pivot row has lost its entries in
+        # every later pivot column by the time it clears the rows above it
+        for k in range(r - 1, 0, -1):
+            _clear(a, k, pivots[k], range(k))
+        flat = []
+        for row, p in zip(a, pivots):
+            pv = row[p]
             flat.extend(x // pv if x % pv == 0 else Fraction(x, pv) for x in row)
-        else:
-            flat.extend([0] * len(row))
+    flat.extend([0] * ((m.rows - r) * m.cols))
     return QMatrix(m.rows, m.cols, flat), tuple(pivots)
 
 
 def rank(m: QMatrix) -> int:
     """Number of pivots of rref(m); 0 for a matrix with no rows or no columns.
 
-    The elimination of `rref` stopped at a row echelon form: nothing above
-    a pivot is cleared, nothing is divided and no Fraction is built.
+    It is the forward pass of `rref` alone: nothing above a pivot is
+    cleared, nothing is divided and no Fraction is built.
     """
     if not (m.rows and m.cols):
         return 0
-    return len(_eliminate([row for row in _integer_rows(m) if any(row)], m.cols, reduced=False))
+    return len(_eliminate([row for row in _integer_rows(m) if any(row)], m.cols))
 
 
 EchelonRow = tuple[int, tuple[tuple[int, int | Fraction], ...]]  # pivot column, other nonzeros

@@ -4,9 +4,12 @@ A pair (x, y) is a pair of exact zero divisors when x and y are nonzero
 in R, Ann(x) = (y) and Ann(y) = (x). Everything here works degree by
 degree on a built GradedQuotient, and a dimension is a rank: with r_f(d)
 the rank of multiplication by f from R_d, dim Ann(f)_d = dim R_d - r_f(d)
-and dim (f)_d = r_f(d - deg f). The containment (y)_d in Ann(x)_d holds
-exactly when xy*R_{d-deg y} = 0, and given it, equality is equality of
-dimensions. A subspace is built only where its vectors are used, as for
+and dim (f)_d = r_f(d - deg f). Every r_f(d) comes from `map_rank`, which
+remembers it per ring, so the pair check, the search for a partner, the
+Lefschetz check and the colon identity rank each (form, degree) once; only
+`socle_dims` ranks a matrix of its own. The containment (y)_d in Ann(x)_d
+holds exactly when xy*R_{d-deg y} = 0, and given it, equality is equality
+of dimensions. A subspace is built only where its vectors are used, as for
 the kernel vector `find_ezd_complement` offers as a partner. An element
 that is zero in R (the zero polynomial, one in I, one past the top
 degree, any element of the zero ring) is never part of a pair. Both
@@ -23,6 +26,7 @@ t allows that split.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
@@ -80,6 +84,26 @@ def mult_map(ring: GradedQuotient, f: HomogPoly, d: int) -> QMatrix:
             for i, a in normal_forms[tuple(map(add, g, b))]:
                 data[i * ncols + j] += c * a
     return QMatrix(nrows, ncols, data)
+
+
+# ring -> {(f, d): rank of mult_map(ring, f, d)}; a ring's entries go with it
+_MAP_RANKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def map_rank(ring: GradedQuotient, f: HomogPoly, d: int) -> int:
+    """rank(mult_map(ring, f, d)), computed once per ring, form and degree.
+
+    The ring is a key by identity, held weakly, and equal forms share an
+    entry. A pair check after the search for a partner, and a Lefschetz
+    check after a decision drawn from the same seed, ask for the same ranks.
+    """
+    ranks = _MAP_RANKS.get(ring)
+    if ranks is None:
+        ranks = _MAP_RANKS[ring] = {}
+    r = ranks.get((f, d))
+    if r is None:
+        r = ranks[f, d] = rank(mult_map(ring, f, d))
+    return r
 
 
 def annihilator_degree(ring: GradedQuotient, f: HomogPoly, d: int) -> Subspace:
@@ -157,8 +181,8 @@ def is_ezd_pair(ring: GradedQuotient, x: HomogPoly, y: HomogPoly) -> EzdReport:
             "ring does not vanish within the degree bound; raise the bound",
         )
     top = ring.top_degree
-    r_x = [rank(mult_map(ring, x, d)) for d in range(top + 1)]
-    r_y = [rank(mult_map(ring, y, d)) for d in range(top + 1)]
+    r_x = [map_rank(ring, x, d) for d in range(top + 1)]
+    r_y = [map_rank(ring, y, d) for d in range(top + 1)]
     # f is zero in R exactly when f*1 is, i.e. r_f(0) = 0; the zero ring
     # (top = -1) has no element other than zero.
     if top < 0 or not (r_x[0] and r_y[0]):
@@ -274,13 +298,12 @@ def find_ezd_complement(ring: GradedQuotient, ell: HomogPoly) -> tuple[HomogPoly
         return None
     top = ring.top_degree
     for t in range(top + 1):
-        m = mult_map(ring, ell, t)
-        nullity = m.cols - rank(m)
+        nullity = ring.dim(t) - map_rank(ring, ell, t)
         if nullity == 0:
             continue
         if nullity >= 2:
             return None
-        q = ring.basis_poly(t, kernel_basis(m).basis[0])
+        q = ring.basis_poly(t, kernel_basis(mult_map(ring, ell, t)).basis[0])
         report = is_ezd_pair(ring, ell, q)
         if report.verdict is PairVerdict.EXACT_PAIR:
             return q, report
@@ -398,7 +421,7 @@ def wlp_check(ring: GradedQuotient, trials: int = 3, seed: int = 0) -> WlpReport
     per_trial_ranks = []
     for t in range(trials):
         ell = generic_linear_form(ring.nvars, derived_seed(seed, t))
-        per_trial_ranks.append([rank(mult_map(ring, ell, i - 1)) for i in range(1, top + 1)])
+        per_trial_ranks.append([map_rank(ring, ell, i - 1) for i in range(1, top + 1)])
     rows = []
     for i in range(1, top + 1):
         dim_src = ring.dim(i - 1)
@@ -478,5 +501,5 @@ def colon_identity_dims(ring: GradedQuotient, ell: HomogPoly) -> tuple[int, int]
     extended = make_ideal(ring.nvars, list(ring.spec.generators) + [ell])
     section = build_quotient(extended, 2)
     lhs = section.dim(2)
-    rhs = ring.dim(2) - rank(mult_map(ring, ell, 1))
+    rhs = ring.dim(2) - map_rank(ring, ell, 1)
     return lhs, rhs

@@ -34,11 +34,13 @@ def test_traced_names_resolve():
 
 
 def test_ring_analysis_inputs_match_references():
-    """One ring of each kind the ring-analysis pool draws, built by
+    """One ring of each shape the ring-analysis pool draws, built by
     `make_ring_input` through the package root, `Monomial(...)` included;
-    otherwise only a benchmark run would show a break there."""
+    otherwise only a benchmark run would show a break there. The larger
+    shapes carry the elimination's coefficient growth into tier-1."""
     workloads = _load_bench("workloads")
     refs = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
-    for item in ("ci/3/2.2.2/v0", "mci/3/2.2.2", "mci/4/2.2.2.2", "pow/3/3"):
+    for item in ("ci/3/2.2.2/v0", "ci/3/2.2.3/v0", "ci/3/2.3.3/v0", "ci/4/2.2.2.2/v0",
+                 "mci/3/2.2.2", "mci/3/2.3.4", "mci/4/2.2.2.2", "pow/3/3", "pow/4/5"):
         record = workloads.analyse_ring(*workloads.make_ring_input(item))
         assert workloads.record_digest(record) == refs[item], item

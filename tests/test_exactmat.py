@@ -1,11 +1,13 @@
 """Exact linear algebra: examples and algebraic invariants."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ezdlab.exactmat import QMatrix, Subspace, exact, kernel_basis, rank, rref, subspace_equal
+from ezdlab.polyring import linear_form, parse_poly
 from one_form import in_one_form
 from subspace_oracle import contains, contains_vector, reduce_vector
 
@@ -158,8 +160,29 @@ def oracle_matrices(draw, max_dim=7, entries=oracle_entries):
     return QMatrix(nrows, ncols, data)
 
 
+# Shapes `oracle_matrices` seldom draws, one per path of `rref`: tall and of
+# full column rank (no back-substitution), a forward pass that must swap rows,
+# tall and rank-deficient with zero rows between the others, and Fraction rows,
+# dependent and of full column rank.
+RREF_PATHS = (
+    mat([[1, 2, 0, 1], [2, -1, 3, 0], [0, 1, 1, 1], [3, 1, 3, 1], [1, 0, 0, -2], [4, 3, 4, 2]]),
+    mat([[0, 0, 2, 1], [0, 3, 1, 0], [5, 1, 0, 2]]),
+    mat([[1, 2, 3], [0, 0, 0], [2, 4, 6], [0, 0, 0], [1, 0, 1], [0, 0, 0], [3, 2, 5]]),
+    mat([[F(1, 2), F(1, 3), 1, 0], [F(2, 3), F(-1, 4), F(5, 6), F(1, 5)],
+         [F(7, 6), F(1, 12), F(11, 6), F(1, 5)]]),
+    mat([[F(1, 2), F(1, 3)], [F(2, 3), F(-1, 4)], [F(7, 6), F(1, 12)]]),
+)
+
+
+def rref_path_examples(test):
+    for m in reversed(RREF_PATHS):
+        test = example(m)(test)
+    return test
+
+
 @settings(deadline=None, max_examples=200)
 @given(oracle_matrices())
+@rref_path_examples
 @example(QMatrix(0, 3, ()))
 @example(QMatrix(3, 0, ()))
 @example(QMatrix(0, 0, ()))
@@ -279,9 +302,6 @@ def test_rank_scaling_invariance(m, c, col):
     (F(-3, 9), F(-1, 3)),
     (True, 1),
     (False, 0),
-    (0.5, F(1, 2)),
-    ("3/6", F(1, 2)),
-    ("4/2", 2),
 ])
 def test_exact_gives_the_one_form(value, stored):
     """An int when integral, bools included, else a Fraction whose denominator is not 1."""
@@ -290,8 +310,26 @@ def test_exact_gives_the_one_form(value, stored):
     assert in_one_form(got)
 
 
+@pytest.mark.parametrize("make, kind", [
+    pytest.param(lambda: exact(0.5), "float", id="exact-0.5"),
+    pytest.param(lambda: exact("3/6"), "str", id="exact-3/6"),
+    pytest.param(lambda: exact("4/2"), "str", id="exact-4/2"),
+    pytest.param(lambda: exact(Decimal("0.5")), "Decimal", id="exact-Decimal"),
+    pytest.param(lambda: linear_form([0.1, 1]), "float", id="linear_form-0.1"),
+    pytest.param(lambda: QMatrix(1, 2, [0.5, 1]), "float", id="QMatrix-0.5"),
+    pytest.param(lambda: parse_poly("x1", 2) * 0.5, "float", id="scalar-0.5"),
+    pytest.param(lambda: 0.5 * parse_poly("x1", 2), "float", id="rscalar-0.5"),
+])
+def test_exact_refuses_inexact_values(make, kind):
+    """A float, a string or a Decimal is refused wherever an exact rational is
+    stored, instead of being read as its binary value or parsed as text."""
+    with pytest.raises(TypeError, match=f"int or a Fraction, not {kind}$"):
+        make()
+
+
 @settings(deadline=None, max_examples=200)
 @given(typed_matrices)
+@rref_path_examples
 @example(mat([[2, 4], [F(1, 2), F(3, 2)]]))
 @example(mat([[F(2), F(4)], [F(3), F(9)]]))
 def test_echelon_rows_and_kernels_are_in_the_one_form(m):

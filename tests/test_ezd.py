@@ -1,10 +1,12 @@
 """Multiplication maps, annihilators, pair detection, WLP, socle, conditions."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
+from ezdlab import ezd
 from ezdlab.exactmat import QMatrix, Subspace, rank, subspace_equal
 from ezdlab.ezd import (
     DegreeRow,
@@ -18,6 +20,7 @@ from ezdlab.ezd import (
     generic_linear_form,
     is_ezd_pair,
     is_gorenstein,
+    map_rank,
     mult_map,
     principal_ideal_degree,
     socle_dims,
@@ -504,3 +507,82 @@ def test_colon_identity():
             ell = generic_linear_form(n, rng.randrange(10**6))
             lhs, rhs = colon_identity_dims(ring, ell)
             assert lhs == rhs
+
+
+def _random_complete_intersection(seed):
+    """Three generic forms of degrees 2, 2, 3 in three variables, built to
+    their socle degree 4 plus one."""
+    rng = random.Random(seed)
+    gens = [
+        HomogPoly(3, d, [(m, rng.randint(-9, 9)) for m in monomials_of_degree(3, d)])
+        for d in (2, 2, 3)
+    ]
+    return build_quotient(make_ideal(3, gens), 5)
+
+
+@pytest.fixture
+def counted_ranks(monkeypatch):
+    """Every matrix `ezd` ranks, in call order."""
+    ranked = []
+
+    def counting(m):
+        ranked.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(ezd, "rank", counting)
+    return ranked
+
+
+@pytest.mark.parametrize("make_ring", [
+    pytest.param(lambda: _random_complete_intersection(0), id="complete-intersection"),
+    pytest.param(lambda: ring_of("x1^2, x2^2, x3^3", 3, 5), id="monomial"),
+])
+def test_map_rank_ranks_each_form_and_degree_once(monkeypatch, counted_ranks, make_ring):
+    """A decision and a Lefschetz check of one ring with one seed rank each
+    (form, degree) once, and every rank served is that of a fresh map."""
+    ring = make_ring()
+    served = []
+
+    def recording(ring_, f, d):
+        r = map_rank(ring_, f, d)
+        served.append((f, d, r))
+        return r
+
+    monkeypatch.setattr(ezd, "map_rank", recording)
+    assert generic_ezd_decision(ring, 3, 5).decision is GenericDecision.GENERICALLY_YES
+    assert wlp_check(ring, 3, 5).holds
+    distinct = {(f, d) for f, d, _ in served}
+    assert len(distinct) < len(served)  # the table served repeats
+    assert len(counted_ranks) == len(distinct)
+    for f, d, r in served:
+        assert r == rank(mult_map(ring, f, d))
+
+
+def test_map_rank_equal_forms_share_an_entry(counted_ranks):
+    ring = ring_of("x1^2, x2^2, x3^3", 3, 5)
+    f = linear_form([2, -3, 5])
+    g = parse_poly("2*x1 - 3*x2 + 5*x3", 3)
+    assert f is not g and f == g
+    assert map_rank(ring, f, 1) == map_rank(ring, g, 1) == 3
+    assert len(counted_ranks) == 1
+
+
+def test_map_rank_rings_share_no_entries(counted_ranks):
+    """The same ideal built to two bounds gives two rings, each with its own ranks."""
+    spec = parse_ideal("x1^2, x2^2, x3^3", 3)
+    low, high = build_quotient(spec, 4), build_quotient(spec, 6)
+    f = linear_form([1, 1, 1])
+    assert map_rank(low, f, 1) == map_rank(high, f, 1)
+    assert len(counted_ranks) == 2
+    assert map_rank(low, f, 1) == map_rank(high, f, 1)
+    assert len(counted_ranks) == 2
+
+
+def test_map_rank_entries_go_with_the_ring():
+    ring = ring_of("x1^2, x2^2, x3^3", 3, 5)
+    map_rank(ring, linear_form([1, 1, 1]), 1)
+    entries = ezd._MAP_RANKS[ring]
+    assert entries
+    del ring
+    gc.collect()
+    assert all(held is not entries for held in ezd._MAP_RANKS.values())

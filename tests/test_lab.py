@@ -439,13 +439,20 @@ def test_binomial_scan_degree_one_builds(monkeypatch):
     monkeypatch.setattr(ezd, "mult_map", counting)
     report = scan_binomial(ScanConfig(3, seed=1, workers=1))
     assert report.examined == 54
-    # 54 rings x 3 trials = 162 (ring, form) pairs; one build fewer per pair
-    # than with a separate rank for ann1_dims, which made 729. The Hilbert
-    # series of 15 of the 54 rings admits no linear form in an exact pair,
-    # so find_ezd_complement builds no map for their 45 pairs.
+    # 54 rings x 3 trials = 162 (ring, form) pairs. colon_identity_dims ranks
+    # each ell on R_1 first, through ezd.map_rank, so that is one build per
+    # pair, and every later rank of ell from degree 1 is read from the table.
+    # The Hilbert series of 15 of the 54 rings admits no linear form in an
+    # exact pair, so find_ezd_complement builds no map for their 45 pairs.
     rejected = sum(1 for r in report.instances if not hilbert_admits_pair(r.hilbert))
     assert rejected == 15
-    assert len(builds) == 729 - 162 - 3 * rejected == 522
+    # Of the other 117 pairs, 81 have a degree-1 partner q, and each of
+    # those builds three more maps from degree 1: ell's, rebuilt for the
+    # kernel vector find_ezd_complement offers; q's, ranked by is_ezd_pair;
+    # and ell's again for the annihilator decompose_partner splits.
+    partnered = sum(r.deg1_witness_trials for r in report.instances)
+    assert partnered == 81
+    assert len(builds) == 162 + 3 * partnered == 405
 
 
 def test_binomial_ann1_dims_match_direct_ranks():
