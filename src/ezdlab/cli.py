@@ -3,10 +3,24 @@
 Subcommands: hilbert, ezd, wlp, socle, yoshino, scan, example. Every
 command honors --format json with a stable schema (top-level
 "schema_version" field); human tables print exact rationals so witnesses
-can be pasted back in. Exit codes: 0 pass, 1 counterexample or failed
-check, 2 usage, input or parse error, 3 internal error (a broken
-invariant). EZDLAB_WORKERS sets the default worker count for scans;
---seed fully determines all randomized behavior.
+can be pasted back in. EZDLAB_WORKERS sets the default worker count for
+scans; --seed fully determines all randomized behavior.
+
+Each analysis command (hilbert, ezd, wlp, socle, yoshino, example) returns
+its exit code, the JSON fields that follow its header, and its table lines;
+one emitter, `_emit`, prints them in the chosen format. The five ring
+commands share one entry, which builds the ring and its header first.
+`scan` writes its own formats (table, JSON or CSV) through `_scan_text`.
+
+Exit codes: 0 pass; 1 counterexample or failed check; 2 usage, input or
+parse error; 3 internal error (a broken invariant). Exit 1 means, by
+command:
+- hilbert, socle and yoshino never exit 1 (yoshino's FAIL marks exit 0);
+- ezd exits 1 unless the decision is generically_yes, and with --form
+  unless an exact partner of the form is found;
+- wlp exits 1 when the weak Lefschetz property fails;
+- example exits 1 without an exact pair;
+- scan exits 1 on any counterexample.
 """
 
 from __future__ import annotations
@@ -29,17 +43,13 @@ from .ezd import (
     wlp_check,
     yoshino_conditions,
 )
-from .gradedring import _refuse_oversize, build_quotient, default_bound, is_artinian_within
+from .gradedring import build_quotient, default_bound, is_artinian_within, refuse_oversize
 from .lab import (
     BINOMIAL_DEFAULT_BOUND, ScanConfig, power_ideal_example, scan_binomial, scan_monomial,
 )
 from .polyring import format_ideal, format_poly, parse_ideal, parse_poly
 
 SCHEMA_VERSION = 1
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _ring_header(command: str, args, ring) -> dict:
@@ -73,7 +83,7 @@ def _build_ring(args):
     # The parser holds one exponent per variable in every term, so the size
     # caps are met before the text is parsed: at the given bound, and at
     # degree 1 when that is larger or the bound is read off the ideal later.
-    _refuse_oversize(args.nvars, max(args.bound or 1, 1))
+    refuse_oversize(args.nvars, max(args.bound or 1, 1))
     spec = parse_ideal(_read_ideal_text(args), args.nvars)
     bound = args.bound
     if bound is None:
@@ -87,152 +97,144 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _print_pair_report(report) -> None:
-    print(f"ring: {report.ring}")
-    print(f"x: {format_poly(report.x)}")
-    print(f"y: {format_poly(report.y)}")
-    print(f"product zero: {_yes(report.product_zero)}")
+def _emit(args, header: dict, result: tuple[int, dict, list[str]]) -> int:
+    """Print one analysis result and return its exit code. `result` holds the
+    exit code, the JSON fields that follow `header`, and the table lines;
+    this is the only place that reads an analysis command's --format."""
+    code, fields, lines = result
+    if args.format == "json":
+        print(json.dumps({**header, **fields}, indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return code
+
+
+def _ring_command(command: str, analyse):
+    """The CLI entry of an analysis of one ring, `analyse(args, ring)`."""
+    def run(args) -> int:
+        ring = _build_ring(args)
+        return _emit(args, _ring_header(command, args, ring), analyse(args, ring))
+    return run
+
+
+def _pair_report_lines(report) -> list[str]:
+    lines = [
+        f"ring: {report.ring}",
+        f"x: {format_poly(report.x)}",
+        f"y: {format_poly(report.y)}",
+        f"product zero: {_yes(report.product_zero)}",
+    ]
     if report.table:
-        print("d | dim R_d | dim Ann(x)_d | dim (y)_d | dim Ann(y)_d | dim (x)_d | equal")
-        for r in report.table:
-            eq = _yes(r.equal_xy and r.equal_yx)
-            print(
-                f"{r.degree} | {r.dim_ring} | {r.dim_ann_x} | {r.dim_ideal_y} | "
-                f"{r.dim_ann_y} | {r.dim_ideal_x} | {eq}"
-            )
+        lines.append("d | dim R_d | dim Ann(x)_d | dim (y)_d | dim Ann(y)_d | dim (x)_d | equal")
+        lines += [
+            f"{r.degree} | {r.dim_ring} | {r.dim_ann_x} | {r.dim_ideal_y} | "
+            f"{r.dim_ann_y} | {r.dim_ideal_x} | {_yes(r.equal_xy and r.equal_yx)}"
+            for r in report.table
+        ]
     line = f"verdict: {report.verdict.value}"
     if report.reason:
         line += f" ({report.reason})"
-    print(line)
+    return lines + [line]
 
 
-def cmd_hilbert(args) -> int:
-    ring = _build_ring(args)
-    hf = ring.hilbert
+def _hilbert(args, ring):
+    values = ring.hilbert.values
     artinian = is_artinian_within(ring)
-    if args.format == "json":
-        _emit_json(
-            {
-                **_ring_header("hilbert", args, ring),
-                "values": list(hf.values),
-                "artinian": artinian,
-                "artinian_within_bound": hf.artinian_within_bound,
-                "top_degree": ring.top_degree,
-            }
-        )
-    else:
-        print(f"H(0..{ring.bound}): " + " ".join(str(v) for v in hf.values))
-        line = f"artinian: {_yes(artinian)}"
-        if ring.top_degree is not None:
-            line += f" (top degree {ring.top_degree})"
-        print(line)
-    return 0
+    line = f"artinian: {_yes(artinian)}"
+    if ring.top_degree is not None:
+        line += f" (top degree {ring.top_degree})"
+    fields = {
+        "values": list(values),
+        "artinian": artinian,
+        "artinian_within_bound": ring.hilbert.artinian_within_bound,
+        "top_degree": ring.top_degree,
+    }
+    return 0, fields, [f"H(0..{ring.bound}): " + " ".join(str(v) for v in values), line]
 
 
-def cmd_ezd(args) -> int:
-    ring = _build_ring(args)
-    if args.form is not None:
-        ell = parse_poly(args.form, args.nvars)
-        if ell.degree != 1:
-            raise ValueError("--form must be a linear form")
-        if not ring.complete:
-            raise ValueError("ring does not vanish within the degree bound; raise the bound")
-        ann_dims = [
-            ring.dim(d) - map_rank(ring, ell, d) for d in range(ring.top_degree + 1)
-        ]
-        found = find_ezd_complement(ring, ell)
-        if args.format == "json":
-            _emit_json(
-                {
-                    **_ring_header("ezd", args, ring),
-                    "mode": "form",
-                    "form": format_poly(ell),
-                    "found": found is not None,
-                    "annihilator_dims": ann_dims,
-                    "witness": format_poly(found[0]) if found else None,
-                    "report": found[1].to_json_dict() if found else None,
-                }
-            )
-        else:
-            print(f"form: {format_poly(ell)}")
-            print("annihilator dims by degree: " + " ".join(str(v) for v in ann_dims))
-            if found is None:
-                print("no exact partner for this form")
-            else:
-                _print_pair_report(found[1])
-        return 0 if found else 1
-
-    verdict = generic_ezd_decision(ring, args.trials, args.seed)
-    if args.format == "json":
-        payload = {
-            **_ring_header("ezd", args, ring),
+def _ezd(args, ring):
+    if args.form is None:
+        verdict = generic_ezd_decision(ring, args.trials, args.seed)
+        tag = " (exact)" if verdict.exact else f" (trials={verdict.trials}, seed={verdict.seed})"
+        lines = [f"decision: {verdict.decision.value}{tag}"]
+        if verdict.witness is not None:
+            lines.append(f"witness Q: {format_poly(verdict.witness)}")
+        if verdict.report is not None:
+            lines += _pair_report_lines(verdict.report)
+        fields = {
             "mode": "generic",
             "report": verdict.report.to_json_dict() if verdict.report else None,
+            **verdict.to_json_dict(),
         }
-        payload.update(verdict.to_json_dict())
-        _emit_json(payload)
-    else:
-        tag = " (exact)" if verdict.exact else f" (trials={verdict.trials}, seed={verdict.seed})"
-        print(f"decision: {verdict.decision.value}{tag}")
-        if verdict.witness is not None:
-            print(f"witness Q: {format_poly(verdict.witness)}")
-        if verdict.report is not None:
-            _print_pair_report(verdict.report)
-    return 0 if verdict.decision is GenericDecision.GENERICALLY_YES else 1
+        return (0 if verdict.decision is GenericDecision.GENERICALLY_YES else 1), fields, lines
+    ell = parse_poly(args.form, args.nvars)
+    if ell.degree != 1:
+        raise ValueError("--form must be a linear form")
+    if not ring.complete:
+        raise ValueError("ring does not vanish within the degree bound; raise the bound")
+    ann_dims = [ring.dim(d) - map_rank(ring, ell, d) for d in range(ring.top_degree + 1)]
+    found = find_ezd_complement(ring, ell)
+    lines = [
+        f"form: {format_poly(ell)}",
+        "annihilator dims by degree: " + " ".join(str(v) for v in ann_dims),
+    ]
+    lines += _pair_report_lines(found[1]) if found else ["no exact partner for this form"]
+    fields = {
+        "mode": "form",
+        "form": format_poly(ell),
+        "found": found is not None,
+        "annihilator_dims": ann_dims,
+        "witness": format_poly(found[0]) if found else None,
+        "report": found[1].to_json_dict() if found else None,
+    }
+    return (0 if found else 1), fields, lines
 
 
-def cmd_wlp(args) -> int:
-    ring = _build_ring(args)
+def _wlp(args, ring):
     report = wlp_check(ring, args.trials, args.seed)
-    if args.format == "json":
-        payload = _ring_header("wlp", args, ring)
-        payload.update(report.to_json_dict())
-        _emit_json(payload)
-    else:
-        print("i | dim R_{i-1} | dim R_i | rank | maximal")
-        for r in report.degrees:
-            print(f"{r.degree} | {r.dim_source} | {r.dim_target} | {r.rank} | {_yes(r.maximal)}")
-        print(f"weak Lefschetz property: {'holds' if report.holds else 'fails'}")
-    return 0 if report.holds else 1
+    lines = ["i | dim R_{i-1} | dim R_i | rank | maximal"]
+    lines += [
+        f"{r.degree} | {r.dim_source} | {r.dim_target} | {r.rank} | {_yes(r.maximal)}"
+        for r in report.degrees
+    ]
+    lines.append(f"weak Lefschetz property: {'holds' if report.holds else 'fails'}")
+    return (0 if report.holds else 1), report.to_json_dict(), lines
 
 
-def cmd_socle(args) -> int:
-    ring = _build_ring(args)
+def _socle(args, ring):
     dims = socle_dims(ring)
     total = sum(dims)
-    if args.format == "json":
-        _emit_json(
-            {
-                **_ring_header("socle", args, ring),
-                "dims": list(dims),
-                "total": total,
-                "gorenstein": total == 1,
-            }
-        )
-    else:
-        print("socle dims by degree: " + " ".join(str(v) for v in dims))
-        print(f"total: {total}")
-        print(f"gorenstein: {_yes(total == 1)}")
-    return 0
+    lines = [
+        "socle dims by degree: " + " ".join(str(v) for v in dims),
+        f"total: {total}",
+        f"gorenstein: {_yes(total == 1)}",
+    ]
+    return 0, {"dims": list(dims), "total": total, "gorenstein": total == 1}, lines
 
 
-def cmd_yoshino(args) -> int:
-    ring = _build_ring(args)
+def _yoshino(args, ring):
     report = yoshino_conditions(ring)
     expected = degree2_generator_count(args.nvars)
-    if args.format == "json":
-        payload = _ring_header("yoshino", args, ring)
-        payload["degree2_generator_count"] = expected
-        payload.update(asdict(report))
-        _emit_json(payload)
-    else:
-        mark = lambda b: "ok" if b else "FAIL"
-        print(f"c1 (dim R_2 = dim R_1 - 1): {mark(report.c1)}  [dim R_1 = {report.r1}, dim R_2 = {report.r2}]")
-        print(f"c2 (generated in degree 2): {mark(report.c2)}")
-        gor = "unknown" if report.gorenstein is None else _yes(report.gorenstein)
-        print(f"gorenstein: {gor}")
-        print(f"generator count forced on the boundary: {expected}")
-    return 0
+    mark = lambda b: "ok" if b else "FAIL"
+    gor = "unknown" if report.gorenstein is None else _yes(report.gorenstein)
+    lines = [
+        f"c1 (dim R_2 = dim R_1 - 1): {mark(report.c1)}  "
+        f"[dim R_1 = {report.r1}, dim R_2 = {report.r2}]",
+        f"c2 (generated in degree 2): {mark(report.c2)}",
+        f"gorenstein: {gor}",
+        f"generator count forced on the boundary: {expected}",
+    ]
+    return 0, {"degree2_generator_count": expected, **asdict(report)}, lines
+
+
+# name, help, analysis, and whether it samples linear forms (--trials, --seed)
+_RING_COMMANDS = [
+    ("hilbert", "Hilbert function H(0..D) of P/I", _hilbert, False),
+    ("ezd", "generic exact-zero-divisor decision, or check one form", _ezd, True),
+    ("wlp", "weak Lefschetz check with sampled linear forms", _wlp, True),
+    ("socle", "socle dimensions and Gorenstein detection", _socle, False),
+    ("yoshino", "necessary conditions for exact pairs on short rings", _yoshino, False),
+]
 
 
 def _env_workers() -> int:
@@ -308,18 +310,14 @@ def _scan_text(report, args) -> str:
 
 def cmd_example(args) -> int:
     report = power_ideal_example(args.nvars, args.power)
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "example",
-            "nvars": args.nvars,
-            "power": args.power,
-        }
-        payload.update(report.to_json_dict())
-        _emit_json(payload)
-    else:
-        _print_pair_report(report)
-    return 0 if report.verdict is PairVerdict.EXACT_PAIR else 1
+    header = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "example",
+        "nvars": args.nvars,
+        "power": args.power,
+    }
+    code = 0 if report.verdict is PairVerdict.EXACT_PAIR else 1
+    return _emit(args, header, (code, report.to_json_dict(), _pair_report_lines(report)))
 
 
 def _add_ring_arguments(p: argparse.ArgumentParser, with_trials: bool = False) -> None:
@@ -353,26 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
-    p = sub.add_parser("hilbert", help="Hilbert function H(0..D) of P/I")
-    _add_ring_arguments(p)
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("ezd", help="generic exact-zero-divisor decision, or check one form")
-    _add_ring_arguments(p, with_trials=True)
-    p.add_argument("--form", help="check this specific linear form instead of sampling")
-    p.set_defaults(func=cmd_ezd)
-
-    p = sub.add_parser("wlp", help="weak Lefschetz check with sampled linear forms")
-    _add_ring_arguments(p, with_trials=True)
-    p.set_defaults(func=cmd_wlp)
-
-    p = sub.add_parser("socle", help="socle dimensions and Gorenstein detection")
-    _add_ring_arguments(p)
-    p.set_defaults(func=cmd_socle)
-
-    p = sub.add_parser("yoshino", help="necessary conditions for exact pairs on short rings")
-    _add_ring_arguments(p)
-    p.set_defaults(func=cmd_yoshino)
+    for name, help_text, analyse, with_trials in _RING_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        _add_ring_arguments(p, with_trials)
+        p.set_defaults(func=_ring_command(name, analyse))
+    sub.choices["ezd"].add_argument(
+        "--form", help="check this specific linear form instead of sampling")
 
     p = sub.add_parser(
         "scan",

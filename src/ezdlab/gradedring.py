@@ -203,7 +203,7 @@ def _component(
     return _DegreeComponent(tuple(basis), normal_forms)
 
 
-def _refuse_oversize(nvars: int, bound: int) -> None:
+def refuse_oversize(nvars: int, bound: int) -> None:
     """Raise ValueError when the monomials of degree <= bound number more than
     MAX_MONOMIALS, or hold more than MAX_EXPONENTS exponents."""
     if bound < 0:
@@ -256,10 +256,11 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
     than MAX_MONOMIALS, or when the elimination's estimated cost exceeds
     MAX_ELIMINATION_COST.
     """
-    _refuse_oversize(spec.nvars, bound)
-    single = [] if force_elimination else [g for g in spec.generators if len(g.coeffs) == 1]
+    refuse_oversize(spec.nvars, bound)
+    single, others = [], []
+    for g in spec.generators:
+        (single if len(g.coeffs) == 1 and not force_elimination else others).append(g)
     gens = {m for g in single for m in g.coeffs}  # M's generators
-    others = [g for g in spec.generators if g not in single]
     if others:
         _refuse_costly(spec.nvars, gens, others, bound)
     components = []
@@ -316,7 +317,7 @@ def monomial_hilbert(nvars: int, gens: Iterable[Monomial], bound: int) -> Hilber
     closure's standard monomials. Raises ValueError like `build_quotient` on
     a negative or oversized bound.
     """
-    _refuse_oversize(nvars, bound)
+    refuse_oversize(nvars, bound)
     covered = 0
     for e in gens:
         covered |= _divisible_masks(e, bound)

@@ -59,7 +59,7 @@ from .ezd import (
     trial_decision,
 )
 from .gradedring import (
-    GradedQuotient, _refuse_oversize, build_quotient, default_bound, monomial_hilbert,
+    GradedQuotient, build_quotient, default_bound, monomial_hilbert, refuse_oversize,
     socle_bound,
 )
 from .polyring import (
@@ -658,7 +658,7 @@ def power_ideal_example(n: int, d: int) -> EzdReport:
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
     # the size check of the build, at the socle bound, before any monomial is listed
-    _refuse_oversize(n, n * (d - 1) + 1)
+    refuse_oversize(n, n * (d - 1) + 1)
     gens = [(d,) + (0,) * (n - 1)]
     gens.extend((0,) + m for m in monomials_of_degree(n - 1, d))
     spec = monomial_ideal(n, gens)

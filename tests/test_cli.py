@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -66,6 +67,81 @@ def test_hilbert_json_golden(capsys):
     code, out, _ = run(capsys, "hilbert", "-n", "2", "-D", "5", "x1^3, x2^3", "--format", "json")
     assert code == 0
     assert out == HILBERT_GOLDEN
+
+
+# (exit code, sha256 of stdout) in the table and the JSON format, for one
+# case of each analysis command and each of its exits.
+OUTPUT_DIGESTS = {
+    'hilbert -n 2 -D 5 "x1^3, x2^3"': [
+        (0, "d2da64391b28ded9e5013ad38cd129c92de0d52691bc6c496eeb4682ee21289e"),
+        (0, "dc03e2aaf60d8a3943317b446d1b3e0774b75dbf8b044f2683ea00ac2ce6d34e"),
+    ],
+    # Artinian, but the bound stops before the ring vanishes
+    'hilbert -n 2 -D 2 "x1^2, x2^2"': [
+        (0, "8faebe2013511b0839138a129a0b0aaf9607fcc0d08a4bebfd1789f9745bb2cd"),
+        (0, "641e5e7c5480c227d423c34b497eb04b97cb0f9bb8e87ea90d7e167162b6b559"),
+    ],
+    'hilbert -n 2 -D 4 "x1*x2"': [
+        (0, "dcbfb7085857e473288c2d26275f96a7e29948509dc0e23f57bc96d7e312d9d9"),
+        (0, "db7cc7cca97e090cad87d74716d8193ede8526f0e825a2ed34e8cedcd4d6f2f8"),
+    ],
+    'ezd -n 2 "x1^2, x2^2"': [
+        (0, "6af84ff2a079fba32de4f099238021a09975482543cd0821824239294816defc"),
+        (0, "ef7b7744435b349743843b9c0dcf30b9efed756f479f62bf2adf967a56deabea"),
+    ],
+    'ezd -n 2 "x1^2, x2^2" --form "x1+x2"': [
+        (0, "146f44cc3fc9480c114696ea48a7f3f605df901cac237bd3c8ac167cab409cdc"),
+        (0, "db2741bd32562a2da6f57303f2597e14e9654192a35a3798cb5ab58f3fa84636"),
+    ],
+    'ezd -n 2 "x1^2, x1*x2, x2^2"': [
+        (1, "d257678ab4fc9b710b9eec7471b072d685277e6078e3d54114b4ebb2d5700db1"),
+        (1, "94e0f4f710c3e7b9cd15eafe957851ae86d4c5ad285c37f40f55a7b840de52ba"),
+    ],
+    'ezd -n 2 "x1^2, x1*x2, x2^2" --form "x1+x2"': [
+        (1, "f4e68b69454eb57100a7f4b82dd07fdafbe9f217e6de7b7be6c9eb969cc8ad89"),
+        (1, "147ea9c1fc428728e65afb53397609780e83940ab913cee8aeae94fec2679544"),
+    ],
+    'ezd -n 3 -D 4 "x1^2 + x2*x3, x2^2 + x1*x3, x3^2 + x1*x2" --trials 2 --seed 5': [
+        (1, "8713ebaa43552bfe8a1ab45b8557a83fd684007ed207fbb94ad24c67b35a8f7d"),
+        (1, "5225c2f794d6ad6f63416bd20b84f12634be569b5984488198b97351b18b6f3a"),
+    ],
+    'wlp -n 2 -D 4 "x1^3, x2^3"': [
+        (0, "0855dc0dfbe1400747d8567da68b81cc88ab87f0ec1516e46fb9d61638b9be8e"),
+        (0, "b27783aa6cbe8329d839dd0ba7ad268e720485a62127b420d99843b0d634021d"),
+    ],
+    'wlp -n 3 -D 6 "x1^3, x2^3, x3^3, x1*x2*x3"': [
+        (1, "e6b6602126ac004982d59cc10bb318ef1efc01c5e1680d37a1e08fdd7c4164f2"),
+        (1, "58ea4f747a64a962417a1c7fe4c29dc0573c026ca8242c3196c20b62b1ad45b6"),
+    ],
+    'socle -n 2 "x1^2, x1*x2, x2^2"': [
+        (0, "65d0470e6cbdd02d418727a65ec88241e13ab4e0d1f1bfad20f83de54baadf34"),
+        (0, "a679ad1c65d0e92b52777208931d5523509d13b54221cdfa5108235a74758518"),
+    ],
+    'yoshino -n 3 "x1^2, x2^2, x2*x3, x3^2"': [
+        (0, "78f93d1933a75dbb877b7e929b21185ca51f5668fdd2852602e28e94a68fa283"),
+        (0, "5b7c144f438ed2f6090e55fdd252a75fe5682a2b7dbb36d7deac8328aaa7b427"),
+    ],
+    # Gorenstein unknown: the ring does not vanish within the bound
+    'yoshino -n 2 -D 2 "x1*x2"': [
+        (0, "6cca0090afff2b7871c26866b3e5df0b2b494c6a320840b0ea0bb7e26fb2eaf5"),
+        (0, "a11c592a8c435c5a49097ec0a1bb12e1138016b374c968b99ea82f888b22e6fd"),
+    ],
+    'example -n 3 -d 2': [
+        (0, "e2d923042d306473f6a19649bd1c82c60218272ceedf56598970a50c14d61d17"),
+        (0, "80d0e313dc839bcfd31ce8a0256fa0ae6d3a180efe5daf19c2f744a2a8b03131"),
+    ],
+}
+
+
+@pytest.mark.parametrize("line", sorted(OUTPUT_DIGESTS))
+def test_analysis_output_digests(capsys, line):
+    """Each analysis command's whole stdout and exit code, in both formats."""
+    got = []
+    for fmt in ("table", "json"):
+        code, out, err = run(capsys, *shlex.split(line), "--format", fmt)
+        assert err == ""
+        got.append((code, hashlib.sha256(out.encode()).hexdigest()))
+    assert got == OUTPUT_DIGESTS[line]
 
 
 def test_hilbert_default_bound(capsys):

@@ -180,7 +180,7 @@ def test_exponent_cap_refuses_many_variables(monkeypatch):
     with pytest.raises(ValueError, match="span 1000001 monomials, more than the cap of 100000"):
         monomial_hilbert(1_000_000, [], 1)
     monkeypatch.setattr(gradedring, "MAX_EXPONENTS", 3463 * 3464)
-    gradedring._refuse_oversize(3463, 1)  # exactly at the cap
+    gradedring.refuse_oversize(3463, 1)  # exactly at the cap
 
 
 def test_elimination_cost_guard_refuses_before_eliminating(monkeypatch):
@@ -209,6 +209,17 @@ def test_elimination_cost_counts_only_eliminated_generators(monkeypatch):
     # by a variable against 5 columns; 2 * 4^2 + 4 * 5^2 = 132
     monkeypatch.setattr(gradedring, "MAX_ELIMINATION_COST", 132)
     assert build_quotient(spec, 4, force_elimination=True).hilbert.values == (1, 2, 3, 2, 1)
+
+
+def test_build_splits_generators_without_comparing_them(monkeypatch):
+    """The single-term generators are told apart by their term count; a
+    comparison of each generator with each single-term one is quadratic."""
+    power = monomial_ideal(4, monomials_of_degree(4, 10))  # (x1, ..., x4)^10
+    mixed = parse_ideal("x1^2, x2^2, x3^2, x1*x2 + x2*x3", 3)
+    monkeypatch.setattr(HomogPoly, "__eq__", lambda *a: pytest.fail("generators compared"))
+    assert build_quotient(power, 10).hilbert.values == (1, 4, 10, 20, 35, 56, 84, 120, 165, 220, 0)
+    for force in (False, True):
+        assert build_quotient(mixed, 3, force_elimination=force).hilbert.values == (1, 3, 2, 0)
 
 
 @pytest.mark.parametrize("nvars,max_degree", [(2, 5), (3, 3), (3, 4), (4, 3)])

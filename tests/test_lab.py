@@ -19,7 +19,7 @@ from ezdlab.ezd import (
     hilbert_admits_pair,
     mult_map,
 )
-from ezdlab.gradedring import build_quotient, default_bound
+from ezdlab.gradedring import build_quotient, default_bound, monomial_hilbert, socle_bound
 from ezdlab.lab import (
     ScanConfig,
     check_split_support,
@@ -180,6 +180,48 @@ def test_symmetry_classes_cover_everything():
         for perm in [(0, 1), (1, 0)]:
             covered.add(frozenset(tuple(e[p] for p in perm) for e in gens))
     assert covered == all_sets
+
+
+# Max-deg 2 is the graph family: an Artinian monomial ideal generated in
+# degree 2 holds every x_i^2, and its other generators x_i*x_j are the edges
+# of a graph on n vertices. The number of graphs on n unlabelled vertices,
+# n = 2..6 (OEIS A000088):
+GRAPH_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+
+
+def _graph_of(n, gens) -> frozenset[tuple[int, int]]:
+    """The edges of a degree-2 Artinian ideal; fails unless it holds every x_i^2."""
+    squares = {e.index(2) for e in gens if 2 in e}
+    assert squares == set(range(n)), gens
+    return frozenset(tuple(i for i, a in enumerate(e) if a) for e in gens if 2 not in e)
+
+
+def _check_graph_oracle(n, gens) -> frozenset[tuple[int, int]]:
+    """The socle bound is n + 1 and H(d) counts the independent d-sets: the
+    standard monomials are the squarefree ones on no edge."""
+    edges = _graph_of(n, gens)
+    assert socle_bound(n, gens) == n + 1
+    independent = [
+        sum(1 for s in combinations(range(n), d) if not any(i in s and j in s for i, j in edges))
+        for d in range(n + 2)
+    ]
+    assert list(monomial_hilbert(n, gens, n + 1).values) == independent, gens
+    return edges
+
+
+@pytest.mark.parametrize("n", sorted(GRAPH_COUNTS))
+def test_degree2_canonical_ideals_are_the_graphs(n):
+    ideals = list(enumerate_monomial_ideals(ScanConfig(n, 2)))
+    assert len(ideals) == GRAPH_COUNTS[n]
+    for gens in ideals:
+        _check_graph_oracle(n, gens)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_degree2_ideals_are_the_labelled_graphs(n):
+    ideals = list(enumerate_monomial_ideals(ScanConfig(n, 2, symmetry_reduction=False)))
+    assert len(ideals) == 2 ** comb(n, 2)
+    assert len({_check_graph_oracle(n, gens) for gens in ideals}) == len(ideals)
 
 
 def test_scan_builds_ideal_specs_only_for_admitted_rings(monkeypatch):

@@ -1,6 +1,7 @@
 """The package's modules form layers, each importing only from those below:
 exactmat < polyring < gradedring < ezd < lab < cli. The package root and
-`__main__` are entry points above every layer."""
+`__main__` are entry points above every layer. No module imports another
+module's private (underscore) name."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,19 @@ def _package_imports(source: str) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+def _private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) for every underscore name a `from` import takes from the
+    package, at any depth; dunder names are not private."""
+    return sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "ezdlab")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+
+
 def test_walker_finds_every_import_form():
     source = (
         "from .polyring import HomogPoly\n"
@@ -42,6 +56,18 @@ def test_walker_finds_every_import_form():
         "from fractions import Fraction\n"
     )
     assert _package_imports(source) == [(1, "polyring"), (2, "lab"), (4, "ezd"), (5, "cli")]
+
+
+def test_private_walker_finds_every_import_form():
+    source = (
+        "from .gradedring import _refuse_costly, build_quotient\n"
+        "from . import _private\n"
+        "def f():\n    from ezdlab.lab import _task as task\n"
+        "from ezdlab import __version__\n"
+        "from fractions import _gcd\n"
+        "from __future__ import annotations\n"
+    )
+    assert _private_imports(source) == [(1, "_refuse_costly"), (2, "_private"), (4, "_task")]
 
 
 def test_every_module_has_a_layer():
@@ -59,3 +85,12 @@ def test_modules_import_only_lower_layers():
             if rank.get(module, top) >= level:
                 upward.append(f"{path.name}:{line} imports {module}")
     assert not upward, f"imports that are not from a lower layer: {upward}"
+
+
+def test_no_module_imports_a_private_name():
+    private = [
+        f"{path.name}:{line} imports {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _private_imports(path.read_text())
+    ]
+    assert not private, f"imports of another module's private name: {private}"
