@@ -6,9 +6,12 @@ two, so ranks, kernels and echelon forms are computed exactly.
 Matrices in this package are small and dense (at most a few thousand
 cells). Both eliminations run on integers: a row holding a Fraction is
 first scaled by the lcm of its denominators, and an int row is used as it
-is. Both start with the same fraction-free forward pass, in the manner of
-Bareiss (1968), which clears below each pivot and keeps every row
-primitive by dividing out the gcd of its entries. `rank` needs only the
+is; the multiplication maps that `ezd` ranks arrive as int matrices. Both
+start with the same fraction-free forward pass, in the manner of Bareiss
+(1968), which clears below each pivot and keeps every row primitive by
+dividing out the gcd of its entries. The rows below a pivot are zero left
+of its column, so that pass combines only their tails from the pivot
+column on. `rank` needs only the
 pivot count, so it stops there: no elimination above the pivots, no
 division by them and no Fraction matrix. `rref` keeps the pivot rows
 alone, back-substitutes over them from the last pivot upward with the same
@@ -109,6 +112,8 @@ def _eliminate(a: list[list[int]], ncols: int) -> list[int]:
 
     Only the rows below each pivot are cleared (`_clear`), which leaves a
     row echelon form with the pivot rows first and zero rows after them.
+    The rows from pivot row r on are zero left of its column c, so only
+    their tails from column c are combined.
     """
     pivots: list[int] = []
     r = 0
@@ -124,30 +129,34 @@ def _eliminate(a: list[list[int]], ncols: int) -> list[int]:
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
-        _clear(a, r, c, range(r + 1, len(a)))
+        _clear(a, r, c, range(r + 1, len(a)), c)
         pivots.append(c)
         r += 1
     return pivots
 
 
-def _clear(a: list[list[int]], r: int, c: int, rows: range) -> None:
+def _clear(a: list[list[int]], r: int, c: int, rows: range, lead: int = 0) -> None:
     """Clear column c of each of `rows` against the pivot a[r][c], in place.
 
     Row i becomes p*row_i - f*row_r, where p is the pivot and f the row's
     entry, divided by the gcd of its entries. Every step scales rows by
     nonzero factors or adds multiples of other rows, so the row space, the
     zero pattern and the pivots are those of the rational elimination.
+    Row r and every row of `rows` must be zero left of column `lead`: only
+    the tails from `lead` on are combined, and the zeros before it are kept.
     """
-    row_r = a[r]
-    pv = row_r[c]
+    tail_r = a[r][lead:]
+    pv = a[r][c]
+    zeros = a[r][:lead]
     for i in rows:
-        f = a[i][c]
+        row = a[i]
+        f = row[c]
         if f:
             g = gcd(pv, f)
             s, t = pv // g, f // g
-            row = [s * x - t * y for x, y in zip(a[i], row_r)]
-            g = gcd(*row)
-            a[i] = [x // g for x in row] if g > 1 else row
+            tail = [s * x - t * y for x, y in zip(row[lead:], tail_r)]
+            g = gcd(*tail)
+            a[i] = zeros + ([x // g for x in tail] if g > 1 else tail)
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:

@@ -6,8 +6,12 @@ degree on a built GradedQuotient, and a dimension is a rank: with r_f(d)
 the rank of multiplication by f from R_d, dim Ann(f)_d = dim R_d - r_f(d)
 and dim (f)_d = r_f(d - deg f). Every r_f(d) comes from `map_rank`, which
 remembers it per ring, so the pair check, the search for a partner, the
-Lefschetz check and the colon identity rank each (form, degree) once; only
-`socle_dims` ranks a matrix of its own. The containment (y)_d in Ann(x)_d
+Lefschetz check, the colon identity and the socle's certificate rank each
+(form, degree) once; only `socle_dims`, in a degree the certificate leaves
+open, ranks a matrix of its own. Every map is built in integers, as an
+`int` matrix N over one denominator D (`_integer_map`): each rank, kernel,
+column space and zero test reads N, which has those of N / D, and only
+the public `mult_map` divides. The containment (y)_d in Ann(x)_d
 holds exactly when xy*R_{d-deg y} = 0, and given it, equality is equality
 of dimensions. A subspace is built only where its vectors are used, as for
 the kernel vector `find_ezd_complement` offers as a partner. An element
@@ -30,11 +34,12 @@ import weakref
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 from operator import add
 from typing import Sequence
 
-from .exactmat import QMatrix, Subspace, kernel_basis, rank
+from .exactmat import QMatrix, Subspace, exact, kernel_basis, rank
 from .gradedring import GradedQuotient, build_quotient
 from .polyring import (
     HomogPoly,
@@ -59,12 +64,25 @@ def mult_map(ring: GradedQuotient, f: HomogPoly, d: int) -> QMatrix:
 
     Columns correspond to the degree-d basis monomials. When the target
     degree lies past the bound of an Artinian-within-bound ring the target
-    space is zero and a 0-row matrix is returned.
+    space is zero and a 0-row matrix is returned. Entries are in the form
+    of `exact`; on a monomial ring, where every normal form is a unit
+    coordinate or zero, an integer form gives an `int` matrix.
+    """
+    m, den = _integer_map(ring, f, d)
+    if den == 1:
+        return m
+    return QMatrix(m.rows, m.cols, [exact(Fraction(x, den)) for x in m.data])
 
-    Column j sums c*NF(g*b_j) over the terms c*g of f, read from the
-    target degree's normal-form table. On a monomial ring, where every
-    normal form is a unit coordinate or zero, an integer form gives an
-    `int` matrix.
+
+def _integer_map(ring: GradedQuotient, f: HomogPoly, d: int) -> tuple[QMatrix, int]:
+    """An `int` matrix N and a positive int D with mult_map(ring, f, d) == N / D.
+
+    The terms of f are scaled by the lcm s of its coefficients'
+    denominators, and column j sums c*NF(g*b_j) over the scaled terms c*g,
+    read from the target degree's table of integer normal forms over its
+    denominator D_t; so D = s * D_t. N has the rank, kernel, column space
+    and zero pattern of N / D, and every internal rank, kernel and zero
+    test reads it.
     """
     if f.nvars != ring.nvars:
         raise ValueError("variable counts differ")
@@ -73,17 +91,20 @@ def mult_map(ring: GradedQuotient, f: HomogPoly, d: int) -> QMatrix:
     ncols = len(source)
     if target_degree > ring.bound:
         if ring.complete:
-            return QMatrix(0, ncols, ())
+            return QMatrix(0, ncols, ()), 1
         raise ValueError(f"target degree {target_degree} outside bound {ring.bound}")
-    nrows = ring.dim(target_degree)
-    normal_forms = ring.components[target_degree].normal_forms
+    comp = ring.components[target_degree]
+    nrows = len(comp.basis)
+    normal_forms = comp.normal_forms
+    scale = lcm(*(c.denominator for c in f.coeffs.values()))
+    terms = [(g, c.numerator * (scale // c.denominator)) for g, c in f.coeffs.items()]
     data = [0] * (nrows * ncols)
     for j, b in enumerate(source):
-        for g, c in f.coeffs.items():
+        for g, c in terms:
             # outside monomial rings two products can share a coordinate: entries add up
             for i, a in normal_forms[tuple(map(add, g, b))]:
                 data[i * ncols + j] += c * a
-    return QMatrix(nrows, ncols, data)
+    return QMatrix(nrows, ncols, data), scale * comp.denominator
 
 
 # ring -> {(f, d): rank of mult_map(ring, f, d)}; a ring's entries go with it
@@ -102,13 +123,13 @@ def map_rank(ring: GradedQuotient, f: HomogPoly, d: int) -> int:
         ranks = _MAP_RANKS[ring] = {}
     r = ranks.get((f, d))
     if r is None:
-        r = ranks[f, d] = rank(mult_map(ring, f, d))
+        r = ranks[f, d] = rank(_integer_map(ring, f, d)[0])
     return r
 
 
 def annihilator_degree(ring: GradedQuotient, f: HomogPoly, d: int) -> Subspace:
     """Degree-d piece of Ann(f) as a subspace of R_d."""
-    return kernel_basis(mult_map(ring, f, d))
+    return kernel_basis(_integer_map(ring, f, d)[0])
 
 
 def principal_ideal_degree(ring: GradedQuotient, y: HomogPoly, d: int) -> Subspace:
@@ -121,7 +142,7 @@ def principal_ideal_degree(ring: GradedQuotient, y: HomogPoly, d: int) -> Subspa
     dim_d = ring.dim(d)
     if y.is_zero() or d < y.degree:
         return Subspace.zero(dim_d)
-    m = mult_map(ring, y, d - y.degree)
+    m = _integer_map(ring, y, d - y.degree)[0]
     return Subspace.from_vectors(dim_d, (m.data[j :: m.cols] for j in range(m.cols)))
 
 
@@ -190,7 +211,7 @@ def is_ezd_pair(ring: GradedQuotient, x: HomogPoly, y: HomogPoly) -> EzdReport:
 
     xy = x * y
     z = 0
-    while xy.degree + z <= top and any(mult_map(ring, xy, z).data):
+    while xy.degree + z <= top and any(_integer_map(ring, xy, z)[0].data):
         z += 1
     product_zero = z == 0
 
@@ -303,7 +324,7 @@ def find_ezd_complement(ring: GradedQuotient, ell: HomogPoly) -> tuple[HomogPoly
             continue
         if nullity >= 2:
             return None
-        q = ring.basis_poly(t, kernel_basis(mult_map(ring, ell, t)).basis[0])
+        q = ring.basis_poly(t, kernel_basis(_integer_map(ring, ell, t)[0]).basis[0])
         report = is_ezd_pair(ring, ell, q)
         if report.verdict is PairVerdict.EXACT_PAIR:
             return q, report
@@ -436,17 +457,27 @@ def wlp_check(ring: GradedQuotient, trials: int = 3, seed: int = 0) -> WlpReport
 
 
 def socle_dims(ring: GradedQuotient) -> tuple[int, ...]:
-    """Per-degree dimensions of {r : x_i * r = 0 for every variable x_i}."""
+    """Per-degree dimensions of {r : x_i * r = 0 for every variable x_i}.
+
+    The socle lies in the kernel of every linear form, so in a degree where
+    the first sampled form of seed 0 (the first trial of `wlp_check` and
+    `generic_ezd_decision`) is injective it is zero, and the rank comes
+    from `map_rank`. Every other degree ranks the variables' maps stacked.
+    """
     if not ring.complete:
         raise ValueError("socle needs a ring that vanishes within the degree bound")
-    top = ring.top_degree
+    ell = generic_linear_form(ring.nvars, derived_seed(0, 0))
     dims = []
-    for d in range(top + 1):
+    for d in range(ring.top_degree + 1):
+        dim_d = ring.dim(d)
+        if map_rank(ring, ell, d) == dim_d:
+            dims.append(0)
+            continue
         blocks = []
         for i in range(ring.nvars):
-            m = mult_map(ring, variable(ring.nvars, i), d)
+            m = _integer_map(ring, variable(ring.nvars, i), d)[0]
             blocks.extend(m.row(r) for r in range(m.rows))
-        dims.append(ring.dim(d) - rank(QMatrix.from_rows(blocks)))
+        dims.append(dim_d - rank(QMatrix.from_rows(blocks)))
     return tuple(dims)
 
 

@@ -11,7 +11,11 @@ and an ideal without single-term generators is eliminated on every column.
 Each degree stores one table, from every monomial to its normal form as
 sparse (quotient coordinate, coefficient) pairs, read off the reduced
 echelon basis of I_d: the quotient basis is the set of non-pivot standard
-monomials. Normal forms and multiplication maps are sums over this table.
+monomials. The table holds integers: each normal form times the degree's
+one denominator D_d, the lcm of the denominators of all its normal forms,
+so equal rings store equal tables and a basis monomial's entry is D_d.
+Normal forms and multiplication maps are sums over this table;
+`normal_form` divides by D_d once at the end.
 Before eliminating, `build_quotient` estimates the elimination's cost from
 counts alone and refuses a build past `MAX_ELIMINATION_COST`.
 
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from operator import add
 from typing import Iterable, Iterator
 
@@ -81,8 +85,11 @@ class HilbertFn:
 @dataclass(frozen=True)
 class _DegreeComponent:
     basis: tuple[Monomial, ...]  # the quotient basis, in monomial order
-    # every monomial -> its normal form as (quotient coordinate, coefficient)
-    normal_forms: dict[Monomial, tuple[tuple[int, int | Fraction], ...]]
+    # every monomial -> its normal form times `denominator`, as
+    # (quotient coordinate, integer numerator) pairs
+    normal_forms: dict[Monomial, tuple[tuple[int, int], ...]]
+    # the least positive integer that clears every normal form's denominators
+    denominator: int
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -128,7 +135,7 @@ class GradedQuotient:
         for m, c in p.coeffs.items():
             for k, a in comp.normal_forms[m]:
                 v[k] += c * a
-        return tuple(map(exact, v))
+        return tuple(exact(Fraction(x, comp.denominator)) for x in v)
 
     def basis_poly(self, degree: int, coords) -> HomogPoly:
         """The polynomial with the given coordinates in the quotient basis."""
@@ -173,12 +180,15 @@ def _component(
     eliminated on the standard columns. A row m_p + sum c_j m_j of the
     reduced echelon basis has its other entries in non-pivot columns only,
     so NF(m_p) = -sum c_j m_j, and the non-pivot standard monomials are the
-    quotient basis, each its own unit coordinate.
+    quotient basis, each its own unit coordinate. The table holds each
+    normal form times the lcm D of all the c_j's denominators, so its
+    entries are integers and a basis monomial's is D.
     """
     monos = monomials_of_degree(nvars, degree)
     cols = [m for m in monos if m in standard]
     basis = cols  # the quotient basis when nothing is eliminated
     normal_forms = dict.fromkeys(monos, ())
+    den = 1
     active = [g for g in others if g.degree <= degree]
     if active:
         col = {m: k for k, m in enumerate(cols)}
@@ -196,11 +206,12 @@ def _component(
         free = [k for k in range(len(cols)) if k not in pivots]
         coord = {k: q for q, k in enumerate(free)}  # standard column -> quotient coordinate
         basis = [cols[k] for k in free]
+        den = lcm(*(x.denominator for _, rest in echelon.rows for _, x in rest))
         for p, rest in echelon.rows:
-            normal_forms[cols[p]] = tuple((coord[j], -x) for j, x in rest)
+            normal_forms[cols[p]] = tuple((coord[j], -x.numerator * (den // x.denominator)) for j, x in rest)
     for q, m in enumerate(basis):
-        normal_forms[m] = ((q, 1),)
-    return _DegreeComponent(tuple(basis), normal_forms)
+        normal_forms[m] = ((q, den),)
+    return _DegreeComponent(tuple(basis), normal_forms, den)
 
 
 def refuse_oversize(nvars: int, bound: int) -> None:
@@ -329,6 +340,18 @@ def monomial_hilbert(nvars: int, gens: Iterable[Monomial], bound: int) -> Hilber
     return HilbertFn(tuple(dims))
 
 
+@lru_cache(maxsize=1 << 12)
+def _pure_power(e: Monomial) -> tuple[int, int] | None:
+    """(i, a) when e is x_i^a with a >= 1, (0, 0) when e is the constant 1,
+    and None otherwise; a scan reads the same few tuples thousands of times."""
+    support = [i for i, a in enumerate(e) if a]
+    if not support:
+        return 0, 0
+    if len(support) == 1:
+        return support[0], e[support[0]]
+    return None
+
+
 def socle_bound(nvars: int, gens: Iterable[Monomial]) -> int | None:
     """Degree bound sum(a_i - 1) + 1 when the monomials `gens` include a
     pure power of every variable, x_i^{a_i} the least; 0 when they include
@@ -341,13 +364,13 @@ def socle_bound(nvars: int, gens: Iterable[Monomial]) -> int | None:
     """
     least: dict[int, int] = {}
     for e in gens:
-        zeros = e.count(0)
-        if zeros == nvars:
-            return 0
-        if zeros == nvars - 1:
-            a = max(e)
-            i = e.index(a)
-            least[i] = min(a, least.get(i, a))
+        power = _pure_power(e)
+        if power is not None:
+            i, a = power
+            if not a:
+                return 0
+            if a < least.get(i, a + 1):
+                least[i] = a
     if len(least) < nvars:
         return None
     return sum(a - 1 for a in least.values()) + 1

@@ -31,7 +31,7 @@ too long for ``int`` among them) raise ParseError with its line and column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -111,6 +111,7 @@ class HomogPoly:
     nvars: int
     degree: int
     coeffs: dict[Monomial, int | Fraction]
+    _hash: int | None = field(compare=False, repr=False)  # None until the first hash
 
     def __init__(self, nvars: int, degree: int, coeffs: Mapping[Monomial, int | Fraction] | Iterable = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -133,6 +134,7 @@ class HomogPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", store)
+        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def zero(cls, nvars: int, degree: int) -> "HomogPoly":
@@ -199,8 +201,13 @@ class HomogPoly:
         return out
 
     def __hash__(self) -> int:
-        # `coeffs` is a dict, so the generated field hash would fail.
-        return hash((self.nvars, self.degree, frozenset(self.coeffs.items())))
+        # `coeffs` is a dict, so the generated field hash would fail. The
+        # polynomial is immutable, so its hash is computed once.
+        h = self._hash
+        if h is None:
+            h = hash((self.nvars, self.degree, frozenset(self.coeffs.items())))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         return f"HomogPoly({format_poly(self)!r})"

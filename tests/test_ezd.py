@@ -3,11 +3,12 @@
 import gc
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from ezdlab import ezd
-from ezdlab.exactmat import QMatrix, Subspace, rank, subspace_equal
+from ezdlab import ezd, lab
+from ezdlab.exactmat import QMatrix, Subspace, kernel_basis, rank, subspace_equal
 from ezdlab.ezd import (
     DegreeRow,
     GenericDecision,
@@ -40,6 +41,8 @@ from ezdlab.polyring import (
     parse_ideal,
     parse_poly,
 )
+from ezdlab.lab import ScanConfig, enumerate_monomial_ideals
+from socle_oracle import socle_dims_by_stacked_rank
 from subspace_oracle import contains
 
 F = Fraction
@@ -103,7 +106,8 @@ def _rational_form(rng, nvars, degree, denominators):
 def test_monomial_lookup_maps_match_normal_forms():
     """mult_map and principal_ideal_degree against normal forms of the
     eliminating build, on monomial, binomial, mixed and complete
-    intersection rings, for integer and fractional forms."""
+    intersection rings, for integer and fractional forms. The integer map
+    every internal rank reads, over its denominator, matches too."""
     rng = random.Random(4242)
     cases = []
     for trial in range(40):
@@ -133,6 +137,7 @@ def test_monomial_lookup_maps_match_normal_forms():
         cases.append((make_ideal(3, gens), sum(d - 1 for d in degs) + 1))
     assert sum(spec.kind is not IdealKind.MONOMIAL for spec, _ in cases) == 26
     shared_rows = 0
+    above_one = set()  # whether D > 1, over every integer map
     for spec, bound in cases:
         ring = build_quotient(spec, bound)
         oracle = build_quotient(spec, bound, force_elimination=True)
@@ -142,13 +147,19 @@ def test_monomial_lookup_maps_match_normal_forms():
                 f = _rational_form(rng, nvars, deg, denominators)
                 for d in range(bound - deg + 1):
                     got = mult_map(ring, f, d)
-                    assert got == _normal_form_mult_map(oracle, f, d)
+                    expected = _normal_form_mult_map(oracle, f, d)
+                    assert got == expected
+                    n, den = ezd._integer_map(ring, f, d)
+                    assert all(type(x) is int for x in n.data) and type(den) is int and den >= 1
+                    assert QMatrix(n.rows, n.cols, [F(x, den) for x in n.data]) == expected
+                    above_one.add(den > 1)
                     # rows fed by several columns: terms of different products
                     # landing on the same target coordinate
                     shared_rows += sum(1 for i in range(got.rows) if sum(1 for x in got.row(i) if x) > 1)
                 for d in range(bound + 1):
                     assert principal_ideal_degree(ring, f, d) == _normal_form_principal_ideal(oracle, f, d)
     assert shared_rows > 0
+    assert above_one == {False, True}
 
 
 def test_integer_forms_give_int_maps_on_monomial_rings():
@@ -586,3 +597,78 @@ def test_map_rank_entries_go_with_the_ring():
     del ring
     gc.collect()
     assert all(held is not entries for held in ezd._MAP_RANKS.values())
+
+
+def _artinian_binomial_rings(nvars):
+    """Every Artinian J + (f1 + f2) of the binomial family, with J, f1 and f2
+    in degree 2 and neither f_i in J, built to the bound the scan uses."""
+    quadrics = monomials_of_degree(nvars, 2)
+    for mask in range(1 << len(quadrics)):
+        j = tuple(m for i, m in enumerate(quadrics) if mask >> i & 1)
+        for f1, f2 in combinations(quadrics, 2):
+            if f1 not in j and f2 not in j and lab._binomial_is_artinian(nvars, j, f1, f2):
+                gens = [HomogPoly.from_monomial(m) for m in j] + [HomogPoly(nvars, 2, [(f1, 1), (f2, 1)])]
+                yield build_quotient(make_ideal(nvars, gens), max(lab.BINOMIAL_DEFAULT_BOUND, nvars + 1))
+
+
+def _rational_ideal_ring(rng):
+    """Two quadrics with fractional coefficients and the cubes of three
+    variables, built to their default bound."""
+    cubes = [HomogPoly.from_monomial(m) for m in [(3, 0, 0), (0, 3, 0), (0, 0, 3)]]
+    spec = make_ideal(3, [_rational_form(rng, 3, 2, 6) for _ in range(2)] + cubes)
+    return build_quotient(spec, default_bound(spec))
+
+
+def test_socle_dims_match_stacked_rank_monomial_scan_rings():
+    """On every ring of the n = 3, max-degree 4 monomial scan, including
+    those without the weak Lefschetz property, the socle certified by one
+    linear form equals the stacked-rank socle."""
+    rings = wlp_failures = 0
+    for gens in enumerate_monomial_ideals(ScanConfig(3, 4)):
+        spec = monomial_ideal(3, gens)
+        ring = build_quotient(spec, default_bound(spec))
+        assert socle_dims(ring) == socle_dims_by_stacked_rank(ring), gens
+        rings += 1
+        # one trial: the certificate's form, whose ranks socle_dims has taken
+        wlp_failures += not wlp_check(ring, 1).holds
+    assert rings == 5693
+    assert wlp_failures == 469
+
+
+def test_socle_dims_match_stacked_rank_binomial_and_complete_intersections():
+    rings = list(_artinian_binomial_rings(3))
+    assert len(rings) == 54
+    rings += [_random_complete_intersection(seed) for seed in range(6)]
+    rng = random.Random(2323)
+    rings += [_rational_ideal_ring(rng) for _ in range(4)]
+    for ring in rings:
+        assert socle_dims(ring) == socle_dims_by_stacked_rank(ring), ring.spec
+
+
+def test_internal_ranks_and_kernels_read_integer_maps(monkeypatch):
+    """Every matrix `ezd` ranks or takes the kernel of during a decision, a
+    Lefschetz check, a socle and a pair check of fractional forms holds only
+    ints, on random complete intersections, ideals with fractional
+    coefficients and n = 3 binomial rings."""
+    seen = {"rank": [], "kernel": []}
+
+    def spy(name, fn):
+        def recording(m):
+            seen[name].append(all(type(x) is int for x in m.data))
+            return fn(m)
+        return recording
+
+    rng = random.Random(23)
+    rings = [_random_complete_intersection(seed) for seed in range(3)]
+    rings += [_rational_ideal_ring(rng) for _ in range(3)]
+    rings += list(_artinian_binomial_rings(3))[::6]
+    assert any(c.denominator > 1 for ring in rings for c in ring.components)
+    monkeypatch.setattr(ezd, "rank", spy("rank", rank))
+    monkeypatch.setattr(ezd, "kernel_basis", spy("kernel", kernel_basis))
+    for ring in rings:
+        generic_ezd_decision(ring)
+        wlp_check(ring)
+        socle_dims(ring)
+        is_ezd_pair(ring, _rational_form(rng, 3, 1, 6), _rational_form(rng, 3, 2, 6))
+    assert seen["rank"] and seen["kernel"]
+    assert all(seen["rank"]) and all(seen["kernel"])

@@ -6,6 +6,7 @@ import random
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -104,7 +105,8 @@ def _fractional_ring_and_form(draw):
 def test_normal_forms_are_in_the_one_form(case):
     """Every normal-form table entry and every `normal_form` coordinate is an
     int or a Fraction with denominator other than 1, and `normal_form` equals
-    the all-Fraction sum over the table."""
+    the all-Fraction sum over the table, each entry over its degree's
+    denominator."""
     spec, p = case
     ring = build_quotient(spec, 3)
     for comp in ring.components:
@@ -112,9 +114,10 @@ def test_normal_forms_are_in_the_one_form(case):
     coords = ring.normal_form(p)
     assert all(map(in_one_form, coords)), coords
     expected = [Fraction(0)] * ring.dim(p.degree)
+    comp = ring.components[p.degree]
     for m, c in p.coeffs.items():
-        for k, a in ring.components[p.degree].normal_forms[m]:
-            expected[k] += Fraction(c) * Fraction(a)
+        for k, a in comp.normal_forms[m]:
+            expected[k] += Fraction(c) * Fraction(a, comp.denominator)
     assert coords == tuple(expected)
 
 
@@ -297,12 +300,16 @@ def _pure_power_bound(nvars, monos):
 def test_socle_bound_matches_default_bound(nvars, max_degree, count):
     """On every ideal a monomial scan enumerates, the exponent-level bound
     it reads equals default_bound of the built IdealSpec and a count of
-    pure powers, and the ring vanishes at that bound."""
+    pure powers, and the ring vanishes at that bound. Listing a higher power
+    of each pure power after the generators leaves the bound as it is: the
+    least pure power of a variable counts, not the last."""
     seen = 0
     for gens in enumerate_monomial_ideals(ScanConfig(nvars, max_degree)):
         bound = socle_bound(nvars, gens)
         assert bound == default_bound(monomial_ideal(nvars, gens)), gens
         assert bound == _pure_power_bound(nvars, gens), gens
+        higher = tuple(tuple(a and a + 1 for a in e) for e in gens if e.count(0) == nvars - 1)
+        assert socle_bound(nvars, gens + higher) == bound, gens
         assert monomial_hilbert(nvars, set(gens), bound).values[-1] == 0, gens
         seen += 1
     assert seen == count
@@ -367,10 +374,53 @@ def _assert_builds_agree(spec, bound, rng):
     for d in range(bound + 1):
         assert fast.components[d].basis == slow.components[d].basis
         assert fast.components[d].normal_forms == slow.components[d].normal_forms
+        assert fast.components[d].denominator == slow.components[d].denominator
         monos = monomials_of_degree(spec.nvars, d)
         p = HomogPoly(spec.nvars, d, [(m, rng.randint(-3, 3)) for m in monos])
         assert fast.normal_form(p) == slow.normal_form(p)
         assert (fast.basis_monomials(d), fast.normal_form(p)) == _reduced_normal_form(spec, p)
+
+
+def _assert_table_is_least_integer_scaling(spec, bound):
+    """Each degree's table over its denominator D_d equals every monomial's
+    normal form reduced by all generator multiples, D_d is the lcm of those
+    normal forms' denominators, and the eliminating build stores the same
+    table over the same D_d."""
+    fast = build_quotient(spec, bound)
+    slow = build_quotient(spec, bound, force_elimination=True)
+    for d in range(bound + 1):
+        comp = fast.components[d]
+        assert (slow.components[d].normal_forms, slow.components[d].denominator) == (
+            comp.normal_forms, comp.denominator)
+        assert type(comp.denominator) is int
+        denominators = []
+        for m, nf in comp.normal_forms.items():
+            basis, coords = _reduced_normal_form(spec, HomogPoly.from_monomial(m))
+            assert basis == comp.basis
+            assert all(type(a) is int and a for _, a in nf)
+            scaled = [Fraction(0)] * len(basis)
+            for k, a in nf:
+                scaled[k] += Fraction(a, comp.denominator)
+            assert tuple(scaled) == coords, m
+            denominators.extend(Fraction(c).denominator for c in coords)
+        assert comp.denominator == lcm(*denominators)
+
+
+def test_normal_form_tables_are_least_integer_scalings():
+    rng = random.Random(2323)
+    family = list(_binomial_family(3))
+    cases = [(spec, 4) for spec in rng.sample(family, 10)]
+    for _ in range(12):
+        nvars = rng.randint(2, 3)
+        gens = [_random_form(rng, nvars, rng.randint(1, 2), rng.randint(2, nvars)) for _ in range(2)]
+        gens += [HomogPoly.from_monomial(m) for m in rng.sample(monomials_of_degree(nvars, 3), 2)]
+        cases.append((make_ideal(nvars, gens), rng.randint(2, 4)))
+    # a complete intersection with random integer coefficients
+    gens = [HomogPoly(3, d, [(m, rng.randint(-9, 9)) for m in monomials_of_degree(3, d)]) for d in (2, 2, 3)]
+    cases.append((make_ideal(3, gens), 5))
+    assert any(build_quotient(spec, bound).components[-1].denominator > 1 for spec, bound in cases)
+    for spec, bound in cases:
+        _assert_table_is_least_integer_scaling(spec, bound)
 
 
 def _binomial_family(nvars):

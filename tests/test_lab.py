@@ -471,14 +471,17 @@ def test_flat_json_refuses_nested_fields():
 def test_binomial_scan_degree_one_builds(monkeypatch):
     """ann1_dims is read from the colon identity, so it builds no map of its own."""
     builds = []
+    integer_map = ezd._integer_map
 
     def counting(ring, f, d):
         if f.degree == 1 and d == 1:
             builds.append(f)
-        return mult_map(ring, f, d)
+        return integer_map(ring, f, d)
 
     assert not hasattr(lab, "mult_map")  # so every build goes through ezd
-    monkeypatch.setattr(ezd, "mult_map", counting)
+    # the public mult_map divides the integer builder's map; every rank,
+    # kernel and zero test reads the integer map directly
+    monkeypatch.setattr(ezd, "_integer_map", counting)
     report = scan_binomial(ScanConfig(3, seed=1, workers=1))
     assert report.examined == 54
     # 54 rings x 3 trials = 162 (ring, form) pairs. colon_identity_dims ranks

@@ -1,5 +1,7 @@
 """Monomial order, polynomial arithmetic, the ideal grammar, and classification."""
 
+import copy
+import pickle
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
@@ -397,3 +399,22 @@ def test_coefficients_are_stored_in_the_one_form(terms_p, terms_q, terms_r, scal
     if terms_p:
         _assert_one_form(parse_poly(_text(terms_p), 3), fp)
         assert all(in_one_form(p.coefficient(m)) for m in monomials_of_degree(3, 2))
+
+
+def test_equal_polynomials_hash_equal_once_computed():
+    """Equal polynomials hash the same whatever the order of their terms and
+    whether a coefficient is an int or an integral Fraction; the hash is
+    kept, and equality, pickling and deepcopy are unchanged by it."""
+    terms = [((2, 0), 3), ((1, 1), Fraction(-1, 2)), ((0, 2), 5)]
+    p = HomogPoly(2, 2, terms)
+    q = HomogPoly(2, 2, reversed(terms))
+    r = HomogPoly(2, 2, [((2, 0), Fraction(6, 2)), ((1, 1), Fraction(-1, 2)), ((0, 2), Fraction(5))])
+    s = parse_poly("3*x1^2 - 1/2*x1*x2 + 5*x2^2", 2)
+    assert p == q == r == s
+    assert len({hash(p), hash(q), hash(r), hash(s)}) == 1
+    assert hash(p) == hash(p)
+    assert p != HomogPoly(2, 2, terms[:2])
+    for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.deepcopy(HomogPoly(2, 2, terms))):
+        assert twin == p and hash(twin) == hash(p)
+        assert twin.coeffs == p.coeffs and twin.coeffs is not p.coeffs
+    assert repr(p) == "HomogPoly('3*x1^2 - 1/2*x1*x2 + 5*x2^2')"
