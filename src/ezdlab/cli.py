@@ -18,7 +18,8 @@ command:
 - hilbert, socle and yoshino never exit 1 (yoshino's FAIL marks exit 0);
 - ezd exits 1 unless the decision is generically_yes, and with --form
   unless an exact partner of the form is found;
-- wlp exits 1 when the weak Lefschetz property fails;
+- wlp exits 1 when the weak Lefschetz property fails (and 2 on a ring that
+  does not vanish within the degree bound);
 - example exits 1 without an exact pair;
 - scan exits 1 on any counterexample.
 """

@@ -434,11 +434,17 @@ def wlp_check(ring: GradedQuotient, trials: int = 3, seed: int = 0) -> WlpReport
     have maximal rank between every pair of consecutive degrees.
 
     Maximal rank is an open condition, so one witnessing trial suffices for
-    the generic statement; per-degree rows report the best rank seen.
+    the generic statement; per-degree rows report the best rank seen. A
+    ring cut off at its bound is refused: the maps past the bound are
+    unknown, so the property could fail there.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    top = ring.top_degree if ring.complete else ring.bound
+    if not ring.complete:
+        raise ValueError(
+            "weak Lefschetz check needs a ring that vanishes within the degree bound; raise the bound"
+        )
+    top = ring.top_degree
     per_trial_ranks = []
     for t in range(trials):
         ell = generic_linear_form(ring.nvars, derived_seed(seed, t))

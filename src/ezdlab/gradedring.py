@@ -1,23 +1,28 @@
 """Graded quotients R = P/I built degree by degree up to a bound.
 
-For each degree d the relation space I_d is spanned by the products m*g of
-the generators by complementary-degree monomials. The single-term
-generators form a monomial ideal M, whose standard monomials (those outside
-M) come from those one degree down by an order-ideal closure; M_d is
-spanned by the other monomials. The multiples of the remaining generators
-are eliminated on the standard columns only, since their entries elsewhere
-lie in M_d. There is one path: a monomial ideal has nothing to eliminate,
-and an ideal without single-term generators is eliminated on every column.
-Each degree stores one table, from every monomial to its normal form as
-sparse (quotient coordinate, coefficient) pairs, read off the reduced
-echelon basis of I_d: the quotient basis is the set of non-pivot standard
+The single-term generators form a monomial ideal M, whose standard
+monomials (those outside M) come from those one degree down by an
+order-ideal closure; M_d is zero in R. Each degree stores one table, from
+every monomial to its normal form as sparse (quotient coordinate,
+coefficient) pairs, read off the reduced echelon basis of I_d on the
+standard columns: the quotient basis is the set of non-pivot standard
 monomials. The table holds integers: each normal form times the degree's
 one denominator D_d, the lcm of the denominators of all its normal forms,
 so equal rings store equal tables and a basis monomial's entry is D_d.
 Normal forms and multiplication maps are sums over this table;
 `normal_form` divides by D_d once at the end.
-Before eliminating, `build_quotient` estimates the elimination's cost from
-counts alone and refuses a build past `MAX_ELIMINATION_COST`.
+
+Degree d is built from degree d-1's table, as F4 reuses reduced rows
+(Faugere 1999): I_d is spanned by x_i times each relation D_{d-1}*m_p
+- sum num*b of a pivot m_p of degree d-1, and by the generators of degree
+d. Only the standard monomials x_i*b with b in the basis of degree d-1,
+the border, are eliminated, at most n*H(d-1) columns; every other
+standard monomial has one of those relations as its reducer. So a
+monomial ideal eliminates nothing, and neither does a degree after a
+vanished one. There is one path: an ideal without single-term generators
+has M = 0. Before building, `build_quotient` estimates the cost of
+eliminating each degree from scratch, from counts alone, and refuses a
+build past `MAX_ELIMINATION_COST`.
 
 The Hilbert function of P/M needs no standard monomial set:
 `monomial_hilbert` counts the degree-d monomials outside M as C(n+d-1, d)
@@ -34,8 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
-from operator import add
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator
 
 from .exactmat import Subspace, exact
@@ -62,11 +66,14 @@ MAX_MONOMIALS = 100_000
 MAX_EXPONENTS = 12_000_000
 # Largest elimination build_quotient runs, estimated before it starts as the
 # sum over degrees of rows x standard columns^2, a bound on dense Gauss-Jordan
-# work. On "x1^2 + x2*x3, x2^2 + x1*x4" in 4 variables, the largest ring the
-# tests build, the estimate is 2.2e8 to degree 12 (about a second) and 2.9e9
-# to degree 16 (about 5 s); to degree 31 it is 1.3e12, about nine minutes.
-# Every other ring of the tests, demos, README examples and benchmark inputs
-# is estimated at 2.8e6 or less.
+# work if each degree were eliminated from scratch. The build eliminates only
+# the border, so the estimate overstates its work, more so as the degree
+# grows. On "x1^2 + x2*x3, x2^2 + x1*x4" in 4 variables, the largest ring the
+# tests build, the estimate is 2.2e8 to degree 12 and 2.9e9 to degree 16 (a
+# CLI run of 0.24 s and 0.67 s on a 2-core x86-64 host); to degree 31 it is
+# 1.3e12, refused, though the build takes about 9 s there. Every other ring of
+# the tests, demos, README examples and benchmark inputs is estimated at
+# 2.8e6 or less.
 MAX_ELIMINATION_COST = 10_000_000_000
 
 
@@ -171,47 +178,130 @@ def _order_ideal(nvars: int, gens: set[Monomial], bound: int) -> Iterator[set[Mo
 
 
 def _component(
-    nvars: int, degree: int, standard: set[Monomial], others: list[HomogPoly]
+    nvars: int,
+    degree: int,
+    standard: set[Monomial],
+    below: tuple[_DegreeComponent, set[Monomial]] | None,
+    others: list[HomogPoly],
 ) -> _DegreeComponent:
-    """The degree-d component of P/I, given the standard monomials of M in degree d.
+    """The degree-d component of P/I, given the standard monomials of M in
+    degree d and, past degree 0, degree d-1's component and standard set.
 
-    Every monomial of M_d is zero in R. The multiples of `others`, the
-    generators of I outside M, with their M_d entries dropped, are
-    eliminated on the standard columns. A row m_p + sum c_j m_j of the
-    reduced echelon basis has its other entries in non-pivot columns only,
-    so NF(m_p) = -sum c_j m_j, and the non-pivot standard monomials are the
-    quotient basis, each its own unit coordinate. The table holds each
-    normal form times the lcm D of all the c_j's denominators, so its
-    entries are integers and a basis monomial's is D.
+    Modulo M_d, whose monomials are zero in R, I_d is spanned by the
+    generators of degree d and by x_i*(D*m_p - sum num*b) for each pivot m_p
+    of degree d-1 (a standard monomial outside the basis B_{d-1}), whose
+    normal form is sum num*b over D = D_{d-1}. A standard monomial x_i*b
+    with b in B_{d-1} is a border column; every other standard monomial is
+    a lead x_i*m_p. The first row with a lead is its reducer, whose only
+    entry off the border is that lead; it is subtracted from the other rows
+    with the lead and clears the lead from each generator, which leaves
+    rows on the border alone. Lex is a term order, so a reducer's first
+    column is its lead: the pivots of I_d are the leads and the pivots of
+    the border rows, and `_read_off` takes the unique reduced echelon form
+    from both. Past a vanished degree the border is empty and every
+    monomial is zero; with no pivot below, every standard monomial is on
+    the border.
     """
     monos = monomials_of_degree(nvars, degree)
-    cols = [m for m in monos if m in standard]
-    basis = cols  # the quotient basis when nothing is eliminated
     normal_forms = dict.fromkeys(monos, ())
-    den = 1
-    active = [g for g in others if g.degree <= degree]
-    if active:
-        col = {m: k for k, m in enumerate(cols)}
-        vectors = []
-        for g in active:
-            for m in monomials_of_degree(nvars, degree - g.degree):
-                v = [0] * len(cols)
-                for gm, c in g.coeffs.items():
-                    k = col.get(tuple(map(add, m, gm)))
-                    if k is not None:
-                        v[k] = c
-                vectors.append(v)
-        echelon = Subspace.from_vectors(len(cols), vectors)
-        pivots = {p for p, _ in echelon.rows}
-        free = [k for k in range(len(cols)) if k not in pivots]
-        coord = {k: q for q, k in enumerate(free)}  # standard column -> quotient coordinate
-        basis = [cols[k] for k in free]
-        den = lcm(*(x.denominator for _, rest in echelon.rows for _, x in rest))
-        for p, rest in echelon.rows:
-            normal_forms[cols[p]] = tuple((coord[j], -x.numerator * (den // x.denominator)) for j, x in rest)
+    den = 1  # D_{d-1}, the denominator of the relations from below
+    pivots_below: set[Monomial] = set()
+    if below is not None:
+        prev, prev_standard = below
+        if not prev.basis:  # an empty border: every standard monomial is a lead, and zero
+            return _DegreeComponent((), normal_forms, 1)
+        den = prev.denominator
+        pivots_below = prev_standard.difference(prev.basis)
+    if pivots_below:
+        up = [[b[:i] + (b[i] + 1,) + b[i + 1 :] for b in prev.basis] for i in range(nvars)]
+        border = {e for ups in up for e in ups if e in standard}
+    else:
+        border = standard  # every standard monomial is x_i*b, or degree 0's 1
+    cols = [m for m in monos if m in border]
+    col = {m: k for k, m in enumerate(cols)}
+    reducers: dict[Monomial, dict[int, int]] = {}  # lead -> its reducer's border entries
+    rows: list[dict] = []  # border-only rows, as border column -> entry
+    if pivots_below:
+        up_col = [[col.get(e) for e in ups] for ups in up]  # x_i * b -> border column, or None in M_d
+        for m in pivots_below:
+            nf = prev.normal_forms[m]
+            for i in range(nvars):
+                tail = {k: -a for q, a in nf if (k := up_col[i][q]) is not None}
+                head = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                if head in col:
+                    tail[col[head]] = den
+                elif head in standard:
+                    reducer = reducers.setdefault(head, tail)
+                    if reducer is tail:
+                        continue
+                    tail = {k: x for k in tail.keys() | reducer.keys() if (x := tail.get(k, 0) - reducer.get(k, 0))}
+                if tail:
+                    rows.append(tail)
+    for g in others:
+        if g.degree != degree:
+            continue
+        # den * g minus c times the reducer of each lead c*L of g
+        row: dict = {}
+        for m, c in g.coeffs.items():
+            if m in col:
+                row[col[m]] = row.get(col[m], 0) + den * c
+            elif m in reducers:
+                for k, a in reducers[m].items():
+                    row[k] = row.get(k, 0) - c * a
+        row = {k: x for k, x in row.items() if x}
+        if row:
+            rows.append(row)
+    # with no row and no lead, every border monomial is a basis monomial
+    basis, den = _read_off(normal_forms, cols, rows, reducers, den) if rows or reducers else (cols, 1)
     for q, m in enumerate(basis):
         normal_forms[m] = ((q, den),)
     return _DegreeComponent(tuple(basis), normal_forms, den)
+
+
+def _read_off(
+    normal_forms: dict[Monomial, tuple[tuple[int, int], ...]],
+    cols: list[Monomial],
+    rows: list[dict],
+    reducers: dict[Monomial, dict[int, int]],
+    den: int,
+) -> tuple[list[Monomial], int]:
+    """Eliminate the border-only `rows` on the border columns `cols`, enter
+    the normal forms of the border pivots and of the leads of `reducers`
+    into `normal_forms` times their least common denominator D_d, and
+    return the quotient basis, the non-pivot border columns, and D_d.
+
+    A border pivot's normal form is minus the rest of its echelon row. A
+    reducer is den times its lead L plus a tail on the border, so NF(L) is
+    minus the tail reduced by the echelon rows, over den.
+    """
+    vectors = []
+    for r in rows:
+        v = [0] * len(cols)
+        for k, x in r.items():
+            v[k] = x
+        vectors.append(v)
+    echelon = dict(Subspace.from_vectors(len(cols), vectors).rows)  # border pivot -> the rest of its row
+    free = [k for k in range(len(cols)) if k not in echelon]
+    coord = {k: q for q, k in enumerate(free)}  # border column -> quotient coordinate
+    # Times the lcm of their denominators, the echelon rows are integral, and
+    # every normal form is -a / (den * scale) for an integer vector a.
+    scale = lcm(*(x.denominator for rest in echelon.values() for _, x in rest))
+    integral = {p: [(coord[j], x.numerator * (scale // x.denominator)) for j, x in rest] for p, rest in echelon.items()}
+    numerators = {cols[p]: [(q, den * a) for q, a in rest] for p, rest in integral.items()}
+    for lead, tail in reducers.items():
+        a_lead: dict[int, int] = {}
+        for k, a in tail.items():
+            if k in integral:
+                for q, x in integral[k]:
+                    a_lead[q] = a_lead.get(q, 0) - a * x
+            else:
+                a_lead[coord[k]] = a_lead.get(coord[k], 0) + scale * a
+        numerators[lead] = sorted((q, a) for q, a in a_lead.items() if a)
+    common = den * scale
+    divisor = gcd(common, *(a for nf in numerators.values() for _, a in nf))
+    for m, nf in numerators.items():
+        normal_forms[m] = tuple((q, -a // divisor) for q, a in nf)
+    return [cols[k] for k in free], common // divisor
 
 
 def refuse_oversize(nvars: int, bound: int) -> None:
@@ -243,7 +333,9 @@ def _refuse_costly(nvars: int, gens: set[Monomial], others: list[HomogPoly], bou
     0..bound, is estimated to cost more than MAX_ELIMINATION_COST.
 
     The estimate is the sum over degrees of rows x columns^2: one row per
-    multiple m*g of a generator in `others`, one column per standard monomial.
+    multiple m*g of a generator in `others`, one column per standard
+    monomial. It prices eliminating each degree from scratch, which
+    overstates a build that eliminates only the border columns.
     """
     cost = 0
     for d, cols in enumerate(monomial_hilbert(nvars, gens, bound).values):
@@ -261,8 +353,8 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
     """Construct R = P/I with all per-degree data for degrees 0..bound.
 
     The single-term generators are closed combinatorially and only the
-    others are eliminated; `force_elimination` eliminates every generator
-    (the cross-check oracle of the tests). Raises ValueError before
+    others are eliminated; `force_elimination` eliminates every generator,
+    which the tests compare with the default. Raises ValueError before
     building anything when the monomials of degree <= bound number more
     than MAX_MONOMIALS, or when the elimination's estimated cost exceeds
     MAX_ELIMINATION_COST.
@@ -274,17 +366,11 @@ def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = Fal
     gens = {m for g in single for m in g.coeffs}  # M's generators
     if others:
         _refuse_costly(spec.nvars, gens, others, bound)
-    components = []
-    prev_dim = None
+    components: list[_DegreeComponent] = []
+    below = None
     for d, standard in enumerate(_order_ideal(spec.nvars, gens, bound)):
-        comp = _component(spec.nvars, d, standard, others)
-        dim = len(comp.basis)
-        # The irrelevant ideal is generated in degree 1, so a vanished degree
-        # can never be followed by a nonzero one.
-        if prev_dim == 0 and dim != 0:
-            raise RuntimeError(f"H({d}) = {dim} after H({d - 1}) = 0")
-        prev_dim = dim
-        components.append(comp)
+        components.append(_component(spec.nvars, d, standard, below, others))
+        below = components[-1], standard
     dims = tuple(len(c.basis) for c in components)
     top = dims.index(0) - 1 if 0 in dims else None
     if top is None:

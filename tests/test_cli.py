@@ -354,6 +354,22 @@ def test_wlp_holds(capsys):
     assert "weak Lefschetz property: holds" in out
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_wlp_truncated_ring_exits_2(capsys, fmt):
+    """Cut off at degree 2, x1^3, x2^3, x3^3, x1*x2*x3 has maximal rank in
+    every degree shown, and fails in degree 3: the check refuses the ring."""
+    code, out, err = run(capsys, "wlp", "-n", "3", "-D", "2", "x1^3, x2^3, x3^3, x1*x2*x3", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: weak Lefschetz check needs a ring that vanishes within the degree bound; raise the bound\n"
+    )
+    code, out, _ = run(capsys, "wlp", "-n", "3", "x1^3, x2^3, x3^3, x1*x2*x3")
+    assert code == 1
+    assert "3 | 6 | 6 | 5 | no" in out
+    assert "weak Lefschetz property: fails" in out
+
+
 def test_socle(capsys):
     code, out, _ = run(capsys, "socle", "-n", "2", "-D", "2", "x1^2, x1*x2, x2^2")
     assert code == 0

@@ -434,6 +434,24 @@ def test_wlp_examples():
     assert [r.rank for r in rep.degrees] == [1, 1]  # 1 -> 2 injective, 2 -> 1 surjective
 
 
+def test_wlp_refuses_a_ring_cut_off_at_its_bound():
+    """To degree 2 every map of x1^3, x2^3, x3^3, x1*x2*x3 has maximal rank,
+    but the one into degree 3 does not: a check that stopped at the bound
+    would claim the property."""
+    text = "x1^3, x2^3, x3^3, x1*x2*x3"
+    for bound in (2, 3):
+        ring = ring_of(text, 3, bound)
+        assert not ring.complete
+        with pytest.raises(ValueError, match=(
+            "^weak Lefschetz check needs a ring that vanishes within the degree bound; raise the bound$"
+        )):
+            wlp_check(ring)
+    rep = wlp_check(ring_of(text, 3, 6))
+    assert not rep.holds
+    assert [r.maximal for r in rep.degrees[:2]] == [True, True]
+    assert (rep.degrees[2].rank, rep.degrees[2].dim_source, rep.degrees[2].dim_target) == (5, 6, 6)
+
+
 def test_socle_and_gorenstein():
     assert socle_dims(SQUARES) == (0, 0, 1)
     assert is_gorenstein(SQUARES)

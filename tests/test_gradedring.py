@@ -11,7 +11,7 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ezdlab import gradedring
+from ezdlab import gradedring, lab
 from ezdlab.exactmat import QMatrix, Subspace
 from ezdlab.gradedring import (
     build_quotient,
@@ -32,6 +32,7 @@ from ezdlab.polyring import (
     parse_ideal,
     parse_poly,
 )
+from macaulay_oracle import macaulay_components
 from one_form import in_one_form
 from subspace_oracle import reduce_vector
 
@@ -188,7 +189,7 @@ def test_exponent_cap_refuses_many_variables(monkeypatch):
 
 def test_elimination_cost_guard_refuses_before_eliminating(monkeypatch):
     """The guard reads the cost off counts: degree 12 builds, degree 31 (an
-    estimated nine minutes of elimination) is refused before any degree is built."""
+    estimated 1.3e12 operations) is refused before any degree is built."""
     spec = parse_ideal("x1^2 + x2*x3, x2^2 + x1*x4", 4)
     ring = build_quotient(spec, 12)
     assert ring.hilbert.values[:4] == (1, 4, 8, 12)
@@ -485,23 +486,141 @@ def _eliminated_widths(monkeypatch, spec, bound):
     return ring, widths
 
 
+def _border_and_standard_counts(ring, squares):
+    """Per degree d >= 1: the standard monomials x_i*b, b in the basis of
+    degree d-1, and all standard monomials, of (x_i^2 : x_i^2 in squares)."""
+    counts = []
+    for d in range(1, ring.bound + 1):
+        standard = {m for m in monomials_of_degree(ring.nvars, d) if not in_monomial_ideal(m, squares)}
+        border = {
+            b[:i] + (b[i] + 1,) + b[i + 1 :] for b in ring.basis_monomials(d - 1) for i in range(ring.nvars)
+        }
+        counts.append((len(border & standard), len(standard)))
+    return counts
+
+
 def test_only_standard_columns_are_eliminated(monkeypatch):
+    """Each degree is eliminated on its border alone: the standard monomials
+    x_i*b with b in the quotient basis one degree down. A degree past a
+    vanished one, and every degree of a monomial ideal, eliminates nothing."""
     spec = parse_ideal("x1^2, x2^2, x3^2, x1*x2 + x2*x3", 3)
     squares = [m for m in monomials_of_degree(3, 2) if max(m) == 2]
     ring, widths = _eliminated_widths(monkeypatch, spec, 4)
-    # one matrix per degree the binomial reaches, one column per monomial
-    # outside (x1^2, x2^2, x3^2): 3, 1 and 0 of them in degrees 2, 3, 4
-    expected = [
-        sum(1 for m in monomials_of_degree(3, d) if not in_monomial_ideal(m, squares))
-        for d in (2, 3, 4)
-    ]
-    assert expected == [3, 1, 0]
-    assert [ambient for ambient, _ in widths] == expected
-    assert all(lengths <= {ambient} for ambient, lengths in widths)
     assert ring.hilbert.values == (1, 3, 2, 0, 0)
+    # degrees 2 and 3; degree 4 follows the vanished degree 3
+    assert widths == [(3, {3}), (1, {1})]
+    assert _border_and_standard_counts(ring, squares)[1:3] == [(3, 3), (1, 1)]
+    # a complete intersection of degrees 2, 3, 3: its top degree 6 has 28
+    # monomials, 3 of them on the border
+    ci = parse_ideal("x1^2 + x2*x3 - x3^2, x2^3 - x1*x3^2 + 2*x1*x2*x3, x3^3 + x1*x2^2 - 3*x1^2*x3", 3)
+    ring, widths = _eliminated_widths(monkeypatch, ci, 6)
+    assert ring.hilbert.values == (1, 3, 5, 5, 3, 1, 0)
+    assert [ambient for ambient, _ in widths] == [6, 9, 10, 8, 3]
+    assert all(lengths == {ambient} for ambient, lengths in widths)
+    counts = _border_and_standard_counts(ring, [])
+    assert counts[1:] == [(6, 6), (9, 10), (10, 15), (8, 21), (3, 28)]
+    # H grows, and the border with it
+    grows = parse_ideal("x1^2 + x2*x3, x2^2 + x1*x4", 4)
+    ring, widths = _eliminated_widths(monkeypatch, grows, 6)
+    assert ring.hilbert.values == (1, 4, 8, 12, 16, 20, 24)
+    assert [ambient for ambient, _ in widths] == [10, 18, 27, 36, 45]
+    assert [b for b, _ in _border_and_standard_counts(ring, [])[1:]] == [10, 18, 27, 36, 45]
+    # nothing past the vanished degree 3, however far the bound
+    ring, widths = _eliminated_widths(monkeypatch, parse_ideal("x1^2, x1*x2 + x2^2", 2), 6)
+    assert ring.hilbert.values == (1, 2, 1, 0, 0, 0, 0)
+    assert [ambient for ambient, _ in widths] == [2, 2]
     # a monomial ideal has nothing to eliminate
     _, widths = _eliminated_widths(monkeypatch, parse_ideal("x1^2, x2^2, x1*x3, x3^3", 3), 5)
     assert widths == []
+
+
+def _assert_matches_macaulay(spec, bound):
+    """The build, with and without force_elimination, against from-scratch
+    elimination of every degree: the same bases, tables, denominators and H."""
+    oracle = macaulay_components(spec, bound)
+    for force in (False, True):
+        ring = build_quotient(spec, bound, force_elimination=force)
+        assert [(c.basis, c.normal_forms, c.denominator) for c in ring.components] == oracle, spec
+        assert ring.hilbert.values == tuple(len(basis) for basis, _, _ in oracle)
+
+
+@pytest.mark.parametrize("nvars,degrees", [(3, (2, 2, 2)), (3, (2, 2, 3)), (3, (2, 3, 3)), (4, (2, 2, 2, 2))])
+def test_complete_intersections_match_macaulay(nvars, degrees):
+    """Random integer complete intersections of the shapes the benchmark
+    analyses, to their socle degree plus one."""
+    rng = random.Random(f"{nvars}/{degrees}")
+    for _ in range(2):
+        gens = [
+            HomogPoly(nvars, d, [(m, rng.randint(-9, 9)) for m in monomials_of_degree(nvars, d)])
+            for d in degrees
+        ]
+        _assert_matches_macaulay(make_ideal(nvars, gens), sum(d - 1 for d in degrees) + 1)
+
+
+def test_artinian_binomial_rings_match_macaulay():
+    """Every Artinian ring of the n = 3 binomial family, to the scan's bound."""
+    seen = 0
+    for spec in _binomial_family(3):
+        *j, binomial = spec.generators
+        if lab._binomial_is_artinian(3, tuple(m for g in j for m in g.coeffs), *binomial.coeffs):
+            _assert_matches_macaulay(spec, max(lab.BINOMIAL_DEFAULT_BOUND, 4))
+            seen += 1
+    assert seen == 54
+
+
+def test_wide_border_matches_macaulay():
+    """H grows by 4 a degree, so the border widens to 81 columns by degree 9."""
+    spec = parse_ideal("x1^2 + x2*x3, x2^2 + x1*x4", 4)
+    _assert_matches_macaulay(spec, 9)
+    assert build_quotient(spec, 9).hilbert.values == (1, 4, 8, 12, 16, 20, 24, 28, 32, 36)
+
+
+@pytest.mark.parametrize("text,nvars,bound", [
+    # fractional coefficients
+    ("1/2*x1^2 - 3*x2*x3, 2/3*x2^2 + x1*x3 - 5/7*x3^2, x3^3", 3, 5),
+    ("x1^2 - 1/3*x2^2, 3/2*x1*x2 + 1/5*x2^2", 2, 4),
+    # mixed degrees, one of them linear
+    ("x1 + 2*x2, x2^2 - x1*x3, x3^3, x1*x2*x3 + x2^3", 3, 5),
+    # a constant generator: the ring is zero from degree 0 on
+    ("x1*x2 + x2^2, 3", 2, 3),
+    ("1/2, x1^2", 2, 2),
+])
+def test_special_ideals_match_macaulay(text, nvars, bound):
+    _assert_matches_macaulay(parse_ideal(text, nvars), bound)
+
+
+def test_redundant_generator_matches_macaulay():
+    """Generators of degrees 2, 2, 3 and 4, the cubic x1*g1 - x2*g2 in the
+    ideal of the first two: the ring is the one without it."""
+    base = parse_ideal("x1^2 + x2*x3, x2^2 - x1*x3, x3^4 + x1*x2^3", 3)
+    g1, g2, _ = base.generators
+    cubic = parse_poly("x1", 3) * g1 - parse_poly("x2", 3) * g2
+    spec = make_ideal(3, [g1, g2, cubic, base.generators[2]])
+    _assert_matches_macaulay(spec, 7)
+    assert build_quotient(spec, 7).components == build_quotient(base, 7).components
+
+
+@st.composite
+def _small_ideals(draw):
+    """One to three generators of degree 0..3 in 1..3 variables, with
+    integer or fractional coefficients on a random set of terms."""
+    nvars = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(0, 3))
+        monos = monomials_of_degree(nvars, degree)
+        terms = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        coeffs = draw(st.lists(_FRACTIONS.filter(bool), min_size=len(terms), max_size=len(terms)))
+        gens.append(HomogPoly(nvars, degree, list(zip(terms, coeffs))))
+    return make_ideal(nvars, gens), draw(st.integers(0, 5))
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(_small_ideals())
+@example((parse_ideal("x1^2 + x1*x2, x2^3", 2), 5))
+@example((parse_ideal("x1*x2 - x2^2, x1^2", 2), 0))
+def test_small_ideals_match_macaulay(case):
+    _assert_matches_macaulay(*case)
 
 
 def test_vanishing_persists():
