@@ -40,14 +40,14 @@ from operator import add
 from typing import Sequence
 
 from .exactmat import QMatrix, Subspace, exact, kernel_basis, rank
-from .gradedring import GradedQuotient, build_quotient
+from .gradedring import GradedQuotient
 from .polyring import (
     HomogPoly,
     IdealKind,
     format_ideal,
     format_poly,
     linear_form,
-    make_ideal,
+    monomials_of_degree,
     variable,
 )
 
@@ -531,12 +531,26 @@ def degree2_generator_count(nvars: int) -> int:
 def colon_identity_dims(ring: GradedQuotient, ell: HomogPoly) -> tuple[int, int]:
     """Both sides of dim (P/(I+(l)))_2 = dim R_2 - rank(l : R_1 -> R_2).
 
-    The left side is computed directly from the extended ideal, the right
-    side from the multiplication map; the two short exact sequences behind
-    the identity make them agree for any linear form.
+    The left side is C(n+1, 2) minus the rank of (I+(l))_2 in the
+    coordinates of the degree-2 monomials of P, spanned by each generator
+    of degree at most 2, and l, times each monomial that completes it to
+    degree 2; every row is scaled to integers. It reads only the
+    generators and l, never the ring's tables, and holds for any ideal.
+    The right side comes from the multiplication map. The two short exact
+    sequences behind the identity make them agree for any linear form.
     """
-    extended = make_ideal(ring.nvars, list(ring.spec.generators) + [ell])
-    section = build_quotient(extended, 2)
-    lhs = section.dim(2)
+    n = ring.nvars
+    column = {m: j for j, m in enumerate(monomials_of_degree(n, 2))}
+    rows = []
+    for g in (*ring.spec.generators, ell):
+        if g.degree > 2:
+            continue
+        scale = lcm(*(c.denominator for c in g.coeffs.values()))
+        for m in monomials_of_degree(n, 2 - g.degree):
+            row = [0] * len(column)
+            for e, c in g.coeffs.items():
+                row[column[tuple(map(add, e, m))]] = c.numerator * (scale // c.denominator)
+            rows.append(row)
+    lhs = len(column) - rank(QMatrix(len(rows), len(column), [x for row in rows for x in row]))
     rhs = ring.dim(2) - map_rank(ring, ell, 1)
     return lhs, rhs

@@ -19,7 +19,12 @@ Two families are scanned exhaustively at desk scale:
   compatible with J + (f1) and J + (f2), and the degree-2 colon-dimension
   identity is checked on every instance. A candidate is skipped before
   anything is built when its binomial collapses modulo J or when the
-  supports of J and f show the quotient is not Artinian.
+  supports of J and f show the quotient is not Artinian. Each examined
+  candidate builds one ring; the three checks build none. The colon
+  identity's left side is one rank in the coordinates of the degree-2
+  monomials of P (`colon_identity_dims`), and the split and its support
+  check hold J as sets of exponent tuples and the linear forms as integer
+  coefficient vectors (`decompose_partner`, `check_split_support`).
 
 Scans are deterministic: per-instance seeds depend only on the configured
 seed and the instance index, work is distributed in enumeration order in
@@ -37,18 +42,18 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from io import StringIO
 from itertools import combinations, permutations, product
 from json.encoder import encode_basestring_ascii
-from math import comb
+from math import comb, lcm
 from operator import add
 from typing import Iterable, Iterator
 
+from .exactmat import QMatrix, exact, kernel_basis
 from .ezd import (
     EzdReport,
     GenericDecision,
-    annihilator_degree,
     colon_identity_dims,
     derived_seed,
     find_ezd_complement,
@@ -69,7 +74,6 @@ from .polyring import (
     divides,
     format_monomial,
     format_poly,
-    in_monomial_ideal,
     linear_form,
     make_ideal,
     monomial_ideal,
@@ -683,11 +687,37 @@ class PartnerSplit:
     alpha: int | Fraction
 
 
-def _drop_monomials(p: HomogPoly, gens: tuple[Monomial, ...]) -> HomogPoly:
-    return HomogPoly(
-        p.nvars, p.degree,
-        [(m, c) for m, c in p.coeffs.items() if not in_monomial_ideal(m, gens)],
-    )
+@lru_cache(maxsize=None)
+def _quadrics(nvars: int) -> tuple[tuple[Monomial, ...], ...]:
+    """Row i, column j: the exponent tuple of x_i * x_j."""
+    units = monomials_of_degree(nvars, 1)
+    return tuple(tuple(tuple(map(add, u, v)) for v in units) for u in units)
+
+
+def _integer_vector(p: HomogPoly) -> tuple[list[int], int]:
+    """The linear form p as its coefficient vector times the lcm L of its
+    coefficients' denominators, and L."""
+    if p.degree != 1:
+        raise ValueError(f"expected a linear form, got degree {p.degree}")
+    scale = lcm(*(c.denominator for c in p.coeffs.values()))
+    v = [0] * p.nvars
+    for m, c in p.coeffs.items():
+        v[m.index(1)] = c.numerator * (scale // c.denominator)
+    return v, scale
+
+
+def _product_mod(j_set: frozenset, a: list[int], b: list[int]) -> dict[Monomial, int]:
+    """The product of the integer linear forms a and b with the degree-2
+    monomials of j_set dropped, as {monomial: nonzero coefficient}."""
+    quadrics = _quadrics(len(a))
+    out: dict[Monomial, int] = {}
+    for i, x in enumerate(a):
+        if x:
+            row = quadrics[i]
+            for j, y in enumerate(b):
+                if y and row[j] not in j_set:
+                    out[row[j]] = out.get(row[j], 0) + x * y
+    return {m: c for m, c in out.items() if c}
 
 
 def decompose_partner(spec: IdealSpec, ell: HomogPoly, q: HomogPoly) -> PartnerSplit | None:
@@ -697,59 +727,93 @@ def decompose_partner(spec: IdealSpec, ell: HomogPoly, q: HomogPoly) -> PartnerS
     linear forms, rescales a solution so that ell*q1 = alpha*f1 modulo J,
     and sets q2 = q - q1. Returns None only if no split exists, which would
     contradict the theory and is treated as a red flag by the scans.
+
+    No ring is built. Every generator has degree 2, so a degree-2 monomial
+    lies in J exactly when it is one of J's exponent tuples. ell, q and the
+    solutions are integer coefficient vectors, each scaled by the lcm of its
+    denominators, and their products modulo J are small dicts. The
+    solutions are the canonical kernel of the integer matrix of ell from the
+    variables to the degree-2 monomials outside J + (f1), the map the half
+    ring's degree-1 annihilator reads. With R the f1 coefficient of ell*q, L
+    the lcm of q, V a solution and A the f1 coefficient of ell*V,
+    q1 = R/(L*A)*V, and the tail ell*q2 = alpha*f2 is checked in integers as
+    ell*(A*Q - R*V) = A*R*f2 modulo J.
     """
     j_monos, f1, f2 = spec.binomial_parts()
     if q.degree != 1:
         raise ValueError("partner must be a linear form")
-    remainder = _drop_monomials(ell * q, j_monos)
-    alpha = remainder.coefficient(f1)
-    if remainder != HomogPoly(spec.nvars, 2, [(f1, alpha), (f2, alpha)]):
+    n = spec.nvars
+    j_set = frozenset(j_monos)
+    e, ell_scale = _integer_vector(ell)
+    qv, q_scale = _integer_vector(q)
+    remainder = _product_mod(j_set, e, qv)
+    r = remainder.get(f1, 0)
+    if remainder.get(f2, 0) != r or any(m != f1 and m != f2 for m in remainder):
         raise ValueError("precondition failed: ell*q is not in the ideal")
-    half1 = monomial_ideal(spec.nvars, j_monos + (f1,))
-    ring1 = build_quotient(half1, 2)
-    solutions = annihilator_degree(ring1, ell, 1)
-    # No linear generators, so degree-1 coordinates are variable coefficients.
-    for vec in solutions.basis:
-        cand = linear_form(vec)
-        a1 = _drop_monomials(ell * cand, j_monos).coefficient(f1)
-        if a1:
-            q1 = Fraction(alpha, a1) * cand
-            q2 = q - q1
-            tail = _drop_monomials(ell * q2, j_monos)
-            if tail != HomogPoly(spec.nvars, 2, [(f2, alpha)]):
+    alpha = exact(Fraction(r, ell_scale * q_scale))
+    # ell's map from the variables to the degree-2 monomials outside J + (f1)
+    standard = [m for m in monomials_of_degree(n, 2) if m not in j_set and m != f1]
+    rows = {m: i for i, m in enumerate(standard)}
+    data = [0] * (len(rows) * n)
+    for i, c in enumerate(e):
+        if c:
+            for j, m in enumerate(_quadrics(n)[i]):
+                row = rows.get(m)
+                if row is not None:
+                    data[row * n + j] += c
+    units = monomials_of_degree(n, 1)
+    for vec in kernel_basis(QMatrix(len(rows), n, data)).basis:
+        scale = lcm(*(x.denominator for x in vec))
+        v = [x.numerator * (scale // x.denominator) for x in vec]
+        a = _product_mod(j_set, e, v).get(f1, 0)
+        if a:
+            den = q_scale * a
+            q2v = [a * x - r * y for x, y in zip(qv, v)]
+            if _product_mod(j_set, e, q2v) != ({f2: a * r} if r else {}):
                 return None
+            q1 = HomogPoly(n, 1, [(u, Fraction(r * y, den)) for u, y in zip(units, v)])
+            q2 = HomogPoly(n, 1, [(u, Fraction(x, den)) for u, x in zip(units, q2v)])
             return PartnerSplit(q1, q2, alpha)
     if alpha == 0:
         # ell*q already lies in J, so q itself works against either half.
-        return PartnerSplit(q, HomogPoly.zero(spec.nvars, 1), alpha)
+        return PartnerSplit(q, HomogPoly.zero(n, 1), alpha)
     return None
 
 
 def check_split_support(
     spec: IdealSpec, ell: HomogPoly, q1: HomogPoly, q2: HomogPoly
 ) -> list[tuple[str, Monomial, Monomial]]:
-    """Support facts for a partner split, checked by brute force.
+    """Support facts for a partner split, checked over every monomial.
 
     For every variable u in the support of q1 that does not divide f1 and
     every degree-2 monomial M other than f1, u*M must lie in J; same for
-    q2 against f2. Violations are returned and expected absent.
+    q2 against f2. Violations are returned and expected absent. J is
+    generated in degree 2, so a degree-3 monomial lies in J exactly when it
+    is g*x_i for a generator g, and that set is made once per call; the
+    preconditions ell*q1 in J + (f1) and ell*q2 in J + (f2) are read off
+    the integer products of `decompose_partner`.
     """
     j_monos, f1, f2 = spec.binomial_parts()
     n = spec.nvars
+    j_set = frozenset(j_monos)
+    e, _ = _integer_vector(ell)
+    halves = []
     for qq, f, label in ((q1, f1, "q1"), (q2, f2, "q2")):
-        tail = _drop_monomials(ell * qq, j_monos)
-        if any(m != f for m in tail.support()):
-            raise ValueError(f"precondition failed: ell*{label} is not in J + ({format_poly(HomogPoly.from_monomial(f))})")
+        v, _ = _integer_vector(qq)
+        if any(m != f for m in _product_mod(j_set, e, v)):
+            raise ValueError(
+                f"precondition failed: ell*{label} is not in J + ({format_monomial(f)})"
+            )
+        halves.append(v)
+    units = monomials_of_degree(n, 1)
+    j_cubics = frozenset(tuple(map(add, g, u)) for g in j_monos for u in units)
     violations = []
-    vars_ = monomials_of_degree(n, 1)
-    for part, qq, f in (("a", q1, f1), ("b", q2, f2)):
-        for u in vars_:
-            if not qq.coefficient(u) or divides(u, f):
+    for part, v, f in (("a", halves[0], f1), ("b", halves[1], f2)):
+        for u, c in zip(units, v):
+            if not c or divides(u, f):
                 continue
             for big in monomials_of_degree(n, 2):
-                if big == f:
-                    continue
-                if not in_monomial_ideal(tuple(map(add, u, big)), j_monos):
+                if big != f and tuple(map(add, u, big)) not in j_cubics:
                     violations.append((part, u, big))
     return violations
 

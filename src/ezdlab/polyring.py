@@ -31,13 +31,14 @@ too long for ``int`` among them) raise ParseError with its line and column.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import add
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exactmat import exact
 

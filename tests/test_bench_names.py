@@ -2,10 +2,15 @@
 must exist, and the library inputs of ring-analysis must still give their
 reference records."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
+
+from ezdlab import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -44,3 +49,15 @@ def test_ring_analysis_inputs_match_references():
                  "mci/3/2.2.2", "mci/3/2.3.4", "mci/4/2.2.2.2", "pow/3/3", "pow/4/5"):
         record = workloads.analyse_ring(*workloads.make_ring_input(item))
         assert workloads.record_digest(record) == refs[item], item
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_binomial_scan_digests_match_references(seed, tmp_path):
+    """The `--full` report of each scan-binomial input, byte for byte as
+    the benchmark checks it."""
+    refs = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
+    out = tmp_path / "report.json"
+    argv = ["scan", "binomial", "-n", "3", "--seed", str(seed), "--workers", "1",
+            "--format", "json", "--full", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == refs[f"scan-binomial/seed{seed}"]

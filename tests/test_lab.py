@@ -492,12 +492,43 @@ def test_binomial_scan_degree_one_builds(monkeypatch):
     rejected = sum(1 for r in report.instances if not hilbert_admits_pair(r.hilbert))
     assert rejected == 15
     # Of the other 117 pairs, 81 have a degree-1 partner q, and each of
-    # those builds three more maps from degree 1: ell's, rebuilt for the
-    # kernel vector find_ezd_complement offers; q's, ranked by is_ezd_pair;
-    # and ell's again for the annihilator decompose_partner splits.
+    # those builds two more maps from degree 1: ell's, rebuilt for the
+    # kernel vector find_ezd_complement offers, and q's, ranked by
+    # is_ezd_pair. decompose_partner builds no ring, so no map of ell on a
+    # half ring.
     partnered = sum(r.deg1_witness_trials for r in report.instances)
     assert partnered == 81
-    assert len(builds) == 162 + 3 * partnered == 405
+    assert len(builds) == 162 + 2 * partnered == 324
+
+
+def test_binomial_scan_builds_one_ring_per_instance(monkeypatch):
+    """build_quotient runs once per examined ring, and never inside the
+    colon identity, the partner split or its support check."""
+    depth = [0]
+    builds = []  # the check depth at each build
+    build = lab.build_quotient
+
+    def counting(spec, bound, **kw):
+        builds.append(depth[0])
+        return build(spec, bound, **kw)
+
+    def within_check(check):
+        def wrapped(*args):
+            depth[0] += 1
+            try:
+                return check(*args)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    assert not hasattr(ezd, "build_quotient")  # so lab holds the one name a scan builds with
+    monkeypatch.setattr(lab, "build_quotient", counting)
+    for name in ("colon_identity_dims", "decompose_partner", "check_split_support"):
+        monkeypatch.setattr(lab, name, within_check(getattr(lab, name)))
+    report = scan_binomial(ScanConfig(3, seed=1, workers=1))
+    assert report.examined == 54
+    assert sum(r.deg1_witness_trials for r in report.instances) == 81  # the checks ran
+    assert builds == [0] * 54
 
 
 def test_binomial_ann1_dims_match_direct_ranks():
