@@ -1,30 +1,20 @@
 """Exact linear algebra over the rationals.
 
 Every stored rational has the one form `exact` gives it: an `int` when it
-is integral, otherwise a `fractions.Fraction`. Matrix entries may mix the
-two, so ranks, kernels and echelon forms are computed exactly.
-Matrices in this package are small and dense (at most a few thousand
-cells). Both eliminations run on integers: a row holding a Fraction is
-first scaled by the lcm of its denominators, and an int row is used as it
-is; the multiplication maps that `ezd` ranks arrive as int matrices. Both
-start with the same fraction-free forward pass, in the manner of Bareiss
-(1968), which clears below each pivot and keeps every row primitive by
-dividing out the gcd of its entries. The rows below a pivot are zero left
-of its column, so that pass combines only their tails from the pivot
-column on. `rank` needs only the
-pivot count, so it stops there: no elimination above the pivots, no
-division by them and no Fraction matrix. `rref` keeps the pivot rows
-alone, back-substitutes over them from the last pivot upward with the same
-step, and only at the end divides each pivot row by its pivot; at full
-column rank the reduced rows are the unit rows and neither step runs. The
-result is the *unique* reduced row echelon form over the rationals, in the
-form of `exact`. Downstream code relies on that uniqueness: two subspaces
-are equal exactly when their canonical bases are identical.
-
-`Subspace` is the one echelon-basis type. It keeps the nonzero rows of the
-reduced echelon form sparsely, each as its pivot column and the other
-nonzero entries, so reducing a vector touches only those entries; graded
-quotients read each pivot monomial's normal form off these rows.
+is integral, otherwise a `fractions.Fraction`. Matrices in this package are
+small and dense (at most a few thousand cells). Every elimination runs on
+integers: a row holding a Fraction is first scaled by the lcm of its
+denominators; the multiplication maps that `ezd` ranks arrive as int
+matrices. Each starts with one fraction-free forward pass, in the manner of
+Bareiss (1968), which clears below each pivot, combining only the rows'
+tails from the pivot column on, and keeps every row primitive by dividing
+out the gcd of its entries. `rank` stops there. `_echelon_rows` goes on to
+back-substitute and gives each row a positive pivot: the row of the unique
+reduced row echelon form over the rationals times the lcm of its
+denominators. `Subspace`, the one echelon-basis type, stores these integer
+rows sparsely, so two subspaces are equal exactly when their rows are;
+graded quotients and kernels read them as they are. Only the public
+boundary divides by the pivots: `rref`, `Subspace.basis` and `ratio`.
 """
 
 from __future__ import annotations
@@ -87,24 +77,29 @@ class QMatrix:
     def row(self, i: int) -> tuple:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
-    def entry(self, i: int, j: int) -> Fraction | int:
-        return self.data[i * self.cols + j]
-
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"
 
 
+def _integer_row(row: Sequence) -> list[int]:
+    """`row` as an int list: a row of any other entries goes through `exact`
+    (a float raises TypeError) and is scaled by the lcm of its denominators."""
+    if set(map(type, row)) <= {int}:
+        return list(row)
+    row = [exact(x) for x in row]
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
 def _integer_rows(m: QMatrix) -> list[list[int]]:
-    """The rows of `m` as int lists; a row holding a Fraction is scaled by
-    the lcm of its denominators, which keeps its span and zero pattern."""
-    data, n = m.data, m.cols
-    rows = [list(data[i * n : (i + 1) * n]) for i in range(m.rows)]
-    if Fraction in set(map(type, data)):
-        for i, row in enumerate(rows):
-            if Fraction in set(map(type, row)):
-                scale = lcm(*(x.denominator for x in row))
-                rows[i] = [x.numerator * (scale // x.denominator) for x in row]
-    return rows
+    if Fraction in set(map(type, m.data)):
+        return [_integer_row(m.row(i)) for i in range(m.rows)]
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def ratio(a: int, b: int) -> int | Fraction:
+    """a / b for ints, b != 0, in the form of `exact`: no Fraction when b divides a."""
+    return a // b if a % b == 0 else Fraction(a, b)
 
 
 def _eliminate(a: list[list[int]], ncols: int) -> list[int]:
@@ -164,28 +159,12 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
 
     The result is the canonical rref in the form of `exact`: pivot entries
     are 1 with zeros above and below, so row-equivalent matrices produce
-    equal output. The forward pass of `_eliminate` finds the pivot rows,
-    back-substitution clears above their pivots, and each pivot row is
-    divided by its pivot at the end. At full column rank the reduced rows
-    are the unit rows, so neither of the last two steps runs.
+    equal output. Its nonzero rows are the `basis` of the row space's
+    `Subspace`, followed by zero rows.
     """
-    a = _integer_rows(m)
-    pivots = _eliminate(a, m.cols)
-    r = len(pivots)
-    if r == m.cols:
-        flat = [int(i == j) for i in range(r) for j in range(r)]
-    else:
-        del a[r:]
-        # from the last pivot upward: a pivot row has lost its entries in
-        # every later pivot column by the time it clears the rows above it
-        for k in range(r - 1, 0, -1):
-            _clear(a, k, pivots[k], range(k))
-        flat = []
-        for row, p in zip(a, pivots):
-            pv = row[p]
-            flat.extend(x // pv if x % pv == 0 else Fraction(x, pv) for x in row)
-    flat.extend([0] * ((m.rows - r) * m.cols))
-    return QMatrix(m.rows, m.cols, flat), tuple(pivots)
+    sub = Subspace(m.cols, _echelon_rows(_integer_rows(m), m.cols))
+    flat = [x for v in sub.basis for x in v] + [0] * ((m.rows - sub.dim) * m.cols)
+    return QMatrix(m.rows, m.cols, flat), tuple(p for p, _ in sub.rows)
 
 
 def rank(m: QMatrix) -> int:
@@ -199,17 +178,41 @@ def rank(m: QMatrix) -> int:
     return len(_eliminate([row for row in _integer_rows(m) if any(row)], m.cols))
 
 
-EchelonRow = tuple[int, tuple[tuple[int, int | Fraction], ...]]  # pivot column, other nonzeros
+EchelonRow = tuple[int, tuple[tuple[int, int], ...]]  # pivot column, the row's nonzero entries
+
+
+def _echelon_rows(a: list[list[int]], ncols: int) -> tuple[EchelonRow, ...]:
+    """The canonical `Subspace` rows of the span of the integer rows `a`,
+    which it reduces in place.
+
+    After the forward pass of `_eliminate`, back-substitution clears above
+    each pivot, from the last pivot upward: a pivot row has lost its entries
+    in every later pivot column by the time it clears the rows above it.
+    Each row is then made primitive with a positive pivot, which is the
+    reduced rational row times the lcm of its denominators. At full column
+    rank these are the unit rows, and neither step runs.
+    """
+    pivots = _eliminate(a, ncols)
+    if len(pivots) == ncols:
+        return tuple((p, ((p, 1),)) for p in pivots)
+    for k in range(len(pivots) - 1, 0, -1):
+        _clear(a, k, pivots[k], range(k))
+    rows = []
+    for row, p in zip(a, pivots):
+        g = gcd(*row) if row[p] > 0 else -gcd(*row)
+        rows.append((p, tuple((j, x // g) for j, x in enumerate(row) if x)))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^ambient_dim in canonical (rref) form.
+    """A linear subspace of Q^ambient_dim in canonical form.
 
-    `rows` holds the nonzero rows of the reduced echelon form of any
-    spanning set, in pivot order, each as `(pivot, ((col, coeff), ...))`:
-    the pivot entry is 1 and the pairs list the other nonzero entries by
-    column. Equal subspaces therefore compare equal as values.
+    `rows` holds one row per basis vector, in pivot order, each as
+    `(pivot, ((col, entry), ...))`: the pivot column and the row's nonzero
+    int entries, the pivot's first. Each is the reduced echelon row times
+    the lcm of its denominators, primitive with a positive pivot, so equal
+    subspaces compare equal as values. `basis` divides by the pivots.
     """
 
     ambient_dim: int
@@ -217,19 +220,17 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [tuple(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        vecs = [v for v in vecs if any(v)]
-        if not vecs:
-            return cls(ambient_dim, ())
-        red, pivots = rref(QMatrix.from_rows(vecs))
-        rows = []
-        for i, p in enumerate(pivots):
-            row = red.row(i)
-            rows.append((p, tuple((j, x) for j, x in enumerate(row) if x and j != p)))
-        return cls(ambient_dim, tuple(rows))
+        a = [_integer_row(v) for v in vectors]
+        if any(len(v) != ambient_dim for v in a):
+            raise ValueError("vector length does not match ambient dimension")
+        return cls(ambient_dim, _echelon_rows(a, ambient_dim))
+
+    @classmethod
+    def from_sparse(cls, ambient_dim: int, rows: Iterable[dict[int, int]]) -> "Subspace":
+        """The span of integer rows given as {column: entry} dicts."""
+        zeros = [0] * ambient_dim
+        a = [list(map(r.get, range(ambient_dim), zeros)) for r in rows]
+        return cls(ambient_dim, _echelon_rows(a, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -241,30 +242,29 @@ class Subspace:
 
     @property
     def basis(self) -> tuple[tuple[int | Fraction, ...], ...]:
-        """The canonical basis as dense coordinate vectors."""
+        """The reduced echelon basis as dense vectors in the form of `exact`."""
         dense = []
-        for pivot, rest in self.rows:
-            v = [0] * self.ambient_dim
-            v[pivot] = 1
-            for j, c in rest:
-                v[j] = c
-            dense.append(tuple(v))
+        for _, row in self.rows:
+            entries = {j: ratio(x, row[0][1]) for j, x in row}
+            dense.append(tuple(entries.get(j, 0) for j in range(self.ambient_dim)))
         return tuple(dense)
 
 
 def kernel_basis(m: QMatrix) -> Subspace:
-    """Canonical basis of the right null space {v : m v = 0}."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    vecs = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = -red.entry(i, f)
-        vecs.append(v)
-    return Subspace.from_vectors(m.cols, vecs)
+    """Canonical basis of the right null space {v : m v = 0}.
+
+    A reduced row with pivot entry p_i at column c_i and entry a at a free
+    column f puts -a*L/p_i at c_i in the kernel vector with L at f, for L
+    the lcm of the p_i; these vectors, one per free column, span the kernel.
+    """
+    rows = _echelon_rows(_integer_rows(m), m.cols)
+    scale = lcm(*(row[0][1] for _, row in rows))
+    pivots = {p for p, _ in rows}
+    vecs = {f: [scale if j == f else 0 for j in range(m.cols)] for f in range(m.cols) if f not in pivots}
+    for p, ((_, pv), *rest) in rows:
+        for f, a in rest:
+            vecs[f][p] = -a * (scale // pv)
+    return Subspace(m.cols, _echelon_rows(list(vecs.values()), m.cols))
 
 
 def subspace_equal(a: Subspace, b: Subspace) -> bool:

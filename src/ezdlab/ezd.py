@@ -34,12 +34,11 @@ import weakref
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
-from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from operator import add
 from typing import Sequence
 
-from .exactmat import QMatrix, Subspace, exact, kernel_basis, rank
+from .exactmat import QMatrix, Subspace, kernel_basis, rank, ratio
 from .gradedring import GradedQuotient
 from .polyring import (
     HomogPoly,
@@ -69,9 +68,7 @@ def mult_map(ring: GradedQuotient, f: HomogPoly, d: int) -> QMatrix:
     coordinate or zero, an integer form gives an `int` matrix.
     """
     m, den = _integer_map(ring, f, d)
-    if den == 1:
-        return m
-    return QMatrix(m.rows, m.cols, [exact(Fraction(x, den)) for x in m.data])
+    return QMatrix(m.rows, m.cols, [ratio(x, den) for x in m.data])
 
 
 def _integer_map(ring: GradedQuotient, f: HomogPoly, d: int) -> tuple[QMatrix, int]:
@@ -96,11 +93,10 @@ def _integer_map(ring: GradedQuotient, f: HomogPoly, d: int) -> tuple[QMatrix, i
     comp = ring.components[target_degree]
     nrows = len(comp.basis)
     normal_forms = comp.normal_forms
-    scale = lcm(*(c.denominator for c in f.coeffs.values()))
-    terms = [(g, c.numerator * (scale // c.denominator)) for g, c in f.coeffs.items()]
+    terms, scale = f.integer_coeffs()
     data = [0] * (nrows * ncols)
     for j, b in enumerate(source):
-        for g, c in terms:
+        for g, c in terms.items():
             # outside monomial rings two products can share a coordinate: entries add up
             for i, a in normal_forms[tuple(map(add, g, b))]:
                 data[i * ncols + j] += c * a
@@ -209,7 +205,9 @@ def is_ezd_pair(ring: GradedQuotient, x: HomogPoly, y: HomogPoly) -> EzdReport:
     if top < 0 or not (r_x[0] and r_y[0]):
         return EzdReport(ring_id, x, y, True, (), PairVerdict.NOT_PAIR, "zero element")
 
-    xy = x * y
+    # x*y over the integers, up to a nonzero factor: only its zero maps are read
+    (a, _), (b, _) = x.integer_coeffs(), y.integer_coeffs()
+    xy = HomogPoly(x.nvars, x.degree, a) * HomogPoly(y.nvars, y.degree, b)
     z = 0
     while xy.degree + z <= top and any(_integer_map(ring, xy, z)[0].data):
         z += 1
@@ -545,11 +543,11 @@ def colon_identity_dims(ring: GradedQuotient, ell: HomogPoly) -> tuple[int, int]
     for g in (*ring.spec.generators, ell):
         if g.degree > 2:
             continue
-        scale = lcm(*(c.denominator for c in g.coeffs.values()))
+        coeffs = g.integer_coeffs()[0]
         for m in monomials_of_degree(n, 2 - g.degree):
             row = [0] * len(column)
-            for e, c in g.coeffs.items():
-                row[column[tuple(map(add, e, m))]] = c.numerator * (scale // c.denominator)
+            for e, c in coeffs.items():
+                row[column[tuple(map(add, e, m))]] = c
             rows.append(row)
     lhs = len(column) - rank(QMatrix(len(rows), len(column), [x for row in rows for x in row]))
     rhs = ring.dim(2) - map_rank(ring, ell, 1)

@@ -16,13 +16,14 @@ Degree d is built from degree d-1's table, as F4 reuses reduced rows
 (Faugere 1999): I_d is spanned by x_i times each relation D_{d-1}*m_p
 - sum num*b of a pivot m_p of degree d-1, and by the generators of degree
 d. Only the standard monomials x_i*b with b in the basis of degree d-1,
-the border, are eliminated, at most n*H(d-1) columns; every other
-standard monomial has one of those relations as its reducer. So a
-monomial ideal eliminates nothing, and neither does a degree after a
-vanished one. There is one path: an ideal without single-term generators
-has M = 0. Before building, `build_quotient` estimates the cost of
-eliminating each degree from scratch, from counts alone, and refuses a
-build past `MAX_ELIMINATION_COST`.
+the border, are eliminated, at most n*H(d-1) columns, as integer rows
+(each generator scaled to integer coefficients) whose primitive echelon
+rows `exactmat.Subspace` keeps; every other standard monomial has one of
+those relations as its reducer. So a monomial ideal eliminates nothing,
+nor does a degree after a vanished one. There is one path: an ideal
+without single-term generators has M = 0. Before building,
+`build_quotient` prices eliminating each degree from scratch from counts
+alone, and refuses a build past `MAX_ELIMINATION_COST`.
 
 The Hilbert function of P/M needs no standard monomial set:
 `monomial_hilbert` counts the degree-d monomials outside M as C(n+d-1, d)
@@ -42,7 +43,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator
 
-from .exactmat import Subspace, exact
+from .exactmat import Subspace, ratio
 from .polyring import (
     HomogPoly,
     IdealSpec,
@@ -142,7 +143,7 @@ class GradedQuotient:
         for m, c in p.coeffs.items():
             for k, a in comp.normal_forms[m]:
                 v[k] += c * a
-        return tuple(exact(Fraction(x, comp.denominator)) for x in v)
+        return tuple(ratio(x, comp.denominator) for x in v)
 
     def basis_poly(self, degree: int, coords) -> HomogPoly:
         """The polynomial with the given coordinates in the quotient basis."""
@@ -240,9 +241,9 @@ def _component(
     for g in others:
         if g.degree != degree:
             continue
-        # den * g minus c times the reducer of each lead c*L of g
+        # den * g in integer coefficients minus c times the reducer of each lead c*L of g
         row: dict = {}
-        for m, c in g.coeffs.items():
+        for m, c in g.integer_coeffs()[0].items():
             if m in col:
                 row[col[m]] = row.get(col[m], 0) + den * c
             elif m in reducers:
@@ -270,23 +271,16 @@ def _read_off(
     into `normal_forms` times their least common denominator D_d, and
     return the quotient basis, the non-pivot border columns, and D_d.
 
-    A border pivot's normal form is minus the rest of its echelon row. A
-    reducer is den times its lead L plus a tail on the border, so NF(L) is
-    minus the tail reduced by the echelon rows, over den.
+    A border pivot's normal form is minus the rest of its echelon row over
+    its pivot entry. A reducer is den times its lead L plus a tail on the
+    border, so NF(L) is minus the tail reduced by the echelon rows, over den.
     """
-    vectors = []
-    for r in rows:
-        v = [0] * len(cols)
-        for k, x in r.items():
-            v[k] = x
-        vectors.append(v)
-    echelon = dict(Subspace.from_vectors(len(cols), vectors).rows)  # border pivot -> the rest of its row
+    echelon = dict(Subspace.from_sparse(len(cols), rows).rows)  # border pivot -> its row
     free = [k for k in range(len(cols)) if k not in echelon]
     coord = {k: q for q, k in enumerate(free)}  # border column -> quotient coordinate
-    # Times the lcm of their denominators, the echelon rows are integral, and
-    # every normal form is -a / (den * scale) for an integer vector a.
-    scale = lcm(*(x.denominator for rest in echelon.values() for _, x in rest))
-    integral = {p: [(coord[j], x.numerator * (scale // x.denominator)) for j, x in rest] for p, rest in echelon.items()}
+    # with scale the lcm of the pivot entries, each normal form is -a / (den * scale), a integral
+    scale = lcm(*(row[0][1] for row in echelon.values()))
+    integral = {p: [(coord[j], x * (scale // pv)) for j, x in rest] for p, ((_, pv), *rest) in echelon.items()}
     numerators = {cols[p]: [(q, den * a) for q, a in rest] for p, rest in integral.items()}
     for lead, tail in reducers.items():
         a_lead: dict[int, int] = {}
@@ -349,21 +343,18 @@ def _refuse_costly(nvars: int, gens: set[Monomial], others: list[HomogPoly], bou
         )
 
 
-def build_quotient(spec: IdealSpec, bound: int, *, force_elimination: bool = False) -> GradedQuotient:
+def build_quotient(spec: IdealSpec, bound: int) -> GradedQuotient:
     """Construct R = P/I with all per-degree data for degrees 0..bound.
 
     The single-term generators are closed combinatorially and only the
-    others are eliminated; `force_elimination` eliminates every generator,
-    which the tests compare with the default. Raises ValueError before
-    building anything when the monomials of degree <= bound number more
-    than MAX_MONOMIALS, or when the elimination's estimated cost exceeds
-    MAX_ELIMINATION_COST.
+    others are eliminated, each degree on its border columns alone. Raises
+    ValueError before building anything when the monomials of degree <=
+    bound number more than MAX_MONOMIALS, or when the elimination's
+    estimated cost exceeds MAX_ELIMINATION_COST.
     """
     refuse_oversize(spec.nvars, bound)
-    single, others = [], []
-    for g in spec.generators:
-        (single if len(g.coeffs) == 1 and not force_elimination else others).append(g)
-    gens = {m for g in single for m in g.coeffs}  # M's generators
+    gens = {m for g in spec.generators if len(g.coeffs) == 1 for m in g.coeffs}  # M's generators
+    others = [g for g in spec.generators if len(g.coeffs) != 1]
     if others:
         _refuse_costly(spec.nvars, gens, others, bound)
     components: list[_DegreeComponent] = []

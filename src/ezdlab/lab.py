@@ -46,11 +46,11 @@ from functools import lru_cache, partial
 from io import StringIO
 from itertools import combinations, permutations, product
 from json.encoder import encode_basestring_ascii
-from math import comb, lcm
+from math import comb
 from operator import add
 from typing import Iterable, Iterator
 
-from .exactmat import QMatrix, exact, kernel_basis
+from .exactmat import QMatrix, kernel_basis, ratio
 from .ezd import (
     EzdReport,
     GenericDecision,
@@ -699,10 +699,10 @@ def _integer_vector(p: HomogPoly) -> tuple[list[int], int]:
     coefficients' denominators, and L."""
     if p.degree != 1:
         raise ValueError(f"expected a linear form, got degree {p.degree}")
-    scale = lcm(*(c.denominator for c in p.coeffs.values()))
+    coeffs, scale = p.integer_coeffs()
     v = [0] * p.nvars
-    for m, c in p.coeffs.items():
-        v[m.index(1)] = c.numerator * (scale // c.denominator)
+    for m, c in coeffs.items():
+        v[m.index(1)] = c
     return v, scale
 
 
@@ -750,7 +750,7 @@ def decompose_partner(spec: IdealSpec, ell: HomogPoly, q: HomogPoly) -> PartnerS
     r = remainder.get(f1, 0)
     if remainder.get(f2, 0) != r or any(m != f1 and m != f2 for m in remainder):
         raise ValueError("precondition failed: ell*q is not in the ideal")
-    alpha = exact(Fraction(r, ell_scale * q_scale))
+    alpha = ratio(r, ell_scale * q_scale)
     # ell's map from the variables to the degree-2 monomials outside J + (f1)
     standard = [m for m in monomials_of_degree(n, 2) if m not in j_set and m != f1]
     rows = {m: i for i, m in enumerate(standard)}
@@ -762,17 +762,17 @@ def decompose_partner(spec: IdealSpec, ell: HomogPoly, q: HomogPoly) -> PartnerS
                 if row is not None:
                     data[row * n + j] += c
     units = monomials_of_degree(n, 1)
-    for vec in kernel_basis(QMatrix(len(rows), n, data)).basis:
-        scale = lcm(*(x.denominator for x in vec))
-        v = [x.numerator * (scale // x.denominator) for x in vec]
+    for _, row in kernel_basis(QMatrix(len(rows), n, data)).rows:
+        entries = dict(row)
+        v = [entries.get(j, 0) for j in range(n)]
         a = _product_mod(j_set, e, v).get(f1, 0)
         if a:
             den = q_scale * a
             q2v = [a * x - r * y for x, y in zip(qv, v)]
             if _product_mod(j_set, e, q2v) != ({f2: a * r} if r else {}):
                 return None
-            q1 = HomogPoly(n, 1, [(u, Fraction(r * y, den)) for u, y in zip(units, v)])
-            q2 = HomogPoly(n, 1, [(u, Fraction(x, den)) for u, x in zip(units, q2v)])
+            q1 = HomogPoly(n, 1, [(u, ratio(r * y, den)) for u, y in zip(units, v)])
+            q2 = HomogPoly(n, 1, [(u, ratio(x, den)) for u, x in zip(units, q2v)])
             return PartnerSplit(q1, q2, alpha)
     if alpha == 0:
         # ell*q already lies in J, so q itself works against either half.

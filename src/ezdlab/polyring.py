@@ -37,6 +37,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import lcm
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
@@ -157,6 +158,14 @@ class HomogPoly:
 
     def support(self) -> tuple[Monomial, ...]:
         return tuple(m for m, _ in self.terms())
+
+    def integer_coeffs(self) -> tuple[dict[Monomial, int], int]:
+        """The coefficients times the lcm L of their denominators, and L; for
+        L = 1 the dict is `coeffs` itself, to be read and not changed."""
+        scale = lcm(*(c.denominator for c in self.coeffs.values()))
+        if scale == 1:
+            return self.coeffs, 1
+        return {m: c.numerator * (scale // c.denominator) for m, c in self.coeffs.items()}, scale
 
     def _check_compatible(self, other: "HomogPoly"):
         if self.nvars != other.nvars:

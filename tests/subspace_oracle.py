@@ -2,6 +2,7 @@
 basis: an oracle for the tests, which the package itself never needs."""
 
 from collections.abc import Sequence
+from fractions import Fraction
 
 from ezdlab.exactmat import Subspace
 
@@ -15,12 +16,12 @@ def reduce_vector(sub: Subspace, vector: Sequence) -> tuple:
     if len(vector) != sub.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
     v = list(vector)
-    for pivot, rest in sub.rows:
+    for pivot, row in sub.rows:
         c = v[pivot]
         if c:
-            v[pivot] = 0
-            for j, rj in rest:
-                v[j] -= c * rj
+            pv = row[0][1]  # the row over its pivot entry is the reduced echelon row
+            for j, x in row:
+                v[j] -= Fraction(c * x, pv)
     return tuple(v)
 
 

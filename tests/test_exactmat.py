@@ -1,50 +1,20 @@
 """Exact linear algebra: examples and algebraic invariants."""
 
+import random
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ezdlab.exactmat import QMatrix, Subspace, exact, kernel_basis, rank, rref, subspace_equal
 from ezdlab.polyring import linear_form, parse_poly
+from fraction_oracle import fraction_rref
 from one_form import in_one_form
 from subspace_oracle import contains, contains_vector, reduce_vector
 
 F = Fraction
-ONE = F(1)
-
-
-def fraction_rref(m):
-    """Gauss-Jordan over Fractions with normalized pivots: the rref oracle."""
-    a = [list(m.row(i)) for i in range(m.rows)]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        p = None
-        for i in range(r, m.rows):
-            if a[i][c]:
-                p = i
-                break
-        if p is None:
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-        pv = a[r][c]
-        if pv != 1:
-            inv = ONE / pv
-            a[r] = [x * inv for x in a[r]]
-        row_r = a[r]
-        for i in range(m.rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    flat = [x for row in a for x in row]
-    return QMatrix(m.rows, m.cols, flat), tuple(pivots)
 
 
 def mat(rows):
@@ -235,13 +205,27 @@ def int_rows_and_vector(draw, max_dim=5):
 
 
 @settings(deadline=None, max_examples=80)
-@given(int_rows_and_vector())
-def test_sparse_subspace_matches_dense_rref(data):
+@given(int_rows_and_vector(), st.randoms(use_true_random=False))
+@example(([[2, 4, 6], [0, 0, 0], [-3, 0, 9]], [1, 2, 3]), random.Random(0))
+@example(([[0, -4, 6], [0, 2, -3]], [0, 1, 0]), random.Random(1))
+def test_sparse_subspace_matches_dense_rref(data, rng):
+    """Each stored row is a primitive int row with a positive pivot entry
+    first, `basis` is the nonzero rows of the Fraction Gauss-Jordan, and a
+    shuffled, rescaled spanning set gives an equal value."""
     rows, v = data
     sub = Subspace.from_vectors(len(v), rows)
+    for pivot, row in sub.rows:
+        assert row[0][0] == pivot and row[0][1] > 0
+        assert all(type(x) is int and x for _, x in row)
+        assert gcd(*(x for _, x in row)) == 1
+    assert [p for p, _ in sub.rows] == sorted({p for p, _ in sub.rows})
     red, _ = fraction_rref(mat(rows))
     nonzero = tuple(r for r in (red.row(i) for i in range(red.rows)) if any(r))
     assert sub.basis == nonzero
+    scales = [F(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7])) for _ in rows]
+    spanning = [[c * x for x in r] for c, r in zip(scales, rows)]
+    rng.shuffle(spanning)
+    assert Subspace.from_vectors(len(v), spanning) == sub
     assert (not any(reduce_vector(sub, v))) == (rank(mat(rows + [v])) == rank(mat(rows)))
 
 
@@ -333,12 +317,13 @@ def test_exact_refuses_inexact_values(make, kind):
 @example(mat([[2, 4], [F(1, 2), F(3, 2)]]))
 @example(mat([[F(2), F(4)], [F(3), F(9)]]))
 def test_echelon_rows_and_kernels_are_in_the_one_form(m):
-    """Subspace rows, their dense basis and kernel bases store every entry as
-    `exact` would, integral Fractions in the input included."""
+    """The dense bases of a row space and of a kernel store every entry as
+    `exact` would, integral Fractions in the input included; each is the
+    Fraction Gauss-Jordan's reduced rows."""
     rows = [m.row(i) for i in range(m.rows)]
     sub = Subspace.from_vectors(m.cols, rows)
-    assert all(in_one_form(x) for _, rest in sub.rows for _, x in rest)
     assert all(in_one_form(x) for v in sub.basis for x in v)
+    red, _ = fraction_rref(m)
+    assert sub.basis == tuple(r for r in (red.row(i) for i in range(m.rows)) if any(r))
     kernel = kernel_basis(m)
     assert all(in_one_form(x) for v in kernel.basis for x in v)
-    assert all(in_one_form(x) for _, rest in kernel.rows for _, x in rest)

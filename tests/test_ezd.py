@@ -42,6 +42,7 @@ from ezdlab.polyring import (
     parse_poly,
 )
 from ezdlab.lab import ScanConfig, enumerate_monomial_ideals
+from macaulay_oracle import macaulay_ring
 from socle_oracle import socle_dims_by_stacked_rank
 from subspace_oracle import contains
 
@@ -77,8 +78,8 @@ def test_mult_map_polynomial_ring_injective():
 def _normal_form_mult_map(oracle, f, d):
     """One product and one normal form per column: the mult_map oracle.
 
-    `oracle` is the ring built with force_elimination=True, so the normal
-    forms never come from the table of the ring under test.
+    `oracle` is the ring of `macaulay_ring`, so the normal forms never come
+    from the table of the ring under test.
     """
     source = oracle.basis_monomials(d)
     cols = [oracle.normal_form(f * HomogPoly.from_monomial(b)) for b in source]
@@ -140,7 +141,7 @@ def test_monomial_lookup_maps_match_normal_forms():
     above_one = set()  # whether D > 1, over every integer map
     for spec, bound in cases:
         ring = build_quotient(spec, bound)
-        oracle = build_quotient(spec, bound, force_elimination=True)
+        oracle = macaulay_ring(spec, bound)
         nvars = spec.nvars
         for deg in (1, 2):
             for denominators in (1, 6):  # integer forms, then fractional ones
@@ -173,7 +174,7 @@ def test_integer_forms_give_int_maps_on_monomial_rings():
         spec = monomial_ideal(nvars, rng.sample(pool, rng.randint(1, 6)))
         bound = rng.randint(2, 5)
         ring = build_quotient(spec, bound)
-        oracle = build_quotient(spec, bound, force_elimination=True)
+        oracle = macaulay_ring(spec, bound)
         quad_terms = rng.sample(monomials_of_degree(nvars, 2), rng.randint(1, 3))
         for f in (
             linear_form([1] * nvars),

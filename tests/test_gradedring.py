@@ -32,7 +32,7 @@ from ezdlab.polyring import (
     parse_ideal,
     parse_poly,
 )
-from macaulay_oracle import macaulay_components
+from macaulay_oracle import macaulay_components, macaulay_ring
 from one_form import in_one_form
 from subspace_oracle import reduce_vector
 
@@ -166,8 +166,6 @@ def test_size_cap_refuses_before_building(monkeypatch):
     assert build_quotient(spec, 3).hilbert.values == (1, 2, 3, 2)  # 10 monomials
     with pytest.raises(ValueError, match="span 15 monomials, more than the cap of 10"):
         build_quotient(spec, 4)
-    with pytest.raises(ValueError, match="cap of 10"):
-        build_quotient(spec, 4, force_elimination=True)
 
 
 def test_exponent_cap_refuses_many_variables(monkeypatch):
@@ -203,16 +201,17 @@ def test_elimination_cost_guard_refuses_before_eliminating(monkeypatch):
 
 
 def test_elimination_cost_counts_only_eliminated_generators(monkeypatch):
-    """A monomial ideal eliminates nothing, so only force_elimination meets the guard."""
-    monkeypatch.setattr(gradedring, "MAX_ELIMINATION_COST", 100)
-    spec = parse_ideal("x1^3, x2^3", 2)
-    assert build_quotient(spec, 40).hilbert.values[:6] == (1, 2, 3, 2, 1, 0)
-    with pytest.raises(ValueError, match="more than the cap of 100;"):
-        build_quotient(spec, 4, force_elimination=True)
-    # degree 3: the 2 generators against 4 columns; degree 4: their 4 multiples
-    # by a variable against 5 columns; 2 * 4^2 + 4 * 5^2 = 132
-    monkeypatch.setattr(gradedring, "MAX_ELIMINATION_COST", 132)
-    assert build_quotient(spec, 4, force_elimination=True).hilbert.values == (1, 2, 3, 2, 1)
+    """A monomial ideal eliminates nothing, so it never meets the guard; a
+    single-term generator adds no row, and its multiples no column."""
+    monkeypatch.setattr(gradedring, "MAX_ELIMINATION_COST", 26)
+    assert build_quotient(parse_ideal("x1^3, x2^3", 2), 40).hilbert.values[:6] == (1, 2, 3, 2, 1, 0)
+    spec = parse_ideal("x1^3, x2^3 + x1*x2^2", 2)
+    with pytest.raises(ValueError, match="more than the cap of 26;"):
+        build_quotient(spec, 4)
+    # degree 3: the binomial against the 3 monomials outside (x1^3); degree 4:
+    # its 2 multiples by a variable against 3 columns; 1 * 3^2 + 2 * 3^2 = 27
+    monkeypatch.setattr(gradedring, "MAX_ELIMINATION_COST", 27)
+    assert build_quotient(spec, 4).hilbert.values == (1, 2, 3, 2, 1)
 
 
 def test_build_splits_generators_without_comparing_them(monkeypatch):
@@ -220,10 +219,11 @@ def test_build_splits_generators_without_comparing_them(monkeypatch):
     comparison of each generator with each single-term one is quadratic."""
     power = monomial_ideal(4, monomials_of_degree(4, 10))  # (x1, ..., x4)^10
     mixed = parse_ideal("x1^2, x2^2, x3^2, x1*x2 + x2*x3", 3)
+    binomial = parse_ideal("x1^2 + x2*x3, x2^2 + x1*x3, x3^2 + x1*x2", 3)  # no single-term generator
     monkeypatch.setattr(HomogPoly, "__eq__", lambda *a: pytest.fail("generators compared"))
     assert build_quotient(power, 10).hilbert.values == (1, 4, 10, 20, 35, 56, 84, 120, 165, 220, 0)
-    for force in (False, True):
-        assert build_quotient(mixed, 3, force_elimination=force).hilbert.values == (1, 3, 2, 0)
+    assert build_quotient(mixed, 3).hilbert.values == (1, 3, 2, 0)
+    assert build_quotient(binomial, 4).hilbert.values == (1, 3, 3, 1, 0)
 
 
 @pytest.mark.parametrize("nvars,max_degree", [(2, 5), (3, 3), (3, 4), (4, 3)])
@@ -338,7 +338,7 @@ def test_monomial_oracle_equivalence_random():
         cases.append((nvars, parse_ideal(text, nvars), bound))
     for nvars, spec, bound in cases:
         fast = build_quotient(spec, bound)
-        slow = build_quotient(spec, bound, force_elimination=True)
+        slow = macaulay_ring(spec, bound)
         assert fast.hilbert.values == slow.hilbert.values
         assert fast.top_degree == slow.top_degree
         assert fast.complete == slow.complete
@@ -369,7 +369,7 @@ def _assert_builds_agree(spec, bound, rng):
     """The single build path against eliminating every generator, and its
     normal forms against reduction by all generator multiples."""
     fast = build_quotient(spec, bound)
-    slow = build_quotient(spec, bound, force_elimination=True)
+    slow = macaulay_ring(spec, bound)
     assert fast.hilbert == slow.hilbert
     assert fast.top_degree == slow.top_degree
     for d in range(bound + 1):
@@ -385,10 +385,10 @@ def _assert_builds_agree(spec, bound, rng):
 def _assert_table_is_least_integer_scaling(spec, bound):
     """Each degree's table over its denominator D_d equals every monomial's
     normal form reduced by all generator multiples, D_d is the lcm of those
-    normal forms' denominators, and the eliminating build stores the same
-    table over the same D_d."""
+    normal forms' denominators, and the from-scratch `macaulay_ring` stores
+    the same table over the same D_d."""
     fast = build_quotient(spec, bound)
-    slow = build_quotient(spec, bound, force_elimination=True)
+    slow = macaulay_ring(spec, bound)
     for d in range(bound + 1):
         comp = fast.components[d]
         assert (slow.components[d].normal_forms, slow.components[d].denominator) == (
@@ -472,15 +472,17 @@ def test_mixed_ideal_builds_match_elimination():
 
 
 def _eliminated_widths(monkeypatch, spec, bound):
+    """The ring and the column count of each elimination its build runs."""
     widths = []
-    from_vectors = gradedring.Subspace.from_vectors
+    from_sparse = gradedring.Subspace.from_sparse
 
-    def spy(ambient_dim, vectors):
-        vectors = list(vectors)
-        widths.append((ambient_dim, {len(v) for v in vectors}))
-        return from_vectors(ambient_dim, vectors)
+    def spy(ambient_dim, rows):
+        rows = list(rows)
+        assert all(0 <= k < ambient_dim for row in rows for k in row)
+        widths.append(ambient_dim)
+        return from_sparse(ambient_dim, rows)
 
-    monkeypatch.setattr(gradedring.Subspace, "from_vectors", spy)
+    monkeypatch.setattr(gradedring.Subspace, "from_sparse", spy)
     ring = build_quotient(spec, bound)
     monkeypatch.undo()
     return ring, widths
@@ -508,40 +510,38 @@ def test_only_standard_columns_are_eliminated(monkeypatch):
     ring, widths = _eliminated_widths(monkeypatch, spec, 4)
     assert ring.hilbert.values == (1, 3, 2, 0, 0)
     # degrees 2 and 3; degree 4 follows the vanished degree 3
-    assert widths == [(3, {3}), (1, {1})]
+    assert widths == [3, 1]
     assert _border_and_standard_counts(ring, squares)[1:3] == [(3, 3), (1, 1)]
     # a complete intersection of degrees 2, 3, 3: its top degree 6 has 28
     # monomials, 3 of them on the border
     ci = parse_ideal("x1^2 + x2*x3 - x3^2, x2^3 - x1*x3^2 + 2*x1*x2*x3, x3^3 + x1*x2^2 - 3*x1^2*x3", 3)
     ring, widths = _eliminated_widths(monkeypatch, ci, 6)
     assert ring.hilbert.values == (1, 3, 5, 5, 3, 1, 0)
-    assert [ambient for ambient, _ in widths] == [6, 9, 10, 8, 3]
-    assert all(lengths == {ambient} for ambient, lengths in widths)
+    assert widths == [6, 9, 10, 8, 3]
     counts = _border_and_standard_counts(ring, [])
     assert counts[1:] == [(6, 6), (9, 10), (10, 15), (8, 21), (3, 28)]
     # H grows, and the border with it
     grows = parse_ideal("x1^2 + x2*x3, x2^2 + x1*x4", 4)
     ring, widths = _eliminated_widths(monkeypatch, grows, 6)
     assert ring.hilbert.values == (1, 4, 8, 12, 16, 20, 24)
-    assert [ambient for ambient, _ in widths] == [10, 18, 27, 36, 45]
+    assert widths == [10, 18, 27, 36, 45]
     assert [b for b, _ in _border_and_standard_counts(ring, [])[1:]] == [10, 18, 27, 36, 45]
     # nothing past the vanished degree 3, however far the bound
     ring, widths = _eliminated_widths(monkeypatch, parse_ideal("x1^2, x1*x2 + x2^2", 2), 6)
     assert ring.hilbert.values == (1, 2, 1, 0, 0, 0, 0)
-    assert [ambient for ambient, _ in widths] == [2, 2]
+    assert widths == [2, 2]
     # a monomial ideal has nothing to eliminate
     _, widths = _eliminated_widths(monkeypatch, parse_ideal("x1^2, x2^2, x1*x3, x3^3", 3), 5)
     assert widths == []
 
 
 def _assert_matches_macaulay(spec, bound):
-    """The build, with and without force_elimination, against from-scratch
-    elimination of every degree: the same bases, tables, denominators and H."""
+    """The build against from-scratch elimination of every degree: the same
+    bases, tables, denominators and H."""
     oracle = macaulay_components(spec, bound)
-    for force in (False, True):
-        ring = build_quotient(spec, bound, force_elimination=force)
-        assert [(c.basis, c.normal_forms, c.denominator) for c in ring.components] == oracle, spec
-        assert ring.hilbert.values == tuple(len(basis) for basis, _, _ in oracle)
+    ring = build_quotient(spec, bound)
+    assert [(c.basis, c.normal_forms, c.denominator) for c in ring.components] == oracle, spec
+    assert ring.hilbert.values == tuple(len(basis) for basis, _, _ in oracle)
 
 
 @pytest.mark.parametrize("nvars,degrees", [(3, (2, 2, 2)), (3, (2, 2, 3)), (3, (2, 3, 3)), (4, (2, 2, 2, 2))])
