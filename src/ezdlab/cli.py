@@ -39,7 +39,6 @@ from .ezd import (
     degree2_generator_count,
     find_ezd_complement,
     generic_ezd_decision,
-    map_rank,
     socle_dims,
     wlp_check,
     yoshino_conditions,
@@ -173,7 +172,7 @@ def _ezd(args, ring):
         raise ValueError("--form must be a linear form")
     if not ring.complete:
         raise ValueError("ring does not vanish within the degree bound; raise the bound")
-    ann_dims = [ring.dim(d) - map_rank(ring, ell, d) for d in range(ring.top_degree + 1)]
+    ann_dims = [ring.dim(d) - ring.map_rank(ell, d) for d in range(ring.top_degree + 1)]
     found = find_ezd_complement(ring, ell)
     lines = [
         f"form: {format_poly(ell)}",

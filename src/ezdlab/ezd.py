@@ -4,21 +4,23 @@ A pair (x, y) is a pair of exact zero divisors when x and y are nonzero
 in R, Ann(x) = (y) and Ann(y) = (x). Everything here works degree by
 degree on a built GradedQuotient, and a dimension is a rank: with r_f(d)
 the rank of multiplication by f from R_d, dim Ann(f)_d = dim R_d - r_f(d)
-and dim (f)_d = r_f(d - deg f). Every r_f(d) comes from `map_rank`, which
-remembers it per ring, so the pair check, the search for a partner, the
-Lefschetz check, the colon identity and the socle's certificate rank each
-(form, degree) once; only `socle_dims`, in a degree the certificate leaves
-open, ranks a matrix of its own. Every map is built in integers, as an
-`int` matrix N over one denominator D (`_integer_map`): each rank, kernel,
-column space and zero test reads N, which has those of N / D, and only
-the public `mult_map` divides. The containment (y)_d in Ann(x)_d
-holds exactly when xy*R_{d-deg y} = 0, and given it, equality is equality
-of dimensions. A subspace is built only where its vectors are used, as for
-the kernel vector `find_ezd_complement` offers as a partner. An element
-that is zero in R (the zero polynomial, one in I, one past the top
-degree, any element of the zero ring) is never part of a pair. Both
-directions are always checked even where Artinian-ness makes one imply
-the other; the second check is cheap and catches truncation mistakes.
+and dim (f)_d = r_f(d - deg f). The ring builds every map from its
+normal-form table in integers, as an `int` matrix N over one denominator
+D (`GradedQuotient.integer_map`): each rank, kernel, column space and
+zero test here reads N, which has those of N / D, and only the public
+`mult_map` divides. Every r_f(d) comes from the ring's `map_rank`, which
+remembers it, so the pair check, the search for a partner, the Lefschetz
+check, the colon identity and the socle's certificate rank each (form,
+degree) once; only `socle_dims`, in a degree the certificate leaves
+open, ranks a matrix of its own. No table is read here. The containment
+(y)_d in Ann(x)_d holds exactly when xy*R_{d-deg y} = 0, and given it,
+equality is equality of dimensions. A subspace is built only where its
+vectors are used, as for the kernel vector `find_ezd_complement` offers
+as a partner. An element that is zero in R (the zero polynomial, one in
+I, one past the top degree, any element of the zero ring) is never part
+of a pair. Both directions are always checked even where Artinian-ness
+makes one imply the other; the second check is cheap and catches
+truncation mistakes.
 
 The Hilbert series alone can prove that no linear form has a partner: a
 pair (ell, y) with deg ell = 1 and deg y = t splits H_R as the Hilbert
@@ -30,7 +32,6 @@ t allows that split.
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
@@ -64,68 +65,17 @@ def mult_map(ring: GradedQuotient, f: HomogPoly, d: int) -> QMatrix:
     Columns correspond to the degree-d basis monomials. When the target
     degree lies past the bound of an Artinian-within-bound ring the target
     space is zero and a 0-row matrix is returned. Entries are in the form
-    of `exact`; on a monomial ring, where every normal form is a unit
-    coordinate or zero, an integer form gives an `int` matrix.
+    of `exact`: the ring's `integer_map` over its denominator. On a
+    monomial ring, where every normal form is a unit coordinate or zero,
+    an integer form gives an `int` matrix.
     """
-    m, den = _integer_map(ring, f, d)
+    m, den = ring.integer_map(f, d)
     return QMatrix(m.rows, m.cols, [ratio(x, den) for x in m.data])
-
-
-def _integer_map(ring: GradedQuotient, f: HomogPoly, d: int) -> tuple[QMatrix, int]:
-    """An `int` matrix N and a positive int D with mult_map(ring, f, d) == N / D.
-
-    The terms of f are scaled by the lcm s of its coefficients'
-    denominators, and column j sums c*NF(g*b_j) over the scaled terms c*g,
-    read from the target degree's table of integer normal forms over its
-    denominator D_t; so D = s * D_t. N has the rank, kernel, column space
-    and zero pattern of N / D, and every internal rank, kernel and zero
-    test reads it.
-    """
-    if f.nvars != ring.nvars:
-        raise ValueError("variable counts differ")
-    source = ring.basis_monomials(d)
-    target_degree = d + f.degree
-    ncols = len(source)
-    if target_degree > ring.bound:
-        if ring.complete:
-            return QMatrix(0, ncols, ()), 1
-        raise ValueError(f"target degree {target_degree} outside bound {ring.bound}")
-    comp = ring.components[target_degree]
-    nrows = len(comp.basis)
-    normal_forms = comp.normal_forms
-    terms, scale = f.integer_coeffs()
-    data = [0] * (nrows * ncols)
-    for j, b in enumerate(source):
-        for g, c in terms.items():
-            # outside monomial rings two products can share a coordinate: entries add up
-            for i, a in normal_forms[tuple(map(add, g, b))]:
-                data[i * ncols + j] += c * a
-    return QMatrix(nrows, ncols, data), scale * comp.denominator
-
-
-# ring -> {(f, d): rank of mult_map(ring, f, d)}; a ring's entries go with it
-_MAP_RANKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def map_rank(ring: GradedQuotient, f: HomogPoly, d: int) -> int:
-    """rank(mult_map(ring, f, d)), computed once per ring, form and degree.
-
-    The ring is a key by identity, held weakly, and equal forms share an
-    entry. A pair check after the search for a partner, and a Lefschetz
-    check after a decision drawn from the same seed, ask for the same ranks.
-    """
-    ranks = _MAP_RANKS.get(ring)
-    if ranks is None:
-        ranks = _MAP_RANKS[ring] = {}
-    r = ranks.get((f, d))
-    if r is None:
-        r = ranks[f, d] = rank(_integer_map(ring, f, d)[0])
-    return r
 
 
 def annihilator_degree(ring: GradedQuotient, f: HomogPoly, d: int) -> Subspace:
     """Degree-d piece of Ann(f) as a subspace of R_d."""
-    return kernel_basis(_integer_map(ring, f, d)[0])
+    return kernel_basis(ring.integer_map(f, d)[0])
 
 
 def principal_ideal_degree(ring: GradedQuotient, y: HomogPoly, d: int) -> Subspace:
@@ -138,7 +88,7 @@ def principal_ideal_degree(ring: GradedQuotient, y: HomogPoly, d: int) -> Subspa
     dim_d = ring.dim(d)
     if y.is_zero() or d < y.degree:
         return Subspace.zero(dim_d)
-    m = _integer_map(ring, y, d - y.degree)[0]
+    m = ring.integer_map(y, d - y.degree)[0]
     return Subspace.from_vectors(dim_d, (m.data[j :: m.cols] for j in range(m.cols)))
 
 
@@ -198,8 +148,8 @@ def is_ezd_pair(ring: GradedQuotient, x: HomogPoly, y: HomogPoly) -> EzdReport:
             "ring does not vanish within the degree bound; raise the bound",
         )
     top = ring.top_degree
-    r_x = [map_rank(ring, x, d) for d in range(top + 1)]
-    r_y = [map_rank(ring, y, d) for d in range(top + 1)]
+    r_x = [ring.map_rank(x, d) for d in range(top + 1)]
+    r_y = [ring.map_rank(y, d) for d in range(top + 1)]
     # f is zero in R exactly when f*1 is, i.e. r_f(0) = 0; the zero ring
     # (top = -1) has no element other than zero.
     if top < 0 or not (r_x[0] and r_y[0]):
@@ -209,7 +159,7 @@ def is_ezd_pair(ring: GradedQuotient, x: HomogPoly, y: HomogPoly) -> EzdReport:
     (a, _), (b, _) = x.integer_coeffs(), y.integer_coeffs()
     xy = HomogPoly(x.nvars, x.degree, a) * HomogPoly(y.nvars, y.degree, b)
     z = 0
-    while xy.degree + z <= top and any(_integer_map(ring, xy, z)[0].data):
+    while xy.degree + z <= top and any(ring.integer_map(xy, z)[0].data):
         z += 1
     product_zero = z == 0
 
@@ -317,12 +267,12 @@ def find_ezd_complement(ring: GradedQuotient, ell: HomogPoly) -> tuple[HomogPoly
         return None
     top = ring.top_degree
     for t in range(top + 1):
-        nullity = ring.dim(t) - map_rank(ring, ell, t)
+        nullity = ring.dim(t) - ring.map_rank(ell, t)
         if nullity == 0:
             continue
         if nullity >= 2:
             return None
-        q = ring.basis_poly(t, kernel_basis(_integer_map(ring, ell, t)[0]).basis[0])
+        q = ring.basis_poly(t, kernel_basis(ring.integer_map(ell, t)[0]).basis[0])
         report = is_ezd_pair(ring, ell, q)
         if report.verdict is PairVerdict.EXACT_PAIR:
             return q, report
@@ -446,7 +396,7 @@ def wlp_check(ring: GradedQuotient, trials: int = 3, seed: int = 0) -> WlpReport
     per_trial_ranks = []
     for t in range(trials):
         ell = generic_linear_form(ring.nvars, derived_seed(seed, t))
-        per_trial_ranks.append([map_rank(ring, ell, i - 1) for i in range(1, top + 1)])
+        per_trial_ranks.append([ring.map_rank(ell, i - 1) for i in range(1, top + 1)])
     rows = []
     for i in range(1, top + 1):
         dim_src = ring.dim(i - 1)
@@ -474,12 +424,12 @@ def socle_dims(ring: GradedQuotient) -> tuple[int, ...]:
     dims = []
     for d in range(ring.top_degree + 1):
         dim_d = ring.dim(d)
-        if map_rank(ring, ell, d) == dim_d:
+        if ring.map_rank(ell, d) == dim_d:
             dims.append(0)
             continue
         blocks = []
         for i in range(ring.nvars):
-            m = _integer_map(ring, variable(ring.nvars, i), d)[0]
+            m = ring.integer_map(variable(ring.nvars, i), d)[0]
             blocks.extend(m.row(r) for r in range(m.rows))
         dims.append(dim_d - rank(QMatrix.from_rows(blocks)))
     return tuple(dims)
@@ -550,5 +500,5 @@ def colon_identity_dims(ring: GradedQuotient, ell: HomogPoly) -> tuple[int, int]
                 row[column[tuple(map(add, e, m))]] = c
             rows.append(row)
     lhs = len(column) - rank(QMatrix(len(rows), len(column), [x for row in rows for x in row]))
-    rhs = ring.dim(2) - map_rank(ring, ell, 1)
+    rhs = ring.dim(2) - ring.map_rank(ell, 1)
     return lhs, rhs

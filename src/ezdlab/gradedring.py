@@ -9,8 +9,10 @@ standard columns: the quotient basis is the set of non-pivot standard
 monomials. The table holds integers: each normal form times the degree's
 one denominator D_d, the lcm of the denominators of all its normal forms,
 so equal rings store equal tables and a basis monomial's entry is D_d.
-Normal forms and multiplication maps are sums over this table;
-`normal_form` divides by D_d once at the end.
+Only the ring reads the table: `GradedQuotient.integer_map` builds each
+multiplication map from it as an int matrix over one denominator,
+`map_rank` remembers each map's rank, and `normal_form` divides p's map
+from R_0 = span(1). The ring derives H and its top degree once.
 
 Degree d is built from degree d-1's table, as F4 reuses reduced rows
 (Faugere 1999): I_d is spanned by x_i times each relation D_{d-1}*m_p
@@ -37,13 +39,14 @@ single-term generators of any ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
+from operator import add
 from typing import Iterable, Iterator
 
-from .exactmat import Subspace, ratio
+from .exactmat import QMatrix, Subspace, rank, ratio
 from .polyring import (
     HomogPoly,
     IdealSpec,
@@ -105,14 +108,28 @@ class GradedQuotient:
     """Per-degree bases and normal-form operators for R = P/I, degrees 0..bound.
 
     `top_degree` is the last degree with a nonzero piece when every degree
-    past the bound is known to vanish, and None otherwise.
+    past the bound is known to vanish, and None otherwise. The ring's value
+    is frozen; the ranks `map_rank` remembers are derived from it.
     """
 
     spec: IdealSpec
     bound: int
     components: tuple[_DegreeComponent, ...]
-    hilbert: HilbertFn
-    top_degree: int | None
+    hilbert: HilbertFn = field(init=False)
+    top_degree: int | None = field(init=False)
+    _ranks: dict = field(init=False, repr=False, default_factory=dict)  # (form, degree) -> rank
+
+    def __post_init__(self) -> None:
+        dims = tuple(len(c.basis) for c in self.components)
+        top = dims.index(0) - 1 if 0 in dims else None
+        if top is None:
+            # Standard monomials die before the socle bound, so a bound reaching
+            # the degree before it already shows every later degree is zero.
+            socle = default_bound(self.spec)
+            if socle is not None and socle - 1 <= self.bound:
+                top = self.bound
+        object.__setattr__(self, "hilbert", HilbertFn(dims))
+        object.__setattr__(self, "top_degree", top)
 
     @property
     def nvars(self) -> int:
@@ -132,18 +149,53 @@ class GradedQuotient:
         return self.components[degree].basis
 
     def normal_form(self, p: HomogPoly) -> tuple[int | Fraction, ...]:
-        """Coordinates of p in the degree-deg(p) quotient basis; zero iff p is in I."""
-        if p.nvars != self.nvars:
-            raise ValueError("variable counts differ")
+        """Coordinates of p in the degree-deg(p) quotient basis, zero iff p is
+        in I: the column of p's map from R_0, which 1 spans."""
         d = p.degree
         if not 0 <= d <= self.bound:
             raise ValueError(f"degree {d} outside bound {self.bound}")
-        comp = self.components[d]
-        v = [0] * len(comp.basis)
-        for m, c in p.coeffs.items():
-            for k, a in comp.normal_forms[m]:
-                v[k] += c * a
-        return tuple(ratio(x, comp.denominator) for x in v)
+        m, den = self.integer_map(p, 0)
+        return tuple(ratio(x, den) for x in m.data)
+
+    def integer_map(self, f: HomogPoly, d: int) -> tuple[QMatrix, int]:
+        """An `int` matrix N and a positive int D such that N / D is the
+        matrix of q -> f*q from R_d to R_{d+deg f} on the quotient bases.
+
+        The terms of f are scaled by the lcm s of its coefficients'
+        denominators, and column j sums c*NF(g*b_j) over the scaled terms c*g,
+        read from the target degree's table over its denominator D_t; so
+        D = s * D_t. N has the rank, kernel, column space and zero pattern of
+        N / D, and every internal rank, kernel and zero test reads it.
+        """
+        if f.nvars != self.nvars:
+            raise ValueError("variable counts differ")
+        source = self.basis_monomials(d)
+        target_degree = d + f.degree
+        ncols = len(source)
+        if target_degree > self.bound:
+            if self.complete:
+                return QMatrix(0, ncols, ()), 1
+            raise ValueError(f"target degree {target_degree} outside bound {self.bound}")
+        comp = self.components[target_degree]
+        normal_forms = comp.normal_forms
+        terms, scale = f.integer_coeffs()
+        data = [0] * (len(comp.basis) * ncols)
+        for j, b in enumerate(source):
+            for g, c in terms.items():
+                # outside monomial rings two products can share a coordinate: entries add up
+                for i, a in normal_forms[tuple(map(add, g, b))]:
+                    data[i * ncols + j] += c * a
+        return QMatrix(len(comp.basis), ncols, data), scale * comp.denominator
+
+    def map_rank(self, f: HomogPoly, d: int) -> int:
+        """The rank of `integer_map(f, d)`, computed once per form and degree;
+        equal forms share an entry. A pair check after the search for a
+        partner, and a Lefschetz check after a decision drawn from the same
+        seed, ask for the same ranks."""
+        r = self._ranks.get((f, d))
+        if r is None:
+            r = self._ranks[f, d] = rank(self.integer_map(f, d)[0])
+        return r
 
     def basis_poly(self, degree: int, coords) -> HomogPoly:
         """The polynomial with the given coordinates in the quotient basis."""
@@ -362,15 +414,7 @@ def build_quotient(spec: IdealSpec, bound: int) -> GradedQuotient:
     for d, standard in enumerate(_order_ideal(spec.nvars, gens, bound)):
         components.append(_component(spec.nvars, d, standard, below, others))
         below = components[-1], standard
-    dims = tuple(len(c.basis) for c in components)
-    top = dims.index(0) - 1 if 0 in dims else None
-    if top is None:
-        # Standard monomials die before the socle bound, so a bound reaching
-        # the degree before it already shows every later degree is zero.
-        socle = default_bound(spec)
-        if socle is not None and socle - 1 <= bound:
-            top = bound
-    return GradedQuotient(spec, bound, tuple(components), HilbertFn(dims), top)
+    return GradedQuotient(spec, bound, tuple(components))
 
 
 @lru_cache(maxsize=1 << 12)

@@ -15,7 +15,7 @@ from math import lcm
 from operator import add
 
 from ezdlab.exactmat import QMatrix
-from ezdlab.gradedring import GradedQuotient, HilbertFn, _DegreeComponent, default_bound
+from ezdlab.gradedring import GradedQuotient, _DegreeComponent
 from ezdlab.polyring import monomials_of_degree
 from fraction_oracle import fraction_rref
 
@@ -52,12 +52,7 @@ def macaulay_components(spec, bound):
 
 
 def macaulay_ring(spec, bound):
-    """The GradedQuotient of `macaulay_components`, with the top degree
-    `build_quotient` reads off the same dimensions and the socle bound."""
+    """The GradedQuotient of `macaulay_components`, which derives its Hilbert
+    function and top degree from them as it does for `build_quotient`."""
     components = tuple(_DegreeComponent(*c) for c in macaulay_components(spec, bound))
-    dims = tuple(len(c.basis) for c in components)
-    top = dims.index(0) - 1 if 0 in dims else None
-    socle = default_bound(spec)
-    if top is None and socle is not None and socle - 1 <= bound:
-        top = bound
-    return GradedQuotient(spec, bound, components, HilbertFn(dims), top)
+    return GradedQuotient(spec, bound, components)

@@ -11,7 +11,7 @@ compare the two on every trial of the n=3 family and a sample at n=4.
 from fractions import Fraction
 from operator import add
 
-from ezdlab.ezd import annihilator_degree, map_rank
+from ezdlab.ezd import annihilator_degree
 from ezdlab.gradedring import GradedQuotient, build_quotient
 from ezdlab.lab import PartnerSplit
 from ezdlab.polyring import (
@@ -38,7 +38,7 @@ def colon_identity_dims(ring: GradedQuotient, ell: HomogPoly) -> tuple[int, int]
     extended = make_ideal(ring.nvars, list(ring.spec.generators) + [ell])
     section = build_quotient(extended, 2)
     lhs = section.dim(2)
-    rhs = ring.dim(2) - map_rank(ring, ell, 1)
+    rhs = ring.dim(2) - ring.map_rank(ell, 1)
     return lhs, rhs
 
 

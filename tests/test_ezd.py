@@ -1,13 +1,12 @@
 """Multiplication maps, annihilators, pair detection, WLP, socle, conditions."""
 
-import gc
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from ezdlab import ezd, lab
+from ezdlab import ezd, gradedring, lab
 from ezdlab.exactmat import QMatrix, Subspace, kernel_basis, rank, subspace_equal
 from ezdlab.ezd import (
     DegreeRow,
@@ -21,7 +20,6 @@ from ezdlab.ezd import (
     generic_linear_form,
     is_ezd_pair,
     is_gorenstein,
-    map_rank,
     mult_map,
     principal_ideal_degree,
     socle_dims,
@@ -29,7 +27,7 @@ from ezdlab.ezd import (
     wlp_check,
     yoshino_conditions,
 )
-from ezdlab.gradedring import build_quotient, default_bound
+from ezdlab.gradedring import GradedQuotient, build_quotient, default_bound
 from ezdlab.polyring import (
     HomogPoly,
     IdealKind,
@@ -150,7 +148,7 @@ def test_monomial_lookup_maps_match_normal_forms():
                     got = mult_map(ring, f, d)
                     expected = _normal_form_mult_map(oracle, f, d)
                     assert got == expected
-                    n, den = ezd._integer_map(ring, f, d)
+                    n, den = ring.integer_map(f, d)
                     assert all(type(x) is int for x in n.data) and type(den) is int and den >= 1
                     assert QMatrix(n.rows, n.cols, [F(x, den) for x in n.data]) == expected
                     above_one.add(den > 1)
@@ -552,14 +550,14 @@ def _random_complete_intersection(seed):
 
 @pytest.fixture
 def counted_ranks(monkeypatch):
-    """Every matrix `ezd` ranks, in call order."""
+    """Every matrix a ring's `map_rank` ranks, in call order."""
     ranked = []
 
     def counting(m):
         ranked.append(m)
         return rank(m)
 
-    monkeypatch.setattr(ezd, "rank", counting)
+    monkeypatch.setattr(gradedring, "rank", counting)
     return ranked
 
 
@@ -572,13 +570,14 @@ def test_map_rank_ranks_each_form_and_degree_once(monkeypatch, counted_ranks, ma
     (form, degree) once, and every rank served is that of a fresh map."""
     ring = make_ring()
     served = []
+    map_rank = GradedQuotient.map_rank
 
     def recording(ring_, f, d):
         r = map_rank(ring_, f, d)
         served.append((f, d, r))
         return r
 
-    monkeypatch.setattr(ezd, "map_rank", recording)
+    monkeypatch.setattr(GradedQuotient, "map_rank", recording)
     assert generic_ezd_decision(ring, 3, 5).decision is GenericDecision.GENERICALLY_YES
     assert wlp_check(ring, 3, 5).holds
     distinct = {(f, d) for f, d, _ in served}
@@ -593,7 +592,7 @@ def test_map_rank_equal_forms_share_an_entry(counted_ranks):
     f = linear_form([2, -3, 5])
     g = parse_poly("2*x1 - 3*x2 + 5*x3", 3)
     assert f is not g and f == g
-    assert map_rank(ring, f, 1) == map_rank(ring, g, 1) == 3
+    assert ring.map_rank(f, 1) == ring.map_rank(g, 1) == 3
     assert len(counted_ranks) == 1
 
 
@@ -602,20 +601,10 @@ def test_map_rank_rings_share_no_entries(counted_ranks):
     spec = parse_ideal("x1^2, x2^2, x3^3", 3)
     low, high = build_quotient(spec, 4), build_quotient(spec, 6)
     f = linear_form([1, 1, 1])
-    assert map_rank(low, f, 1) == map_rank(high, f, 1)
+    assert low.map_rank(f, 1) == high.map_rank(f, 1)
     assert len(counted_ranks) == 2
-    assert map_rank(low, f, 1) == map_rank(high, f, 1)
+    assert low.map_rank(f, 1) == high.map_rank(f, 1)
     assert len(counted_ranks) == 2
-
-
-def test_map_rank_entries_go_with_the_ring():
-    ring = ring_of("x1^2, x2^2, x3^3", 3, 5)
-    map_rank(ring, linear_form([1, 1, 1]), 1)
-    entries = ezd._MAP_RANKS[ring]
-    assert entries
-    del ring
-    gc.collect()
-    assert all(held is not entries for held in ezd._MAP_RANKS.values())
 
 
 def _artinian_binomial_rings(nvars):
@@ -665,10 +654,11 @@ def test_socle_dims_match_stacked_rank_binomial_and_complete_intersections():
 
 
 def test_internal_ranks_and_kernels_read_integer_maps(monkeypatch):
-    """Every matrix `ezd` ranks or takes the kernel of during a decision, a
-    Lefschetz check, a socle and a pair check of fractional forms holds only
-    ints, on random complete intersections, ideals with fractional
-    coefficients and n = 3 binomial rings."""
+    """Every matrix `ezd` or the ring's `map_rank` ranks, or `ezd` takes the
+    kernel of, during a decision, a Lefschetz check, a socle and a pair
+    check of fractional forms holds only ints, on random complete
+    intersections, ideals with fractional coefficients and n = 3 binomial
+    rings."""
     seen = {"rank": [], "kernel": []}
 
     def spy(name, fn):
@@ -683,6 +673,7 @@ def test_internal_ranks_and_kernels_read_integer_maps(monkeypatch):
     rings += list(_artinian_binomial_rings(3))[::6]
     assert any(c.denominator > 1 for ring in rings for c in ring.components)
     monkeypatch.setattr(ezd, "rank", spy("rank", rank))
+    monkeypatch.setattr(gradedring, "rank", spy("rank", rank))
     monkeypatch.setattr(ezd, "kernel_basis", spy("kernel", kernel_basis))
     for ring in rings:
         generic_ezd_decision(ring)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ezdlab import gradedring, lab
-from ezdlab.exactmat import QMatrix, Subspace
+from ezdlab.exactmat import QMatrix, rank
+from ezdlab.ezd import mult_map
 from ezdlab.gradedring import (
     build_quotient,
     default_bound,
@@ -32,9 +33,9 @@ from ezdlab.polyring import (
     parse_ideal,
     parse_poly,
 )
+from fraction_oracle import fraction_rref
 from macaulay_oracle import macaulay_components, macaulay_ring
 from one_form import in_one_form
-from subspace_oracle import reduce_vector
 
 
 def test_build_squares_bases():
@@ -107,13 +108,14 @@ def test_normal_forms_are_in_the_one_form(case):
     """Every normal-form table entry and every `normal_form` coordinate is an
     int or a Fraction with denominator other than 1, and `normal_form` equals
     the all-Fraction sum over the table, each entry over its degree's
-    denominator."""
+    denominator, and the one column of p's map from degree 0."""
     spec, p = case
     ring = build_quotient(spec, 3)
     for comp in ring.components:
         assert all(in_one_form(a) for nf in comp.normal_forms.values() for _, a in nf)
     coords = ring.normal_form(p)
     assert all(map(in_one_form, coords)), coords
+    assert coords == mult_map(ring, p, 0).data
     expected = [Fraction(0)] * ring.dim(p.degree)
     comp = ring.components[p.degree]
     for m, c in p.coeffs.items():
@@ -350,17 +352,21 @@ def test_monomial_oracle_equivalence_random():
 
 
 def _reduced_normal_form(spec, p):
-    """The normal-form oracle: p's coefficient vector reduced by the echelon
-    basis of every generator multiple, on the non-pivot monomials."""
+    """The normal-form oracle: p's coefficient vector reduced by the rows of
+    `fraction_rref` of every generator multiple, on the non-pivot monomials,
+    so no elimination code is shared with the build."""
     monos = monomials_of_degree(spec.nvars, p.degree)
     multiples = [
         HomogPoly.from_monomial(m) * g
         for g in spec.generators if g.degree <= p.degree
         for m in monomials_of_degree(spec.nvars, p.degree - g.degree)
     ]
-    relations = Subspace.from_vectors(len(monos), ([q.coefficient(m) for m in monos] for q in multiples))
-    v = reduce_vector(relations, [p.coefficient(m) for m in monos])
-    pivots = {pivot for pivot, _ in relations.rows}
+    data = [q.coefficient(m) for q in multiples for m in monos]
+    red, pivots = fraction_rref(QMatrix(len(multiples), len(monos), data))
+    v = [Fraction(p.coefficient(m)) for m in monos]
+    for i, pivot in enumerate(pivots):
+        c = v[pivot]
+        v = [x - c * y for x, y in zip(v, red.row(i))]
     free = [j for j in range(len(monos)) if j not in pivots]
     return tuple(monos[j] for j in free), tuple(v[j] for j in free)
 
@@ -697,12 +703,21 @@ def test_values_and_rings_round_trip(round_trip):
     spec = parse_ideal("x1^2 + x2*x3, x2^2, x3^2, x1*x2", 3)
     assert round_trip(spec) == spec
     ring = build_quotient(spec, 5)
+    assert not ring._ranks  # a fresh build remembers no rank
+    forms = [parse_poly(text, 3) for text in ("x1 + 2*x2 - x3", "x1*x3 - 1/2*x2^2")]
+    ranks = [ring.map_rank(f, d) for f in forms for d in range(3)]
+    assert len(ring._ranks) == 6
     copied = round_trip(ring)
     assert copied.hilbert == ring.hilbert
     assert copied.top_degree == ring.top_degree
     for text in ("x1*x3 + 2*x2*x3", "x1^2*x3 - x3^3", "x1*x2*x3"):
         q = parse_poly(text, 3)
         assert copied.normal_form(q) == ring.normal_form(q)
+    # the memo travels with the copy and serves the same ranks as fresh maps
+    assert copied._ranks == ring._ranks
+    assert [copied.map_rank(f, d) for f in forms for d in range(3)] == ranks
+    assert ranks == [rank(ring.integer_map(f, d)[0]) for f in forms for d in range(3)]
+    assert not build_quotient(spec, 5)._ranks
 
 
 def test_value_types_are_frozen():

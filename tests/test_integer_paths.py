@@ -15,7 +15,8 @@ from pathlib import Path
 from ezdlab import cli, ezd, gradedring, lab
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-INTEGER_ONLY = (gradedring.build_quotient, ezd.map_rank, ezd.wlp_check, ezd.socle_dims, ezd.colon_identity_dims)
+INTEGER_ONLY = (gradedring.build_quotient, gradedring.GradedQuotient.map_rank, ezd.wlp_check, ezd.socle_dims,
+                ezd.colon_identity_dims)
 RETURNING = (ezd.find_ezd_complement, ezd.generic_ezd_decision, lab.decompose_partner)
 
 

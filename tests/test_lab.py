@@ -19,7 +19,7 @@ from ezdlab.ezd import (
     hilbert_admits_pair,
     mult_map,
 )
-from ezdlab.gradedring import build_quotient, default_bound, monomial_hilbert, socle_bound
+from ezdlab.gradedring import GradedQuotient, build_quotient, default_bound, monomial_hilbert, socle_bound
 from ezdlab.lab import (
     ScanConfig,
     check_split_support,
@@ -471,22 +471,23 @@ def test_flat_json_refuses_nested_fields():
 def test_binomial_scan_degree_one_builds(monkeypatch):
     """ann1_dims is read from the colon identity, so it builds no map of its own."""
     builds = []
-    integer_map = ezd._integer_map
+    integer_map = GradedQuotient.integer_map
 
     def counting(ring, f, d):
         if f.degree == 1 and d == 1:
             builds.append(f)
         return integer_map(ring, f, d)
 
-    assert not hasattr(lab, "mult_map")  # so every build goes through ezd
-    # the public mult_map divides the integer builder's map; every rank,
+    assert not hasattr(lab, "mult_map")  # so every build goes through the ring
+    # the public mult_map divides the ring's integer map; every rank,
     # kernel and zero test reads the integer map directly
-    monkeypatch.setattr(ezd, "_integer_map", counting)
+    monkeypatch.setattr(GradedQuotient, "integer_map", counting)
     report = scan_binomial(ScanConfig(3, seed=1, workers=1))
     assert report.examined == 54
     # 54 rings x 3 trials = 162 (ring, form) pairs. colon_identity_dims ranks
-    # each ell on R_1 first, through ezd.map_rank, so that is one build per
-    # pair, and every later rank of ell from degree 1 is read from the table.
+    # each ell on R_1 first, through the ring's map_rank, so that is one
+    # build per pair, and every later rank of ell from degree 1 is read from
+    # the ring's rank memo.
     # The Hilbert series of 15 of the 54 rings admits no linear form in an
     # exact pair, so find_ezd_complement builds no map for their 45 pairs.
     rejected = sum(1 for r in report.instances if not hilbert_admits_pair(r.hilbert))

@@ -1,7 +1,8 @@
 """The package's modules form layers, each importing only from those below:
 exactmat < polyring < gradedring < ezd < lab < cli. The package root and
 `__main__` are entry points above every layer. No module imports another
-module's private (underscore) name."""
+module's private (underscore) name. Only `gradedring` reads a ring's
+normal-form table: every other module asks the ring for maps and ranks."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,16 @@ def _private_imports(source: str) -> list[tuple[int, str]]:
         and (node.level > 0 or (node.module or "").split(".")[0] == "ezdlab")
         for alias in node.names
         if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+
+
+def _table_reads(source: str) -> list[tuple[int, str]]:
+    """(line, name) for every attribute named `components` or `normal_forms`
+    the source reads, whatever object it is read from."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in {"components", "normal_forms"}
     )
 
 
@@ -94,3 +105,23 @@ def test_no_module_imports_a_private_name():
         for line, name in _private_imports(path.read_text())
     ]
     assert not private, f"imports of another module's private name: {private}"
+
+
+def test_table_walker_finds_every_read():
+    source = (
+        "comp = ring.components[d]\n"
+        "nf = comp.normal_forms\n"
+        "def f(r):\n    return r.components[0].normal_forms[m]\n"
+        "components = normal_forms = None\n"
+    )
+    assert _table_reads(source) == [(1, "components"), (2, "normal_forms"), (4, "components"), (4, "normal_forms")]
+
+
+def test_only_gradedring_reads_the_normal_form_table():
+    reads = [
+        f"{path.name}:{line} reads .{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "gradedring"
+        for line, name in _table_reads(path.read_text())
+    ]
+    assert not reads, f"reads of a ring's normal-form table outside gradedring: {reads}"
