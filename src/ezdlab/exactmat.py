@@ -13,8 +13,9 @@ back-substitute and gives each row a positive pivot: the row of the unique
 reduced row echelon form over the rationals times the lcm of its
 denominators. `Subspace`, the one echelon-basis type, stores these integer
 rows sparsely, so two subspaces are equal exactly when their rows are;
-graded quotients and kernels read them as they are. Only the public
-boundary divides by the pivots: `rref`, `Subspace.basis` and `ratio`.
+graded quotients and kernels read them as they are. Its one constructor,
+`Subspace.from_vectors`, is the only caller of `_echelon_rows`. Only the
+public boundary divides by the pivots: `rref`, `Subspace.basis` and `ratio`.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     equal output. Its nonzero rows are the `basis` of the row space's
     `Subspace`, followed by zero rows.
     """
-    sub = Subspace(m.cols, _echelon_rows(_integer_rows(m), m.cols))
+    sub = Subspace.from_vectors(m.cols, map(m.row, range(m.rows)))
     flat = [x for v in sub.basis for x in v] + [0] * ((m.rows - sub.dim) * m.cols)
     return QMatrix(m.rows, m.cols, flat), tuple(p for p, _ in sub.rows)
 
@@ -173,8 +174,6 @@ def rank(m: QMatrix) -> int:
     It is the forward pass of `rref` alone: nothing above a pivot is
     cleared, nothing is divided and no Fraction is built.
     """
-    if not (m.rows and m.cols):
-        return 0
     return len(_eliminate([row for row in _integer_rows(m) if any(row)], m.cols))
 
 
@@ -213,6 +212,7 @@ class Subspace:
     int entries, the pivot's first. Each is the reduced echelon row times
     the lcm of its denominators, primitive with a positive pivot, so equal
     subspaces compare equal as values. `basis` divides by the pivots.
+    Build one only with `from_vectors`, which puts its rows in this form.
     """
 
     ambient_dim: int
@@ -220,21 +220,17 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
+        """The span of `vectors` in Q^ambient_dim; no vectors give the zero subspace.
+
+        This is the one way to build a Subspace. Each vector is copied as
+        an int row (`_integer_row`: a float raises TypeError), so the
+        caller's sequences are left as they are, and a vector whose length
+        is not `ambient_dim` raises ValueError.
+        """
         a = [_integer_row(v) for v in vectors]
         if any(len(v) != ambient_dim for v in a):
             raise ValueError("vector length does not match ambient dimension")
         return cls(ambient_dim, _echelon_rows(a, ambient_dim))
-
-    @classmethod
-    def from_sparse(cls, ambient_dim: int, rows: Iterable[dict[int, int]]) -> "Subspace":
-        """The span of integer rows given as {column: entry} dicts."""
-        zeros = [0] * ambient_dim
-        a = [list(map(r.get, range(ambient_dim), zeros)) for r in rows]
-        return cls(ambient_dim, _echelon_rows(a, ambient_dim))
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
 
     @property
     def dim(self) -> int:
@@ -257,14 +253,14 @@ def kernel_basis(m: QMatrix) -> Subspace:
     column f puts -a*L/p_i at c_i in the kernel vector with L at f, for L
     the lcm of the p_i; these vectors, one per free column, span the kernel.
     """
-    rows = _echelon_rows(_integer_rows(m), m.cols)
+    rows = Subspace.from_vectors(m.cols, map(m.row, range(m.rows))).rows
     scale = lcm(*(row[0][1] for _, row in rows))
     pivots = {p for p, _ in rows}
     vecs = {f: [scale if j == f else 0 for j in range(m.cols)] for f in range(m.cols) if f not in pivots}
     for p, ((_, pv), *rest) in rows:
         for f, a in rest:
             vecs[f][p] = -a * (scale // pv)
-    return Subspace(m.cols, _echelon_rows(list(vecs.values()), m.cols))
+    return Subspace.from_vectors(m.cols, vecs.values())
 
 
 def subspace_equal(a: Subspace, b: Subspace) -> bool:

@@ -87,7 +87,7 @@ def principal_ideal_degree(ring: GradedQuotient, y: HomogPoly, d: int) -> Subspa
     """
     dim_d = ring.dim(d)
     if y.is_zero() or d < y.degree:
-        return Subspace.zero(dim_d)
+        return Subspace.from_vectors(dim_d, ())
     m = ring.integer_map(y, d - y.degree)[0]
     return Subspace.from_vectors(dim_d, (m.data[j :: m.cols] for j in range(m.cols)))
 
@@ -272,7 +272,7 @@ def find_ezd_complement(ring: GradedQuotient, ell: HomogPoly) -> tuple[HomogPoly
             continue
         if nullity >= 2:
             return None
-        q = ring.basis_poly(t, kernel_basis(ring.integer_map(ell, t)[0]).basis[0])
+        q = ring.basis_poly(t, annihilator_degree(ring, ell, t).basis[0])
         report = is_ezd_pair(ring, ell, q)
         if report.verdict is PairVerdict.EXACT_PAIR:
             return q, report

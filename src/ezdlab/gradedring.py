@@ -318,16 +318,19 @@ def _read_off(
     reducers: dict[Monomial, dict[int, int]],
     den: int,
 ) -> tuple[list[Monomial], int]:
-    """Eliminate the border-only `rows` on the border columns `cols`, enter
-    the normal forms of the border pivots and of the leads of `reducers`
-    into `normal_forms` times their least common denominator D_d, and
-    return the quotient basis, the non-pivot border columns, and D_d.
+    """Eliminate the border-only `rows`, integer {column: entry} dicts on
+    the border columns `cols`, densified here for `Subspace.from_vectors`;
+    enter the normal forms of the border pivots and of the leads of
+    `reducers` into `normal_forms` times their least common denominator
+    D_d; and return the quotient basis, the non-pivot border columns, and D_d.
 
     A border pivot's normal form is minus the rest of its echelon row over
     its pivot entry. A reducer is den times its lead L plus a tail on the
     border, so NF(L) is minus the tail reduced by the echelon rows, over den.
     """
-    echelon = dict(Subspace.from_sparse(len(cols), rows).rows)  # border pivot -> its row
+    zeros = [0] * len(cols)
+    dense = (list(map(r.get, range(len(cols)), zeros)) for r in rows)
+    echelon = dict(Subspace.from_vectors(len(cols), dense).rows)  # border pivot -> its row
     free = [k for k in range(len(cols)) if k not in echelon]
     coord = {k: q for q, k in enumerate(free)}  # border column -> quotient coordinate
     # with scale the lcm of the pivot entries, each normal form is -a / (den * scale), a integral

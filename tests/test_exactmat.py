@@ -57,7 +57,7 @@ def test_kernel_line():
 def test_kernel_identity_is_zero():
     ker = kernel_basis(mat([[1, 0], [0, 1]]))
     assert ker.dim == 0
-    assert ker == Subspace.zero(2)
+    assert ker == Subspace.from_vectors(2, [])
 
 
 def test_kernel_zero_row_is_everything():
@@ -79,12 +79,12 @@ def test_subspace_equal_different_lines():
 
 
 def test_subspace_equal_zero():
-    assert subspace_equal(Subspace.zero(3), Subspace.from_vectors(3, [[0, 0, 0]]))
+    assert subspace_equal(Subspace.from_vectors(3, []), Subspace.from_vectors(3, [[0, 0, 0]]))
 
 
 def test_subspace_ambient_mismatch():
     with pytest.raises(ValueError):
-        subspace_equal(Subspace.zero(2), Subspace.zero(3))
+        subspace_equal(Subspace.from_vectors(2, []), Subspace.from_vectors(3, []))
 
 
 def test_subspace_contains():

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -40,6 +39,7 @@ from ezdlab.polyring import (
     parse_poly,
 )
 from ezdlab.lab import ScanConfig, enumerate_monomial_ideals
+import binomial_family
 from macaulay_oracle import macaulay_ring
 from socle_oracle import socle_dims_by_stacked_rank
 from subspace_oracle import contains
@@ -88,7 +88,7 @@ def _normal_form_mult_map(oracle, f, d):
 def _normal_form_principal_ideal(oracle, y, d):
     """The principal_ideal_degree oracle, built from the oracle ring's normal forms."""
     if d < y.degree:
-        return Subspace.zero(oracle.dim(d))
+        return Subspace.from_vectors(oracle.dim(d), [])
     shifts = monomials_of_degree(oracle.nvars, d - y.degree)
     vectors = [oracle.normal_form(HomogPoly.from_monomial(m) * y) for m in shifts]
     return Subspace.from_vectors(oracle.dim(d), vectors)
@@ -610,13 +610,10 @@ def test_map_rank_rings_share_no_entries(counted_ranks):
 def _artinian_binomial_rings(nvars):
     """Every Artinian J + (f1 + f2) of the binomial family, with J, f1 and f2
     in degree 2 and neither f_i in J, built to the bound the scan uses."""
-    quadrics = monomials_of_degree(nvars, 2)
-    for mask in range(1 << len(quadrics)):
-        j = tuple(m for i, m in enumerate(quadrics) if mask >> i & 1)
-        for f1, f2 in combinations(quadrics, 2):
-            if f1 not in j and f2 not in j and lab._binomial_is_artinian(nvars, j, f1, f2):
-                gens = [HomogPoly.from_monomial(m) for m in j] + [HomogPoly(nvars, 2, [(f1, 1), (f2, 1)])]
-                yield build_quotient(make_ideal(nvars, gens), max(lab.BINOMIAL_DEFAULT_BOUND, nvars + 1))
+    for j, f1, f2 in binomial_family.candidates(nvars):
+        if f1 not in j and f2 not in j and lab._binomial_is_artinian(nvars, j, f1, f2):
+            spec = binomial_family.spec(nvars, j, f1, f2)
+            yield build_quotient(spec, max(lab.BINOMIAL_DEFAULT_BOUND, nvars + 1))
 
 
 def _rational_ideal_ring(rng):

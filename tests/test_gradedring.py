@@ -5,7 +5,6 @@ import pickle
 import random
 from dataclasses import fields
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 import pytest
@@ -33,6 +32,7 @@ from ezdlab.polyring import (
     parse_ideal,
     parse_poly,
 )
+import binomial_family
 from fraction_oracle import fraction_rref
 from macaulay_oracle import macaulay_components, macaulay_ring
 from one_form import in_one_form
@@ -432,13 +432,9 @@ def test_normal_form_tables_are_least_integer_scalings():
 
 def _binomial_family(nvars):
     """Every J + (f1 + f2) with J, f1, f2 in degree 2 and neither f_i in J."""
-    quadrics = monomials_of_degree(nvars, 2)
-    for mask in range(1 << len(quadrics)):
-        j = [m for i, m in enumerate(quadrics) if mask >> i & 1]
-        for f1, f2 in combinations(quadrics, 2):
-            if f1 not in j and f2 not in j:
-                binomial = HomogPoly(nvars, 2, [(f1, 1), (f2, 1)])
-                yield make_ideal(nvars, [HomogPoly.from_monomial(m) for m in j] + [binomial])
+    for j, f1, f2 in binomial_family.candidates(nvars):
+        if f1 not in j and f2 not in j:
+            yield binomial_family.spec(nvars, j, f1, f2)
 
 
 def test_binomial_family_builds_match_elimination():
@@ -480,15 +476,15 @@ def test_mixed_ideal_builds_match_elimination():
 def _eliminated_widths(monkeypatch, spec, bound):
     """The ring and the column count of each elimination its build runs."""
     widths = []
-    from_sparse = gradedring.Subspace.from_sparse
+    from_vectors = gradedring.Subspace.from_vectors
 
     def spy(ambient_dim, rows):
         rows = list(rows)
-        assert all(0 <= k < ambient_dim for row in rows for k in row)
+        assert all(len(row) == ambient_dim for row in rows)
         widths.append(ambient_dim)
-        return from_sparse(ambient_dim, rows)
+        return from_vectors(ambient_dim, rows)
 
-    monkeypatch.setattr(gradedring.Subspace, "from_sparse", spy)
+    monkeypatch.setattr(gradedring.Subspace, "from_vectors", spy)
     ring = build_quotient(spec, bound)
     monkeypatch.undo()
     return ring, widths

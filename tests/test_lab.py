@@ -31,7 +31,6 @@ from ezdlab.lab import (
     scan_monomial,
 )
 from ezdlab.polyring import (
-    HomogPoly,
     divides,
     format_ideal,
     format_poly,
@@ -44,6 +43,7 @@ from ezdlab.polyring import (
     parse_poly,
 )
 
+import binomial_family
 from support_oracle import check_support_multiples
 
 F = Fraction
@@ -310,35 +310,18 @@ def test_binomial_scan_determinism_across_workers():
     assert r2.examined == 54
 
 
-def binomial_payloads(nvars):
-    """The binomial scan's candidates in index order, enumerated independently:
-    (J exponents, f1, f2) with J any set of degree-2 monomials and f1 < f2."""
-    deg2 = monomials_of_degree(nvars, 2)
-    return [
-        (tuple(e for i, e in enumerate(deg2) if mask >> i & 1), f1, f2)
-        for mask in range(1 << len(deg2))
-        for f1, f2 in combinations(deg2, 2)
-    ]
-
-
-def binomial_spec(nvars, j_exps, f1, f2):
-    gens = [HomogPoly.from_monomial(e) for e in j_exps]
-    gens.append(HomogPoly(nvars, 2, [(f1, 1), (f2, 1)]))
-    return polyring.make_ideal(nvars, gens)
-
-
 def test_binomial_support_test_matches_build_oracle():
     """The support test against build_quotient(spec, 6).complete. An Artinian
     ideal generated by quadrics holds a regular sequence of n quadrics, so its
     ring vanishes by degree n + 1 <= 6 here and the bound decides."""
-    n3 = [(3, p) for p in binomial_payloads(3) if p[1] not in p[0] and p[2] not in p[0]]
+    n3 = [(3, p) for p in binomial_family.candidates(3) if p[1] not in p[0] and p[2] not in p[0]]
     assert len(n3) == 240
-    n4 = [p for p in binomial_payloads(4) if p[1] not in p[0] and p[2] not in p[0]]
+    n4 = [p for p in binomial_family.candidates(4) if p[1] not in p[0] and p[2] not in p[0]]
     sample = [(4, p) for p in random.Random(2024).sample(n4, 200)]
     verdicts = set()
     for n, (j_exps, f1, f2) in n3 + sample:
         artinian = lab._binomial_is_artinian(n, j_exps, f1, f2)
-        assert artinian == build_quotient(binomial_spec(n, j_exps, f1, f2), 6).complete, (
+        assert artinian == build_quotient(binomial_family.spec(n, j_exps, f1, f2), 6).complete, (
             n, j_exps, f1, f2,
         )
         verdicts.add((n, artinian))
@@ -410,7 +393,7 @@ def test_binomial_ideal_text_matches_format_ideal():
     """Each record's ideal text, formatted from exponents, is format_ideal's."""
     report = scan_binomial(ScanConfig(3, seed=1))
     texts = {r.index: r.ideal for r in report.instances + report.skipped}
-    expected = [format_ideal(binomial_spec(3, *p)) for p in binomial_payloads(3)]
+    expected = [format_ideal(binomial_family.spec(3, *p)) for p in binomial_family.candidates(3)]
     assert len(expected) == 960
     assert [texts[i] for i in range(960)] == expected
 

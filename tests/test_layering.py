@@ -2,7 +2,9 @@
 exactmat < polyring < gradedring < ezd < lab < cli. The package root and
 `__main__` are entry points above every layer. No module imports another
 module's private (underscore) name. Only `gradedring` reads a ring's
-normal-form table: every other module asks the ring for maps and ranks."""
+normal-form table: every other module asks the ring for maps and ranks.
+An echelon form has one door, `Subspace.from_vectors`, and a ring kernel
+in `ezd` another, `annihilator_degree`."""
 
 import ast
 from pathlib import Path
@@ -56,6 +58,59 @@ def _table_reads(source: str) -> list[tuple[int, str]]:
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Attribute) and node.attr in {"components", "normal_forms"}
     )
+
+
+def _door_bypasses(source: str, module: str) -> list[tuple[int, str]]:
+    """(line, callee) for every call that goes round a door: `Subspace(...)`;
+    `cls(...)` inside class `Subspace` or `_echelon_rows(...)` anywhere,
+    outside `from_vectors`; and `kernel_basis(...)` in `ezd` outside
+    `annihilator_degree`. A call is placed in its innermost function."""
+    found = []
+
+    def visit(node, cls, fn):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if (
+                name == "Subspace"
+                or (name == "cls" and isinstance(f, ast.Name) and cls == "Subspace" and fn != "from_vectors")
+                or (name == "_echelon_rows" and fn != "from_vectors")
+                or (name == "kernel_basis" and module == "ezd" and fn != "annihilator_degree")
+            ):
+                found.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, fn)
+
+    visit(ast.parse(source), None, None)
+    return sorted(found)
+
+
+def test_door_walker_finds_every_bypass():
+    source = (
+        "a = Subspace(2, ())\n"
+        "class Subspace:\n"
+        "    def from_vectors(cls, n, vs):\n        return cls(n, _echelon_rows(vs, n))\n"
+        "    def zero(cls, n):\n        return cls(n, ())\n"
+        "def kernel(m):\n    return exactmat.Subspace(m.cols, _echelon_rows(m, m.cols))\n"
+        "def annihilator_degree(r, f, d):\n    return kernel_basis(r)\n"
+        "def partner(r):\n    return kernel_basis(r)\n"
+    )
+    outside_ezd = [(1, "Subspace"), (6, "cls"), (8, "Subspace"), (8, "_echelon_rows")]
+    assert _door_bypasses(source, "exactmat") == outside_ezd
+    assert _door_bypasses(source, "ezd") == outside_ezd + [(12, "kernel_basis")]
+
+
+def test_echelon_forms_and_ring_kernels_have_one_door():
+    bypasses = [
+        f"{path.name}:{line} calls {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _door_bypasses(path.read_text(), path.stem)
+    ]
+    assert not bypasses, f"calls round Subspace.from_vectors or annihilator_degree: {bypasses}"
 
 
 def test_walker_finds_every_import_form():

@@ -3,30 +3,24 @@
 support check, on every trial of the n=3 family and a seeded n=4 sample."""
 
 import random
-from itertools import combinations, product
 
 import pytest
 
+import binomial_family
 import partner_oracle as oracle
 from ezdlab import lab
 from ezdlab.ezd import colon_identity_dims, derived_seed, find_ezd_complement, generic_linear_form
 from ezdlab.gradedring import build_quotient
 from ezdlab.lab import check_split_support, decompose_partner
-from ezdlab.polyring import HomogPoly, make_ideal, monomials_of_degree, parse_ideal, parse_poly
+from ezdlab.polyring import HomogPoly, parse_ideal, parse_poly
 
 
 def _examined_rings(n):
     """(index, spec) of each candidate `scan_binomial` builds, in index order."""
-    deg2 = monomials_of_degree(n, 2)
-    subsets = [
-        tuple(e for i, e in enumerate(deg2) if mask >> i & 1) for mask in range(1 << len(deg2))
-    ]
-    for idx, (j_exps, (f1, f2)) in enumerate(product(subsets, combinations(deg2, 2))):
+    for idx, (j_exps, f1, f2) in enumerate(binomial_family.candidates(n)):
         if f1 in j_exps or f2 in j_exps or not lab._binomial_is_artinian(n, j_exps, f1, f2):
             continue
-        gens = [HomogPoly.from_monomial(e) for e in j_exps]
-        gens.append(HomogPoly(n, 2, [(f1, 1), (f2, 1)]))
-        yield idx, make_ideal(n, gens)
+        yield idx, binomial_family.spec(n, j_exps, f1, f2)
 
 
 def _coeff_types(p):
