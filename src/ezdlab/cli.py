@@ -18,8 +18,9 @@ command:
 - hilbert, socle and yoshino never exit 1 (yoshino's FAIL marks exit 0);
 - ezd exits 1 unless the decision is generically_yes, and with --form
   unless an exact partner of the form is found;
-- wlp exits 1 when the weak Lefschetz property fails (and 2 on a ring that
-  does not vanish within the degree bound);
+- wlp exits 1 when the weak Lefschetz property fails;
+- ezd, wlp and socle exit 2 on a ring that may not vanish past its degree
+  bound, since their answers speak of every degree;
 - example exits 1 without an exact pair;
 - scan exits 1 on any counterexample.
 """
@@ -141,13 +142,14 @@ def _hilbert(args, ring):
     values = ring.hilbert.values
     artinian = is_artinian_within(ring)
     line = f"artinian: {_yes(artinian)}"
-    if ring.top_degree is not None:
-        line += f" (top degree {ring.top_degree})"
+    top = ring.top_degree if ring.complete else None
+    if top is not None:
+        line += f" (top degree {top})"
     fields = {
         "values": list(values),
         "artinian": artinian,
         "artinian_within_bound": ring.hilbert.artinian_within_bound,
-        "top_degree": ring.top_degree,
+        "top_degree": top,
     }
     return 0, fields, [f"H(0..{ring.bound}): " + " ".join(str(v) for v in values), line]
 
@@ -170,8 +172,6 @@ def _ezd(args, ring):
     ell = parse_poly(args.form, args.nvars)
     if ell.degree != 1:
         raise ValueError("--form must be a linear form")
-    if not ring.complete:
-        raise ValueError("ring does not vanish within the degree bound; raise the bound")
     ann_dims = [ring.dim(d) - ring.map_rank(ell, d) for d in range(ring.top_degree + 1)]
     found = find_ezd_complement(ring, ell)
     lines = [

@@ -95,7 +95,6 @@ def principal_ideal_degree(ring: GradedQuotient, y: HomogPoly, d: int) -> Subspa
 class PairVerdict(Enum):
     EXACT_PAIR = "exact_pair"
     NOT_PAIR = "not_pair"
-    TRUNCATED = "truncated"
 
 
 @dataclass(frozen=True)
@@ -142,11 +141,6 @@ def is_ezd_pair(ring: GradedQuotient, x: HomogPoly, y: HomogPoly) -> EzdReport:
     z, so (y)_d lies in Ann(x)_d exactly when d < deg y or d - deg y >= z.
     """
     ring_id = format_ideal(ring.spec)
-    if not ring.complete:
-        return EzdReport(
-            ring_id, x, y, False, (), PairVerdict.TRUNCATED,
-            "ring does not vanish within the degree bound; raise the bound",
-        )
     top = ring.top_degree
     r_x = [ring.map_rank(x, d) for d in range(top + 1)]
     r_y = [ring.map_rank(y, d) for d in range(top + 1)]
@@ -259,13 +253,15 @@ def find_ezd_complement(ring: GradedQuotient, ell: HomogPoly) -> tuple[HomogPoly
     The candidate is the canonical generator of that piece (first nonzero
     coordinate scaled to 1); the full pair check then decides. A linear
     form whose ring fails `hilbert_admits_pair` has no partner, and no
-    map is built.
+    map is built. None means no partner; a ring that may not vanish past
+    its bound is refused with ValueError, as by every analysis, since a
+    partner may lie past the bound.
     """
-    if not ring.complete or ell.is_zero():
+    top = ring.top_degree
+    if ell.is_zero():
         return None
     if ell.degree == 1 and not hilbert_admits_pair(ring.hilbert.values):
         return None
-    top = ring.top_degree
     for t in range(top + 1):
         nullity = ring.dim(t) - ring.map_rank(ell, t)
         if nullity == 0:
@@ -338,8 +334,6 @@ def generic_ezd_decision(ring: GradedQuotient, trials: int = 3, seed: int = 0) -
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not ring.complete:
-        raise ValueError("ring does not vanish within the degree bound; raise the bound")
     exact = ring.spec.kind is IdealKind.MONOMIAL
     if exact:
         forms = [linear_form([1] * ring.nvars)]
@@ -388,10 +382,6 @@ def wlp_check(ring: GradedQuotient, trials: int = 3, seed: int = 0) -> WlpReport
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not ring.complete:
-        raise ValueError(
-            "weak Lefschetz check needs a ring that vanishes within the degree bound; raise the bound"
-        )
     top = ring.top_degree
     per_trial_ranks = []
     for t in range(trials):
@@ -418,8 +408,6 @@ def socle_dims(ring: GradedQuotient) -> tuple[int, ...]:
     `generic_ezd_decision`) is injective it is zero, and the rank comes
     from `map_rank`. Every other degree ranks the variables' maps stacked.
     """
-    if not ring.complete:
-        raise ValueError("socle needs a ring that vanishes within the degree bound")
     ell = generic_linear_form(ring.nvars, derived_seed(0, 0))
     dims = []
     for d in range(ring.top_degree + 1):

@@ -107,16 +107,18 @@ class _DegreeComponent:
 class GradedQuotient:
     """Per-degree bases and normal-form operators for R = P/I, degrees 0..bound.
 
-    `top_degree` is the last degree with a nonzero piece when every degree
-    past the bound is known to vanish, and None otherwise. The ring's value
-    is frozen; the ranks `map_rank` remembers are derived from it.
+    `top_degree` is the last degree with a nonzero piece. It is known only
+    when every degree past the bound is known to vanish (`complete`), and
+    reading it on any other ring raises ValueError: every analysis reads it,
+    so a ring that may not vanish is refused in this one place. The ring's
+    value is frozen; the ranks `map_rank` remembers are derived from it.
     """
 
     spec: IdealSpec
     bound: int
     components: tuple[_DegreeComponent, ...]
     hilbert: HilbertFn = field(init=False)
-    top_degree: int | None = field(init=False)
+    _top: int | None = field(init=False, repr=False)
     _ranks: dict = field(init=False, repr=False, default_factory=dict)  # (form, degree) -> rank
 
     def __post_init__(self) -> None:
@@ -129,7 +131,7 @@ class GradedQuotient:
             if socle is not None and socle - 1 <= self.bound:
                 top = self.bound
         object.__setattr__(self, "hilbert", HilbertFn(dims))
-        object.__setattr__(self, "top_degree", top)
+        object.__setattr__(self, "_top", top)
 
     @property
     def nvars(self) -> int:
@@ -138,7 +140,14 @@ class GradedQuotient:
     @property
     def complete(self) -> bool:
         """Whether every degree past the bound is known to vanish."""
-        return self.top_degree is not None
+        return self._top is not None
+
+    @property
+    def top_degree(self) -> int:
+        """The last degree with a nonzero piece, -1 for the zero ring."""
+        if self._top is None:
+            raise ValueError("ring does not vanish within the degree bound; raise the bound")
+        return self._top
 
     def dim(self, degree: int) -> int:
         return len(self.basis_monomials(degree))

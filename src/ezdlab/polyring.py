@@ -225,20 +225,12 @@ class HomogPoly:
 
 def variable(nvars: int, index: int) -> HomogPoly:
     """The linear form x_{index+1} (zero-based index)."""
-    exps = [0] * nvars
-    exps[index] = 1
-    return HomogPoly.from_monomial(tuple(exps))
+    return HomogPoly.from_monomial(monomials_of_degree(nvars, 1)[index])
 
 
 def linear_form(coeffs: Sequence) -> HomogPoly:
     """Linear form with the given coefficient vector."""
-    n = len(coeffs)
-    terms = []
-    for i, c in enumerate(coeffs):
-        exps = [0] * n
-        exps[i] = 1
-        terms.append((tuple(exps), c))
-    return HomogPoly(n, 1, terms)
+    return HomogPoly(len(coeffs), 1, zip(monomials_of_degree(len(coeffs), 1), coeffs))
 
 
 class IdealKind(Enum):

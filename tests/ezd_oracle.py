@@ -9,9 +9,10 @@ def find_ezd_complement_by_ranks(ring, ell):
     """`find_ezd_complement` without its series test: the least degree t
     where Ann(ell) is nonzero must be one-dimensional, and its canonical
     generator must pass the full pair check."""
-    if not ring.complete or ell.is_zero():
+    top = ring.top_degree
+    if ell.is_zero():
         return None
-    for t in range(ring.top_degree + 1):
+    for t in range(top + 1):
         m = mult_map(ring, ell, t)
         nullity = m.cols - rank(m)
         if nullity == 0:

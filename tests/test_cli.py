@@ -361,9 +361,7 @@ def test_wlp_truncated_ring_exits_2(capsys, fmt):
     code, out, err = run(capsys, "wlp", "-n", "3", "-D", "2", "x1^3, x2^3, x3^3, x1*x2*x3", "--format", fmt)
     assert code == 2
     assert out == ""
-    assert err == (
-        "error: weak Lefschetz check needs a ring that vanishes within the degree bound; raise the bound\n"
-    )
+    assert err == "error: ring does not vanish within the degree bound; raise the bound\n"
     code, out, _ = run(capsys, "wlp", "-n", "3", "x1^3, x2^3, x3^3, x1*x2*x3")
     assert code == 1
     assert "3 | 6 | 6 | 5 | no" in out
@@ -675,6 +673,19 @@ def test_ezd_form_truncated_ring_exits_2(capsys, fmt):
     assert code == 2
     assert out == ""
     assert "ring does not vanish within the degree bound; raise the bound" in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize(
+    "command", [["ezd"], ["ezd", "--form", "x1+x2"], ["wlp"], ["socle"]], ids=["ezd", "ezd-form", "wlp", "socle"]
+)
+def test_a_ring_cut_off_at_its_bound_exits_2(capsys, command, fmt):
+    """x1^2, x2^2 built to degree 1 may not vanish past it: every command
+    whose answer speaks of all degrees refuses it with the one message."""
+    code, out, err = run(capsys, *command, "-n", "2", "-D", "1", "x1^2, x2^2", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "error: ring does not vanish within the degree bound; raise the bound\n"
 
 
 def test_both_sources_rejected(tmp_path, capsys):

@@ -45,6 +45,7 @@ from socle_oracle import socle_dims_by_stacked_rank
 from subspace_oracle import contains
 
 F = Fraction
+REFUSED = "^ring does not vanish within the degree bound; raise the bound$"  # a ring that may not vanish
 
 
 def ring_of(text, n, bound):
@@ -233,8 +234,8 @@ def test_is_ezd_pair_symmetric():
 
 def test_is_ezd_pair_truncated():
     free = ring_of("", 2, 3)
-    rep = is_ezd_pair(free, parse_poly("x1", 2), parse_poly("x2", 2))
-    assert rep.verdict is PairVerdict.TRUNCATED
+    with pytest.raises(ValueError, match=REFUSED):
+        is_ezd_pair(free, parse_poly("x1", 2), parse_poly("x2", 2))
 
 
 def _subspace_pair_table(ring, x, y):
@@ -367,7 +368,59 @@ def test_find_complement_big_kernel():
 
 
 def test_find_complement_truncated_ring():
-    assert find_ezd_complement(ring_of("", 2, 3), parse_poly("x1 + x2", 2)) is None
+    with pytest.raises(ValueError, match=REFUSED):
+        find_ezd_complement(ring_of("", 2, 3), parse_poly("x1 + x2", 2))
+
+
+def test_a_ring_cut_off_at_its_bound_is_refused_by_every_analysis():
+    """x1^2, x2^2 built to degree 1 may not vanish past its bound, and every
+    analysis refuses it alike, the zero form's partner search included:
+    built to degree 2, x1 + x2 has the partner x1 - x2, so no answer read
+    off degrees 0..1 could stand."""
+    cut = ring_of("x1^2, x2^2", 2, 1)
+    ell, partner = parse_poly("x1 + x2", 2), parse_poly("x1 - x2", 2)
+    assert not cut.complete
+    for analysis in (
+        lambda: cut.top_degree,
+        lambda: is_ezd_pair(cut, ell, partner),
+        lambda: find_ezd_complement(cut, ell),
+        lambda: find_ezd_complement(cut, HomogPoly(2, 1, [])),
+        lambda: generic_ezd_decision(cut),
+        lambda: wlp_check(cut),
+        lambda: socle_dims(cut),
+    ):
+        with pytest.raises(ValueError, match=REFUSED):
+            analysis()
+    q, report = find_ezd_complement(ring_of("x1^2, x2^2", 2, 2), ell)
+    assert q == partner
+    assert report.verdict is PairVerdict.EXACT_PAIR
+
+
+@pytest.mark.parametrize("text, nvars, bound, extra", [
+    ("x1^2, x2^2, x3^3", 3, 4, 2),  # complete at 4 with no zero in H
+    ("x1^2, x2^3, x3^4", 3, 6, 2),
+    ("x1^2, x2^2, x3^3, x4^3", 4, 6, 2),
+    ("x1^2 + x2^2, x1*x2", 2, 3, 1),  # complete once H reaches 0
+    ("x1^2 + x2*x3, x2^2 + x1*x3, x3^2 + x1*x2", 3, 4, 1),
+])
+def test_answers_on_a_complete_ring_do_not_depend_on_its_bound(text, nvars, bound, extra):
+    """At the least bound where the ring is complete and `extra` degrees
+    past it, every analysis gives the same answer. Where no degree in the
+    bound is zero, the last degree's maps come from `integer_map`'s
+    zero-target branch."""
+    assert not ring_of(text, nvars, bound - 1).complete
+    answers = []
+    for b in (bound, bound + extra):
+        ring = ring_of(text, nvars, b)
+        found = find_ezd_complement(ring, linear_form([1] * nvars))
+        answers.append((
+            ring.top_degree,
+            generic_ezd_decision(ring).to_json_dict(),
+            wlp_check(ring).to_json_dict(),
+            socle_dims(ring),
+            found and (found[0], found[1].to_json_dict()),
+        ))
+    assert answers[0] == answers[1]
 
 
 def test_generic_linear_form_contract():
@@ -441,9 +494,7 @@ def test_wlp_refuses_a_ring_cut_off_at_its_bound():
     for bound in (2, 3):
         ring = ring_of(text, 3, bound)
         assert not ring.complete
-        with pytest.raises(ValueError, match=(
-            "^weak Lefschetz check needs a ring that vanishes within the degree bound; raise the bound$"
-        )):
+        with pytest.raises(ValueError, match=REFUSED):
             wlp_check(ring)
     rep = wlp_check(ring_of(text, 3, 6))
     assert not rep.holds

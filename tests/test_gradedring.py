@@ -342,8 +342,9 @@ def test_monomial_oracle_equivalence_random():
         fast = build_quotient(spec, bound)
         slow = macaulay_ring(spec, bound)
         assert fast.hilbert.values == slow.hilbert.values
-        assert fast.top_degree == slow.top_degree
         assert fast.complete == slow.complete
+        if fast.complete:
+            assert fast.top_degree == slow.top_degree
         for d in range(bound + 1):
             assert fast.basis_monomials(d) == slow.basis_monomials(d)
             monos = monomials_of_degree(nvars, d)
@@ -377,7 +378,8 @@ def _assert_builds_agree(spec, bound, rng):
     fast = build_quotient(spec, bound)
     slow = macaulay_ring(spec, bound)
     assert fast.hilbert == slow.hilbert
-    assert fast.top_degree == slow.top_degree
+    if fast.complete:  # equal H, spec and bound: both or neither
+        assert fast.top_degree == slow.top_degree
     for d in range(bound + 1):
         assert fast.components[d].basis == slow.components[d].basis
         assert fast.components[d].normal_forms == slow.components[d].normal_forms

@@ -4,10 +4,14 @@ exactmat < polyring < gradedring < ezd < lab < cli. The package root and
 module's private (underscore) name. Only `gradedring` reads a ring's
 normal-form table: every other module asks the ring for maps and ranks.
 An echelon form has one door, `Subspace.from_vectors`, and a ring kernel
-in `ezd` another, `annihilator_degree`."""
+in `ezd` another, `annihilator_degree`. A ring that may not vanish past its
+bound is refused in one place, `GradedQuotient.top_degree`, which every
+analysis reads."""
 
 import ast
 from pathlib import Path
+
+from ezdlab.ezd import PairVerdict
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ezdlab"
 LAYERS = ["exactmat", "polyring", "gradedring", "ezd", "lab", "cli"]
@@ -180,3 +184,55 @@ def test_only_gradedring_reads_the_normal_form_table():
         for line, name in _table_reads(path.read_text())
     ]
     assert not reads, f"reads of a ring's normal-form table outside gradedring: {reads}"
+
+
+REFUSAL = "within the degree bound"
+
+
+def _refusal_messages(source: str) -> list[tuple[int, str | None]]:
+    """(line, innermost class.function or function) for every string
+    constant holding REFUSAL that is not a docstring, f-string parts
+    included."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        body = getattr(node, "body", None)
+        children = list(ast.iter_child_nodes(node))
+        if isinstance(body, list) and body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            children.remove(body[0])  # a docstring, or a bare string opening a block: neither is raised
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and REFUSAL in node.value:
+            found.append((node.lineno, where))
+        for child in children:
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_refusal_walker_finds_every_message():
+    source = (
+        '"""Refused when it does not vanish within the degree bound."""\n'
+        "class Ring:\n"
+        '    """Not within the degree bound."""\n'
+        "    def top(self):\n"
+        '        """Raises within the degree bound."""\n'
+        '        raise ValueError("does not vanish within the degree bound")\n'
+        "def check(ring):\n"
+        '    raise ValueError(f"{ring} needs to vanish within the degree bound")\n'
+        'MESSAGE = "not within the degree bound"\n'
+    )
+    assert _refusal_messages(source) == [(6, "Ring.top"), (8, "check"), (9, None)]
+
+
+def test_a_ring_that_may_not_vanish_is_refused_in_one_place():
+    messages = [
+        (path.name, where)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, where in _refusal_messages(path.read_text())
+    ]
+    assert messages == [("gradedring.py", "GradedQuotient.top_degree")], (
+        f"refusals of a ring that may not vanish outside GradedQuotient.top_degree: {messages}"
+    )
+    assert [v.name for v in PairVerdict] == ["EXACT_PAIR", "NOT_PAIR"]
