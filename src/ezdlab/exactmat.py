@@ -5,7 +5,7 @@ is integral, otherwise a `fractions.Fraction`. Matrices in this package are
 small and dense (at most a few thousand cells). Every elimination runs on
 integers: a row holding a Fraction is first scaled by the lcm of its
 denominators; the multiplication maps that `ezd` ranks arrive as int
-matrices. Each starts with one fraction-free forward pass, in the manner of
+rows. Each starts with one fraction-free forward pass, in the manner of
 Bareiss (1968), which clears below each pivot, combining only the rows'
 tails from the pivot column on, and keeps every row primitive by dividing
 out the gcd of its entries. `rank` stops there. `_echelon_rows` goes on to
@@ -16,6 +16,9 @@ rows sparsely, so two subspaces are equal exactly when their rows are;
 graded quotients and kernels read them as they are. Its one constructor,
 `Subspace.from_vectors`, is the only caller of `_echelon_rows`. Only the
 public boundary divides by the pivots: `rref`, `Subspace.basis` and `ratio`.
+Inside the package a matrix is a list of rows; `QMatrix`, the immutable
+rational matrix, is only what `rref` reads and returns and what the public
+`ezd.mult_map` returns.
 """
 
 from __future__ import annotations
@@ -68,13 +71,6 @@ class QMatrix:
             raise ValueError(f"expected {self.rows * self.cols} entries, got {len(data)}")
         object.__setattr__(self, "data", data)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "QMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = [x for row in rows for x in row]
-        return cls(nrows, ncols, flat)
-
     def row(self, i: int) -> tuple:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
@@ -90,12 +86,6 @@ def _integer_row(row: Sequence) -> list[int]:
     row = [exact(x) for x in row]
     scale = lcm(*(x.denominator for x in row))
     return [x.numerator * (scale // x.denominator) for x in row]
-
-
-def _integer_rows(m: QMatrix) -> list[list[int]]:
-    if Fraction in set(map(type, m.data)):
-        return [_integer_row(m.row(i)) for i in range(m.rows)]
-    return [list(m.row(i)) for i in range(m.rows)]
 
 
 def ratio(a: int, b: int) -> int | Fraction:
@@ -168,13 +158,19 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     return QMatrix(m.rows, m.cols, flat), tuple(p for p, _ in sub.rows)
 
 
-def rank(m: QMatrix) -> int:
-    """Number of pivots of rref(m); 0 for a matrix with no rows or no columns.
+def rank(rows: Iterable[Sequence]) -> int:
+    """The rank of the matrix with these rows, 0 with no rows or no columns;
+    a row of another length than the first raises ValueError.
 
-    It is the forward pass of `rref` alone: nothing above a pivot is
-    cleared, nothing is divided and no Fraction is built.
+    Each row is copied as an int row (`_integer_row`), so the caller's rows
+    are left as they are. It is the forward pass of `rref` alone: nothing
+    above a pivot is cleared, nothing is divided and no Fraction is built.
     """
-    return len(_eliminate([row for row in _integer_rows(m) if any(row)], m.cols))
+    a = [_integer_row(row) for row in rows]
+    ncols = len(a[0]) if a else 0
+    if any(len(row) != ncols for row in a):
+        raise ValueError("rows differ in length")
+    return len(_eliminate([row for row in a if any(row)], ncols))
 
 
 EchelonRow = tuple[int, tuple[tuple[int, int], ...]]  # pivot column, the row's nonzero entries
@@ -246,21 +242,22 @@ class Subspace:
         return tuple(dense)
 
 
-def kernel_basis(m: QMatrix) -> Subspace:
-    """Canonical basis of the right null space {v : m v = 0}.
+def kernel_basis(ncols: int, rows: Iterable[Sequence]) -> Subspace:
+    """Canonical basis of {v in Q^ncols : row . v = 0 for every row}, all
+    of Q^ncols with no rows. The rows are read by `Subspace.from_vectors`.
 
     A reduced row with pivot entry p_i at column c_i and entry a at a free
     column f puts -a*L/p_i at c_i in the kernel vector with L at f, for L
     the lcm of the p_i; these vectors, one per free column, span the kernel.
     """
-    rows = Subspace.from_vectors(m.cols, map(m.row, range(m.rows))).rows
-    scale = lcm(*(row[0][1] for _, row in rows))
-    pivots = {p for p, _ in rows}
-    vecs = {f: [scale if j == f else 0 for j in range(m.cols)] for f in range(m.cols) if f not in pivots}
-    for p, ((_, pv), *rest) in rows:
+    echelon = Subspace.from_vectors(ncols, rows).rows
+    scale = lcm(*(row[0][1] for _, row in echelon))
+    pivots = {p for p, _ in echelon}
+    vecs = {f: [scale if j == f else 0 for j in range(ncols)] for f in range(ncols) if f not in pivots}
+    for p, ((_, pv), *rest) in echelon:
         for f, a in rest:
             vecs[f][p] = -a * (scale // pv)
-    return Subspace.from_vectors(m.cols, vecs.values())
+    return Subspace.from_vectors(ncols, vecs.values())
 
 
 def subspace_equal(a: Subspace, b: Subspace) -> bool:

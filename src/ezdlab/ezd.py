@@ -5,14 +5,14 @@ in R, Ann(x) = (y) and Ann(y) = (x). Everything here works degree by
 degree on a built GradedQuotient, and a dimension is a rank: with r_f(d)
 the rank of multiplication by f from R_d, dim Ann(f)_d = dim R_d - r_f(d)
 and dim (f)_d = r_f(d - deg f). The ring builds every map from its
-normal-form table in integers, as an `int` matrix N over one denominator
-D (`GradedQuotient.integer_map`): each rank, kernel, column space and
-zero test here reads N, which has those of N / D, and only the public
-`mult_map` divides. Every r_f(d) comes from the ring's `map_rank`, which
-remembers it, so the pair check, the search for a partner, the Lefschetz
-check, the colon identity and the socle's certificate rank each (form,
-degree) once; only `socle_dims`, in a degree the certificate leaves
-open, ranks a matrix of its own. No table is read here. The containment
+normal-form table in integers, as the `int` rows of a matrix N over one
+denominator D (`GradedQuotient.integer_map`): each rank, kernel, column
+space and zero test here reads those rows, as N has those of N / D, and
+only the public `mult_map` divides them, into a `QMatrix`. Every r_f(d)
+comes from the ring's `map_rank`, which remembers it, so the pair check,
+the search for a partner, the Lefschetz check, the colon identity and the
+socle's certificate rank each (form, degree) once; only `socle_dims`, in
+a degree the certificate leaves open, ranks a matrix of its own. No table is read here. The containment
 (y)_d in Ann(x)_d holds exactly when xy*R_{d-deg y} = 0, and given it,
 equality is equality of dimensions. A subspace is built only where its
 vectors are used, as for the kernel vector `find_ezd_complement` offers
@@ -64,18 +64,18 @@ def mult_map(ring: GradedQuotient, f: HomogPoly, d: int) -> QMatrix:
 
     Columns correspond to the degree-d basis monomials. When the target
     degree lies past the bound of an Artinian-within-bound ring the target
-    space is zero and a 0-row matrix is returned. Entries are in the form
+    space is zero and a matrix with no rows and dim R_d columns is returned. Entries are in the form
     of `exact`: the ring's `integer_map` over its denominator. On a
     monomial ring, where every normal form is a unit coordinate or zero,
     an integer form gives an `int` matrix.
     """
-    m, den = ring.integer_map(f, d)
-    return QMatrix(m.rows, m.cols, [ratio(x, den) for x in m.data])
+    rows, den = ring.integer_map(f, d)
+    return QMatrix(len(rows), ring.dim(d), [ratio(x, den) for row in rows for x in row])
 
 
 def annihilator_degree(ring: GradedQuotient, f: HomogPoly, d: int) -> Subspace:
     """Degree-d piece of Ann(f) as a subspace of R_d."""
-    return kernel_basis(ring.integer_map(f, d)[0])
+    return kernel_basis(ring.dim(d), ring.integer_map(f, d)[0])
 
 
 def principal_ideal_degree(ring: GradedQuotient, y: HomogPoly, d: int) -> Subspace:
@@ -88,8 +88,7 @@ def principal_ideal_degree(ring: GradedQuotient, y: HomogPoly, d: int) -> Subspa
     dim_d = ring.dim(d)
     if y.is_zero() or d < y.degree:
         return Subspace.from_vectors(dim_d, ())
-    m = ring.integer_map(y, d - y.degree)[0]
-    return Subspace.from_vectors(dim_d, (m.data[j :: m.cols] for j in range(m.cols)))
+    return Subspace.from_vectors(dim_d, zip(*ring.integer_map(y, d - y.degree)[0]))
 
 
 class PairVerdict(Enum):
@@ -153,7 +152,7 @@ def is_ezd_pair(ring: GradedQuotient, x: HomogPoly, y: HomogPoly) -> EzdReport:
     (a, _), (b, _) = x.integer_coeffs(), y.integer_coeffs()
     xy = HomogPoly(x.nvars, x.degree, a) * HomogPoly(y.nvars, y.degree, b)
     z = 0
-    while xy.degree + z <= top and any(ring.integer_map(xy, z)[0].data):
+    while xy.degree + z <= top and any(map(any, ring.integer_map(xy, z)[0])):
         z += 1
     product_zero = z == 0
 
@@ -415,11 +414,10 @@ def socle_dims(ring: GradedQuotient) -> tuple[int, ...]:
         if ring.map_rank(ell, d) == dim_d:
             dims.append(0)
             continue
-        blocks = []
+        rows = []
         for i in range(ring.nvars):
-            m = ring.integer_map(variable(ring.nvars, i), d)[0]
-            blocks.extend(m.row(r) for r in range(m.rows))
-        dims.append(dim_d - rank(QMatrix.from_rows(blocks)))
+            rows += ring.integer_map(variable(ring.nvars, i), d)[0]
+        dims.append(dim_d - rank(rows))
     return tuple(dims)
 
 
@@ -487,6 +485,6 @@ def colon_identity_dims(ring: GradedQuotient, ell: HomogPoly) -> tuple[int, int]
             for e, c in coeffs.items():
                 row[column[tuple(map(add, e, m))]] = c
             rows.append(row)
-    lhs = len(column) - rank(QMatrix(len(rows), len(column), [x for row in rows for x in row]))
+    lhs = len(column) - rank(rows)
     rhs = ring.dim(2) - ring.map_rank(ell, 1)
     return lhs, rhs

@@ -10,9 +10,9 @@ monomials. The table holds integers: each normal form times the degree's
 one denominator D_d, the lcm of the denominators of all its normal forms,
 so equal rings store equal tables and a basis monomial's entry is D_d.
 Only the ring reads the table: `GradedQuotient.integer_map` builds each
-multiplication map from it as an int matrix over one denominator,
-`map_rank` remembers each map's rank, and `normal_form` divides p's map
-from R_0 = span(1). The ring derives H and its top degree once.
+multiplication map from it as int rows over one denominator, `map_rank`
+remembers each map's rank, and `normal_form` divides p's map from
+R_0 = span(1). The ring derives H and its top degree once.
 
 Degree d is built from degree d-1's table, as F4 reuses reduced rows
 (Faugere 1999): I_d is spanned by x_i times each relation D_{d-1}*m_p
@@ -46,7 +46,7 @@ from math import comb, gcd, lcm
 from operator import add
 from typing import Iterable, Iterator
 
-from .exactmat import QMatrix, Subspace, rank, ratio
+from .exactmat import Subspace, rank, ratio
 from .polyring import (
     HomogPoly,
     IdealSpec,
@@ -163,12 +163,13 @@ class GradedQuotient:
         d = p.degree
         if not 0 <= d <= self.bound:
             raise ValueError(f"degree {d} outside bound {self.bound}")
-        m, den = self.integer_map(p, 0)
-        return tuple(ratio(x, den) for x in m.data)
+        rows, den = self.integer_map(p, 0)
+        return tuple(ratio(x, den) for x, in rows)
 
-    def integer_map(self, f: HomogPoly, d: int) -> tuple[QMatrix, int]:
-        """An `int` matrix N and a positive int D such that N / D is the
-        matrix of q -> f*q from R_d to R_{d+deg f} on the quotient bases.
+    def integer_map(self, f: HomogPoly, d: int) -> tuple[list[list[int]], int]:
+        """The `int` rows of a matrix N and a positive int D such that N / D
+        is the matrix of q -> f*q from R_d to R_{d+deg f} on the quotient
+        bases: one fresh list per target basis monomial, none past the bound.
 
         The terms of f are scaled by the lcm s of its coefficients'
         denominators, and column j sums c*NF(g*b_j) over the scaled terms c*g,
@@ -183,18 +184,18 @@ class GradedQuotient:
         ncols = len(source)
         if target_degree > self.bound:
             if self.complete:
-                return QMatrix(0, ncols, ()), 1
+                return [], 1
             raise ValueError(f"target degree {target_degree} outside bound {self.bound}")
         comp = self.components[target_degree]
         normal_forms = comp.normal_forms
         terms, scale = f.integer_coeffs()
-        data = [0] * (len(comp.basis) * ncols)
+        rows = [[0] * ncols for _ in comp.basis]
         for j, b in enumerate(source):
             for g, c in terms.items():
                 # outside monomial rings two products can share a coordinate: entries add up
                 for i, a in normal_forms[tuple(map(add, g, b))]:
-                    data[i * ncols + j] += c * a
-        return QMatrix(len(comp.basis), ncols, data), scale * comp.denominator
+                    rows[i][j] += c * a
+        return rows, scale * comp.denominator
 
     def map_rank(self, f: HomogPoly, d: int) -> int:
         """The rank of `integer_map(f, d)`, computed once per form and degree;

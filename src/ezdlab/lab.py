@@ -50,7 +50,7 @@ from math import comb
 from operator import add
 from typing import Iterable, Iterator
 
-from .exactmat import QMatrix, kernel_basis, ratio
+from .exactmat import kernel_basis, ratio
 from .ezd import (
     EzdReport,
     GenericDecision,
@@ -732,7 +732,7 @@ def decompose_partner(spec: IdealSpec, ell: HomogPoly, q: HomogPoly) -> PartnerS
     lies in J exactly when it is one of J's exponent tuples. ell, q and the
     solutions are integer coefficient vectors, each scaled by the lcm of its
     denominators, and their products modulo J are small dicts. The
-    solutions are the canonical kernel of the integer matrix of ell from the
+    solutions are the canonical kernel of the int rows of ell's map from the
     variables to the degree-2 monomials outside J + (f1), the map the half
     ring's degree-1 annihilator reads. With R the f1 coefficient of ell*q, L
     the lcm of q, V a solution and A the f1 coefficient of ell*V,
@@ -753,16 +753,15 @@ def decompose_partner(spec: IdealSpec, ell: HomogPoly, q: HomogPoly) -> PartnerS
     alpha = ratio(r, ell_scale * q_scale)
     # ell's map from the variables to the degree-2 monomials outside J + (f1)
     standard = [m for m in monomials_of_degree(n, 2) if m not in j_set and m != f1]
-    rows = {m: i for i, m in enumerate(standard)}
-    data = [0] * (len(rows) * n)
+    rows = {m: [0] * n for m in standard}
     for i, c in enumerate(e):
         if c:
             for j, m in enumerate(_quadrics(n)[i]):
                 row = rows.get(m)
                 if row is not None:
-                    data[row * n + j] += c
+                    row[j] += c
     units = monomials_of_degree(n, 1)
-    for _, row in kernel_basis(QMatrix(len(rows), n, data)).rows:
+    for _, row in kernel_basis(n, rows.values()).rows:
         entries = dict(row)
         v = [entries.get(j, 0) for j in range(n)]
         a = _product_mod(j_set, e, v).get(f1, 0)

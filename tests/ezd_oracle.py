@@ -14,12 +14,13 @@ def find_ezd_complement_by_ranks(ring, ell):
         return None
     for t in range(top + 1):
         m = mult_map(ring, ell, t)
-        nullity = m.cols - rank(m)
+        rows = [m.row(i) for i in range(m.rows)]
+        nullity = m.cols - rank(rows)
         if nullity == 0:
             continue
         if nullity >= 2:
             return None
-        q = ring.basis_poly(t, kernel_basis(m).basis[0])
+        q = ring.basis_poly(t, kernel_basis(m.cols, rows).basis[0])
         report = is_ezd_pair(ring, ell, q)
         if report.verdict is PairVerdict.EXACT_PAIR:
             return q, report

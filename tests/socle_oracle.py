@@ -1,7 +1,7 @@
 """The socle by one stacked rank per degree, with no linear-form certificate:
 an oracle for the tests, which the package itself never needs."""
 
-from ezdlab.exactmat import QMatrix, rank
+from ezdlab.exactmat import rank
 from ezdlab.ezd import mult_map
 from ezdlab.polyring import variable
 
@@ -15,5 +15,5 @@ def socle_dims_by_stacked_rank(ring):
         for i in range(ring.nvars):
             m = mult_map(ring, variable(ring.nvars, i), d)
             rows.extend(m.row(r) for r in range(m.rows))
-        dims.append(ring.dim(d) - rank(QMatrix.from_rows(rows)))
+        dims.append(ring.dim(d) - rank(rows))
     return tuple(dims)

@@ -52,6 +52,11 @@ def ring_of(text, n, bound):
     return build_quotient(parse_ideal(text, n), bound)
 
 
+def rows_of(m):
+    """The rows of the QMatrix `m`, as `rank` reads them."""
+    return [m.row(i) for i in range(m.rows)]
+
+
 SQUARES = ring_of("x1^2, x2^2", 2, 3)
 EXAMPLE3 = ring_of("x1^2, x2^2, x2*x3, x3^2", 3, 3)
 DROP2 = ring_of("x1^2, x1*x3, x2^2, x2*x3, x3^2", 3, 3)  # only x1*x2 survives degree 2
@@ -71,7 +76,7 @@ def test_mult_map_zero_form():
 def test_mult_map_polynomial_ring_injective():
     free = ring_of("", 3, 3)
     m = mult_map(free, parse_poly("x1", 3), 1)
-    assert rank(m) == 3
+    assert rank(rows_of(m)) == 3
 
 
 def _normal_form_mult_map(oracle, f, d):
@@ -149,9 +154,10 @@ def test_monomial_lookup_maps_match_normal_forms():
                     got = mult_map(ring, f, d)
                     expected = _normal_form_mult_map(oracle, f, d)
                     assert got == expected
-                    n, den = ring.integer_map(f, d)
-                    assert all(type(x) is int for x in n.data) and type(den) is int and den >= 1
-                    assert QMatrix(n.rows, n.cols, [F(x, den) for x in n.data]) == expected
+                    rows, den = ring.integer_map(f, d)
+                    assert all(type(x) is int for row in rows for x in row) and type(den) is int and den >= 1
+                    assert [len(row) for row in rows] == [expected.cols] * expected.rows
+                    assert QMatrix(expected.rows, expected.cols, [F(x, den) for row in rows for x in row]) == expected
                     above_one.add(den > 1)
                     # rows fed by several columns: terms of different products
                     # landing on the same target coordinate
@@ -195,6 +201,19 @@ def test_annihilator_examples():
     assert ann2.dim == SQUARES.dim(2)
     free = ring_of("", 2, 4)
     assert annihilator_degree(free, parse_poly("x1", 2), 2).dim == 0
+
+
+def test_a_map_past_the_bound_keeps_its_source_width():
+    """x1^2, x2^2 built to degree 2 is complete with top degree 2, so the map
+    of x1 + x2 from R_2 = span(x1*x2) lands in the zero space R_3: it has no
+    rows and one column, and its kernel is all of R_2."""
+    ring = ring_of("x1^2, x2^2", 2, 2)
+    assert ring.complete and ring.top_degree == 2 and ring.dim(2) == 1
+    ell = parse_poly("x1 + x2", 2)
+    m = mult_map(ring, ell, 2)
+    assert (m.rows, m.cols) == (0, 1)
+    assert annihilator_degree(ring, ell, 2).dim == 1
+    assert principal_ideal_degree(ring, ell, 2) == Subspace.from_vectors(1, [[1]])
 
 
 def test_principal_ideal_examples():
@@ -544,7 +563,7 @@ def test_rank_nullity_on_quotient():
             ell = generic_linear_form(ring.nvars, rng.randrange(10**6))
             for d in range(ring.top_degree + 1):
                 m = mult_map(ring, ell, d)
-                assert annihilator_degree(ring, ell, d).dim + rank(m) == ring.dim(d)
+                assert annihilator_degree(ring, ell, d).dim + rank(rows_of(m)) == ring.dim(d)
 
 
 def test_ideal_contained_in_annihilator_when_product_vanishes():
@@ -635,7 +654,7 @@ def test_map_rank_ranks_each_form_and_degree_once(monkeypatch, counted_ranks, ma
     assert len(distinct) < len(served)  # the table served repeats
     assert len(counted_ranks) == len(distinct)
     for f, d, r in served:
-        assert r == rank(mult_map(ring, f, d))
+        assert r == rank(rows_of(mult_map(ring, f, d)))
 
 
 def test_map_rank_equal_forms_share_an_entry(counted_ranks):
@@ -709,20 +728,28 @@ def test_internal_ranks_and_kernels_read_integer_maps(monkeypatch):
     rings."""
     seen = {"rank": [], "kernel": []}
 
-    def spy(name, fn):
-        def recording(m):
-            seen[name].append(all(type(x) is int for x in m.data))
-            return fn(m)
-        return recording
+    def ints(rows):
+        rows = [list(row) for row in rows]
+        return rows, all(type(x) is int for row in rows for x in row)
+
+    def spy_rank(rows):
+        rows, all_ints = ints(rows)
+        seen["rank"].append(all_ints)
+        return rank(rows)
+
+    def spy_kernel(ncols, rows):
+        rows, all_ints = ints(rows)
+        seen["kernel"].append(all_ints)
+        return kernel_basis(ncols, rows)
 
     rng = random.Random(23)
     rings = [_random_complete_intersection(seed) for seed in range(3)]
     rings += [_rational_ideal_ring(rng) for _ in range(3)]
     rings += list(_artinian_binomial_rings(3))[::6]
     assert any(c.denominator > 1 for ring in rings for c in ring.components)
-    monkeypatch.setattr(ezd, "rank", spy("rank", rank))
-    monkeypatch.setattr(gradedring, "rank", spy("rank", rank))
-    monkeypatch.setattr(ezd, "kernel_basis", spy("kernel", kernel_basis))
+    monkeypatch.setattr(ezd, "rank", spy_rank)
+    monkeypatch.setattr(gradedring, "rank", spy_rank)
+    monkeypatch.setattr(ezd, "kernel_basis", spy_kernel)
     for ring in rings:
         generic_ezd_decision(ring)
         wlp_check(ring)

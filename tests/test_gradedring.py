@@ -687,11 +687,11 @@ def test_values_and_rings_round_trip(round_trip):
     p = parse_poly("x1^2 - 3/2*x1*x2", 2)
     assert round_trip(p) == p
     assert hash(round_trip(p)) == hash(p)
-    m = QMatrix.from_rows([[1, Fraction(1, 2)], [0, -3]])
+    m = QMatrix(2, 2, [1, Fraction(1, 2), 0, -3])
     assert round_trip(m) == m
     # int entries are kept, and equal and hash like their Fraction twins
-    ints = QMatrix.from_rows([[1, 0], [0, -3]])
-    twin = QMatrix.from_rows([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-3)]])
+    ints = QMatrix(2, 2, [1, 0, 0, -3])
+    twin = QMatrix(2, 2, [Fraction(1), Fraction(0), Fraction(0), Fraction(-3)])
     assert ints == twin and hash(ints) == hash(twin)
     for q in (ints, twin):
         copied = round_trip(q)

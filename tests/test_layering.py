@@ -6,7 +6,9 @@ normal-form table: every other module asks the ring for maps and ranks.
 An echelon form has one door, `Subspace.from_vectors`, and a ring kernel
 in `ezd` another, `annihilator_degree`. A ring that may not vanish past its
 bound is refused in one place, `GradedQuotient.top_degree`, which every
-analysis reads."""
+analysis reads. Inside the package a matrix is a list of rows: `QMatrix`
+appears only in its class, in `exactmat.rref` and in the public
+`ezd.mult_map`."""
 
 import ast
 from pathlib import Path
@@ -236,3 +238,58 @@ def test_a_ring_that_may_not_vanish_is_refused_in_one_place():
         f"refusals of a ring that may not vanish outside GradedQuotient.top_degree: {messages}"
     )
     assert [v.name for v in PairVerdict] == ["EXACT_PAIR", "NOT_PAIR"]
+
+
+# (module, innermost class or function) where a QMatrix may be named; a
+# module holding one of them may also import it
+QMATRIX_HOMES = {("exactmat", "QMatrix"), ("exactmat", "rref"), ("ezd", "mult_map")}
+
+
+def _qmatrix_names(source: str) -> list[tuple[int, str | None]]:
+    """(line, place) for every `QMatrix` the source names: a name, an
+    attribute or an imported name. The place is "import" for an import,
+    else the innermost class or function, or None at module level."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.extend((node.lineno, "import") for alias in node.names if alias.name == "QMatrix")
+        elif (isinstance(node, ast.Name) and node.id == "QMatrix") or (
+            isinstance(node, ast.Attribute) and node.attr == "QMatrix"
+        ):
+            found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda item: item[0])
+
+
+def test_qmatrix_walker_finds_every_name():
+    source = (
+        "from .exactmat import QMatrix, rank\n"
+        "class QMatrix:\n    rows: int\n"
+        "def rref(m: QMatrix) -> QMatrix:\n    return exactmat.QMatrix(1, 1, [1])\n"
+        "ZERO = QMatrix(0, 0, ())\n"
+        "def f(m):\n    from ezdlab.exactmat import QMatrix as M\n    return m.QMatrix.from_rows([])\n"
+        'NAME = "QMatrix"\n'
+    )
+    assert _qmatrix_names(source) == [
+        (1, "import"), (4, "rref"), (4, "rref"), (5, "rref"), (6, None), (8, "import"), (9, "f")
+    ]
+
+
+def test_qmatrix_is_named_only_at_the_public_boundary():
+    """A map is built, ranked and reduced as a list of rows; only `rref` and
+    the public `mult_map` take or give a QMatrix."""
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        homes = {where for module, where in QMATRIX_HOMES if module == path.stem}
+        stray += [
+            f"{path.name}:{line}"
+            for line, where in _qmatrix_names(path.read_text())
+            if where not in homes and not (where == "import" and homes)
+        ]
+    assert not stray, f"QMatrix named outside its class, rref and mult_map: {stray}"
