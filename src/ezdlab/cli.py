@@ -44,7 +44,7 @@ from .ezd import (
     wlp_check,
     yoshino_conditions,
 )
-from .gradedring import build_quotient, default_bound, is_artinian_within, refuse_oversize
+from .gradedring import build_quotient, default_bound, refuse_oversize
 from .lab import (
     BINOMIAL_DEFAULT_BOUND, ScanConfig, power_ideal_example, scan_binomial, scan_monomial,
 )
@@ -140,7 +140,8 @@ def _pair_report_lines(report) -> list[str]:
 
 def _hilbert(args, ring):
     values = ring.hilbert.values
-    artinian = is_artinian_within(ring)
+    # Artinian when it vanished within the bound or has a pure power of each variable
+    artinian = ring.hilbert.artinian_within_bound or default_bound(ring.spec) is not None
     line = f"artinian: {_yes(artinian)}"
     top = ring.top_degree if ring.complete else None
     if top is not None:

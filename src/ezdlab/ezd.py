@@ -302,7 +302,9 @@ class GenericVerdict:
     trials: int
     seed: int
     exact: bool
-    report: EzdReport | None = None
+    report: EzdReport | None
+    forms: tuple[HomogPoly, ...]  # the forms tried, in trial order
+    partners: tuple[HomogPoly | None, ...]  # each form's partner, or None
 
     def to_json_dict(self) -> dict:
         return {
@@ -342,7 +344,8 @@ def generic_ezd_decision(ring: GradedQuotient, trials: int = 3, seed: int = 0) -
     found = [pair for pair in pairs if pair is not None]
     witness, report = found[-1] if found else (None, None)
     decision = trial_decision(len(found), len(forms))
-    return GenericVerdict(decision, witness, len(forms), seed, exact, report)
+    partners = tuple(None if pair is None else pair[0] for pair in pairs)
+    return GenericVerdict(decision, witness, len(forms), seed, exact, report, tuple(forms), partners)
 
 
 @dataclass(frozen=True)
@@ -381,22 +384,17 @@ def wlp_check(ring: GradedQuotient, trials: int = 3, seed: int = 0) -> WlpReport
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    top = ring.top_degree
+    degrees = range(1, ring.top_degree + 1)
+    maximal = [min(ring.dim(i - 1), ring.dim(i)) for i in degrees]
     per_trial_ranks = []
     for t in range(trials):
         ell = generic_linear_form(ring.nvars, derived_seed(seed, t))
-        per_trial_ranks.append([ring.map_rank(ell, i - 1) for i in range(1, top + 1)])
+        per_trial_ranks.append([ring.map_rank(ell, i - 1) for i in degrees])
     rows = []
-    for i in range(1, top + 1):
-        dim_src = ring.dim(i - 1)
-        dim_tgt = ring.dim(i)
-        best = max(tr[i - 1] for tr in per_trial_ranks)
-        rows.append(WlpDegree(i, dim_src, dim_tgt, best, best == min(dim_src, dim_tgt)))
-    holds = any(
-        all(tr[i - 1] == min(ring.dim(i - 1), ring.dim(i)) for i in range(1, top + 1))
-        for tr in per_trial_ranks
-    )
-    return WlpReport(tuple(rows), holds, trials, seed)
+    for i, m, ranks in zip(degrees, maximal, zip(*per_trial_ranks)):
+        best = max(ranks)
+        rows.append(WlpDegree(i, ring.dim(i - 1), ring.dim(i), best, best == m))
+    return WlpReport(tuple(rows), maximal in per_trial_ranks, trials, seed)
 
 
 def socle_dims(ring: GradedQuotient) -> tuple[int, ...]:

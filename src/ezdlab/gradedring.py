@@ -510,16 +510,6 @@ def socle_bound(nvars: int, gens: Iterable[Monomial]) -> int | None:
     return sum(a - 1 for a in least.values()) + 1
 
 
-def is_artinian_within(ring: GradedQuotient) -> bool:
-    """Whether the ring is Artinian; exact for monomial ideals and pure powers, else within bound.
-
-    A ring that vanished within the bound is Artinian whatever the ideal; an
-    ideal with a pure power of every variable among its generators is
-    Artinian even when the bound stops short of the vanishing degree.
-    """
-    return ring.hilbert.artinian_within_bound or default_bound(ring.spec) is not None
-
-
 def default_bound(spec: IdealSpec) -> int | None:
     """The `socle_bound` of the single-term generators: sum(a_i - 1) + 1 when
     every variable has a pure power among them, 0 when one is a nonzero

@@ -13,11 +13,13 @@ Two families are scanned exhaustively at desk scale:
   (`ezd.hilbert_admits_pair`), and every other ideal is recorded as "no".
 
 * "Monomial plus one binomial" ideals J + (f1 + f2) with everything in
-  degree 2. Off the boundary stratum dim R_2 = n - 1 no sampled linear
-  form may admit a verified degree-1 partner; on the stratum the verdict
-  is recorded without assertion, the partner is split into halves
+  degree 2. Each ring is decided by `generic_ezd_decision`, as the
+  monomial family is, and the paper's checks run over its trials. Off the
+  boundary stratum dim R_2 = n - 1 no sampled linear form may admit a
+  verified degree-1 partner; on the stratum the verdict is recorded
+  without assertion, each degree-1 partner is split into halves
   compatible with J + (f1) and J + (f2), and the degree-2 colon-dimension
-  identity is checked on every instance. A candidate is skipped before
+  identity is checked on every trial. A candidate is skipped before
   anything is built when its binomial collapses modulo J or when the
   supports of J and f show the quotient is not Artinian. Each examined
   candidate builds one ring; the three checks build none. The colon
@@ -61,7 +63,6 @@ from .ezd import (
     generic_linear_form,
     hilbert_admits_pair,
     is_ezd_pair,
-    trial_decision,
 )
 from .gradedring import (
     GradedQuotient, build_quotient, default_bound, monomial_hilbert, refuse_oversize,
@@ -572,24 +573,22 @@ def _binomial_task(cfg: ScanConfig, payload: tuple[int, tuple, tuple]):
         raise RuntimeError(f"instance {idx}: Artinian {text} does not vanish by degree {bound}")
     r1, r2 = ring.dim(1), ring.dim(2)
     boundary = r2 == n - 1
-    instance_seed = derived_seed(cfg.seed, idx)
-    # per-trial outcomes: colon identities, ann1 dims, degree-1 partners, and
-    # for each partner its split and that split's support check
-    colon_ok, ann1_dims, partners, splits_ok, supports_ok = [], [], [], [], []
+    verdict = generic_ezd_decision(ring, cfg.trials, derived_seed(cfg.seed, idx))
+    # per-trial outcomes: colon identities and ann1 dims, and for each
+    # degree-1 partner its split and that split's support check
+    colon_ok, ann1_dims, splits_ok, supports_ok = [], [], [], []
+    deg1_trials = 0
     faults: list[str] = []
-    for t in range(cfg.trials):
-        ell = generic_linear_form(n, derived_seed(instance_seed, t))
+    for ell, q in zip(verdict.forms, verdict.partners):
         lhs, rhs = colon_identity_dims(ring, ell)
         colon_ok.append(lhs == rhs)
         if lhs != rhs:
             faults.append(f"colon identity failed: {lhs} != {rhs}")
         # rhs = dim R_2 - rank(ell: R_1 -> R_2), so dim Ann(ell)_1 = r1 - r2 + rhs
         ann1_dims.append(r1 - r2 + rhs)
-        found = find_ezd_complement(ring, ell)
-        if found is None or found[0].degree != 1:
+        if q is None or q.degree != 1:
             continue
-        q = found[0]
-        partners.append(q)
+        deg1_trials += 1
         if not boundary:
             faults.append(
                 f"dim R_2 = {r2} != {n - 1} yet {format_poly(ell)} has the verified "
@@ -606,8 +605,8 @@ def _binomial_task(cfg: ScanConfig, payload: tuple[int, tuple, tuple]):
             faults.append(f"split support check failed: {bad[0]}")
     record = BinomialInstance(
         idx, text, ring.hilbert.values, r2, boundary,
-        trial_decision(len(partners), cfg.trials).value, tuple(ann1_dims), len(partners),
-        format_poly(partners[-1]) if partners else None,
+        verdict.decision.value, tuple(ann1_dims), deg1_trials,
+        format_poly(verdict.witness) if verdict.witness is not None else None,
         all(splits_ok) if splits_ok else None, all(supports_ok) if supports_ok else None,
         all(colon_ok),
     )

@@ -88,11 +88,6 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
-def in_monomial_ideal(m: Monomial, gens: Iterable[Monomial]) -> bool:
-    """Membership in a monomial ideal: some generator divides `m`."""
-    return any(divides(g, m) for g in gens)
-
-
 def minimalize_monomial_gens(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Drop duplicate and divisibility-redundant generators."""
     unique = sorted(set(gens), key=monomial_key)

@@ -20,12 +20,12 @@ from ezdlab.polyring import (
     Monomial,
     divides,
     format_poly,
-    in_monomial_ideal,
     linear_form,
     make_ideal,
     monomial_ideal,
     monomials_of_degree,
 )
+from support_oracle import in_monomial_ideal
 
 
 def colon_identity_dims(ring: GradedQuotient, ell: HomogPoly) -> tuple[int, int]:

@@ -7,10 +7,14 @@ from ezdlab.polyring import (
     IdealKind,
     Monomial,
     divides,
-    in_monomial_ideal,
     minimalize_monomial_gens,
     monomials_of_degree,
 )
+
+
+def in_monomial_ideal(m: Monomial, gens) -> bool:
+    """Membership in a monomial ideal: some generator divides `m`."""
+    return any(divides(g, m) for g in gens)
 
 
 def check_support_multiples(ring: GradedQuotient, ell: HomogPoly, q: HomogPoly) -> list[tuple[Monomial, Monomial]]:

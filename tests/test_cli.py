@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from ezdlab import cli, lab
 from ezdlab.cli import main
+from ezdlab.ezd import derived_seed
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -318,6 +319,35 @@ def test_hilbert_unit_ideal_is_artinian(capsys):
     assert payload["values"] == [0, 0, 0]
     assert payload["artinian"] is True
     assert payload["artinian_within_bound"] is True
+
+
+def test_hilbert_artinian_examples(capsys):
+    def artinian(bound, ideal):
+        code, out, _ = run(capsys, "hilbert", "-n", "2", "-D", bound, ideal, "--format", "json")
+        assert code == 0
+        return json.loads(out)["artinian"]
+
+    assert artinian("3", "x1^2, x2^2") is True
+    assert artinian("4", "x1*x2") is False
+    assert artinian("3", "x1^2, x1*x2 + x2^2") is True
+    # the unit ideal: no pure powers, but the ring vanishes from degree 0
+    assert artinian("2", "3") is True
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_binomial_records_are_ezd_verdicts(capsys, seed):
+    """Each examined record's decision and witness are what `ezd` prints for
+    its ideal at the bound the scan builds to and the instance's seed."""
+    report = lab.scan_binomial(lab.ScanConfig(3, seed=seed, workers=1))
+    assert report.examined == 54
+    for rec in report.instances:
+        code, out, _ = run(
+            capsys, "ezd", "-n", "3", "-D", "6", rec.ideal,
+            "--seed", str(derived_seed(seed, rec.index)), "--format", "json",
+        )
+        payload = json.loads(out)
+        assert (payload["decision"], payload["witness"]) == (rec.decision, rec.witness), rec.ideal
+        assert code == (0 if rec.decision == "generically_yes" else 1)
 
 
 def test_hilbert_unit_ideal_default_bound(capsys):

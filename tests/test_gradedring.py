@@ -16,7 +16,6 @@ from ezdlab.ezd import mult_map
 from ezdlab.gradedring import (
     build_quotient,
     default_bound,
-    is_artinian_within,
     monomial_hilbert,
     socle_bound,
 )
@@ -24,7 +23,6 @@ from ezdlab.lab import ScanConfig, enumerate_monomial_ideals
 from ezdlab.polyring import (
     HomogPoly,
     format_monomial,
-    in_monomial_ideal,
     make_ideal,
     minimalize_monomial_gens,
     monomial_ideal,
@@ -36,6 +34,7 @@ import binomial_family
 from fraction_oracle import fraction_rref
 from macaulay_oracle import macaulay_components, macaulay_ring
 from one_form import in_one_form
+from support_oracle import in_monomial_ideal
 
 
 def test_build_squares_bases():
@@ -262,14 +261,6 @@ def test_monomial_hilbert_matches_closure(case):
     ring_hf = build_quotient(monomial_ideal(nvars, gens), bound).hilbert
     assert ring_hf == hf
     assert ring_hf.artinian_within_bound == (0 in ring_hf.values)
-
-
-def test_is_artinian_examples():
-    assert is_artinian_within(build_quotient(parse_ideal("x1^2, x2^2", 2), 3))
-    assert not is_artinian_within(build_quotient(parse_ideal("x1*x2", 2), 4))
-    assert is_artinian_within(build_quotient(parse_ideal("x1^2, x1*x2 + x2^2", 2), 3))
-    # the unit ideal: no pure powers, but the ring vanishes from degree 0
-    assert is_artinian_within(build_quotient(parse_ideal("3", 2), 2))
 
 
 def test_default_bound():

@@ -34,7 +34,6 @@ from ezdlab.polyring import (
     divides,
     format_ideal,
     format_poly,
-    in_monomial_ideal,
     minimalize_monomial_gens,
     monomial_ideal,
     monomial_key,
@@ -467,12 +466,13 @@ def test_binomial_scan_degree_one_builds(monkeypatch):
     monkeypatch.setattr(GradedQuotient, "integer_map", counting)
     report = scan_binomial(ScanConfig(3, seed=1, workers=1))
     assert report.examined == 54
-    # 54 rings x 3 trials = 162 (ring, form) pairs. colon_identity_dims ranks
-    # each ell on R_1 first, through the ring's map_rank, so that is one
-    # build per pair, and every later rank of ell from degree 1 is read from
-    # the ring's rank memo.
-    # The Hilbert series of 15 of the 54 rings admits no linear form in an
-    # exact pair, so find_ezd_complement builds no map for their 45 pairs.
+    # 54 rings x 3 trials = 162 (ring, form) pairs. Each ell is ranked on R_1
+    # once, through the ring's map_rank, so that is one build per pair:
+    # generic_ezd_decision's partner search ranks it first, and the colon
+    # identity reads that rank from the ring's rank memo. The Hilbert series
+    # of 15 of the 54 rings admits no linear form in an exact pair, so
+    # find_ezd_complement builds no map for their 45 pairs, and there
+    # colon_identity_dims ranks ell on R_1 itself.
     rejected = sum(1 for r in report.instances if not hilbert_admits_pair(r.hilbert))
     assert rejected == 15
     # Of the other 117 pairs, 81 have a degree-1 partner q, and each of
@@ -513,6 +513,27 @@ def test_binomial_scan_builds_one_ring_per_instance(monkeypatch):
     assert report.examined == 54
     assert sum(r.deg1_witness_trials for r in report.instances) == 81  # the checks ran
     assert builds == [0] * 54
+
+
+def test_binomial_record_counts_a_higher_degree_partner(monkeypatch):
+    """The record's decision and witness are generic_ezd_decision's, so a
+    partner of degree 2 counts there, while the degree-1 checks skip it."""
+    key = "x1^2, x2^2, x1*x2 + x3^2"  # off the boundary stratum
+    q = parse_poly("x1*x3", 3)
+    complement = ezd.find_ezd_complement
+
+    def fake(ring, ell):
+        # a stand-in partner, never checked: only the degree and text are read
+        return (q, None) if format_ideal(ring.spec) == key else complement(ring, ell)
+
+    monkeypatch.setattr(ezd, "find_ezd_complement", fake)
+    report = scan_binomial(ScanConfig(3, seed=2, workers=1))
+    rec = next(r for r in report.instances if r.ideal == key)
+    assert not rec.boundary
+    assert (rec.decision, rec.witness) == ("generically_yes", "x1*x3")
+    assert rec.deg1_witness_trials == 0
+    assert rec.decompose_ok is None and rec.support_ok is None
+    assert report.passes and not report.counterexamples
 
 
 def test_binomial_ann1_dims_match_direct_ranks():

@@ -17,7 +17,6 @@ from ezdlab.polyring import (
     divides,
     format_ideal,
     format_poly,
-    in_monomial_ideal,
     make_ideal,
     minimalize_monomial_gens,
     monomial_ideal,
@@ -27,6 +26,7 @@ from ezdlab.polyring import (
     parse_poly,
 )
 from one_form import in_one_form
+from support_oracle import in_monomial_ideal
 
 
 def test_divides_examples():
