@@ -11,8 +11,9 @@ forms are exact as well.
 from ezdlab import (
     build_quotient,
     default_bound,
-    generic_form_probe,
+    find_ezd_complement,
     format_poly,
+    generic_linear_form,
     parse_ideal,
     power_ideal_example,
 )
@@ -26,9 +27,10 @@ for n, d in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
     print(f"  verdict: {report.verdict.value}")
 
 # For the short member (every piece from degree 3 on vanishes) one pair
-# already forces generic behavior; the probe samples twenty fresh forms.
+# already forces generic behavior; twenty sampled forms all find a partner.
 spec = parse_ideal("x1^2, x2^2, x2*x3, x3^2", 3)
 ring = build_quotient(spec, default_bound(spec))
-probe = generic_form_probe(ring, samples=20, seed=0)
+forms = [generic_linear_form(3, seed) for seed in range(20)]
+exact = sum(find_ezd_complement(ring, ell) is not None for ell in forms)
 print()
-print(f"probe on {probe.base_form} and nineteen friends: {probe.successes}/{probe.samples} exact")
+print(f"sampled forms {format_poly(forms[0])} and nineteen more: {exact}/{len(forms)} exact")

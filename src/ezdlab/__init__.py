@@ -36,7 +36,6 @@ from .ezd import (
 from .lab import (
     ScanConfig,
     decompose_partner,
-    generic_form_probe,
     power_ideal_example,
     scan_binomial,
     scan_monomial,

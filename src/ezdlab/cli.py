@@ -45,9 +45,7 @@ from .ezd import (
     yoshino_conditions,
 )
 from .gradedring import build_quotient, default_bound, refuse_oversize
-from .lab import (
-    BINOMIAL_DEFAULT_BOUND, ScanConfig, power_ideal_example, scan_binomial, scan_monomial,
-)
+from .lab import BINOMIAL_DEFAULT_BOUND, FAMILIES, ScanConfig, power_ideal_example
 from .polyring import format_ideal, format_poly, parse_ideal, parse_poly
 
 SCHEMA_VERSION = 1
@@ -259,7 +257,7 @@ def cmd_scan(args) -> int:
         trials=args.trials,
         workers=workers,
     )
-    scan = scan_monomial if args.family == "monomial" else scan_binomial
+    scan = FAMILIES[args.family].scan
     if args.out is None:
         report = scan(cfg)
         sys.stdout.write(_scan_text(report, args))
@@ -366,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "its rings are built to, the socle bound of each monomial ideal and "
                     f"max({BINOMIAL_DEFAULT_BOUND}, n + 1) for the binomial family.",
     )
-    p.add_argument("family", choices=["monomial", "binomial"])
+    p.add_argument("family", choices=list(FAMILIES))
     p.add_argument("-n", "--nvars", type=int, required=True)
     p.add_argument("--max-deg", type=int, default=2, help="max generator degree (monomial family)")
     p.add_argument("--trials", type=int, default=3,

@@ -1,32 +1,32 @@
 """Ideal-family enumeration and the experiment suite.
 
-Two families are scanned exhaustively at desk scale:
+Two families are scanned exhaustively at desk scale, each listed in
+FAMILIES with its scan and record type:
 
 * Artinian monomial ideals with generators up to a degree cap. For these
   the generic-linear-form question is decided exactly through the all-ones
-  form, and whenever a generic exact pair with partner degree t exists the
-  scan asserts the Hilbert drop dim R_{t+1} = dim R_t - 1. The socle
-  bound and the Hilbert function come from the generators' exponent
-  tuples alone, the latter through divisibility bitmasks shared across
-  the scan (`monomial_hilbert`); the IdealSpec and the ring are built
+  form. The socle bound and the Hilbert function come from the generators'
+  exponent tuples alone, the latter through divisibility bitmasks shared
+  across the scan (`monomial_hilbert`); the IdealSpec and the ring are built
   only when the Hilbert series admits a linear form in an exact pair
   (`ezd.hilbert_admits_pair`), and every other ideal is recorded as "no".
 
 * "Monomial plus one binomial" ideals J + (f1 + f2) with everything in
   degree 2. Each ring is decided by `generic_ezd_decision`, as the
-  monomial family is, and the paper's checks run over its trials. Off the
-  boundary stratum dim R_2 = n - 1 no sampled linear form may admit a
-  verified degree-1 partner; on the stratum the verdict is recorded
-  without assertion, each degree-1 partner is split into halves
-  compatible with J + (f1) and J + (f2), and the degree-2 colon-dimension
-  identity is checked on every trial. A candidate is skipped before
-  anything is built when its binomial collapses modulo J or when the
-  supports of J and f show the quotient is not Artinian. Each examined
-  candidate builds one ring; the three checks build none. The colon
-  identity's left side is one rank in the coordinates of the degree-2
-  monomials of P (`colon_identity_dims`), and the split and its support
-  check hold J as sets of exponent tuples and the linear forms as integer
-  coefficient vectors (`decompose_partner`, `check_split_support`).
+  monomial family is, and the paper's checks run over its trials: each
+  degree-1 partner is split into halves compatible with J + (f1) and
+  J + (f2), and the degree-2 colon-dimension identity is checked on every
+  trial. A candidate is skipped before anything is built when its binomial
+  collapses modulo J or when the supports of J and f show the quotient is
+  not Artinian. Each examined candidate builds one ring; the checks build
+  none. The colon identity's left side is one rank in the coordinates of
+  the degree-2 monomials of P (`colon_identity_dims`), and the split and
+  its support check hold J as sets of exponent tuples and the linear forms
+  as integer coefficient vectors (`decompose_partner`, `check_split_support`).
+
+Both tasks check their verdict with one rule, `pair_rule_faults`: the
+series identity and the drop dim R_{t+1} = dim R_t - 1 at each verified
+partner's degree t.
 
 Scans are deterministic: per-instance seeds depend only on the configured
 seed and the instance index, work is distributed in enumeration order in
@@ -50,23 +50,21 @@ from itertools import combinations, permutations, product
 from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import add
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .exactmat import kernel_basis, ratio
 from .ezd import (
     EzdReport,
     GenericDecision,
+    GenericVerdict,
     colon_identity_dims,
     derived_seed,
-    find_ezd_complement,
     generic_ezd_decision,
-    generic_linear_form,
     hilbert_admits_pair,
     is_ezd_pair,
 )
 from .gradedring import (
-    GradedQuotient, build_quotient, default_bound, monomial_hilbert, refuse_oversize,
-    socle_bound,
+    build_quotient, default_bound, monomial_hilbert, refuse_oversize, socle_bound,
 )
 from .polyring import (
     HomogPoly,
@@ -322,9 +320,7 @@ class ScanReport:
 
     @property
     def with_generic_ezd(self) -> int:
-        if self.family == "monomial":
-            return sum(1 for r in self.instances if r.decision == "generically_yes")
-        return sum(1 for r in self.instances if r.deg1_witness_trials > 0)
+        return sum(1 for r in self.instances if r.witness is not None)
 
     @property
     def passes(self) -> bool:
@@ -366,8 +362,7 @@ class ScanReport:
 
     def to_csv(self) -> str:
         """One row per instance; the columns are the record's fields in order."""
-        record_type = MonomialInstance if self.family == "monomial" else BinomialInstance
-        names = [f.name for f in fields(record_type)]
+        names = [f.name for f in fields(FAMILIES[self.family].record)]
         buf = StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(names)
@@ -430,6 +425,31 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def pair_rule_faults(
+    hilbert: tuple[int, ...], verdict: GenericVerdict, map_rank: Callable[[HomogPoly, int], int]
+) -> list[str]:
+    """The reasons of the counterexamples to the drop H(t + 1) = H(t) - 1, one
+    per distinct degree t of a verified partner in `verdict`. Each pair (ell, q)
+    must first satisfy H_R(z) = H_{R/(ell)}(z)(1 + z + ... + z^t), a theorem
+    (`ezd.hilbert_admits_pair`), or RuntimeError is raised; H_{R/(ell)}(d) is
+    H(d) - map_rank(ell, d - 1), from the ranks the pair check took."""
+    top = max(d for d, v in enumerate(hilbert) if v)
+    h = [*hilbert[: top + 1], *[0] * top]  # H up to degree 2 * top, past any top + t
+    for ell, q in zip(verdict.forms, verdict.partners):
+        if q is None:
+            continue
+        t = q.degree
+        quotient = [h[0]] + [h[d] - map_rank(ell, d - 1) for d in range(1, top + 1)]
+        if [sum(quotient[max(0, d - t) : d + 1]) for d in range(top + t + 1)] != h[: top + t + 1]:
+            raise RuntimeError(f"exact pair {format_poly(ell)}, {format_poly(q)}: H_R = "
+                               f"{h[: top + 1]} is not H_{{R/(ell)}} = {quotient} times 1 + ... + z^{t}")
+    degrees = sorted({q.degree for q in verdict.partners if q is not None})
+    return [
+        f"generic exact pair with partner degree {t} but dim R_{t + 1} = {h[t + 1]} "
+        f"while dim R_{t} - 1 = {h[t] - 1}" for t in degrees if h[t + 1] != h[t] - 1
+    ]
+
+
 # ---------------------------------------------------------------------------
 # monomial scan
 
@@ -444,20 +464,18 @@ def _monomial_task(cfg: ScanConfig, payload: tuple[int, tuple]):
     hilbert = monomial_hilbert(cfg.nvars, gens, bound).values
     # When the series rules out every linear form the decision is "no",
     # as the all-ones form would find, and neither ideal nor ring is built.
-    decision, witness = GenericDecision.NO, None
+    decision, witness, faults = GenericDecision.NO, None, []
     if hilbert_admits_pair(hilbert):
         ring = build_quotient(monomial_ideal(cfg.nvars, gens), bound)
         verdict = generic_ezd_decision(ring, cfg.trials, derived_seed(cfg.seed, idx))
         decision, witness = verdict.decision, verdict.witness
-    if decision is GenericDecision.GENERICALLY_YES:
-        if witness is None:
-            raise RuntimeError(f"instance {idx}: generic exact pair without a witness")
+        faults = pair_rule_faults(hilbert, verdict, ring.map_rank)
+    # the all-ones form is the one trial, so a witness means "generically yes"
+    t = dim_prev = dim_at = drop_ok = None
+    if witness is not None:
         t = witness.degree
         # the socle bound lies past the top degree, so H(t + 1) is listed
-        dim_prev, dim_at = hilbert[t], hilbert[t + 1]
-        drop_ok = dim_at == dim_prev - 1
-    else:
-        t = dim_prev = dim_at = drop_ok = None
+        dim_prev, dim_at, drop_ok = hilbert[t], hilbert[t + 1], not faults
     record = MonomialInstance(
         idx,
         text,
@@ -470,17 +488,7 @@ def _monomial_task(cfg: ScanConfig, payload: tuple[int, tuple]):
         dim_at,
         drop_ok,
     )
-    counterexamples = []
-    if drop_ok is False:
-        counterexamples.append(
-            Counterexample(
-                idx,
-                text,
-                f"generic exact pair with partner degree {t} but "
-                f"dim R_{t + 1} = {dim_at} while dim R_{t} - 1 = {dim_prev - 1}",
-            )
-        )
-    return record, counterexamples
+    return record, [Counterexample(idx, text, reason) for reason in faults]
 
 
 def _run_scan(family: str, cfg: ScanConfig, task, payloads: Iterable[tuple]) -> ScanReport:
@@ -572,13 +580,12 @@ def _binomial_task(cfg: ScanConfig, payload: tuple[int, tuple, tuple]):
     if not ring.complete:
         raise RuntimeError(f"instance {idx}: Artinian {text} does not vanish by degree {bound}")
     r1, r2 = ring.dim(1), ring.dim(2)
-    boundary = r2 == n - 1
     verdict = generic_ezd_decision(ring, cfg.trials, derived_seed(cfg.seed, idx))
+    faults = pair_rule_faults(ring.hilbert.values, verdict, ring.map_rank)
     # per-trial outcomes: colon identities and ann1 dims, and for each
     # degree-1 partner its split and that split's support check
     colon_ok, ann1_dims, splits_ok, supports_ok = [], [], [], []
     deg1_trials = 0
-    faults: list[str] = []
     for ell, q in zip(verdict.forms, verdict.partners):
         lhs, rhs = colon_identity_dims(ring, ell)
         colon_ok.append(lhs == rhs)
@@ -589,11 +596,6 @@ def _binomial_task(cfg: ScanConfig, payload: tuple[int, tuple, tuple]):
         if q is None or q.degree != 1:
             continue
         deg1_trials += 1
-        if not boundary:
-            faults.append(
-                f"dim R_2 = {r2} != {n - 1} yet {format_poly(ell)} has the verified "
-                f"degree-1 partner {format_poly(q)}"
-            )
         split = decompose_partner(spec, ell, q)
         splits_ok.append(split is not None)
         if split is None:
@@ -604,7 +606,7 @@ def _binomial_task(cfg: ScanConfig, payload: tuple[int, tuple, tuple]):
         if bad:
             faults.append(f"split support check failed: {bad[0]}")
     record = BinomialInstance(
-        idx, text, ring.hilbert.values, r2, boundary,
+        idx, text, ring.hilbert.values, r2, r2 == n - 1,
         verdict.decision.value, tuple(ann1_dims), deg1_trials,
         format_poly(verdict.witness) if verdict.witness is not None else None,
         all(splits_ok) if splits_ok else None, all(supports_ok) if supports_ok else None,
@@ -816,33 +818,10 @@ def check_split_support(
     return violations
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    """One exact pair implies generic forms are exact: sampled evidence."""
-
-    base_form: str | None
-    skipped_reason: str | None
-    samples: int
-    successes: int
-
-
-def generic_form_probe(ring: GradedQuotient, samples: int = 20, seed: int = 0) -> ProbeReport:
-    """For rings vanishing from degree 3 on: find one exact pair in at most
-    `samples` sampled forms, then report how many of `samples` further
-    sampled forms are exact (expected all)."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if not (ring.complete and ring.top_degree < 3):
-        raise ValueError("ring must vanish from degree 3 on")
-    for i in range(samples):
-        base = generic_linear_form(ring.nvars, derived_seed(seed, i))
-        if find_ezd_complement(ring, base) is not None:
-            break
-    else:
-        return ProbeReport(None, f"no exact pair found in {samples} sampled forms", samples, 0)
-    successes = 0
-    for j in range(samples):
-        ell = generic_linear_form(ring.nvars, derived_seed(seed, samples + j))
-        if find_ezd_complement(ring, ell) is not None:
-            successes += 1
-    return ProbeReport(format_poly(base), None, samples, successes)
+Family = NamedTuple("Family", [("scan", Callable[[ScanConfig], ScanReport]), ("record", type)])
+# Each scanned family's scan and record type. A scan is called through its
+# name in this module, so a wrapper bound to that name runs.
+FAMILIES = {
+    "monomial": Family(lambda cfg: scan_monomial(cfg), MonomialInstance),
+    "binomial": Family(lambda cfg: scan_binomial(cfg), BinomialInstance),
+}

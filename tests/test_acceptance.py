@@ -26,7 +26,6 @@ from ezdlab.gradedring import build_quotient, default_bound
 from ezdlab.lab import (
     BINOMIAL_DEFAULT_BOUND,
     ScanConfig,
-    generic_form_probe,
     power_ideal_example,
     scan_binomial,
     scan_monomial,
@@ -42,6 +41,7 @@ from ezdlab.polyring import (
 )
 
 from macaulay_oracle import macaulay_ring
+from probe_oracle import generic_form_probe
 from support_oracle import check_support_multiples
 
 F = Fraction

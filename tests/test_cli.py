@@ -527,7 +527,7 @@ def test_scan_out_opened_before_scan(tmp_path, capsys, monkeypatch):
     def no_scan(cfg):
         raise AssertionError("the scan ran before --out was checked")
 
-    monkeypatch.setattr("ezdlab.cli.scan_monomial", no_scan)
+    monkeypatch.setattr("ezdlab.lab.scan_monomial", no_scan)
     code, _, err = run(capsys, "scan", "monomial", "-n", "2", "--out", str(tmp_path / "x" / "y"))
     assert code == 2
     assert err.startswith("error: cannot write ")
@@ -537,7 +537,7 @@ def test_internal_fault_exits_3(tmp_path, capsys, monkeypatch):
     def broken_scan(cfg):
         raise RuntimeError("H(3) = 1 after H(2) = 0")
 
-    monkeypatch.setattr("ezdlab.cli.scan_binomial", broken_scan)
+    monkeypatch.setattr("ezdlab.lab.scan_binomial", broken_scan)
     target = tmp_path / "report.json"
     target.write_text("an earlier report\n")
     code, out, err = run(capsys, "scan", "binomial", "-n", "3", "--out", str(target))

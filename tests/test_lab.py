@@ -6,10 +6,11 @@ from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 
-from ezdlab import ezd, lab, polyring
+from ezdlab import cli, ezd, lab, polyring
 from ezdlab.exactmat import rank
 from ezdlab.ezd import (
     PairVerdict,
@@ -25,7 +26,6 @@ from ezdlab.lab import (
     check_split_support,
     decompose_partner,
     enumerate_monomial_ideals,
-    generic_form_probe,
     power_ideal_example,
     scan_binomial,
     scan_monomial,
@@ -43,6 +43,8 @@ from ezdlab.polyring import (
 )
 
 import binomial_family
+import probe_oracle
+from probe_oracle import generic_form_probe
 from support_oracle import check_support_multiples
 
 F = Fraction
@@ -515,9 +517,12 @@ def test_binomial_scan_builds_one_ring_per_instance(monkeypatch):
     assert builds == [0] * 54
 
 
-def test_binomial_record_counts_a_higher_degree_partner(monkeypatch):
-    """The record's decision and witness are generic_ezd_decision's, so a
-    partner of degree 2 counts there, while the degree-1 checks skip it."""
+def test_binomial_record_counts_a_higher_degree_partner(monkeypatch, capsys):
+    """A partner of degree 2 reaches the pair rule, as every partner does.
+    This stand-in partner, on a ring with H = 1 3 3 1, breaks the series
+    identity, since 3 does not divide sum H = 8: the scan raises RuntimeError
+    and the CLI exits 3. That a record's decision and witness are the
+    verdict's is pinned by test_cli's test_binomial_records_are_ezd_verdicts."""
     key = "x1^2, x2^2, x1*x2 + x3^2"  # off the boundary stratum
     q = parse_poly("x1*x3", 3)
     complement = ezd.find_ezd_complement
@@ -527,13 +532,63 @@ def test_binomial_record_counts_a_higher_degree_partner(monkeypatch):
         return (q, None) if format_ideal(ring.spec) == key else complement(ring, ell)
 
     monkeypatch.setattr(ezd, "find_ezd_complement", fake)
-    report = scan_binomial(ScanConfig(3, seed=2, workers=1))
-    rec = next(r for r in report.instances if r.ideal == key)
-    assert not rec.boundary
-    assert (rec.decision, rec.witness) == ("generically_yes", "x1*x3")
-    assert rec.deg1_witness_trials == 0
-    assert rec.decompose_ok is None and rec.support_ok is None
-    assert report.passes and not report.counterexamples
+    broken = r"^exact pair .+, x1\*x3: H_R = \[1, 3, 3, 1\] is not H_\{R/\(ell\)\} = .+ z\^2$"
+    with pytest.raises(RuntimeError, match=broken):
+        scan_binomial(ScanConfig(3, seed=2, workers=1))
+    assert cli.main(["scan", "binomial", "-n", "3", "--seed", "2", "--workers", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: exact pair ")
+
+
+def _rule_faults(hilbert, t, quotient):
+    """`pair_rule_faults` on hand-made data: three forms, the first and the
+    last with partners of degree t, and ranks that give H_{R/(ell)} = quotient."""
+    ell, q = parse_poly("x1 + x2", 3), parse_poly(f"x1^{t}", 3)
+    verdict = SimpleNamespace(forms=(ell, ell, ell), partners=(q, None, q))
+    padded = [*quotient, *[0] * len(hilbert)]
+    return lab.pair_rule_faults(hilbert, verdict, lambda f, d: hilbert[d + 1] - padded[d + 1])
+
+
+def test_pair_rule_finds_the_drop_failing_at_partner_degree_1():
+    # (1 + z)(1 + 2z + z^2) = 1 + 3z + 3z^2 + z^3, and H(2) = 3 != H(1) - 1
+    assert _rule_faults((1, 3, 3, 1), 1, (1, 2, 1)) == [
+        "generic exact pair with partner degree 1 but dim R_2 = 3 while dim R_1 - 1 = 2"
+    ]
+
+
+def test_pair_rule_finds_the_drop_failing_at_partner_degree_2():
+    # (1 + z + z^2)(1 + 2z + 2z^2 + z^3) = 1 + 3z + 5z^2 + 5z^3 + 3z^4 + z^5,
+    # and H(3) = 5 != H(2) - 1: a rule read at t = 1 only would miss it
+    assert _rule_faults((1, 3, 5, 5, 3, 1, 0), 2, (1, 2, 2, 1)) == [
+        "generic exact pair with partner degree 2 but dim R_3 = 5 while dim R_2 - 1 = 4"
+    ]
+
+
+def test_pair_rule_passes_the_drop_at_partner_degree_2():
+    # (1 + z + z^2)(1 + 2z + z^2) = 1 + 3z + 4z^2 + 3z^3 + z^4, and H(3) = H(2) - 1
+    assert _rule_faults((1, 3, 4, 3, 1), 2, (1, 2, 1)) == []
+
+
+def test_pair_rule_refuses_a_pair_that_breaks_the_series():
+    # (1 + z + z^2)(1 + 2z + z^2) has 4 in degree 2, not H(2) = 3
+    with pytest.raises(RuntimeError, match=r"^exact pair x1 \+ x2, x1\^2: H_R = \[1, 3, 3, 1\] is not "):
+        _rule_faults((1, 3, 3, 1), 2, (1, 2, 1))
+
+
+def test_both_scans_reach_the_pair_rule(monkeypatch, capsys):
+    """Each family's task hands its verdict to `pair_rule_faults` and reports
+    the reasons it returns as counterexamples."""
+    rule = lab.pair_rule_faults
+
+    def forced(hilbert, verdict, map_rank):
+        faults = rule(hilbert, verdict, map_rank)
+        return faults + ["forced"] if any(q is not None for q in verdict.partners) else faults
+
+    monkeypatch.setattr(lab, "pair_rule_faults", forced)
+    for family, extra in (("monomial", ["--max-deg", "3"]), ("binomial", [])):
+        assert cli.main(["scan", family, "-n", "2", *extra, "--workers", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "with generic exact pair: 0" not in out and ": forced\n" in out
 
 
 def test_binomial_ann1_dims_match_direct_ranks():
@@ -703,7 +758,7 @@ def test_probe_refuses_no_samples(samples):
 
 
 def test_probe_report_fields():
-    assert [f.name for f in fields(lab.ProbeReport)] == [
+    assert [f.name for f in fields(probe_oracle.ProbeReport)] == [
         "base_form", "skipped_reason", "samples", "successes",
     ]
 

@@ -8,8 +8,8 @@ in `ezd` another, `annihilator_degree`. A ring that may not vanish past its
 bound is refused in one place, `GradedQuotient.top_degree`, which every
 analysis reads. Inside the package a matrix is a list of rows: `QMatrix`
 appears only in its class, in `exactmat.rref` and in the public
-`ezd.mult_map`. In `lab` only `generic_form_probe` samples a form or
-searches its partner; the scans decide through `generic_ezd_decision`."""
+`ezd.mult_map`. No code in `lab` samples a form or searches its partner:
+the scans decide through `generic_ezd_decision`."""
 
 import ast
 from pathlib import Path
@@ -120,29 +120,21 @@ def test_echelon_forms_and_ring_kernels_have_one_door():
     assert not bypasses, f"calls round Subspace.from_vectors or annihilator_degree: {bypasses}"
 
 
-# the calls that sample a form or search its partner: in `lab` only
-# generic_form_probe makes them, as the scans decide through generic_ezd_decision
+# the calls that sample a form or search its partner: `lab` makes none, as
+# the scans decide through generic_ezd_decision
 SAMPLERS = {"find_ezd_complement", "generic_linear_form"}
 
 
 def _sampler_calls(source: str) -> list[tuple[int, str]]:
     """(line, callee) for every call of a SAMPLERS name, bare or as an
-    attribute, outside `generic_form_probe`. A call is placed in its
-    innermost function."""
+    attribute, wherever it is made."""
     found = []
-
-    def visit(node, fn):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            fn = node.name
-        elif isinstance(node, ast.Call):
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name in SAMPLERS and fn != "generic_form_probe":
+            if name in SAMPLERS:
                 found.append((node.lineno, name))
-        for child in ast.iter_child_nodes(node):
-            visit(child, fn)
-
-    visit(ast.parse(source), None)
     return sorted(found)
 
 
@@ -157,13 +149,14 @@ def test_sampler_walker_finds_every_call():
         "FORM = generic_linear_form(3, 0)\n"
     )
     assert _sampler_calls(source) == [
-        (3, "generic_linear_form"), (4, "find_ezd_complement"), (7, "generic_linear_form")
+        (3, "generic_linear_form"), (4, "find_ezd_complement"),
+        (6, "find_ezd_complement"), (6, "generic_linear_form"), (7, "generic_linear_form"),
     ]
 
 
 def test_scans_decide_through_generic_ezd_decision():
     calls = _sampler_calls((PACKAGE / "lab.py").read_text())
-    assert not calls, f"lab samples a form or searches a partner outside generic_form_probe: {calls}"
+    assert not calls, f"lab samples a form or searches a partner: {calls}"
 
 
 def test_walker_finds_every_import_form():
