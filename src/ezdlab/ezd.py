@@ -9,12 +9,15 @@ normal-form table in integers, as the `int` rows of a matrix N over one
 denominator D (`GradedQuotient.integer_map`): each rank, kernel, column
 space and zero test here reads those rows, as N has those of N / D, and
 only the public `mult_map` divides them, into a `QMatrix`. Every r_f(d)
-comes from the ring's `map_rank`, which remembers it, so the pair check,
-the search for a partner, the Lefschetz check, the colon identity and the
-socle's certificate rank each (form, degree) once; only `socle_dims`, in
-a degree the certificate leaves open, ranks a matrix of its own. No table is read here. The containment
-(y)_d in Ann(x)_d holds exactly when xy*R_{d-deg y} = 0, and given it,
-equality is equality of dimensions. A subspace is built only where its
+comes from the ring's rank memo, so the pair check, the search for a
+partner, the Lefschetz check, the colon identity and the socle's
+certificate rank each (form, degree) once. `map_rank` reads and fills the
+memo; the search for a partner fills it through `ranked_map`, which also
+returns the map it ranked, so the partner, a kernel vector
+(`annihilator_degree`), comes from the same build. Only `socle_dims`, in
+a degree the certificate leaves open, ranks a matrix of its own. No
+table is read here. The containment (y)_d in Ann(x)_d holds exactly when
+xy*R_{d-deg y} = 0, and given it, equality is equality of dimensions. A subspace is built only where its
 vectors are used, as for the kernel vector `find_ezd_complement` offers
 as a partner. An element that is zero in R (the zero polynomial, one in
 I, one past the top degree, any element of the zero ring) is never part
@@ -26,7 +29,12 @@ The Hilbert series alone can prove that no linear form has a partner: a
 pair (ell, y) with deg ell = 1 and deg y = t splits H_R as the Hilbert
 function of R/(ell) times 1 + z + ... + z^t (`hilbert_admits_pair`), so
 `find_ezd_complement` builds no map for a linear form in a ring where no
-t allows that split.
+t allows that split. For a general linear form the quotient R/(ell) also
+obeys Green's hyperplane restriction bound H_{R/(ell)}(d) <= H_R(d)_<d>
+(`green_bound`), and `general_form_admits_pair` asks for a split whose
+quotient does; a form that is given or sampled need not be general, so
+only a caller that knows its form is general may use it. Both tests read
+one cached list of the admissible quotients per Hilbert function.
 """
 
 from __future__ import annotations
@@ -73,9 +81,14 @@ def mult_map(ring: GradedQuotient, f: HomogPoly, d: int) -> QMatrix:
     return QMatrix(len(rows), ring.dim(d), [ratio(x, den) for row in rows for x in row])
 
 
-def annihilator_degree(ring: GradedQuotient, f: HomogPoly, d: int) -> Subspace:
-    """Degree-d piece of Ann(f) as a subspace of R_d."""
-    return kernel_basis(ring.dim(d), ring.integer_map(f, d)[0])
+def annihilator_degree(
+    ring: GradedQuotient, f: HomogPoly, d: int, rows: list[list[int]] | None = None
+) -> Subspace:
+    """Degree-d piece of Ann(f) as a subspace of R_d: the kernel of f's map,
+    read from `rows` when the caller has built it (`ring.ranked_map`)."""
+    if rows is None:
+        rows = ring.integer_map(f, d)[0]
+    return kernel_basis(ring.dim(d), rows)
 
 
 def principal_ideal_degree(ring: GradedQuotient, y: HomogPoly, d: int) -> Subspace:
@@ -182,25 +195,46 @@ def is_ezd_pair(ring: GradedQuotient, x: HomogPoly, y: HomogPoly) -> EzdReport:
     return EzdReport(ring_id, x, y, product_zero, tuple(rows), verdict, reason)
 
 
-def macaulay_bound(h: int, d: int) -> int:
-    """Macaulay's bound h^<d>, the largest H(d+1) of a standard graded
-    algebra with H(d) = h, for d >= 1.
-
-    With the d-binomial expansion h = C(k_d, d) + C(k_{d-1}, d-1) + ... +
-    C(k_j, j), k_d > k_{d-1} > ... > k_j >= j >= 1, taken greedily, the
-    bound is C(k_d + 1, d + 1) + ... + C(k_j + 1, j + 1).
-    """
-    if d < 1 or h < 0:
-        raise ValueError("need d >= 1 and h >= 0")
-    out = 0
+@lru_cache(maxsize=1 << 12)
+def _binomial_expansion(h: int, d: int) -> tuple[tuple[int, int], ...]:
+    """The d-binomial expansion h = C(k_d, d) + C(k_{d-1}, d-1) + ... +
+    C(k_j, j), k_d > k_{d-1} > ... > k_j >= j >= 1, taken greedily, as its
+    pairs (k_i, i); none for h = 0. Each k_i is the largest k with
+    C(k, i) <= what is left of h."""
+    terms = []
     while h:
         k = d
         while comb(k + 1, d) <= h:
             k += 1
         h -= comb(k, d)
-        out += comb(k + 1, d + 1)
+        terms.append((k, d))
         d -= 1
-    return out
+    return tuple(terms)
+
+
+def macaulay_bound(h: int, d: int) -> int:
+    """Macaulay's bound h^<d>, the largest H(d+1) of a standard graded
+    algebra with H(d) = h, for d >= 1: C(k_d + 1, d + 1) + ... +
+    C(k_j + 1, j + 1) over the d-binomial expansion of h
+    (`_binomial_expansion`).
+    """
+    if d < 1 or h < 0:
+        raise ValueError("need d >= 1 and h >= 0")
+    return sum(comb(k + 1, i + 1) for k, i in _binomial_expansion(h, d))
+
+
+def green_bound(h: int, d: int) -> int:
+    """Green's bound h_<d> = C(k_d - 1, d) + ... + C(k_j - 1, j) over the
+    d-binomial expansion of h, for d >= 1.
+
+    Green's hyperplane restriction theorem (M. Green, "Restrictions of
+    linear series to hyperplanes, and some results of Macaulay and
+    Gotzmann", LNM 1389, 1989): for a general linear form ell of a standard
+    graded algebra R, H_{R/(ell)}(d) <= H_R(d)_<d> for every d >= 1.
+    """
+    if d < 1 or h < 0:
+        raise ValueError("need d >= 1 and h >= 0")
+    return sum(comb(k - 1, i) for k, i in _binomial_expansion(h, d))
 
 
 def hilbert_admits_pair(values: Sequence[int]) -> bool:
@@ -214,18 +248,40 @@ def hilbert_admits_pair(values: Sequence[int]) -> bool:
     of the standard graded algebra R/(ell): q(0) = 1, q >= 0 and
     q(d+1) <= q(d)^<d>. As ell and y are nonzero, 1 <= t <= top; when no such t
     divides H_R with a quotient of that kind, no linear form has a partner.
-    The answer is cached per Hilbert function: a scan's rings have few distinct ones.
+    The quotients are computed once per Hilbert function (`_pair_quotients`):
+    a scan's rings have few distinct ones.
     """
-    return _admits_pair(tuple(values))
+    return bool(_pair_quotients(tuple(values)))
+
+
+def general_form_admits_pair(values: Sequence[int]) -> bool:
+    """Whether a ring with Hilbert function `values` can have a general
+    linear form in an exact pair: `hilbert_admits_pair`, with each quotient
+    q = H_{R/(ell)} also held to Green's bound q(d) <= H(d)_<d>
+    (`green_bound`) for d >= 1, which a general form's quotient obeys.
+
+    A form that is given or sampled need not be general, so only a caller
+    that knows its form lies in Green's open set may use this test in place
+    of `hilbert_admits_pair`.
+    """
+    h = tuple(values)
+    return any(
+        all(q[d] <= green_bound(h[d], d) for d in range(1, len(q)))
+        for q in _pair_quotients(h)
+    )
 
 
 @lru_cache(maxsize=1 << 12)
-def _admits_pair(values: tuple[int, ...]) -> bool:
+def _pair_quotients(values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The quotients q, one per partner degree t, that split H_R as
+    q(z)(1 + z + ... + z^t) and pass `hilbert_admits_pair`'s tests, without
+    trailing zeros."""
     h = list(values)
     while h and not h[-1]:
         h.pop()
     top = len(h) - 1
     total = sum(h)
+    found = []
     for t in range(1, top + 1):
         if total % (t + 1):  # at z = 1 the split reads sum H = (t + 1) * sum q
             continue
@@ -240,8 +296,8 @@ def _admits_pair(values: tuple[int, ...]) -> bool:
         if q[0] == 1 and min(q) >= 0 and all(
             q[d + 1] <= macaulay_bound(q[d], d) for d in range(1, len(q) - 1)
         ):
-            return True
-    return False
+            found.append(tuple(q))
+    return tuple(found)
 
 
 def find_ezd_complement(ring: GradedQuotient, ell: HomogPoly) -> tuple[HomogPoly, EzdReport] | None:
@@ -250,7 +306,9 @@ def find_ezd_complement(ring: GradedQuotient, ell: HomogPoly) -> tuple[HomogPoly
     Any homogeneous partner must live in the least degree where Ann(ell)
     is nonzero, and that piece must be one-dimensional to be principal.
     The candidate is the canonical generator of that piece (first nonzero
-    coordinate scaled to 1); the full pair check then decides. A linear
+    coordinate scaled to 1); the full pair check then decides. Each degree
+    builds ell's map once (`ring.ranked_map`): its rank, which the ring
+    remembers for the pair check, and that piece are read from it. A linear
     form whose ring fails `hilbert_admits_pair` has no partner, and no
     map is built. None means no partner; a ring that may not vanish past
     its bound is refused with ValueError, as by every analysis, since a
@@ -262,12 +320,13 @@ def find_ezd_complement(ring: GradedQuotient, ell: HomogPoly) -> tuple[HomogPoly
     if ell.degree == 1 and not hilbert_admits_pair(ring.hilbert.values):
         return None
     for t in range(top + 1):
-        nullity = ring.dim(t) - ring.map_rank(ell, t)
+        r, rows = ring.ranked_map(ell, t)
+        nullity = ring.dim(t) - r
         if nullity == 0:
             continue
         if nullity >= 2:
             return None
-        q = ring.basis_poly(t, annihilator_degree(ring, ell, t).basis[0])
+        q = ring.basis_poly(t, annihilator_degree(ring, ell, t, rows).basis[0])
         report = is_ezd_pair(ring, ell, q)
         if report.verdict is PairVerdict.EXACT_PAIR:
             return q, report

@@ -207,6 +207,14 @@ class GradedQuotient:
             r = self._ranks[f, d] = rank(self.integer_map(f, d)[0])
         return r
 
+    def ranked_map(self, f: HomogPoly, d: int) -> tuple[int, list[list[int]]]:
+        """The rank of `integer_map(f, d)` and the map's rows, from one build;
+        the rank is remembered as `map_rank`'s. A caller that reads both the
+        rank and the map, as the search for a partner does, builds it once."""
+        rows = self.integer_map(f, d)[0]
+        r = self._ranks[f, d] = rank(rows)
+        return r, rows
+
     def basis_poly(self, degree: int, coords) -> HomogPoly:
         """The polynomial with the given coordinates in the quotient basis."""
         basis = self.basis_monomials(degree)

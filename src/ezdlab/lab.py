@@ -8,8 +8,12 @@ FAMILIES with its scan and record type:
   form. The socle bound and the Hilbert function come from the generators'
   exponent tuples alone, the latter through divisibility bitmasks shared
   across the scan (`monomial_hilbert`); the IdealSpec and the ring are built
-  only when the Hilbert series admits a linear form in an exact pair
-  (`ezd.hilbert_admits_pair`), and every other ideal is recorded as "no".
+  only when the Hilbert series admits a general linear form in an exact
+  pair, with H_{R/(ell)} under Green's hyperplane restriction bound
+  (`ezd.general_form_admits_pair`), and every other ideal is recorded as
+  "no". The all-ones form is general, by the torus argument that makes its
+  decision exact. The walk is orderly: symmetry reduction prunes each
+  subtree whose root is not lex-least in its class.
 
 * "Monomial plus one binomial" ideals J + (f1 + f2) with everything in
   degree 2. Each ring is decided by `generic_ezd_decision`, as the
@@ -26,7 +30,8 @@ FAMILIES with its scan and record type:
 
 Both tasks check their verdict with one rule, `pair_rule_faults`: the
 series identity and the drop dim R_{t+1} = dim R_t - 1 at each verified
-partner's degree t.
+partner's degree t. A pair that breaks the identity raises RuntimeError
+naming the instance's index and ideal.
 
 Scans are deterministic: per-instance seeds depend only on the configured
 seed and the instance index, work is distributed in enumeration order in
@@ -49,7 +54,7 @@ from io import StringIO
 from itertools import combinations, permutations, product
 from json.encoder import encode_basestring_ascii
 from math import comb
-from operator import add
+from operator import add, attrgetter, or_
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .exactmat import kernel_basis, ratio
@@ -59,8 +64,8 @@ from .ezd import (
     GenericVerdict,
     colon_identity_dims,
     derived_seed,
+    general_form_admits_pair,
     generic_ezd_decision,
-    hilbert_admits_pair,
     is_ezd_pair,
 )
 from .gradedring import (
@@ -159,6 +164,21 @@ def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[tuple[Monomial, ...]]
     and symmetry reduction tabulates every candidate's image under each
     non-identity permutation. Past MAX_SYMMETRY_IMAGES images or
     MAX_COMPARABLE_PAIRS pairs the call raises ValueError before any table.
+
+    Symmetry reduction prunes the walk (orderly generation, after Read,
+    "Every one a winner", Ann. Discrete Math. 2, 1978). Sets of equal size
+    compare as sorted index tuples, and sigma(S) < S exactly when the least
+    index of their symmetric difference lies in sigma(S). If S is
+    lex-least, so is T = S minus its largest member: were sigma(T) < T, the
+    least index of sigma(T) xor T would lie in sigma(T) below max S and
+    would also be the least of sigma(S) xor S, so sigma(S) < S. So a child
+    that is not lex-least has no lex-least descendant and is not entered,
+    and the emitted sequence is that of a walk that tests each set at its
+    emission. The walk carries the chosen set's image under each
+    permutation as a bitmask with the candidates' bits in reverse order, in
+    which the least index of a symmetric difference is its highest bit: a
+    set under a permutation is smaller exactly when its mask is larger. So
+    testing a child takes one OR per permutation and one max over them.
     """
     n = cfg.nvars
     if cfg.symmetry_reduction:
@@ -178,28 +198,20 @@ def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[tuple[Monomial, ...]]
     last_pure = [max(i for i, bit in enumerate(pure_var) if bit == 1 << v) for v in range(n)]
     passed = [sum(1 << v for v in range(n) if last_pure[v] < i) for i in range(len(exps))]
     every_var = (1 << n) - 1
-    # images[k][i]: index of candidate i under the k-th non-identity permutation
-    images = [
-        [position[tuple(e[p] for p in perm)] for e in exps]
-        for perm in permutations(range(n)) if perm != tuple(range(n))
-    ] if cfg.symmetry_reduction else []
+    identity = tuple(range(n))
+    perms = [p for p in permutations(identity) if p != identity] if cfg.symmetry_reduction else []
+    # rbits[i]: candidate i's bit in reversed order, so that of two sets of
+    # equal size the smaller has the larger mask; image_rbits[i][k]: the
+    # reversed bit of candidate i's image under the k-th non-identity
+    # permutation, shared from rbits
+    rbits = [1 << (len(exps) - 1 - j) for j in range(len(exps))]
+    image_rbits = [[rbits[position[tuple(e[p] for p in perm)]] for perm in perms] for e in exps]
 
-    def canonical(chosen: int, members: list[int]) -> bool:
-        # Sets of equal size compare as sorted index tuples; the permuted
-        # set is smaller exactly when the least index in which the two
-        # differ belongs to it.
-        for image in images:
-            permuted = 0
-            for i in members:
-                permuted |= 1 << image[i]
-            diff = permuted ^ chosen
-            if permuted & diff & -diff:
-                return False
-        return True
-
-    def grow(chosen: int, members: list[int], free: int, covered: int) -> Iterator[tuple]:
-        # `free`: candidates past the last member and comparable to none;
-        # `covered`: variables with a pure power among the members.
+    def grow(rchosen: int, images: list[int], members: list[int], free: int, covered: int):
+        # `rchosen`: the chosen set's reversed mask, and `images[k]` that of
+        # its image under the k-th permutation; `free`: candidates past the
+        # last member and comparable to none; `covered`: variables with a
+        # pure power among the members. Every set reached is lex-least in its class.
         while free:
             low = free & -free
             free ^= low
@@ -207,16 +219,16 @@ def enumerate_monomial_ideals(cfg: ScanConfig) -> Iterator[tuple[Monomial, ...]]
             cov = covered | pure_var[i]
             if passed[i] & ~cov:
                 break  # no later candidate is a pure power of that variable
-            members.append(i)
-            yield from grow(chosen | low, members, free & ~comparable[i], cov)
-            members.pop()
-        if covered != every_var:
-            return
-        if cfg.symmetry_reduction and not canonical(chosen, members):
-            return
-        yield tuple(exps[i] for i in members)
+            rchild = rchosen | rbits[i]
+            child_images = list(map(or_, images, image_rbits[i]))
+            if max(child_images, default=0) <= rchild:
+                members.append(i)
+                yield from grow(rchild, child_images, members, free & ~comparable[i], cov)
+                members.pop()
+        if covered == every_var:
+            yield tuple(exps[i] for i in members)
 
-    return grow(0, [], (1 << len(exps)) - 1, 0)
+    return grow(0, [0] * len(perms), [], (1 << len(exps)) - 1, 0)
 
 
 def _refuse_symmetry_images(n: int, max_degree: int) -> None:
@@ -377,7 +389,7 @@ def _record_dict(record) -> dict:
     return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
-# json.dumps's text for each scalar type a record field may hold
+# json.dumps's text for each scalar type a record field or its items may hold
 _JSON_SCALARS = {
     type(None): lambda v: "null",
     bool: lambda v: "true" if v else "false",
@@ -386,32 +398,35 @@ _JSON_SCALARS = {
 }
 
 
-def _json_field(v, indent: str) -> str:
-    """`json.dumps(v, indent=2)` for a record field nested `indent` deep: a
-    scalar, or a flat tuple of scalars with one item per line."""
-    encode = _JSON_SCALARS.get(type(v))
-    if encode is not None:
-        return encode(v)
-    if type(v) is tuple and all(type(x) in _JSON_SCALARS for x in v):
-        if not v:
-            return "[]"
-        inner = ",\n" + indent + "  "
-        return "[" + inner[1:] + inner.join(_JSON_SCALARS[type(x)](x) for x in v) + "\n" + indent + "]"
-    raise TypeError(f"record field {v!r} is not a scalar or a flat tuple of scalars")
-
-
 def _records_json(records: tuple) -> str:
     """`json.dumps([_record_dict(r) for r in records], indent=2, sort_keys=True)`
     for records of one type, one level below the report's top, written
-    record by record."""
+    record by record. A field is a scalar (None, bool, int or str) or a flat
+    tuple of them, with one item per line; anything else raises TypeError."""
     if not records:
         return "[]"
     names = sorted(f.name for f in fields(records[0]))
-    prefixes = [(name, f"      {encode_basestring_ascii(name)}: ") for name in names]
+    prefixes = [f"      {encode_basestring_ascii(name)}: " for name in names]
+    values = attrgetter(*names)  # every record type has several fields, so a tuple
     parts = []
     for r in records:
-        body = ",\n".join(p + _json_field(getattr(r, name), "      ") for name, p in prefixes)
-        parts.append("    {\n" + body + "\n    }")
+        body = []
+        for prefix, v in zip(prefixes, values(r)):
+            t = type(v)
+            if t is int:
+                body.append(prefix + int.__repr__(v))
+            elif t is str:
+                body.append(prefix + encode_basestring_ascii(v))
+            elif v is None:
+                body.append(prefix + "null")
+            elif t is bool:
+                body.append(prefix + ("true" if v else "false"))
+            elif t is tuple and all(type(x) in _JSON_SCALARS for x in v):
+                items = ",\n        ".join([_JSON_SCALARS[type(x)](x) for x in v])
+                body.append(prefix + ("[\n        " + items + "\n      ]" if v else "[]"))
+            else:
+                raise TypeError(f"record field {v!r} is not a scalar or a flat tuple of scalars")
+        parts.append("    {\n" + ",\n".join(body) + "\n    }")
     return "[\n" + ",\n".join(parts) + "\n  ]"
 
 
@@ -450,6 +465,18 @@ def pair_rule_faults(
     ]
 
 
+def _instance_pair_rule_faults(
+    idx: int, text: str, hilbert: tuple[int, ...], verdict: GenericVerdict,
+    map_rank: Callable[[HomogPoly, int], int],
+) -> list[str]:
+    """`pair_rule_faults` for a scan's instance: its RuntimeError is raised
+    again prefixed with the instance's index and ideal."""
+    try:
+        return pair_rule_faults(hilbert, verdict, map_rank)
+    except RuntimeError as e:
+        raise RuntimeError(f"instance {idx}: {text}: {e}") from None
+
+
 # ---------------------------------------------------------------------------
 # monomial scan
 
@@ -462,14 +489,18 @@ def _monomial_task(cfg: ScanConfig, payload: tuple[int, tuple]):
     # the ring vanishes by it
     bound = socle_bound(cfg.nvars, gens)
     hilbert = monomial_hilbert(cfg.nvars, gens, bound).values
-    # When the series rules out every linear form the decision is "no",
-    # as the all-ones form would find, and neither ideal nor ring is built.
+    # The all-ones form is general: the forms with no zero coefficient are
+    # one orbit of ring automorphisms (rescaling the variables), dense in the
+    # linear forms, so the orbit meets Green's open set, and H_{R/(ell)} is
+    # the same along it. So when the series with Green's bound rules out
+    # every general linear form, the decision is "no", as the all-ones form
+    # would find, and neither ideal nor ring is built.
     decision, witness, faults = GenericDecision.NO, None, []
-    if hilbert_admits_pair(hilbert):
+    if general_form_admits_pair(hilbert):
         ring = build_quotient(monomial_ideal(cfg.nvars, gens), bound)
         verdict = generic_ezd_decision(ring, cfg.trials, derived_seed(cfg.seed, idx))
         decision, witness = verdict.decision, verdict.witness
-        faults = pair_rule_faults(hilbert, verdict, ring.map_rank)
+        faults = _instance_pair_rule_faults(idx, text, hilbert, verdict, ring.map_rank)
     # the all-ones form is the one trial, so a witness means "generically yes"
     t = dim_prev = dim_at = drop_ok = None
     if witness is not None:
@@ -581,7 +612,7 @@ def _binomial_task(cfg: ScanConfig, payload: tuple[int, tuple, tuple]):
         raise RuntimeError(f"instance {idx}: Artinian {text} does not vanish by degree {bound}")
     r1, r2 = ring.dim(1), ring.dim(2)
     verdict = generic_ezd_decision(ring, cfg.trials, derived_seed(cfg.seed, idx))
-    faults = pair_rule_faults(ring.hilbert.values, verdict, ring.map_rank)
+    faults = _instance_pair_rule_faults(idx, text, ring.hilbert.values, verdict, ring.map_rank)
     # per-trial outcomes: colon identities and ann1 dims, and for each
     # degree-1 partner its split and that split's support check
     colon_ok, ann1_dims, splits_ok, supports_ok = [], [], [], []

@@ -637,17 +637,26 @@ def counted_ranks(monkeypatch):
 ])
 def test_map_rank_ranks_each_form_and_degree_once(monkeypatch, counted_ranks, make_ring):
     """A decision and a Lefschetz check of one ring with one seed rank each
-    (form, degree) once, and every rank served is that of a fresh map."""
+    (form, degree) once, whether the rank is asked for alone (`map_rank`)
+    or with its map (`ranked_map`, in the search for a partner), and every
+    rank served is that of a fresh map."""
     ring = make_ring()
     served = []
     map_rank = GradedQuotient.map_rank
+    ranked_map = GradedQuotient.ranked_map
 
     def recording(ring_, f, d):
         r = map_rank(ring_, f, d)
         served.append((f, d, r))
         return r
 
+    def recording_map(ring_, f, d):
+        r, rows = ranked_map(ring_, f, d)
+        served.append((f, d, r))
+        return r, rows
+
     monkeypatch.setattr(GradedQuotient, "map_rank", recording)
+    monkeypatch.setattr(GradedQuotient, "ranked_map", recording_map)
     assert generic_ezd_decision(ring, 3, 5).decision is GenericDecision.GENERICALLY_YES
     assert wlp_check(ring, 3, 5).holds
     distinct = {(f, d) for f, d, _ in served}

@@ -2,6 +2,7 @@
 Hilbert function of monomial ideals, each against a slower oracle."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -9,11 +10,15 @@ from ezdlab import lab
 from ezdlab.ezd import (
     derived_seed,
     find_ezd_complement,
+    general_form_admits_pair,
     generic_linear_form,
+    green_bound,
     hilbert_admits_pair,
     macaulay_bound,
 )
-from ezdlab.gradedring import MAX_MONOMIALS, build_quotient, default_bound, monomial_hilbert
+from ezdlab.gradedring import (
+    MAX_MONOMIALS, build_quotient, default_bound, monomial_hilbert, socle_bound,
+)
 from ezdlab.lab import ScanConfig, enumerate_monomial_ideals, scan_binomial, scan_monomial
 from ezdlab.polyring import (
     HomogPoly,
@@ -55,6 +60,53 @@ def test_macaulay_bound_named_values():
     for bad in ((1, 0), (-1, 2)):
         with pytest.raises(ValueError):
             macaulay_bound(*bad)
+
+
+def lex_segment_restriction(nvars: int, h: int, d: int) -> int:
+    """dim (P/(L + (x_n)))_d for L generated by all but the h lex-last
+    monomials of degree d: those h that the last variable does not divide."""
+    monos = monomials_of_degree(nvars, d)  # in graded-lex order
+    return sum(1 for m in monos[len(monos) - h :] if not m[-1])
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_green_bound_counts_lex_segments(nvars, d):
+    """Green's bound is attained by a lex segment cut by the last variable."""
+    for h in range(len(monomials_of_degree(nvars, d)) + 1):
+        assert green_bound(h, d) == lex_segment_restriction(nvars, h, d), (h, d)
+
+
+def test_green_bound_named_values():
+    # 3 = C(3,1) -> C(2,1); 3 = C(3,2) -> C(2,2); 5 = C(3,2) + C(2,1) -> C(2,2) + C(1,1)
+    assert green_bound(3, 1) == 2
+    assert green_bound(3, 2) == 1
+    assert green_bound(5, 2) == 2
+    assert green_bound(0, 3) == 0
+    for n in range(1, 6):
+        for d in range(1, 6):
+            # all of P_d in n variables restricts to all of it in n - 1
+            assert green_bound(comb(n + d - 1, d), d) == comb(n + d - 2, d), (n, d)
+    for bad in ((1, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            green_bound(*bad)
+
+
+@pytest.mark.parametrize("values,admits", [
+    ((1, 1), True),  # q = 1 <= 1_<1> = 0 is not asked: q has no degree 1
+    ((1, 2, 1), True),  # (1 + z)(1 + z), and q(1) = 1 <= 2_<1> = 1
+    ((1, 3, 3, 1), True),  # (1 + z)(1 + 2z + z^2): 2 <= 3_<1> = 2, 1 <= 3_<2> = 1
+    ((1, 3, 5, 3), False),  # (1 + z)(1 + 2z + 3z^2), but 3 > 5_<2> = 2
+    # t = 1 gives q(2) = 2 > 4_<2> = 1, but t = 2 gives q = 1 + 2z + z^2,
+    # with 2 <= 3_<1> = 2 and 1 <= 4_<2> = 1: k[x1, x2, x3]/(x1^2, x2^2, x3^3)
+    ((1, 3, 4, 3, 1), True),
+    ((1, 3, 6, 4), False),  # no split passes even without Green's bound
+    ((), False),
+])
+def test_general_form_admits_pair_named(values, admits):
+    assert general_form_admits_pair(values) is admits
+    if admits:
+        assert hilbert_admits_pair(values)
 
 
 @pytest.mark.parametrize("values,admits", [
@@ -104,6 +156,29 @@ def test_series_test_monomial_max_degree_4():
     ones = linear_form([1, 1, 1])
     rejected = sum(_check_forms(ring, [ones]) for ring in _monomial_rings(4))
     assert rejected == 5693 - 470
+
+
+def test_green_gate_on_monomial_max_degree_4():
+    """On every ring of the n = 3, max-degree 4 monomial family that the
+    series test admits, the all-ones form's H_{R/(ell)}, read from its
+    ranks, obeys Green's bound, and every ring that the bound then rejects
+    has no pair by the rank loop."""
+    ones = linear_form([1, 1, 1])
+    admitted = rejected = 0
+    for gens in enumerate_monomial_ideals(ScanConfig(3, 4)):
+        bound = socle_bound(3, gens)
+        values = monomial_hilbert(3, gens, bound).values
+        if not hilbert_admits_pair(values):
+            continue
+        admitted += 1
+        ring = build_quotient(monomial_ideal(3, gens), bound)
+        for d in range(1, ring.top_degree + 1):
+            quotient = values[d] - ring.map_rank(ones, d - 1)
+            assert quotient <= green_bound(values[d], d), (gens, d)
+        if not general_form_admits_pair(values):
+            rejected += 1
+            assert find_ezd_complement_by_ranks(ring, ones) is None, gens
+    assert (admitted, rejected) == (470, 470 - 169)
 
 
 def test_series_test_binomial_family():
@@ -189,8 +264,9 @@ def test_monomial_hilbert_refuses():
 
 
 def test_monomial_scan_builds_only_admitted_rings(monkeypatch):
-    """A ring is built only when its series admits a linear pair; a rejected
-    ideal gets the record a built ring with no pair gets."""
+    """A ring is built only when its series admits a general linear form in
+    a pair, under Green's bound; a rejected ideal gets the record a built
+    ring with no pair gets."""
     built = []
 
     def counting(spec, bound, **kw):
@@ -199,8 +275,8 @@ def test_monomial_scan_builds_only_admitted_rings(monkeypatch):
 
     monkeypatch.setattr(lab, "build_quotient", counting)
     report = scan_monomial(ScanConfig(3, 3))
-    admitted = [r for r in report.instances if hilbert_admits_pair(r.hilbert)]
-    assert len(built) == len(admitted) < report.examined == 103
+    admitted = [r for r in report.instances if general_form_admits_pair(r.hilbert)]
+    assert len(built) == len(admitted) == 18 < report.examined == 103
     for r in report.instances:
         if r not in admitted:
             assert (r.decision, r.exact, r.witness_degree, r.witness) == ("no", True, None, None)

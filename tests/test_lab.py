@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -16,6 +17,7 @@ from ezdlab.ezd import (
     PairVerdict,
     derived_seed,
     find_ezd_complement,
+    general_form_admits_pair,
     generic_linear_form,
     hilbert_admits_pair,
     mult_map,
@@ -46,6 +48,7 @@ import binomial_family
 import probe_oracle
 from probe_oracle import generic_form_probe
 from support_oracle import check_support_multiples
+from walk_oracle import canonical_sweep_walk
 
 F = Fraction
 
@@ -137,6 +140,16 @@ def test_enumerate_matches_dfs_oracle_in_order(nvars, max_degree, artinian, symm
         assert 0 not in ring.hilbert.values and not ring.complete
 
 
+@pytest.mark.parametrize("nvars,max_degree,symmetry", [
+    (2, 6, True), (3, 4, True), (4, 3, True), (5, 2, True), (6, 2, True), (3, 3, False),
+])
+def test_pruned_walk_matches_the_canonical_sweep(nvars, max_degree, symmetry):
+    """Orderly pruning emits the sequence of the walk that enters every
+    child and tests each set for symmetry at its emission."""
+    cfg = ScanConfig(nvars=nvars, max_degree=max_degree, symmetry_reduction=symmetry)
+    assert list(enumerate_monomial_ideals(cfg)) == list(canonical_sweep_walk(cfg))
+
+
 def test_enumerate_two_vars_degree_two():
     cfg = ScanConfig(nvars=2, max_degree=2, symmetry_reduction=False)
     ideals = set(enumerate_monomial_ideals(cfg))
@@ -186,8 +199,8 @@ def test_symmetry_classes_cover_everything():
 # Max-deg 2 is the graph family: an Artinian monomial ideal generated in
 # degree 2 holds every x_i^2, and its other generators x_i*x_j are the edges
 # of a graph on n vertices. The number of graphs on n unlabelled vertices,
-# n = 2..6 (OEIS A000088):
-GRAPH_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+# n = 2..7 (OEIS A000088):
+GRAPH_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 
 def _graph_of(n, gens) -> frozenset[tuple[int, int]]:
@@ -228,7 +241,7 @@ def test_degree2_ideals_are_the_labelled_graphs(n):
 def test_scan_builds_ideal_specs_only_for_admitted_rings(monkeypatch):
     # enumeration yields exponent tuples and a worker reads the socle bound
     # and H from them, so an IdealSpec is built only for a ring the Hilbert
-    # series admits: one per build_quotient call
+    # series with Green's bound admits: one per build_quotient call
     calls = []
     built = []
 
@@ -244,9 +257,9 @@ def test_scan_builds_ideal_specs_only_for_admitted_rings(monkeypatch):
     monkeypatch.setattr(lab, "build_quotient", counting_build)
     report = scan_monomial(ScanConfig(3, 3))
     assert report.examined + len(report.skipped) == 103
-    assert len(calls) == 29
+    assert len(calls) == 18
     assert len(calls) == len(built)
-    assert len(built) == sum(hilbert_admits_pair(r.hilbert) for r in report.instances)
+    assert len(built) == sum(general_form_admits_pair(r.hilbert) for r in report.instances)
 
 
 def test_scan_monomial_small():
@@ -478,13 +491,13 @@ def test_binomial_scan_degree_one_builds(monkeypatch):
     rejected = sum(1 for r in report.instances if not hilbert_admits_pair(r.hilbert))
     assert rejected == 15
     # Of the other 117 pairs, 81 have a degree-1 partner q, and each of
-    # those builds two more maps from degree 1: ell's, rebuilt for the
-    # kernel vector find_ezd_complement offers, and q's, ranked by
-    # is_ezd_pair. decompose_partner builds no ring, so no map of ell on a
-    # half ring.
+    # those builds one more map from degree 1: q's, ranked by is_ezd_pair.
+    # ell's kernel vector, which find_ezd_complement offers, comes from the
+    # one build that also ranks ell (annihilator_degree). decompose_partner
+    # builds no ring, so no map of ell on a half ring.
     partnered = sum(r.deg1_witness_trials for r in report.instances)
     assert partnered == 81
-    assert len(builds) == 162 + 2 * partnered == 324
+    assert len(builds) == 162 + partnered == 243
 
 
 def test_binomial_scan_builds_one_ring_per_instance(monkeypatch):
@@ -532,12 +545,23 @@ def test_binomial_record_counts_a_higher_degree_partner(monkeypatch, capsys):
         return (q, None) if format_ideal(ring.spec) == key else complement(ring, ell)
 
     monkeypatch.setattr(ezd, "find_ezd_complement", fake)
-    broken = r"^exact pair .+, x1\*x3: H_R = \[1, 3, 3, 1\] is not H_\{R/\(ell\)\} = .+ z\^2$"
+    where = r"instance \d+: x1\^2, x2\^2, x1\*x2 \+ x3\^2: "
+    broken = rf"^{where}exact pair .+, x1\*x3: H_R = \[1, 3, 3, 1\] is not H_\{{R/\(ell\)\}} = .+ z\^2$"
     with pytest.raises(RuntimeError, match=broken):
         scan_binomial(ScanConfig(3, seed=2, workers=1))
     assert cli.main(["scan", "binomial", "-n", "3", "--seed", "2", "--workers", "1"]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("internal error: exact pair ")
+    assert out == "" and re.match(rf"internal error: {where}exact pair ", err)
+
+
+def test_monomial_task_names_the_instance_in_a_pair_rule_fault(monkeypatch):
+    """The monomial task, as the binomial one, prefixes the pair rule's
+    RuntimeError with the instance's index and ideal."""
+    q = parse_poly("x1*x3", 3)
+    monkeypatch.setattr(ezd, "find_ezd_complement", lambda ring, ell: (q, None))
+    broken = r"^instance \d+: x1\^2, .+: exact pair x1 \+ x2 \+ x3, x1\*x3: H_R = "
+    with pytest.raises(RuntimeError, match=broken):
+        scan_monomial(ScanConfig(3, 3, workers=1))
 
 
 def _rule_faults(hilbert, t, quotient):
