@@ -6,9 +6,11 @@ small and dense (at most a few thousand cells). Every elimination runs on
 integers: a row holding a Fraction is first scaled by the lcm of its
 denominators; the multiplication maps that `ezd` ranks arrive as int
 rows. Each starts with one fraction-free forward pass, in the manner of
-Bareiss (1968), which clears below each pivot, combining only the rows'
-tails from the pivot column on, and keeps every row primitive by dividing
-out the gcd of its entries. `rank` stops there. `_echelon_rows` goes on to
+Bareiss (1968), which reads the rows in turn and clears each against the
+pivot rows before it, combining only the rows' tails from the pivot column
+on, and keeps every row primitive by dividing out the gcd of its entries.
+It reads no row after those that span the whole space. `rank` ends with
+that pass. `_echelon_rows` goes on to
 back-substitute and gives each row a positive pivot: the row of the unique
 reduced row echelon form over the rationals times the lcm of its
 denominators. `Subspace`, the one echelon-basis type, stores these integer
@@ -96,53 +98,50 @@ def ratio(a: int, b: int) -> int | Fraction:
 def _eliminate(a: list[list[int]], ncols: int) -> list[int]:
     """Forward fraction-free elimination of the integer rows `a` in place; the pivot columns.
 
-    Only the rows below each pivot are cleared (`_clear`), which leaves a
-    row echelon form with the pivot rows first and zero rows after them.
-    The rows from pivot row r on are zero left of its column c, so only
-    their tails from column c are combined.
+    The rows are read in turn, and each is cleared (`_clear`), left to
+    right, at every column where it has an entry and a pivot row exists,
+    until it reaches a nonzero column with none: it becomes that column's
+    pivot row. A row cleared to zero is in the span of the rows before it.
+    The row and the pivot row are zero left of the column cleared, so only
+    their tails are combined. Once every column has a pivot row the rows
+    read span the whole space, and no later row is read. On return the
+    pivot rows come first in `a`, in the order of their columns.
     """
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(a):
+    pivot_rows: dict[int, list[int]] = {}  # pivot column -> its row
+    for row in a:
+        for c in range(ncols):
+            if row[c]:
+                pivot = pivot_rows.get(c)
+                if pivot is None:
+                    pivot_rows[c] = row
+                    break
+                row = _clear(row, c, pivot, c)
+        if len(pivot_rows) == ncols:
             break
-        p = None
-        for i in range(r, len(a)):
-            if a[i][c]:
-                p = i
-                break
-        if p is None:
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-        _clear(a, r, c, range(r + 1, len(a)), c)
-        pivots.append(c)
-        r += 1
+    pivots = sorted(pivot_rows)
+    a[: len(pivots)] = map(pivot_rows.get, pivots)
     return pivots
 
 
-def _clear(a: list[list[int]], r: int, c: int, rows: range, lead: int = 0) -> None:
-    """Clear column c of each of `rows` against the pivot a[r][c], in place.
+def _clear(row: list[int], c: int, pivot: list[int], lead: int = 0) -> list[int]:
+    """`row` with column c cleared against `pivot`, as a new list.
 
-    Row i becomes p*row_i - f*row_r, where p is the pivot and f the row's
-    entry, divided by the gcd of its entries. Every step scales rows by
-    nonzero factors or adds multiples of other rows, so the row space, the
-    zero pattern and the pivots are those of the rational elimination.
-    Row r and every row of `rows` must be zero left of column `lead`: only
-    the tails from `lead` on are combined, and the zeros before it are kept.
+    With p the pivot's entry in column c and f the row's, the row becomes
+    p*row - f*pivot, divided by the gcd of its entries. Every step scales a
+    row by a nonzero factor or adds a multiple of another row, so the row
+    space, the zero pattern and the pivots are those of the rational
+    elimination. Both rows must be zero left of column `lead`: only the
+    tails from `lead` on are combined, and the zeros before it are kept.
     """
-    tail_r = a[r][lead:]
-    pv = a[r][c]
-    zeros = a[r][:lead]
-    for i in rows:
-        row = a[i]
-        f = row[c]
-        if f:
-            g = gcd(pv, f)
-            s, t = pv // g, f // g
-            tail = [s * x - t * y for x, y in zip(row[lead:], tail_r)]
-            g = gcd(*tail)
-            a[i] = zeros + ([x // g for x in tail] if g > 1 else tail)
+    f = row[c]
+    if not f:
+        return row
+    pv = pivot[c]
+    g = gcd(pv, f)
+    s, t = pv // g, f // g
+    tail = [s * x - t * y for x, y in zip(row[lead:], pivot[lead:])]
+    g = gcd(*tail)
+    return row[:lead] + ([x // g for x in tail] if g > 1 else tail)
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
@@ -191,7 +190,8 @@ def _echelon_rows(a: list[list[int]], ncols: int) -> tuple[EchelonRow, ...]:
     if len(pivots) == ncols:
         return tuple((p, ((p, 1),)) for p in pivots)
     for k in range(len(pivots) - 1, 0, -1):
-        _clear(a, k, pivots[k], range(k))
+        for i in range(k):
+            a[i] = _clear(a[i], pivots[k], a[k])
     rows = []
     for row, p in zip(a, pivots):
         g = gcd(*row) if row[p] > 0 else -gcd(*row)

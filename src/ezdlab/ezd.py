@@ -11,12 +11,16 @@ space and zero test here reads those rows, as N has those of N / D, and
 only the public `mult_map` divides them, into a `QMatrix`. Every r_f(d)
 comes from the ring's rank memo, so the pair check, the search for a
 partner, the Lefschetz check, the colon identity and the socle's
-certificate rank each (form, degree) once. `map_rank` reads and fills the
+certificate rank each (form, degree) once. On a monomial ring the memo
+keys a linear form by its support, since rescaling the variables is an
+automorphism there, so the sampled forms of a Lefschetz check reuse the
+ranks of the all-ones decision. `map_rank` reads and fills the
 memo; the search for a partner fills it through `ranked_map`, which also
 returns the map it ranked, so the partner, a kernel vector
 (`annihilator_degree`), comes from the same build. Only `socle_dims`, in
-a degree the certificate leaves open, ranks a matrix of its own. No
-table is read here. The containment (y)_d in Ann(x)_d holds exactly when
+a degree the certificate leaves open, ranks a matrix of its own; on a
+monomial ring it reads the socle off the quotient basis and ranks
+nothing. No table is read here. The containment (y)_d in Ann(x)_d holds exactly when
 xy*R_{d-deg y} = 0, and given it, equality is equality of dimensions. A subspace is built only where its
 vectors are used, as for the kernel vector `find_ezd_complement` offers
 as a partner. An element that is zero in R (the zero polynomial, one in
@@ -334,8 +338,13 @@ def find_ezd_complement(ring: GradedQuotient, ell: HomogPoly) -> tuple[HomogPoly
     return None
 
 
+@lru_cache(maxsize=1 << 12)
 def generic_linear_form(nvars: int, seed: int) -> HomogPoly:
-    """Linear form with nonzero integer coefficients sampled from the seed."""
+    """Linear form with nonzero integer coefficients sampled from the seed.
+
+    The form is a function of its arguments, kept once per process: the
+    decision, the Lefschetz check and the socle certificate of every ring
+    analysed with one seed ask for the same few forms."""
     rng = random.Random(seed)
     coeffs = []
     for _ in range(nvars):
@@ -437,9 +446,12 @@ def wlp_check(ring: GradedQuotient, trials: int = 3, seed: int = 0) -> WlpReport
     have maximal rank between every pair of consecutive degrees.
 
     Maximal rank is an open condition, so one witnessing trial suffices for
-    the generic statement; per-degree rows report the best rank seen. A
-    ring cut off at its bound is refused: the maps past the bound are
-    unknown, so the property could fail there.
+    the generic statement; per-degree rows report the best rank seen. On a
+    monomial ring the check is exact: every sampled form has all its
+    coefficients nonzero, so the ring's rank memo serves it the ranks of the
+    all-ones form (`GradedQuotient.map_rank`), which are those of a general
+    form. A ring cut off at its bound is refused: the maps past the bound
+    are unknown, so the property could fail there.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -459,14 +471,27 @@ def wlp_check(ring: GradedQuotient, trials: int = 3, seed: int = 0) -> WlpReport
 def socle_dims(ring: GradedQuotient) -> tuple[int, ...]:
     """Per-degree dimensions of {r : x_i * r = 0 for every variable x_i}.
 
-    The socle lies in the kernel of every linear form, so in a degree where
-    the first sampled form of seed 0 (the first trial of `wlp_check` and
+    On a monomial ring the socle is spanned by monomials, and it is read
+    off the quotient basis: the basis monomials m of degree d with no x_i*m
+    in the basis of degree d+1. On any other ring, the socle lies in the
+    kernel of every linear form, so in a degree where the first sampled
+    form of seed 0 (the first trial of `wlp_check` and
     `generic_ezd_decision`) is injective it is zero, and the rank comes
     from `map_rank`. Every other degree ranks the variables' maps stacked.
     """
+    top = ring.top_degree
+    if ring.spec.kind is IdealKind.MONOMIAL:
+        dims = []
+        for d in range(top + 1):
+            above = set(ring.basis_monomials(d + 1)) if d < top else set()
+            dims.append(sum(
+                all(m[:i] + (m[i] + 1,) + m[i + 1 :] not in above for i in range(ring.nvars))
+                for m in ring.basis_monomials(d)
+            ))
+        return tuple(dims)
     ell = generic_linear_form(ring.nvars, derived_seed(0, 0))
     dims = []
-    for d in range(ring.top_degree + 1):
+    for d in range(top + 1):
         dim_d = ring.dim(d)
         if ring.map_rank(ell, d) == dim_d:
             dims.append(0)

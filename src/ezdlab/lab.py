@@ -35,9 +35,10 @@ naming the instance's index and ideal.
 
 Scans are deterministic: per-instance seeds depend only on the configured
 seed and the instance index, work is distributed in enumeration order in
-fixed-size chunks, each sent to the workers as soon as it is drawn, and
-reports serialize without timing data, so re-runs with different worker
-counts emit byte-identical JSON.
+fixed-size chunks, and reports serialize without timing data, so re-runs
+with different worker counts emit byte-identical JSON. The chunks are not
+pipelined: `Executor.map` draws every payload before it returns, so the
+workers take their first chunk about when enumeration ends.
 """
 
 from __future__ import annotations
@@ -535,8 +536,10 @@ def _run_scan(family: str, cfg: ScanConfig, task, payloads: Iterable[tuple]) -> 
     # the CPUs would only add interpreters
     workers = min(cfg.workers, os.cpu_count() or 1)
     if workers > 1:
-        # ex.map submits each chunk as soon as it is drawn, so the workers
-        # start while the parent is still enumerating
+        # ex.map draws every payload before it returns, while the pool's
+        # manager and feeder threads wait for the GIL: the workers fork at
+        # the first chunk but take their first task about when enumeration
+        # ends, not while the parent is still enumerating
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(fn, payloads, chunksize=_CHUNKSIZE))
     else:

@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ezdlab import cli, lab
+from ezdlab import cli, gradedring, lab
 from ezdlab.cli import main
+from ezdlab.exactmat import rank
 from ezdlab.ezd import derived_seed
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -195,6 +196,28 @@ def test_ezd_form_exact_pair(capsys):
     assert code == 0
     assert "verdict: exact_pair" in out
     assert "annihilator dims by degree: 0 1 1" in out
+
+
+def test_ezd_form_ranks_each_degree_once_under_its_support(capsys, monkeypatch):
+    """On a monomial ring the annihilator dims (`map_rank`), the search for
+    a partner (`ranked_map`) and the pair check share one memo key, the
+    form's support: each degree is ranked once for the form and once for
+    its partner, and the dims are the all-ones form's."""
+    ranked = []
+
+    def counting(rows):
+        ranked.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(gradedring, "rank", counting)
+    ideal = "x1^2, x2^2, x3^3"
+    code, out, _ = run(capsys, "ezd", "-n", "3", "--form", "2*x1 + 3*x2 - 5*x3", ideal, "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["found"]) == (0, True)
+    assert len(ranked) == 2 * len(doc["annihilator_dims"])
+    monkeypatch.undo()
+    ones = json.loads(run(capsys, "ezd", "-n", "3", "--form", "x1 + x2 + x3", ideal, "--format", "json")[1])
+    assert doc["annihilator_dims"] == ones["annihilator_dims"] == [0, 0, 1, 2, 1]
 
 
 def test_ezd_form_no_partner(capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -631,16 +632,27 @@ def counted_ranks(monkeypatch):
     return ranked
 
 
-@pytest.mark.parametrize("make_ring", [
-    pytest.param(lambda: _random_complete_intersection(0), id="complete-intersection"),
-    pytest.param(lambda: ring_of("x1^2, x2^2, x3^3", 3, 5), id="monomial"),
+def _support(f):
+    """The key a monomial ring's rank memo files f under: a linear form's
+    support, any other form itself."""
+    return frozenset(f.coeffs) if f.degree == 1 else f
+
+
+@pytest.mark.parametrize("make_ring,key", [
+    pytest.param(lambda: _random_complete_intersection(0), lambda f: f, id="complete-intersection"),
+    pytest.param(lambda: ring_of("x1^2, x2^2, x3^3", 3, 5), _support, id="monomial"),
 ])
-def test_map_rank_ranks_each_form_and_degree_once(monkeypatch, counted_ranks, make_ring):
+def test_map_rank_ranks_each_form_and_degree_once(monkeypatch, counted_ranks, make_ring, key):
     """A decision and a Lefschetz check of one ring with one seed rank each
     (form, degree) once, whether the rank is asked for alone (`map_rank`)
     or with its map (`ranked_map`, in the search for a partner), and every
-    rank served is that of a fresh map."""
+    rank served is that of a fresh map. On a monomial ring that is once per
+    (support, degree) for a linear form: the sampled forms of the Lefschetz
+    check, whose coefficients are all nonzero, take the all-ones form's
+    ranks. The ring is built under the counting fixture, so its build,
+    which stops eliminating at a spanned border, takes no map rank."""
     ring = make_ring()
+    assert not counted_ranks
     served = []
     map_rank = GradedQuotient.map_rank
     ranked_map = GradedQuotient.ranked_map
@@ -659,7 +671,7 @@ def test_map_rank_ranks_each_form_and_degree_once(monkeypatch, counted_ranks, ma
     monkeypatch.setattr(GradedQuotient, "ranked_map", recording_map)
     assert generic_ezd_decision(ring, 3, 5).decision is GenericDecision.GENERICALLY_YES
     assert wlp_check(ring, 3, 5).holds
-    distinct = {(f, d) for f, d, _ in served}
+    distinct = {(key(f), d) for f, d, _ in served}
     assert len(distinct) < len(served)  # the table served repeats
     assert len(counted_ranks) == len(distinct)
     for f, d, r in served:
@@ -705,15 +717,15 @@ def _rational_ideal_ring(rng):
 
 def test_socle_dims_match_stacked_rank_monomial_scan_rings():
     """On every ring of the n = 3, max-degree 4 monomial scan, including
-    those without the weak Lefschetz property, the socle certified by one
-    linear form equals the stacked-rank socle."""
+    those without the weak Lefschetz property, the socle read off the
+    quotient basis equals the stacked-rank socle."""
     rings = wlp_failures = 0
     for gens in enumerate_monomial_ideals(ScanConfig(3, 4)):
         spec = monomial_ideal(3, gens)
         ring = build_quotient(spec, default_bound(spec))
         assert socle_dims(ring) == socle_dims_by_stacked_rank(ring), gens
         rings += 1
-        # one trial: the certificate's form, whose ranks socle_dims has taken
+        # one trial: a form with no zero coefficient, ranked as the all-ones form
         wlp_failures += not wlp_check(ring, 1).holds
     assert rings == 5693
     assert wlp_failures == 469
@@ -727,6 +739,70 @@ def test_socle_dims_match_stacked_rank_binomial_and_complete_intersections():
     rings += [_rational_ideal_ring(rng) for _ in range(4)]
     for ring in rings:
         assert socle_dims(ring) == socle_dims_by_stacked_rank(ring), ring.spec
+
+
+def _power_ring(nvars, d):
+    """k[x1..xn] / ((x1^d) + (x2..xn)^d), the ring of `lab.power_ideal_example`."""
+    gens = [(d,) + (0,) * (nvars - 1)] + [(0,) + m for m in monomials_of_degree(nvars - 1, d)]
+    spec = monomial_ideal(nvars, gens)
+    return build_quotient(spec, default_bound(spec))
+
+
+def _ring_analysis_monomial_rings():
+    """The monomial complete intersections x_i^{a_i} (a_i in 2..4 for n = 3,
+    2..3 for n = 4) and the power ideals (n = 3, 4; d = 3..5) that the
+    ring-analysis benchmark draws, each built to its default bound."""
+    for n, exponents in ((3, (2, 3, 4)), (4, (2, 3))):
+        for a in combinations_with_replacement(exponents, n):
+            spec = monomial_ideal(n, [tuple(a[i] if j == i else 0 for j in range(n)) for i in range(n)])
+            yield build_quotient(spec, default_bound(spec))
+    for n in (3, 4):
+        for d in (3, 4, 5):
+            yield _power_ring(n, d)
+
+
+def test_socle_dims_match_stacked_rank_ring_analysis_monomial_rings():
+    """The basis-read socle against the stacked-rank socle on the monomial
+    rings of ring-analysis, which go past 3 variables: the monomial complete
+    intersections and the power ideals."""
+    rings = list(_ring_analysis_monomial_rings())
+    assert len(rings) == 10 + 5 + 6
+    for ring in rings:
+        assert socle_dims(ring) == socle_dims_by_stacked_rank(ring), ring.spec
+
+
+def _seeded_linear_forms(rng, nvars):
+    """Three linear forms: every coefficient a nonzero integer up to 10^6,
+    some coefficients zero, and nonzero fractional coefficients."""
+    nonzero = [rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(nvars)]
+    some_zero = [c if rng.random() < 0.5 else 0 for c in nonzero]
+    some_zero[rng.randrange(nvars)] = 0
+    fractional = [F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9)) for _ in range(nvars)]
+    return [linear_form(c) for c in (nonzero, some_zero, fractional)]
+
+
+@pytest.mark.parametrize("make_rings,count", [
+    pytest.param(lambda: (
+        build_quotient(spec, default_bound(spec))
+        for spec in (monomial_ideal(3, gens) for gens in enumerate_monomial_ideals(ScanConfig(3, 3)))
+    ), 103, id="monomial-scan"),
+    pytest.param(_ring_analysis_monomial_rings, 10 + 5 + 6, id="ring-analysis-monomial"),
+    pytest.param(lambda: _artinian_binomial_rings(3), 54, id="binomial"),
+])
+def test_map_rank_matches_a_fresh_rank_for_seeded_forms(make_rings, count):
+    """At every degree, the rank the memo serves for a seeded linear form,
+    keyed by its support on a monomial ring, equals the rank of a fresh map
+    of that form. The binomial rings are not monomial: a memo that keyed
+    them by support would serve the all-nonzero form's rank to the
+    fractional one."""
+    rng = random.Random(39)
+    rings = 0
+    for ring in make_rings():
+        rings += 1
+        for f in _seeded_linear_forms(rng, ring.nvars):
+            for d in range(ring.top_degree + 1):
+                assert ring.map_rank(f, d) == rank(ring.integer_map(f, d)[0]), (ring.spec, f, d)
+    assert rings == count
 
 
 def test_internal_ranks_and_kernels_read_integer_maps(monkeypatch):

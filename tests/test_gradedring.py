@@ -10,7 +10,7 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ezdlab import gradedring, lab
+from ezdlab import exactmat, gradedring, lab
 from ezdlab.exactmat import QMatrix, rank
 from ezdlab.ezd import mult_map
 from ezdlab.gradedring import (
@@ -466,21 +466,54 @@ def test_mixed_ideal_builds_match_elimination():
         _assert_builds_agree(spec, bound, rng)
 
 
-def _eliminated_widths(monkeypatch, spec, bound):
-    """The ring and the column count of each elimination its build runs."""
-    widths = []
-    from_vectors = gradedring.Subspace.from_vectors
+class _CountedRows(list):
+    """A list of rows that counts the rows read from it in turn."""
 
-    def spy(ambient_dim, rows):
-        rows = list(rows)
-        assert all(len(row) == ambient_dim for row in rows)
-        widths.append(ambient_dim)
-        return from_vectors(ambient_dim, rows)
+    read = 0
 
-    monkeypatch.setattr(gradedring.Subspace, "from_vectors", spy)
+    def __iter__(self):
+        for row in super().__iter__():
+            self.read += 1
+            yield row
+
+
+def _eliminations(monkeypatch, spec, bound):
+    """The ring and, for each elimination its build runs, (columns, the rows
+    given, the count of rows read, rank)."""
+    seen = []
+    eliminate = exactmat._eliminate
+
+    def spy(a, ncols):
+        given = [list(row) for row in a]
+        rows = _CountedRows(a)
+        pivots = eliminate(rows, ncols)
+        a[:] = rows[:]
+        seen.append((ncols, given, rows.read, len(pivots)))
+        return pivots
+
+    monkeypatch.setattr(exactmat, "_eliminate", spy)
     ring = build_quotient(spec, bound)
     monkeypatch.undo()
-    return ring, widths
+    return ring, seen
+
+
+def _eliminated_widths(monkeypatch, spec, bound):
+    """The ring and the column count of each elimination its build runs.
+
+    Each elimination reads its rows in turn and stops at the first that
+    makes them span every column: a degree whose border rows span its
+    border vanishes. One that does not reads every row once."""
+    ring, seen = _eliminations(monkeypatch, spec, bound)
+    for ncols, given, read, r in seen:
+        if r < ncols:
+            assert read == len(given)
+        else:
+            assert _oracle_rank(given[:read], ncols) == ncols > _oracle_rank(given[: read - 1], ncols)
+    return ring, [ncols for ncols, *_ in seen]
+
+
+def _oracle_rank(rows, ncols):
+    return len(fraction_rref(QMatrix(len(rows), ncols, [x for row in rows for x in row]))[1])
 
 
 def _border_and_standard_counts(ring, squares):
@@ -498,7 +531,8 @@ def _border_and_standard_counts(ring, squares):
 
 def test_only_standard_columns_are_eliminated(monkeypatch):
     """Each degree is eliminated on its border alone: the standard monomials
-    x_i*b with b in the quotient basis one degree down. A degree past a
+    x_i*b with b in the quotient basis one degree down, and no row past
+    those that span the border of a vanishing degree. A degree past a
     vanished one, and every degree of a monomial ideal, eliminates nothing."""
     spec = parse_ideal("x1^2, x2^2, x3^2, x1*x2 + x2*x3", 3)
     squares = [m for m in monomials_of_degree(3, 2) if max(m) == 2]
@@ -515,6 +549,12 @@ def test_only_standard_columns_are_eliminated(monkeypatch):
     assert widths == [6, 9, 10, 8, 3]
     counts = _border_and_standard_counts(ring, [])
     assert counts[1:] == [(6, 6), (9, 10), (10, 15), (8, 21), (3, 28)]
+    # degree 6 vanishes: its elimination stops at the row that spans its 3
+    # border columns and reads none of the rows after it
+    _, seen = _eliminations(monkeypatch, ci, 6)
+    ncols, given, read, r = seen[-1]
+    assert (ncols, r) == (3, 3)
+    assert read < len(given)
     # H grows, and the border with it
     grows = parse_ideal("x1^2 + x2*x3, x2^2 + x1*x4", 4)
     ring, widths = _eliminated_widths(monkeypatch, grows, 6)
