@@ -11,16 +11,16 @@ space and zero test here reads those rows, as N has those of N / D, and
 only the public `mult_map` divides them, into a `QMatrix`. Every r_f(d)
 comes from the ring's rank memo, so the pair check, the search for a
 partner, the Lefschetz check, the colon identity and the socle's
-certificate rank each (form, degree) once. On a monomial ring the memo
-keys a linear form by its support, since rescaling the variables is an
-automorphism there, so the sampled forms of a Lefschetz check reuse the
-ranks of the all-ones decision. `map_rank` reads and fills the
-memo; the search for a partner fills it through `ranked_map`, which also
-returns the map it ranked, so the partner, a kernel vector
-(`annihilator_degree`), comes from the same build. Only `socle_dims`, in
-a degree the certificate leaves open, ranks a matrix of its own; on a
-monomial ring it reads the socle off the quotient basis and ranks
-nothing. No table is read here. The containment (y)_d in Ann(x)_d holds exactly when
+certificate rank each (form, degree) once. On a monomial ring rescaling
+the variables is an automorphism, so the decision and the Lefschetz check
+both use the all-ones form, which stands in for every form with no zero
+coefficient, and the check reuses the decision's ranks. `map_rank` reads
+and fills the memo; the search for a partner fills it through
+`ranked_map`, which also returns the map it ranked, so the partner, a
+kernel vector (`annihilator_degree`), comes from the same build. Only
+`socle_dims`, in a degree the certificate leaves open, ranks a matrix of
+its own; on a monomial ring it reads the socle off the quotient basis and
+ranks nothing. No table is read here. The containment (y)_d in Ann(x)_d holds exactly when
 xy*R_{d-deg y} = 0, and given it, equality is equality of dimensions. A subspace is built only where its
 vectors are used, as for the kernel vector `find_ezd_complement` offers
 as a partner. An element that is zero in R (the zero polynomial, one in
@@ -338,13 +338,8 @@ def find_ezd_complement(ring: GradedQuotient, ell: HomogPoly) -> tuple[HomogPoly
     return None
 
 
-@lru_cache(maxsize=1 << 12)
 def generic_linear_form(nvars: int, seed: int) -> HomogPoly:
-    """Linear form with nonzero integer coefficients sampled from the seed.
-
-    The form is a function of its arguments, kept once per process: the
-    decision, the Lefschetz check and the socle certificate of every ring
-    analysed with one seed ask for the same few forms."""
+    """Linear form with nonzero integer coefficients sampled from the seed."""
     rng = random.Random(seed)
     coeffs = []
     for _ in range(nvars):
@@ -447,20 +442,22 @@ def wlp_check(ring: GradedQuotient, trials: int = 3, seed: int = 0) -> WlpReport
 
     Maximal rank is an open condition, so one witnessing trial suffices for
     the generic statement; per-degree rows report the best rank seen. On a
-    monomial ring the check is exact: every sampled form has all its
-    coefficients nonzero, so the ring's rank memo serves it the ranks of the
-    all-ones form (`GradedQuotient.map_rank`), which are those of a general
-    form. A ring cut off at its bound is refused: the maps past the bound
-    are unknown, so the property could fail there.
+    monomial ring the check is exact: as in `generic_ezd_decision`, every
+    trial uses the all-ones form, which rescaling the variables takes to
+    every form with no zero coefficient, so its ranks are those of a
+    general form and come from the decision's entries in the rank memo. A
+    ring cut off at its bound is refused: the maps past the bound are
+    unknown, so the property could fail there.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     degrees = range(1, ring.top_degree + 1)
     maximal = [min(ring.dim(i - 1), ring.dim(i)) for i in degrees]
-    per_trial_ranks = []
-    for t in range(trials):
-        ell = generic_linear_form(ring.nvars, derived_seed(seed, t))
-        per_trial_ranks.append([ring.map_rank(ell, i - 1) for i in degrees])
+    if ring.spec.kind is IdealKind.MONOMIAL:
+        forms = [linear_form([1] * ring.nvars)] * trials
+    else:
+        forms = [generic_linear_form(ring.nvars, derived_seed(seed, t)) for t in range(trials)]
+    per_trial_ranks = [[ring.map_rank(ell, i - 1) for i in degrees] for ell in forms]
     rows = []
     for i, m, ranks in zip(degrees, maximal, zip(*per_trial_ranks)):
         best = max(ranks)

@@ -11,10 +11,8 @@ one denominator D_d, the lcm of the denominators of all its normal forms,
 so equal rings store equal tables and a basis monomial's entry is D_d.
 Only the ring reads the table: `GradedQuotient.integer_map` builds each
 multiplication map from it as int rows over one denominator, `map_rank`
-remembers each map's rank (on a monomial ring, a linear form's rank under
-its support: rescaling the variables is an automorphism there), and
-`normal_form` divides p's map from R_0 = span(1). The ring derives H and
-its top degree once.
+remembers each map's rank, and `normal_form` divides p's map from
+R_0 = span(1). The ring derives H and its top degree once.
 
 Degree d is built from degree d-1's table, as F4 reuses reduced rows
 (Faugere 1999): I_d is spanned by x_i times each relation D_{d-1}*m_p
@@ -54,7 +52,6 @@ from typing import Iterable, Iterator
 from .exactmat import Subspace, rank, ratio
 from .polyring import (
     HomogPoly,
-    IdealKind,
     IdealSpec,
     Monomial,
     divides,
@@ -125,7 +122,7 @@ class GradedQuotient:
     components: tuple[_DegreeComponent, ...]
     hilbert: HilbertFn = field(init=False)
     _top: int | None = field(init=False, repr=False)
-    _ranks: dict = field(init=False, repr=False, default_factory=dict)  # `_rank_key(f, d)` -> rank
+    _ranks: dict = field(init=False, repr=False, default_factory=dict)  # (form, degree) -> rank
 
     def __post_init__(self) -> None:
         dims = tuple(len(c.basis) for c in self.components)
@@ -203,44 +200,25 @@ class GradedQuotient:
                     rows[i][j] += c * a
         return rows, scale * comp.denominator
 
-    def _rank_key(self, f: HomogPoly, d: int) -> tuple:
-        """The memo key of f's rank from R_d: on a monomial ring a linear
-        form's support, else the form itself."""
-        if f.degree == 1 and self.spec.kind is IdealKind.MONOMIAL:
-            return frozenset(f.coeffs), d
-        return f, d
-
     def map_rank(self, f: HomogPoly, d: int) -> int:
-        """The rank of `integer_map(f, d)`, computed once per key and degree;
+        """The rank of `integer_map(f, d)`, computed once per form and degree;
         equal forms share an entry. A pair check after the search for a
         partner, and a Lefschetz check after a decision drawn from the same
-        seed, ask for the same ranks.
-
-        On a monomial ring a linear form is keyed by its support, and a miss
-        ranks the 0/1 form on that support: rescaling each variable is an
-        automorphism of P/I for a monomial ideal I, and it takes the 0/1 form
-        to every form with the same nonzero coefficients. So sampled forms
-        with no zero coefficient share the all-ones form's ranks.
-        """
-        key = self._rank_key(f, d)
-        r = self._ranks.get(key)
+        seed, ask for the same ranks."""
+        r = self._ranks.get((f, d))
         if r is None:
-            support = key[0]
-            if support is not f and any(c != 1 for c in f.coeffs.values()):
-                f = HomogPoly(f.nvars, 1, dict.fromkeys(support, 1))  # the 0/1 form there
-            r = self._ranks[key] = rank(self.integer_map(f, d)[0])
+            r = self._ranks[f, d] = rank(self.integer_map(f, d)[0])
         return r
 
     def ranked_map(self, f: HomogPoly, d: int) -> tuple[int, list[list[int]]]:
         """The rank of `integer_map(f, d)` and the map's rows, from one build;
-        the rank is read from and written to `map_rank`'s memo, under its
-        key. A caller that reads both the rank and the map, as the search
-        for a partner does, builds it once."""
+        the rank is read from and written to `map_rank`'s memo. A caller that
+        reads both the rank and the map, as the search for a partner does,
+        builds it once."""
         rows = self.integer_map(f, d)[0]
-        key = self._rank_key(f, d)
-        r = self._ranks.get(key)
+        r = self._ranks.get((f, d))
         if r is None:
-            r = self._ranks[key] = rank(rows)
+            r = self._ranks[f, d] = rank(rows)
         return r, rows
 
     def basis_poly(self, degree: int, coords) -> HomogPoly:
@@ -371,17 +349,13 @@ def _read_off(
     `reducers` into `normal_forms` times their least common denominator
     D_d; and return the quotient basis, the non-pivot border columns, and D_d.
 
-    When the rows span every border column, the degree vanishes: its
-    normal forms stay zero, D_d is 1 and nothing is read off. Otherwise a
-    border pivot's normal form is minus the rest of its echelon row over
+    A border pivot's normal form is minus the rest of its echelon row over
     its pivot entry. A reducer is den times its lead L plus a tail on the
     border, so NF(L) is minus the tail reduced by the echelon rows, over den.
     """
     zeros = [0] * len(cols)
     dense = (list(map(r.get, range(len(cols)), zeros)) for r in rows)
     echelon = dict(Subspace.from_vectors(len(cols), dense).rows)  # border pivot -> its row
-    if len(echelon) == len(cols):  # the elimination stopped at a spanned border
-        return [], 1
     free = [k for k in range(len(cols)) if k not in echelon]
     coord = {k: q for q, k in enumerate(free)}  # border column -> quotient coordinate
     # with scale the lcm of the pivot entries, each normal form is -a / (den * scale), a integral

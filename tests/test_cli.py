@@ -198,11 +198,11 @@ def test_ezd_form_exact_pair(capsys):
     assert "annihilator dims by degree: 0 1 1" in out
 
 
-def test_ezd_form_ranks_each_degree_once_under_its_support(capsys, monkeypatch):
-    """On a monomial ring the annihilator dims (`map_rank`), the search for
-    a partner (`ranked_map`) and the pair check share one memo key, the
-    form's support: each degree is ranked once for the form and once for
-    its partner, and the dims are the all-ones form's."""
+def test_ezd_form_ranks_each_degree_once(capsys, monkeypatch):
+    """The annihilator dims (`map_rank`), the search for a partner
+    (`ranked_map`) and the pair check share one memo entry per (form,
+    degree): each degree is ranked once for the form and once for its
+    partner. On a monomial ring the dims are the all-ones form's."""
     ranked = []
 
     def counting(rows):
