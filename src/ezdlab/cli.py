@@ -230,7 +230,7 @@ def _yoshino(args, ring):
 _RING_COMMANDS = [
     ("hilbert", "Hilbert function H(0..D) of P/I", _hilbert, False),
     ("ezd", "generic exact-zero-divisor decision, or check one form", _ezd, True),
-    ("wlp", "weak Lefschetz check with sampled linear forms", _wlp, True),
+    ("wlp", "weak Lefschetz check, exact on monomial ideals", _wlp, True),
     ("socle", "socle dimensions and Gorenstein detection", _socle, False),
     ("yoshino", "necessary conditions for exact pairs on short rings", _yoshino, False),
 ]
@@ -328,8 +328,8 @@ def _add_ring_arguments(p: argparse.ArgumentParser, with_trials: bool = False) -
                         "has a pure power among the generators)")
     p.add_argument("--format", choices=["table", "json"], default="table")
     if with_trials:
-        p.add_argument("--trials", type=int, default=3)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--trials", type=int, default=3, help="sampled linear forms (non-monomial ideals only)")
+        p.add_argument("--seed", type=int, default=0, help="seed of the sampled forms (non-monomial ideals only)")
 
 
 class _SubcommandParser(argparse.ArgumentParser):

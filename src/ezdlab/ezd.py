@@ -11,10 +11,9 @@ space and zero test here reads those rows, as N has those of N / D, and
 only the public `mult_map` divides them, into a `QMatrix`. Every r_f(d)
 comes from the ring's rank memo, so the pair check, the search for a
 partner, the Lefschetz check, the colon identity and the socle's
-certificate rank each (form, degree) once. On a monomial ring rescaling
-the variables is an automorphism, so the decision and the Lefschetz check
-both use the all-ones form, which stands in for every form with no zero
-coefficient, and the check reuses the decision's ranks. `map_rank` reads
+certificate rank each (form, degree) once. The decision, the Lefschetz
+check and the socle's certificate take their linear forms from one place,
+`decision_forms`, so the check reuses the decision's ranks. `map_rank` reads
 and fills the memo; the search for a partner fills it through
 `ranked_map`, which also returns the map it ranked, so the partner, a
 kernel vector (`annihilator_degree`), comes from the same build. Only
@@ -350,6 +349,22 @@ def generic_linear_form(nvars: int, seed: int) -> HomogPoly:
     return linear_form(coeffs)
 
 
+def decision_forms(ring: GradedQuotient, trials: int, seed: int) -> tuple[tuple[HomogPoly, ...], bool]:
+    """The linear forms on which the ring's generic questions are decided,
+    and whether they decide exactly.
+
+    On a monomial ring rescaling the variables is an automorphism, so the
+    all-ones form stands for every form with no zero coefficient (Migliore,
+    Miro-Roig and Nagel, Trans. AMS 363, 2011, Prop. 2.2): it is the one
+    form, and exact. Any other ring gets `trials` forms sampled from `seed`.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if ring.spec.kind is IdealKind.MONOMIAL:
+        return (linear_form([1] * ring.nvars),), True
+    return tuple(generic_linear_form(ring.nvars, derived_seed(seed, t)) for t in range(trials)), False
+
+
 class GenericDecision(Enum):
     GENERICALLY_YES = "generically_yes"
     NO = "no"
@@ -388,27 +403,16 @@ def trial_decision(successes: int, trials: int) -> GenericDecision:
 
 
 def generic_ezd_decision(ring: GradedQuotient, trials: int = 3, seed: int = 0) -> GenericVerdict:
-    """Decide whether a generic linear form is part of an exact pair.
-
-    Monomial ideals admit a deterministic reduction: rescaling variables is
-    a ring automorphism, so the all-ones form stands in for every form with
-    all coefficients nonzero and the answer is exact, from one trial. Other
-    ideals are sampled `trials` times with independent large random
-    coefficients and decided by `trial_decision`.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    exact = ring.spec.kind is IdealKind.MONOMIAL
-    if exact:
-        forms = [linear_form([1] * ring.nvars)]
-    else:
-        forms = [generic_linear_form(ring.nvars, derived_seed(seed, t)) for t in range(trials)]
+    """Decide whether a generic linear form is part of an exact pair: search
+    a partner of each of `decision_forms`' forms and combine the outcomes by
+    `trial_decision`."""
+    forms, exact = decision_forms(ring, trials, seed)
     pairs = [find_ezd_complement(ring, ell) for ell in forms]
     found = [pair for pair in pairs if pair is not None]
     witness, report = found[-1] if found else (None, None)
     decision = trial_decision(len(found), len(forms))
     partners = tuple(None if pair is None else pair[0] for pair in pairs)
-    return GenericVerdict(decision, witness, len(forms), seed, exact, report, tuple(forms), partners)
+    return GenericVerdict(decision, witness, len(forms), seed, exact, report, forms, partners)
 
 
 @dataclass(frozen=True)
@@ -437,26 +441,19 @@ class WlpReport:
 
 
 def wlp_check(ring: GradedQuotient, trials: int = 3, seed: int = 0) -> WlpReport:
-    """Weak Lefschetz check: multiplication by a sampled linear form must
+    """Weak Lefschetz check: multiplication by a general linear form must
     have maximal rank between every pair of consecutive degrees.
 
-    Maximal rank is an open condition, so one witnessing trial suffices for
-    the generic statement; per-degree rows report the best rank seen. On a
-    monomial ring the check is exact: as in `generic_ezd_decision`, every
-    trial uses the all-ones form, which rescaling the variables takes to
-    every form with no zero coefficient, so its ranks are those of a
-    general form and come from the decision's entries in the rank memo. A
-    ring cut off at its bound is refused: the maps past the bound are
-    unknown, so the property could fail there.
+    Maximal rank is an open condition, so one witnessing form among
+    `decision_forms`' suffices, and the check is exact where they are;
+    per-degree rows report the best rank seen, from the rank memo that a
+    decision on the same forms fills. A ring cut off at its bound is
+    refused: the maps past the bound are unknown, so the property could
+    fail there.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    forms, _ = decision_forms(ring, trials, seed)
     degrees = range(1, ring.top_degree + 1)
     maximal = [min(ring.dim(i - 1), ring.dim(i)) for i in degrees]
-    if ring.spec.kind is IdealKind.MONOMIAL:
-        forms = [linear_form([1] * ring.nvars)] * trials
-    else:
-        forms = [generic_linear_form(ring.nvars, derived_seed(seed, t)) for t in range(trials)]
     per_trial_ranks = [[ring.map_rank(ell, i - 1) for i in degrees] for ell in forms]
     rows = []
     for i, m, ranks in zip(degrees, maximal, zip(*per_trial_ranks)):
@@ -468,35 +465,37 @@ def wlp_check(ring: GradedQuotient, trials: int = 3, seed: int = 0) -> WlpReport
 def socle_dims(ring: GradedQuotient) -> tuple[int, ...]:
     """Per-degree dimensions of {r : x_i * r = 0 for every variable x_i}.
 
-    On a monomial ring the socle is spanned by monomials, and it is read
-    off the quotient basis: the basis monomials m of degree d with no x_i*m
-    in the basis of degree d+1. On any other ring, the socle lies in the
-    kernel of every linear form, so in a degree where the first sampled
-    form of seed 0 (the first trial of `wlp_check` and
-    `generic_ezd_decision`) is injective it is zero, and the rank comes
-    from `map_rank`. Every other degree ranks the variables' maps stacked.
+    The top degree's socle is all of R_top, which every x_i maps to zero.
+    Below it, on a monomial ring the socle is spanned by monomials, and it
+    is read off the quotient basis: the basis monomials m of degree d with
+    no x_i*m in the basis of degree d+1. On any other ring, the socle lies
+    in the kernel of every linear form, so in a degree where the first of
+    `decision_forms`' forms of seed 0 is injective it is zero, and the rank
+    comes from `map_rank`. Every other degree ranks the variables' maps
+    stacked.
     """
     top = ring.top_degree
+    dims = []
     if ring.spec.kind is IdealKind.MONOMIAL:
-        dims = []
-        for d in range(top + 1):
-            above = set(ring.basis_monomials(d + 1)) if d < top else set()
+        for d in range(top):
+            above = set(ring.basis_monomials(d + 1))
             dims.append(sum(
                 all(m[:i] + (m[i] + 1,) + m[i + 1 :] not in above for i in range(ring.nvars))
                 for m in ring.basis_monomials(d)
             ))
-        return tuple(dims)
-    ell = generic_linear_form(ring.nvars, derived_seed(0, 0))
-    dims = []
-    for d in range(top + 1):
-        dim_d = ring.dim(d)
-        if ring.map_rank(ell, d) == dim_d:
-            dims.append(0)
-            continue
-        rows = []
-        for i in range(ring.nvars):
-            rows += ring.integer_map(variable(ring.nvars, i), d)[0]
-        dims.append(dim_d - rank(rows))
+    else:
+        (ell,), _ = decision_forms(ring, 1, 0)
+        for d in range(top):
+            dim_d = ring.dim(d)
+            if ring.map_rank(ell, d) == dim_d:
+                dims.append(0)
+                continue
+            rows = []
+            for i in range(ring.nvars):
+                rows += ring.integer_map(variable(ring.nvars, i), d)[0]
+            dims.append(dim_d - rank(rows))
+    if top >= 0:  # the zero ring (top -1) has no degree
+        dims.append(ring.dim(top))
     return tuple(dims)
 
 
@@ -523,10 +522,10 @@ class YoshinoReport:
 
 def yoshino_conditions(ring: GradedQuotient) -> YoshinoReport:
     """Evaluate the Yoshino conditions on the ring."""
-    if ring.bound < 2:
+    if ring.bound < 2 and not ring.complete:
         raise ValueError("need the ring built to degree 2 at least")
-    r1 = ring.dim(1)
-    r2 = ring.dim(2)
+    # a complete ring is zero past its bound
+    r1, r2 = (ring.dim(d) if d <= ring.bound else 0 for d in (1, 2))
     c1 = r2 == r1 - 1
     c2 = all(g.degree == 2 for g in ring.spec.generators) and bool(ring.spec.generators)
     gor = is_gorenstein(ring) if ring.complete else None

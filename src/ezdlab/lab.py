@@ -3,17 +3,16 @@
 Two families are scanned exhaustively at desk scale, each listed in
 FAMILIES with its scan and record type:
 
-* Artinian monomial ideals with generators up to a degree cap. For these
-  the generic-linear-form question is decided exactly through the all-ones
-  form. The socle bound and the Hilbert function come from the generators'
-  exponent tuples alone, the latter through divisibility bitmasks shared
-  across the scan (`monomial_hilbert`); the IdealSpec and the ring are built
-  only when the Hilbert series admits a general linear form in an exact
-  pair, with H_{R/(ell)} under Green's hyperplane restriction bound
+* Artinian monomial ideals with generators up to a degree cap, each
+  decided exactly through the all-ones form (`ezd.decision_forms`). The
+  socle bound and the Hilbert function come from the generators' exponent
+  tuples alone, the latter through divisibility bitmasks shared across the
+  scan (`monomial_hilbert`); the IdealSpec and the ring are built only when
+  the Hilbert series admits a general linear form in an exact pair, with
+  H_{R/(ell)} under Green's hyperplane restriction bound
   (`ezd.general_form_admits_pair`), and every other ideal is recorded as
-  "no". The all-ones form is general, by the torus argument that makes its
-  decision exact. The walk is orderly: symmetry reduction prunes each
-  subtree whose root is not lex-least in its class.
+  "no". The walk is orderly: symmetry reduction prunes each subtree whose
+  root is not lex-least in its class.
 
 * "Monomial plus one binomial" ideals J + (f1 + f2) with everything in
   degree 2. Each ring is decided by `generic_ezd_decision`, as the
@@ -490,12 +489,11 @@ def _monomial_task(cfg: ScanConfig, payload: tuple[int, tuple]):
     # the ring vanishes by it
     bound = socle_bound(cfg.nvars, gens)
     hilbert = monomial_hilbert(cfg.nvars, gens, bound).values
-    # The all-ones form is general: the forms with no zero coefficient are
-    # one orbit of ring automorphisms (rescaling the variables), dense in the
-    # linear forms, so the orbit meets Green's open set, and H_{R/(ell)} is
-    # the same along it. So when the series with Green's bound rules out
-    # every general linear form, the decision is "no", as the all-ones form
-    # would find, and neither ideal nor ring is built.
+    # The all-ones form is general: its orbit under rescaling the variables
+    # (`ezd.decision_forms`) is dense, so it meets Green's open set, and
+    # H_{R/(ell)} is the same along it. So when the series with Green's
+    # bound rules out every general linear form, the decision is "no", as
+    # the all-ones form would find, and neither ideal nor ring is built.
     decision, witness, faults = GenericDecision.NO, None, []
     if general_form_admits_pair(hilbert):
         ring = build_quotient(monomial_ideal(cfg.nvars, gens), bound)

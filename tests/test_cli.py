@@ -435,6 +435,21 @@ def test_yoshino(capsys):
     assert "c2 (generated in degree 2): ok" in out
 
 
+def test_yoshino_complete_ring_built_below_degree_2(capsys):
+    """x1, x2 vanishes from degree 1 on, so at its default bound 1 the
+    answer is that at -D 2: dimensions past a complete ring's bound are 0."""
+    code, out, err = run(capsys, "yoshino", "-n", "2", "x1, x2")
+    assert (code, err) == (0, "")
+    assert "[dim R_1 = 0, dim R_2 = 0]" in out
+    assert run(capsys, "yoshino", "-n", "2", "-D", "2", "x1, x2") == (0, out, "")
+
+
+def test_yoshino_refuses_an_incomplete_ring_built_below_degree_2(capsys):
+    code, out, err = run(capsys, "yoshino", "-n", "2", "-D", "1", "x1^2, x2^2")
+    assert (code, out) == (2, "")
+    assert err == "error: need the ring built to degree 2 at least\n"
+
+
 def test_scan_monomial_table(capsys):
     code, out, _ = run(capsys, "scan", "monomial", "-n", "2", "--max-deg", "2")
     assert code == 0

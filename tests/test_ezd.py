@@ -1,8 +1,10 @@
 """Multiplication maps, annihilators, pair detection, WLP, socle, conditions."""
 
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,9 @@ from ezdlab.ezd import (
     PairVerdict,
     annihilator_degree,
     colon_identity_dims,
+    decision_forms,
     degree2_generator_count,
+    derived_seed,
     find_ezd_complement,
     generic_ezd_decision,
     generic_linear_form,
@@ -499,6 +503,39 @@ def test_scaling_invariance():
     assert q1 == q2
 
 
+def test_decision_forms():
+    """A monomial ring is decided on the all-ones form alone, exactly; any
+    other ring on `trials` forms sampled from the seed; no ring on none."""
+    assert decision_forms(EXAMPLE3, 3, 7) == ((linear_form([1, 1, 1]),), True)
+    ring = ring_of("x1^2 + x2*x3, x2^2, x3^2", 3, 4)
+    forms, exact = decision_forms(ring, 3, 7)
+    assert not exact
+    assert forms == tuple(generic_linear_form(3, derived_seed(7, t)) for t in range(3))
+    for r in (EXAMPLE3, ring):
+        with pytest.raises(ValueError, match="need at least one trial"):
+            decision_forms(r, 0, 7)
+
+
+def test_wlp_ranks_one_form_on_a_monomial_ring(monkeypatch):
+    """On a monomial ring the check ranks the all-ones form alone, whatever
+    `trials` asks for; the report echoes `trials` and `seed`, and its rows
+    are those of one trial."""
+    ring = ring_of("x1^3, x2^3, x3^3, x1*x2*x3", 3, 6)
+    asked = []
+    map_rank = GradedQuotient.map_rank
+
+    def recording(ring_, f, d):
+        asked.append(f)
+        return map_rank(ring_, f, d)
+
+    monkeypatch.setattr(GradedQuotient, "map_rank", recording)
+    rep = wlp_check(ring, 3, 7)
+    assert set(asked) == {linear_form([1, 1, 1])} and len(asked) == ring.top_degree
+    one = wlp_check(ring, 1)
+    assert (rep.trials, rep.seed) == (3, 7)
+    assert (rep.degrees, rep.holds) == (one.degrees, one.holds)
+
+
 def test_wlp_examples():
     assert wlp_check(ring_of("x1^3, x2^3", 2, 5)).holds
     rep = wlp_check(SQUARES)
@@ -641,8 +678,8 @@ def test_map_rank_ranks_each_form_and_degree_once(monkeypatch, counted_ranks, ma
     (form, degree) once, whether the rank is asked for alone (`map_rank`)
     or with its map (`ranked_map`, in the search for a partner), and every
     rank served is that of a fresh map. The Lefschetz check ranks nothing
-    the decision has not: on a monomial ring every trial of both is the
-    all-ones form, elsewhere both draw the same forms. The ring is built under the counting fixture, so its build,
+    the decision has not: both take their forms from `decision_forms`.
+    The ring is built under the counting fixture, so its build,
     which stops eliminating at a spanned border, takes no map rank."""
     ring = make_ring()
     assert not counted_ranks
@@ -726,10 +763,24 @@ def test_socle_dims_match_stacked_rank_monomial_scan_rings():
     assert wlp_failures == 469
 
 
+def _pool_complete_intersections():
+    """The random complete intersections of the ring-analysis benchmark's
+    pool, every draw of its four shapes, each built to its bound."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    items = [item for item in workloads.ring_pool_ids() if item.startswith("ci/")]
+    return [build_quotient(*workloads.make_ring_input(item)[1]) for item in items]
+
+
 def test_socle_dims_match_stacked_rank_binomial_and_complete_intersections():
     rings = list(_artinian_binomial_rings(3))
     assert len(rings) == 54
     rings += [_random_complete_intersection(seed) for seed in range(6)]
+    pool = _pool_complete_intersections()
+    assert len(pool) == 26
+    rings += pool
     rng = random.Random(2323)
     rings += [_rational_ideal_ring(rng) for _ in range(4)]
     for ring in rings:
@@ -764,6 +815,25 @@ def test_socle_dims_match_stacked_rank_ring_analysis_monomial_rings():
     assert len(rings) == 10 + 5 + 6
     for ring in rings:
         assert socle_dims(ring) == socle_dims_by_stacked_rank(ring), ring.spec
+
+
+def test_socle_builds_no_map_from_the_top_degree(monkeypatch):
+    """Every x_i maps R_top to zero, so the top degree's socle is R_top,
+    with no map built there."""
+    rng = random.Random(222)
+    gens = [HomogPoly(3, 2, [(m, rng.randint(1, 9)) for m in monomials_of_degree(3, 2)]) for _ in range(3)]
+    ring = build_quotient(make_ideal(3, gens), 4)
+    assert ring.hilbert.values == (1, 3, 3, 1, 0)
+    built = []
+    integer_map = GradedQuotient.integer_map
+
+    def recording(ring_, f, d):
+        built.append(d)
+        return integer_map(ring_, f, d)
+
+    monkeypatch.setattr(GradedQuotient, "integer_map", recording)
+    assert socle_dims(ring) == (0, 0, 0, 1)
+    assert built and ring.top_degree not in built
 
 
 def _seeded_linear_forms(rng, nvars):

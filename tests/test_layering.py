@@ -9,7 +9,9 @@ bound is refused in one place, `GradedQuotient.top_degree`, which every
 analysis reads. Inside the package a matrix is a list of rows: `QMatrix`
 appears only in its class, in `exactmat.rref` and in the public
 `ezd.mult_map`. No code in `lab` samples a form or searches its partner:
-the scans decide through `generic_ezd_decision`."""
+the scans decide through `generic_ezd_decision`. Inside `ezd` one function,
+`decision_forms`, picks the linear forms a ring's generic questions are
+decided on and checks how many are asked for."""
 
 import ast
 from pathlib import Path
@@ -157,6 +159,74 @@ def test_sampler_walker_finds_every_call():
 def test_scans_decide_through_generic_ezd_decision():
     calls = _sampler_calls((PACKAGE / "lab.py").read_text())
     assert not calls, f"lab samples a form or searches a partner: {calls}"
+
+
+SEAM = "decision_forms"
+
+
+def _form_choices(source: str) -> list[tuple[int, str, str | None]]:
+    """(line, choice, innermost function) for every place that picks the
+    forms a ring is decided on or checks their count: a call of
+    `generic_linear_form`, bare or as an attribute; a call of `linear_form`
+    on `[1] * k` or `k * [1]`; and a comparison of `trials`, a name or an
+    attribute, with a constant."""
+    found = []
+
+    def all_ones(arg):
+        return isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult) and any(
+            isinstance(side, ast.List) and len(side.elts) == 1 and getattr(side.elts[0], "value", None) == 1
+            for side in (arg.left, arg.right)
+        )
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "generic_linear_form":
+                found.append((node.lineno, name, fn))
+            elif name == "linear_form" and node.args and all_ones(node.args[0]):
+                found.append((node.lineno, "all-ones", fn))
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Constant) for x in sides) and any(
+                getattr(x, "id", None) == "trials" or getattr(x, "attr", None) == "trials" for x in sides
+            ):
+                found.append((node.lineno, "trials", fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_form_choice_walker_finds_every_case():
+    source = (
+        "def decision_forms(ring, trials, seed):\n"
+        "    if trials < 1:\n        raise ValueError\n"
+        "    return (linear_form([1] * ring.nvars),), True\n"
+        "def wlp_check(ring, trials=3, seed=0):\n"
+        "    if 1 > cfg.trials or trials == 0:\n        raise ValueError\n"
+        "    forms = [polyring.linear_form(ring.nvars * [1])] * trials\n"
+        "    forms += [ezd.generic_linear_form(ring.nvars, derived_seed(seed, t)) for t in range(trials)]\n"
+        "    return linear_form([1, 1]), linear_form([2] * 3), successes == trials\n"
+        "ELL = generic_linear_form(3, 0)\n"
+    )
+    assert _form_choices(source) == [
+        (2, "trials", SEAM), (4, "all-ones", SEAM),
+        (6, "trials", "wlp_check"), (6, "trials", "wlp_check"), (8, "all-ones", "wlp_check"),
+        (9, "generic_linear_form", "wlp_check"), (11, "generic_linear_form", None),
+    ]
+
+
+def test_the_forms_a_ring_is_decided_on_have_one_seam():
+    """`generic_ezd_decision`, `wlp_check` and `socle_dims` take their forms
+    from `decision_forms` and pick none themselves."""
+    choices = _form_choices((PACKAGE / "ezd.py").read_text())
+    stray = [f"ezd.py:{line} {what} in {fn}" for line, what, fn in choices if fn != SEAM]
+    assert not stray, f"forms picked or counted outside {SEAM}: {stray}"
+    assert sorted(what for _, what, _ in choices) == ["all-ones", "generic_linear_form", "trials"]
 
 
 def test_walker_finds_every_import_form():
