@@ -37,20 +37,20 @@ seed and the instance index, work is distributed in enumeration order in
 fixed-size chunks, and reports serialize without timing data, so re-runs
 with different worker counts emit byte-identical JSON. The chunks are not
 pipelined: `Executor.map` draws every payload before it returns, so the
-workers take their first chunk about when enumeration ends.
+workers take their first chunk about when enumeration ends. The process
+pool is imported only where one starts, in `_run_scan` with two or more
+usable workers, so the ring commands, the library API and one-worker scans
+never load `concurrent.futures` or `multiprocessing`.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, partial
-from io import StringIO
 from itertools import combinations, permutations, product
 from json.encoder import encode_basestring_ascii
 from math import comb
@@ -374,6 +374,9 @@ class ScanReport:
 
     def to_csv(self) -> str:
         """One row per instance; the columns are the record's fields in order."""
+        import csv
+        from io import StringIO
+
         names = [f.name for f in fields(FAMILIES[self.family].record)]
         buf = StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -521,6 +524,14 @@ def _monomial_task(cfg: ScanConfig, payload: tuple[int, tuple]):
     return record, [Counterexample(idx, text, reason) for reason in faults]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, since `os.cpu_count()` counts CPUs that `taskset` may exclude."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_scan(family: str, cfg: ScanConfig, task, payloads: Iterable[tuple]) -> ScanReport:
     """Run `task(cfg, payload)` over the payloads in order and collect the report.
 
@@ -531,9 +542,11 @@ def _run_scan(family: str, cfg: ScanConfig, task, payloads: Iterable[tuple]) -> 
     start = time.perf_counter()
     fn = partial(task, cfg)
     # the pool starts all its processes at the first chunk, so more than
-    # the CPUs would only add interpreters
-    workers = min(cfg.workers, os.cpu_count() or 1)
+    # the CPUs this process may run on would only add interpreters
+    workers = min(cfg.workers, _usable_cpus())
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # ex.map draws every payload before it returns, while the pool's
         # manager and feeder threads wait for the GIL: the workers fork at
         # the first chunk but take their first task about when enumeration

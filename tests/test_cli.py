@@ -321,7 +321,7 @@ def test_many_variables_refused_before_parsing(capsys, monkeypatch, argv, messag
 def test_set_up_tables_refused_up_front(capsys, monkeypatch, argv):
     """Each would list millions of monomials, candidates or images first."""
     monkeypatch.setattr(lab, "monomials_of_degree", lambda *a: pytest.fail("monomials listed"))
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", None)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "more than the cap of" in err

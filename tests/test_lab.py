@@ -800,7 +800,7 @@ def test_example_refuses_before_listing_monomials(monkeypatch):
 @pytest.mark.parametrize("nvars", [6, 7, 10**9])
 def test_binomial_scan_refuses_before_listing_candidates(monkeypatch, nvars):
     monkeypatch.setattr(lab, "monomials_of_degree", lambda *a: pytest.fail("candidates listed"))
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", None)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
     with pytest.raises(ValueError, match=(
         f"^the binomial family in {nvars} variables has 2\\^.* candidates, "
         "more than the cap of 10,000,000; lower the variable count$"
@@ -823,7 +823,7 @@ def test_symmetry_reduction_refuses_before_any_table(monkeypatch, nvars, max_deg
     message = f"^symmetry reduction in {nvars} variables up to degree {max_degree} "
     with pytest.raises(ValueError, match=message):
         next(enumerate_monomial_ideals(cfg))
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", None)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
     with pytest.raises(ValueError, match=message):
         scan_monomial(replace(cfg, workers=2))
 
@@ -861,7 +861,7 @@ def test_monomial_scan_refuses_comparability_table_before_listing(
     )
     with pytest.raises(ValueError, match=message):
         enumerate_monomial_ideals(cfg)
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", None)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
     with pytest.raises(ValueError, match=message):
         scan_monomial(replace(cfg, workers=2))
 
@@ -876,10 +876,20 @@ def test_comparable_pair_cap_admits_the_documented_scans():
     assert next(enumerate_monomial_ideals(ScanConfig(2, 28, symmetry_reduction=False)))
 
 
-@pytest.mark.parametrize("cpus, pool_sizes", [(2, [2]), (3, [3]), (1, []), (None, [])])
+@pytest.mark.parametrize("cpus, pool_sizes", [
+    (2, [2]),
+    (3, [3]),
+    (1, []),
+    (None, []),
+    pytest.param((2, {0}), [], id="affinity-1-of-2"),
+    pytest.param((4, {0, 2, 3}), [3], id="affinity-3-of-4"),
+])
 def test_scan_pool_is_clamped_to_the_cpus(monkeypatch, cpus, pool_sizes):
-    """The pool starts all its processes at once, so it is sized to the CPUs;
-    a stand-in records the size and starts none."""
+    """The pool starts all its processes at once, so it is sized to the CPUs
+    the process may run on. `cpus` is `os.cpu_count()` on a platform with no
+    affinity set, or a pair of it and the affinity set: under `taskset -c 0`
+    a 2-CPU host leaves one usable CPU, and the scan runs in the parent. A
+    stand-in records the size and starts none."""
     sizes = []
 
     class RecordingPool:
@@ -895,8 +905,13 @@ def test_scan_pool_is_clamped_to_the_cpus(monkeypatch, cpus, pool_sizes):
         def map(self, fn, payloads, chunksize=1):
             return map(fn, payloads)
 
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(lab.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    count, affinity = cpus if isinstance(cpus, tuple) else (cpus, None)
+    monkeypatch.setattr(lab.os, "cpu_count", lambda: count)
+    if affinity is None:
+        monkeypatch.delattr(lab.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: affinity, raising=False)
     for scan, cfg in [(scan_monomial, ScanConfig(2, 3)), (scan_binomial, ScanConfig(2))]:
         serial = scan(cfg).to_json(full=True)
         assert scan(replace(cfg, workers=5000)).to_json(full=True) == serial
