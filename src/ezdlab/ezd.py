@@ -54,7 +54,6 @@ from .exactmat import QMatrix, Subspace, kernel_basis, rank, ratio
 from .gradedring import GradedQuotient
 from .polyring import (
     HomogPoly,
-    IdealKind,
     format_ideal,
     format_poly,
     linear_form,
@@ -360,7 +359,7 @@ def decision_forms(ring: GradedQuotient, trials: int, seed: int) -> tuple[tuple[
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if ring.spec.kind is IdealKind.MONOMIAL:
+    if not ring.spec.others:
         return (linear_form([1] * ring.nvars),), True
     return tuple(generic_linear_form(ring.nvars, derived_seed(seed, t)) for t in range(trials)), False
 
@@ -476,7 +475,7 @@ def socle_dims(ring: GradedQuotient) -> tuple[int, ...]:
     """
     top = ring.top_degree
     dims = []
-    if ring.spec.kind is IdealKind.MONOMIAL:
+    if not ring.spec.others:
         for d in range(top):
             above = set(ring.basis_monomials(d + 1))
             dims.append(sum(

@@ -259,7 +259,7 @@ def _component(
     degree: int,
     standard: set[Monomial],
     below: tuple[_DegreeComponent, set[Monomial]] | None,
-    others: list[HomogPoly],
+    others: tuple[HomogPoly, ...],
 ) -> _DegreeComponent:
     """The degree-d component of P/I, given the standard monomials of M in
     degree d and, past degree 0, degree d-1's component and standard set.
@@ -401,7 +401,7 @@ def refuse_oversize(nvars: int, bound: int) -> None:
         )
 
 
-def _refuse_costly(nvars: int, gens: set[Monomial], others: list[HomogPoly], bound: int) -> None:
+def _refuse_costly(nvars: int, gens: set[Monomial], others: tuple[HomogPoly, ...], bound: int) -> None:
     """Raise ValueError when eliminating the multiples of `others` on the
     standard columns of the monomial ideal generated by `gens`, degrees
     0..bound, is estimated to cost more than MAX_ELIMINATION_COST.
@@ -433,8 +433,7 @@ def build_quotient(spec: IdealSpec, bound: int) -> GradedQuotient:
     estimated cost exceeds MAX_ELIMINATION_COST.
     """
     refuse_oversize(spec.nvars, bound)
-    gens = {m for g in spec.generators if len(g.coeffs) == 1 for m in g.coeffs}  # M's generators
-    others = [g for g in spec.generators if len(g.coeffs) != 1]
+    gens, others = set(spec.monomials), spec.others  # M's generators, and the rest
     if others:
         _refuse_costly(spec.nvars, gens, others, bound)
     components: list[_DegreeComponent] = []
@@ -533,5 +532,4 @@ def default_bound(spec: IdealSpec) -> int | None:
     P/I is a quotient of P/M for the monomial ideal M those generators
     span, so the bound holds for every ideal I, monomial or not.
     """
-    single = (m for g in spec.generators if len(g.coeffs) == 1 for m in g.coeffs)
-    return socle_bound(spec.nvars, single)
+    return socle_bound(spec.nvars, spec.monomials)

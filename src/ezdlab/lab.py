@@ -451,6 +451,8 @@ def pair_rule_faults(
     must first satisfy H_R(z) = H_{R/(ell)}(z)(1 + z + ... + z^t), a theorem
     (`ezd.hilbert_admits_pair`), or RuntimeError is raised; H_{R/(ell)}(d) is
     H(d) - map_rank(ell, d - 1), from the ranks the pair check took."""
+    if not any(hilbert):  # the zero ring: no partner to check
+        return []
     top = max(d for d, v in enumerate(hilbert) if v)
     h = [*hilbert[: top + 1], *[0] * top]  # H up to degree 2 * top, past any top + t
     for ell, q in zip(verdict.forms, verdict.partners):

@@ -33,7 +33,6 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -144,15 +143,9 @@ class HomogPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, m: Monomial) -> int | Fraction:
-        return self.coeffs.get(m, 0)
-
     def terms(self) -> tuple[tuple[Monomial, int | Fraction], ...]:
         """(monomial, coefficient) pairs in graded-lex order."""
         return tuple(sorted(self.coeffs.items(), key=lambda mc: monomial_key(mc[0])))
-
-    def support(self) -> tuple[Monomial, ...]:
-        return tuple(m for m, _ in self.terms())
 
     def integer_coeffs(self) -> tuple[dict[Monomial, int], int]:
         """The coefficients times the lcm L of their denominators, and L; for
@@ -228,43 +221,45 @@ def linear_form(coeffs: Sequence) -> HomogPoly:
     return HomogPoly(len(coeffs), 1, zip(monomials_of_degree(len(coeffs), 1), coeffs))
 
 
-class IdealKind(Enum):
-    MONOMIAL = "monomial"
-    MONOMIAL_PLUS_ONE_BINOMIAL = "monomial_plus_one_binomial"
-    GENERAL = "general"
-
-
 @dataclass(frozen=True)
 class IdealSpec:
-    """Homogeneous ideal given by generators, with a classified shape."""
+    """Homogeneous ideal given by its generators.
+
+    `monomials` (the single-term generators) and `others` (the rest) split
+    them; both are derived on each read, so only the generators are stored.
+    """
 
     nvars: int
     generators: tuple[HomogPoly, ...]
-    kind: IdealKind
+
+    @property
+    def monomials(self) -> tuple[Monomial, ...]:
+        """The exponent tuples of the single-term generators, in generator order."""
+        return tuple(m for g in self.generators if len(g.coeffs) == 1 for m in g.coeffs)
+
+    @property
+    def others(self) -> tuple[HomogPoly, ...]:
+        """The generators with more than one term, in generator order."""
+        return tuple(g for g in self.generators if len(g.coeffs) > 1)
 
     def binomial_parts(self) -> tuple[tuple[Monomial, ...], Monomial, Monomial]:
-        """For the monomial-plus-one-binomial shape: (J monomials, f1, f2)."""
-        if self.kind is not IdealKind.MONOMIAL_PLUS_ONE_BINOMIAL:
+        """(J monomials, f1, f2) for an ideal J + (f1 + f2) generated in
+        degree 2, f1 before f2 in graded-lex order; ValueError otherwise."""
+        others = self.others
+        if (len(others) != 1 or list(others[0].coeffs.values()) != [1, 1]
+                or any(g.degree != 2 for g in self.generators)):
             raise ValueError("ideal is not of monomial-plus-one-binomial shape")
-        singles = []
-        pair = None
-        for g in self.generators:
-            sup = g.support()
-            if len(sup) == 1:
-                singles.append(sup[0])
-            else:
-                pair = sup
-        if pair is None:
-            raise ValueError("ideal has no binomial generator")
-        return tuple(singles), pair[0], pair[1]
+        f1, f2 = sorted(others[0].coeffs, key=monomial_key)
+        return self.monomials, f1, f2
 
 
 def make_ideal(nvars: int, gens: Iterable[HomogPoly]) -> IdealSpec:
-    """Build an IdealSpec, normalizing generators and classifying the shape.
+    """Build an IdealSpec, dropping zero generators and rescaling the rest.
 
-    Single-term generators are rescaled to coefficient 1. A two-term
-    generator whose coefficients are equal is rescaled to the pair (1, 1);
-    with unequal coefficients the ideal is classified as general instead.
+    Single-term generators are rescaled to coefficient 1. When every
+    generator has degree 2 and exactly one has more than one term, that one
+    is rescaled to the pair (1, 1) if it is a binomial with equal
+    coefficients; every other generator is kept as given.
     """
     kept = []
     for g in gens:
@@ -277,14 +272,11 @@ def make_ideal(nvars: int, gens: Iterable[HomogPoly]) -> IdealSpec:
             kept.append(g)
 
     multi = [i for i, g in enumerate(kept) if len(g.coeffs) > 1]
-    if not multi:
-        return IdealSpec(nvars, tuple(kept), IdealKind.MONOMIAL)
-    terms = kept[multi[0]].terms()
-    if (len(multi) == 1 and len(terms) == 2 and terms[0][1] == terms[1][1]
-            and all(g.degree == 2 for g in kept)):
-        kept[multi[0]] = HomogPoly(nvars, 2, [(m, 1) for m, _ in terms])
-        return IdealSpec(nvars, tuple(kept), IdealKind.MONOMIAL_PLUS_ONE_BINOMIAL)
-    return IdealSpec(nvars, tuple(kept), IdealKind.GENERAL)
+    if len(multi) == 1 and all(g.degree == 2 for g in kept):
+        terms = kept[multi[0]].terms()
+        if len(terms) == 2 and terms[0][1] == terms[1][1]:
+            kept[multi[0]] = HomogPoly(nvars, 2, [(m, 1) for m, _ in terms])
+    return IdealSpec(nvars, tuple(kept))
 
 
 def monomial_ideal(nvars: int, monomials: Iterable[Monomial]) -> IdealSpec:

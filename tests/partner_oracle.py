@@ -61,7 +61,7 @@ def decompose_partner(spec: IdealSpec, ell: HomogPoly, q: HomogPoly) -> PartnerS
     if q.degree != 1:
         raise ValueError("partner must be a linear form")
     remainder = _drop_monomials(ell * q, j_monos)
-    alpha = remainder.coefficient(f1)
+    alpha = remainder.coeffs.get(f1, 0)
     if remainder != HomogPoly(spec.nvars, 2, [(f1, alpha), (f2, alpha)]):
         raise ValueError("precondition failed: ell*q is not in the ideal")
     half1 = monomial_ideal(spec.nvars, j_monos + (f1,))
@@ -70,7 +70,7 @@ def decompose_partner(spec: IdealSpec, ell: HomogPoly, q: HomogPoly) -> PartnerS
     # No linear generators, so degree-1 coordinates are variable coefficients.
     for vec in solutions.basis:
         cand = linear_form(vec)
-        a1 = _drop_monomials(ell * cand, j_monos).coefficient(f1)
+        a1 = _drop_monomials(ell * cand, j_monos).coeffs.get(f1, 0)
         if a1:
             q1 = Fraction(alpha, a1) * cand
             q2 = q - q1
@@ -97,13 +97,13 @@ def check_split_support(
     n = spec.nvars
     for qq, f, label in ((q1, f1, "q1"), (q2, f2, "q2")):
         tail = _drop_monomials(ell * qq, j_monos)
-        if any(m != f for m in tail.support()):
+        if any(m != f for m in tail.coeffs):
             raise ValueError(f"precondition failed: ell*{label} is not in J + ({format_poly(HomogPoly.from_monomial(f))})")
     violations = []
     vars_ = monomials_of_degree(n, 1)
     for part, qq, f in (("a", q1, f1), ("b", q2, f2)):
         for u in vars_:
-            if not qq.coefficient(u) or divides(u, f):
+            if u not in qq.coeffs or divides(u, f):
                 continue
             for big in monomials_of_degree(n, 2):
                 if big == f:

@@ -34,7 +34,6 @@ from ezdlab.ezd import (
 from ezdlab.gradedring import GradedQuotient, build_quotient, default_bound
 from ezdlab.polyring import (
     HomogPoly,
-    IdealKind,
     format_poly,
     linear_form,
     make_ideal,
@@ -46,6 +45,7 @@ from ezdlab.polyring import (
 from ezdlab.lab import ScanConfig, enumerate_monomial_ideals
 import binomial_family
 from macaulay_oracle import macaulay_ring
+from shape_oracle import MONOMIAL, ONE_BINOMIAL, SHAPES, ideal_shape
 from socle_oracle import socle_dims_by_stacked_rank
 from subspace_oracle import contains
 
@@ -145,7 +145,7 @@ def test_monomial_lookup_maps_match_normal_forms():
     for degs in ((2, 2, 2), (2, 2, 2), (2, 2, 3), (2, 3, 3)):
         gens = [HomogPoly(3, d, [(m, rng.randint(-9, 9)) for m in monomials_of_degree(3, d)]) for d in degs]
         cases.append((make_ideal(3, gens), sum(d - 1 for d in degs) + 1))
-    assert sum(spec.kind is not IdealKind.MONOMIAL for spec, _ in cases) == 26
+    assert sum(bool(spec.others) for spec, _ in cases) == 26
     shared_rows = 0
     above_one = set()  # whether D > 1, over every integer map
     for spec, bound in cases:
@@ -292,19 +292,19 @@ def _random_form(rng, nvars, degree):
 
 
 def _oracle_rings(rng):
-    """Eight complete rings of each kind: monomial, one binomial, general."""
+    """Eight complete rings of each shape: monomial, one binomial, general."""
     rings = []
-    for kind in IdealKind:
+    for shape in SHAPES:
         built = 0
         while built < 8:
             n = rng.randint(2, 3)
             quadrics = monomials_of_degree(n, 2)
-            if kind is IdealKind.MONOMIAL:
+            if shape == MONOMIAL:
                 powers = [tuple(rng.randint(2, 3) * (i == j) for i in range(n)) for j in range(n)]
                 extra = rng.sample(quadrics + monomials_of_degree(n, 3), rng.randint(0, 2))
                 spec = monomial_ideal(n, powers + extra)
                 bound = default_bound(spec)
-            elif kind is IdealKind.MONOMIAL_PLUS_ONE_BINOMIAL:
+            elif shape == ONE_BINOMIAL:
                 squares = [tuple(2 * (i == j) for i in range(n)) for j in range(n)]
                 m1, m2 = rng.sample(quadrics, 2)
                 gens = squares + rng.sample(quadrics, rng.randint(0, 1))
@@ -315,7 +315,7 @@ def _oracle_rings(rng):
                 spec = make_ideal(n, [_random_form(rng, n, 2) for _ in range(n)])
                 bound = 2 * n
             ring = build_quotient(spec, bound)
-            if spec.kind is kind and ring.complete and ring.top_degree >= 1:
+            if ideal_shape(spec.generators) == shape and ring.complete and ring.top_degree >= 1:
                 rings.append(ring)
                 built += 1
     return rings
@@ -455,7 +455,7 @@ def test_generic_linear_form_contract():
     assert a != c
     for seed in range(30):
         form = generic_linear_form(3, seed)
-        assert all(form.coefficient(m) != 0 for m in monomials_of_degree(3, 1))
+        assert all(form.coeffs.get(m, 0) != 0 for m in monomials_of_degree(3, 1))
 
 
 def test_generic_decision_monomial_exact():

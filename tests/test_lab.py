@@ -18,6 +18,7 @@ from ezdlab.ezd import (
     derived_seed,
     find_ezd_complement,
     general_form_admits_pair,
+    generic_ezd_decision,
     generic_linear_form,
     hilbert_admits_pair,
     mult_map,
@@ -387,11 +388,7 @@ def test_binomial_skips_build_nothing(monkeypatch):
     examined = sorted(r.ideal for r in report.instances)
     assert len(examined) == 54
     assert sorted(map(format_ideal, made)) == examined
-    # the partner splits build monomial halves J + (f1); every other build is
-    # one of the examined candidates
-    candidates = [s for s in built if s.kind is polyring.IdealKind.MONOMIAL_PLUS_ONE_BINOMIAL]
-    assert sorted(map(format_ideal, candidates)) == examined
-    assert all(s.kind is polyring.IdealKind.MONOMIAL for s in built if s not in candidates)
+    assert sorted(map(format_ideal, built)) == examined
 
 
 @pytest.mark.parametrize("options", [{"max_degree": 4}, {"symmetry_reduction": False}])
@@ -597,6 +594,16 @@ def test_pair_rule_refuses_a_pair_that_breaks_the_series():
     # (1 + z + z^2)(1 + 2z + z^2) has 4 in degree 2, not H(2) = 3
     with pytest.raises(RuntimeError, match=r"^exact pair x1 \+ x2, x1\^2: H_R = \[1, 3, 3, 1\] is not "):
         _rule_faults((1, 3, 3, 1), 2, (1, 2, 1))
+
+
+def test_pair_rule_has_nothing_to_check_on_the_zero_ring():
+    """The unit ideal's ring is zero in every degree: its verdict holds no
+    partner, so the rule finds no fault and raises nothing."""
+    ring = build_quotient(parse_ideal("1", 2), 2)
+    assert ring.hilbert.values == (0, 0, 0)
+    verdict = generic_ezd_decision(ring)
+    assert verdict.partners == (None,)
+    assert lab.pair_rule_faults(ring.hilbert.values, verdict, ring.map_rank) == []
 
 
 def test_both_scans_reach_the_pair_rule(monkeypatch, capsys):

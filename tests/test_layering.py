@@ -11,7 +11,9 @@ appears only in its class, in `exactmat.rref` and in the public
 `ezd.mult_map`. No code in `lab` samples a form or searches its partner:
 the scans decide through `generic_ezd_decision`. Inside `ezd` one function,
 `decision_forms`, picks the linear forms a ring's generic questions are
-decided on and checks how many are asked for."""
+decided on and checks how many are asked for. Only `polyring` counts a
+generator's terms: every other module reads the split of an ideal's
+generators from `IdealSpec.monomials` and `IdealSpec.others`."""
 
 import ast
 from pathlib import Path
@@ -227,6 +229,44 @@ def test_the_forms_a_ring_is_decided_on_have_one_seam():
     stray = [f"ezd.py:{line} {what} in {fn}" for line, what, fn in choices if fn != SEAM]
     assert not stray, f"forms picked or counted outside {SEAM}: {stray}"
     assert sorted(what for _, what, _ in choices) == ["all-ones", "generic_linear_form", "trials"]
+
+
+def _term_counts(source: str) -> list[int]:
+    """Lines of every comparison of `len(<expr>.coeffs)` with a constant,
+    on either side and in any chain."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Constant) for x in sides) and any(
+                isinstance(x, ast.Call) and getattr(x.func, "id", None) == "len" and len(x.args) == 1
+                and getattr(x.args[0], "attr", None) == "coeffs"
+                for x in sides
+            ):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_term_count_walker_finds_every_comparison():
+    source = (
+        "gens = {m for g in spec.generators if len(g.coeffs) == 1 for m in g.coeffs}\n"
+        "others = [g for g in spec.generators if 1 != len(g.coeffs)]\n"
+        "if 0 < len(spec.generators[0].coeffs) <= 2:\n    pass\n"
+        "n = len(g.coeffs)\n"
+        "if len(g.terms()) == 1 or len(coeffs) == 1 or len(g.coeffs) == k:\n    pass\n"
+    )
+    assert _term_counts(source) == [1, 2, 3]
+
+
+def test_only_polyring_counts_a_generators_terms():
+    counts = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "polyring"
+        for line in _term_counts(path.read_text())
+    ]
+    assert not counts, f"term counts outside polyring, not read from IdealSpec: {counts}"
+    assert _term_counts((PACKAGE / "polyring.py").read_text()), "polyring splits no generators"
 
 
 def test_walker_finds_every_import_form():

@@ -1,8 +1,11 @@
-"""Monomial order, polynomial arithmetic, the ideal grammar, and classification."""
+"""Monomial order, polynomial arithmetic, the ideal grammar, and the split of
+an ideal's generators."""
 
 import copy
 import pickle
+import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -11,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from ezdlab.polyring import (
     HomogPoly,
-    IdealKind,
     NonHomogeneousError,
     ParseError,
     divides,
@@ -26,6 +28,7 @@ from ezdlab.polyring import (
     parse_poly,
 )
 from one_form import in_one_form
+from shape_oracle import MONOMIAL, ONE_BINOMIAL, SHAPES, ideal_shape
 from support_oracle import in_monomial_ideal
 
 
@@ -102,7 +105,7 @@ def test_monomial_key_is_graded_lex(case):
     assert list(minimal) == sorted(minimal, key=GRADED_LEX)
     for d in set(map(sum, ts)):
         poly = HomogPoly(n, d, [(t, 1) for t in ts if sum(t) == d])
-        assert list(poly.support()) == sorted(poly.coeffs, key=GRADED_LEX)
+        assert [m for m, _ in poly.terms()] == sorted(poly.coeffs, key=GRADED_LEX)
 
 
 def test_native_tuple_order_is_not_graded_lex():
@@ -110,7 +113,7 @@ def test_native_tuple_order_is_not_graded_lex():
     assert sorted(ts, key=monomial_key) == [(2, 0), (1, 1), (0, 2)]
     assert sorted(ts) == ts
     assert minimalize_monomial_gens(ts) == ((2, 0), (1, 1), (0, 2))
-    assert HomogPoly(2, 2, [(t, 1) for t in ts]).support() == ((2, 0), (1, 1), (0, 2))
+    assert [m for m, _ in HomogPoly(2, 2, [(t, 1) for t in ts]).terms()] == [(2, 0), (1, 1), (0, 2)]
 
 
 @pytest.mark.parametrize(
@@ -151,28 +154,74 @@ def test_poly_mul_examples():
 
 def test_parse_monomial_kind():
     spec = parse_ideal("x1^2, x2^2", 2)
-    assert spec.kind is IdealKind.MONOMIAL
+    assert spec.others == ()
+    assert spec.monomials == ((2, 0), (0, 2))
     assert len(spec.generators) == 2
 
 
 def test_parse_binomial_kind():
     spec = parse_ideal("x1^2, x1*x2 + x2^2", 2)
-    assert spec.kind is IdealKind.MONOMIAL_PLUS_ONE_BINOMIAL
     j, f1, f2 = spec.binomial_parts()
-    assert j == ((2, 0),)
+    assert j == ((2, 0),) == spec.monomials
     assert f1 == (1, 1) and f2 == (0, 2)
 
 
 def test_parse_binomial_rescales_equal_coefficients():
     spec = parse_ideal("x1^2, x2^2, 3*x1*x2 + 3*x3^2", 3)
-    assert spec.kind is IdealKind.MONOMIAL_PLUS_ONE_BINOMIAL
-    binom = [g for g in spec.generators if len(g.coeffs) == 2][0]
+    (binom,) = spec.others
     assert set(binom.coeffs.values()) == {Fraction(1)}
+    assert spec.binomial_parts() == (((2, 0, 0), (0, 2, 0)), (1, 1, 0), (0, 0, 2))
 
 
 def test_parse_binomial_unequal_coefficients_is_general():
     spec = parse_ideal("x1^2, x1*x2 + 2*x2^2", 2)
-    assert spec.kind is IdealKind.GENERAL
+    assert len(spec.others) == 1
+    with pytest.raises(ValueError, match="monomial-plus-one-binomial"):
+        spec.binomial_parts()
+
+
+def _shape_sample_generator(rng, n):
+    """A monomial, a binomial with equal or unequal coefficients or a
+    three-term form, in degree 2 or 3, or else the zero polynomial or the
+    constant 1."""
+    kind = rng.choice(["monomial"] * 4 + ["binomial"] * 3 + ["three terms", "zero", "one"])
+    if kind == "zero":
+        return HomogPoly.zero(n, 2)
+    if kind == "one":
+        return HomogPoly.from_monomial((0,) * n)
+    degree = rng.choice([2, 2, 2, 3])
+    count = {"monomial": 1, "binomial": 2, "three terms": 3}[kind]
+    if rng.random() < 0.6:
+        coeffs = [rng.choice([1, 2, Fraction(-1, 3)])] * count
+    else:
+        coeffs = [rng.choice([1, -1, 2, Fraction(5, 2)]) for _ in range(count)]
+    return HomogPoly(n, degree, zip(rng.sample(monomials_of_degree(n, degree), count), coeffs))
+
+
+def test_split_views_match_the_shape_oracle():
+    """The three shapes the package once stored as a tag, read back off the
+    derived views: a monomial ideal has no `others`, a monomial-plus-one-
+    binomial ideal has `binomial_parts` (J in generator order, f1 before f2
+    in graded-lex order), and every other ideal has others and no parts."""
+    rng = random.Random(4343)
+    seen = Counter()
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        gens = [_shape_sample_generator(rng, n) for _ in range(rng.randint(1, 5))]
+        spec = make_ideal(n, gens)
+        shape = ideal_shape(gens)
+        seen[shape] += 1
+        assert ideal_shape(spec.generators) == shape
+        assert (spec.others == ()) == (shape == MONOMIAL)
+        assert spec.monomials == tuple(next(iter(g.coeffs)) for g in gens if len(g.coeffs) == 1)
+        if shape == ONE_BINOMIAL:
+            (binomial,) = [g for g in gens if len(g.coeffs) > 1]
+            f1, f2 = sorted(binomial.coeffs, key=GRADED_LEX)
+            assert spec.binomial_parts() == (spec.monomials, f1, f2)
+        else:
+            with pytest.raises(ValueError, match="monomial-plus-one-binomial"):
+                spec.binomial_parts()
+    assert set(seen) == set(SHAPES), seen
 
 
 def test_parse_non_homogeneous():
@@ -260,13 +309,13 @@ def test_parse_comments_newlines_whitespace():
     x2 ^ 2   # trailing note
     """
     spec = parse_ideal(text, 2)
-    assert spec.kind is IdealKind.MONOMIAL
+    assert spec.others == ()
     assert len(spec.generators) == 2
 
 
 def test_parse_rational_coefficients():
     p = parse_poly("-1/2*x1*x2 + x2^2", 2)
-    assert p.coefficient((1, 1)) == Fraction(-1, 2)
+    assert p.coeffs[(1, 1)] == Fraction(-1, 2)
     assert format_poly(p) == "-1/2*x1*x2 + x2^2"
 
 
@@ -398,7 +447,7 @@ def test_coefficients_are_stored_in_the_one_form(terms_p, terms_q, terms_r, scal
     _assert_one_form(scalar * p, scaled)
     if terms_p:
         _assert_one_form(parse_poly(_text(terms_p), 3), fp)
-        assert all(in_one_form(p.coefficient(m)) for m in monomials_of_degree(3, 2))
+        assert all(in_one_form(p.coeffs.get(m, 0)) for m in monomials_of_degree(3, 2))
 
 
 def test_equal_polynomials_hash_equal_once_computed():
