@@ -138,9 +138,11 @@ def _pair_report_lines(report) -> list[str]:
 
 def _hilbert(args, ring):
     values = ring.hilbert.values
-    # Artinian when it vanished within the bound or has a pure power of each variable
-    artinian = ring.hilbert.artinian_within_bound or default_bound(ring.spec) is not None
-    line = f"artinian: {_yes(artinian)}"
+    if ring.complete or default_bound(ring.spec) is not None:  # vanished, or a pure power of each variable
+        artinian = True
+    else:  # a monomial ideal without those powers is not; any other may vanish past the bound
+        artinian = None if ring.spec.others else False
+    line = f"artinian: {'unknown' if artinian is None else _yes(artinian)}"
     top = ring.top_degree if ring.complete else None
     if top is not None:
         line += f" (top degree {top})"

@@ -16,10 +16,12 @@ check and the socle's certificate take their linear forms from one place,
 `decision_forms`, so the check reuses the decision's ranks. `map_rank` reads
 and fills the memo; the search for a partner fills it through
 `ranked_map`, which also returns the map it ranked, so the partner, a
-kernel vector (`annihilator_degree`), comes from the same build. Only
-`socle_dims`, in a degree the certificate leaves open, ranks a matrix of
-its own; on a monomial ring it reads the socle off the quotient basis and
-ranks nothing. No table is read here. The containment (y)_d in Ann(x)_d holds exactly when
+kernel vector (`annihilator_degree`), comes from the same build. Two
+functions rank a matrix of their own: `socle_dims`, in a degree the
+certificate leaves open (on a monomial ring it reads the socle off the
+quotient basis and ranks nothing), and `colon_identity_dims`, whose left
+side ranks the rows of (I+(l))_2 in the degree-2 monomials of P. No table
+is read here. The containment (y)_d in Ann(x)_d holds exactly when
 xy*R_{d-deg y} = 0, and given it, equality is equality of dimensions. A subspace is built only where its
 vectors are used, as for the kernel vector `find_ezd_complement` offers
 as a partner. An element that is zero in R (the zero polynomial, one in

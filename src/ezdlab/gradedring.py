@@ -26,9 +26,10 @@ nor does a degree after a vanished one. The elimination reads no border
 row after those read span every border column: then the degree vanishes,
 and its table is the empty basis with every normal form zero over D = 1.
 There is one path: an ideal
-without single-term generators has M = 0. Before building,
-`build_quotient` prices eliminating each degree from scratch from counts
-alone, and refuses a build past `MAX_ELIMINATION_COST`.
+without single-term generators has M = 0. Before building a degree's
+rows, `_component` adds its price, border rows times border columns
+squared, to the build's running sum, and refuses the degree once the sum
+passes `MAX_ELIMINATION_COST`.
 
 The Hilbert function of P/M needs no standard monomial set:
 `monomial_hilbert` counts the degree-d monomials outside M as C(n+d-1, d)
@@ -71,16 +72,16 @@ MAX_MONOMIALS = 100_000
 # variables to degree 1, holds 1,001,000; every other ring that the tests,
 # demos, README examples and benchmark inputs size holds 209,440 or fewer.
 MAX_EXPONENTS = 12_000_000
-# Largest elimination build_quotient runs, estimated before it starts as the
-# sum over degrees of rows x standard columns^2, a bound on dense Gauss-Jordan
-# work if each degree were eliminated from scratch. The build eliminates only
-# the border, so the estimate overstates its work, more so as the degree
-# grows. On "x1^2 + x2*x3, x2^2 + x1*x4" in 4 variables, the largest ring the
-# tests build, the estimate is 2.2e8 to degree 12 and 2.9e9 to degree 16 (a
-# CLI run of 0.24 s and 0.67 s on a 2-core x86-64 host); to degree 31 it is
-# 1.3e12, refused, though the build takes about 9 s there. Every other ring of
-# the tests, demos, README examples and benchmark inputs is estimated at
-# 2.8e6 or less.
+# Largest elimination build_quotient runs: the sum over the degrees built so
+# far of border rows x border columns^2, n rows per pivot of the degree below
+# and one per generator of the degree, against the border columns, so a
+# degree is refused before any of its rows is built. A monomial ideal adds 0.
+# On "x1^2 + x2*x3, x2^2 + x1*x4" in 4 variables the sum is 3.1e7 to degree 12
+# and 1.7e8 to degree 16 (CLI runs of about 0.3 s and 0.4 s on a 2-core x86-64
+# host), and 8.8e9 to degree 31, which builds in about 4.5 s; degree 32 passes
+# the cap, refused after 4.5 s. Every other ring the tests build is priced at
+# 429,240 or less, and every ring of the demos, scans and benchmark inputs at
+# 17,488 or less.
 MAX_ELIMINATION_COST = 10_000_000_000
 
 
@@ -260,9 +261,13 @@ def _component(
     standard: set[Monomial],
     below: tuple[_DegreeComponent, set[Monomial]] | None,
     others: tuple[HomogPoly, ...],
-) -> _DegreeComponent:
+    spent: int,
+) -> tuple[_DegreeComponent, int]:
     """The degree-d component of P/I, given the standard monomials of M in
-    degree d and, past degree 0, degree d-1's component and standard set.
+    degree d and, past degree 0, degree d-1's component and standard set;
+    and `spent` plus this degree's price, border rows times border columns
+    squared. Raises ValueError before any row is built once that sum
+    passes MAX_ELIMINATION_COST.
 
     Modulo M_d, whose monomials are zero in R, I_d is spanned by the
     generators of degree d and by x_i*(D*m_p - sum num*b) for each pivot m_p
@@ -287,7 +292,7 @@ def _component(
     if below is not None:
         prev, prev_standard = below
         if not prev.basis:  # an empty border: every standard monomial is a lead, and zero
-            return _DegreeComponent((), normal_forms, 1)
+            return _DegreeComponent((), normal_forms, 1), spent
         den = prev.denominator
         pivots_below = prev_standard.difference(prev.basis)
     if pivots_below:
@@ -296,6 +301,15 @@ def _component(
     else:
         border = standard  # every standard monomial is x_i*b, or degree 0's 1
     cols = [m for m in monos if m in border]
+    gens_d = [g for g in others if g.degree == degree]
+    # at most n rows per pivot below and one per generator reach _read_off
+    spent += (nvars * len(pivots_below) + len(gens_d)) * len(cols) ** 2
+    if spent > MAX_ELIMINATION_COST:
+        raise ValueError(
+            f"eliminating up to degree {degree} is estimated at {spent:,} operations "
+            f"(border rows x border columns^2 over the degrees), more than the cap of "
+            f"{MAX_ELIMINATION_COST:,}; lower the bound"
+        )
     col = {m: k for k, m in enumerate(cols)}
     reducers: dict[Monomial, dict[int, int]] = {}  # lead -> its reducer's border entries
     rows: list[dict] = []  # border-only rows, as border column -> entry
@@ -315,9 +329,7 @@ def _component(
                     tail = {k: x for k in tail.keys() | reducer.keys() if (x := tail.get(k, 0) - reducer.get(k, 0))}
                 if tail:
                     rows.append(tail)
-    for g in others:
-        if g.degree != degree:
-            continue
+    for g in gens_d:
         # den * g in integer coefficients minus c times the reducer of each lead c*L of g
         row: dict = {}
         for m, c in g.integer_coeffs()[0].items():
@@ -333,7 +345,7 @@ def _component(
     basis, den = _read_off(normal_forms, cols, rows, reducers, den) if rows or reducers else (cols, 1)
     for q, m in enumerate(basis):
         normal_forms[m] = ((q, den),)
-    return _DegreeComponent(tuple(basis), normal_forms, den)
+    return _DegreeComponent(tuple(basis), normal_forms, den), spent
 
 
 def _read_off(
@@ -401,46 +413,23 @@ def refuse_oversize(nvars: int, bound: int) -> None:
         )
 
 
-def _refuse_costly(nvars: int, gens: set[Monomial], others: tuple[HomogPoly, ...], bound: int) -> None:
-    """Raise ValueError when eliminating the multiples of `others` on the
-    standard columns of the monomial ideal generated by `gens`, degrees
-    0..bound, is estimated to cost more than MAX_ELIMINATION_COST.
-
-    The estimate is the sum over degrees of rows x columns^2: one row per
-    multiple m*g of a generator in `others`, one column per standard
-    monomial. It prices eliminating each degree from scratch, which
-    overstates a build that eliminates only the border columns.
-    """
-    cost = 0
-    for d, cols in enumerate(monomial_hilbert(nvars, gens, bound).values):
-        rows = sum(comb(nvars + d - g.degree - 1, d - g.degree) for g in others if g.degree <= d)
-        cost += rows * cols * cols
-    if cost > MAX_ELIMINATION_COST:
-        raise ValueError(
-            f"eliminating up to degree {bound} is estimated at {cost:,} operations "
-            f"(rows x standard columns^2 over the degrees), more than the cap of "
-            f"{MAX_ELIMINATION_COST:,}; lower the bound"
-        )
-
-
 def build_quotient(spec: IdealSpec, bound: int) -> GradedQuotient:
     """Construct R = P/I with all per-degree data for degrees 0..bound.
 
     The single-term generators are closed combinatorially and only the
     others are eliminated, each degree on its border columns alone. Raises
     ValueError before building anything when the monomials of degree <=
-    bound number more than MAX_MONOMIALS, or when the elimination's
-    estimated cost exceeds MAX_ELIMINATION_COST.
+    bound number more than MAX_MONOMIALS, and before the degree at which
+    the elimination's running price passes MAX_ELIMINATION_COST.
     """
     refuse_oversize(spec.nvars, bound)
     gens, others = set(spec.monomials), spec.others  # M's generators, and the rest
-    if others:
-        _refuse_costly(spec.nvars, gens, others, bound)
     components: list[_DegreeComponent] = []
-    below = None
+    below, spent = None, 0
     for d, standard in enumerate(_order_ideal(spec.nvars, gens, bound)):
-        components.append(_component(spec.nvars, d, standard, below, others))
-        below = components[-1], standard
+        component, spent = _component(spec.nvars, d, standard, below, others, spent)
+        components.append(component)
+        below = component, standard
     return GradedQuotient(spec, bound, tuple(components))
 
 

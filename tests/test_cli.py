@@ -171,11 +171,19 @@ def test_missing_bound_exits_2(capsys):
 
 
 def test_costly_elimination_exits_2(capsys):
-    code, out, err = run(capsys, "hilbert", "-n", "4", "-D", "31", "x1^2 + x2*x3, x2^2 + x1*x4")
+    """The guard refuses at the degree whose border passes the cap, after
+    the cheaper degrees below it are built."""
+    ideal = "x1^2 + x2*x3, x2^2 + x1*x4, x3^2 + x5*x6"
+    code, out, err = run(capsys, "hilbert", "-n", "12", "-D", "5", ideal)
     assert (code, out) == (2, "")
-    assert "estimated at 1,332,438,594,960 operations" in err
+    assert err.startswith("error: eliminating up to degree 5 is estimated at 47,681,520,048 operations")
     assert "cap of 10,000,000,000" in err
     assert "Traceback" not in err
+
+
+def test_form_of_degree_two_exits_2(capsys):
+    code, out, err = run(capsys, "ezd", "-n", "2", "-D", "2", "x1^2, x2^2", "--form", "x1^2")
+    assert (code, out, err) == (2, "", "error: --form must be a linear form\n")
 
 
 def test_ezd_generic_yes(capsys):
@@ -355,6 +363,12 @@ def test_hilbert_artinian_examples(capsys):
     assert artinian("3", "x1^2, x1*x2 + x2^2") is True
     # the unit ideal: no pure powers, but the ring vanishes from degree 0
     assert artinian("2", "3") is True
+    # neither monomial nor vanished by the bound, so it may vanish later, as
+    # this ring does from degree 3 on
+    assert artinian("1", "x1^2 + x2^2, x1*x2") is None
+    assert artinian("4", "x1^2 + x2^2, x1*x2") is True
+    assert run(capsys, "hilbert", "-n", "2", "-D", "1", "x1^2 + x2^2, x1*x2") == (
+        0, "H(0..1): 1 2\nartinian: unknown\n", "")
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -721,16 +735,10 @@ def test_ideal_from_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
-def test_unreadable_file_exits_2(tmp_path, kind):
-    path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ezdlab", "hilbert", "-n", "2", "--file", str(path)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: cannot read ")
-    assert "Traceback" not in proc.stderr
+def test_unreadable_file_exits_2(capsys, tmp_path, kind):
+    path, code = (tmp_path / "absent.txt", errno.ENOENT) if kind == "missing" else (tmp_path, errno.EISDIR)
+    assert run(capsys, "hilbert", "-n", "2", "--file", str(path)) == (
+        2, "", f"error: cannot read {path}: {os.strerror(code)}\n")
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])

@@ -186,19 +186,38 @@ def test_exponent_cap_refuses_many_variables(monkeypatch):
     gradedring.refuse_oversize(3463, 1)  # exactly at the cap
 
 
-def test_elimination_cost_guard_refuses_before_eliminating(monkeypatch):
-    """The guard reads the cost off counts: degree 12 builds, degree 31 (an
-    estimated 1.3e12 operations) is refused before any degree is built."""
-    spec = parse_ideal("x1^2 + x2*x3, x2^2 + x1*x4", 4)
-    ring = build_quotient(spec, 12)
-    assert ring.hilbert.values[:4] == (1, 4, 8, 12)
-    monkeypatch.setattr(gradedring, "_component", lambda *a: pytest.fail("a degree was built"))
+PAIR = "x1^2 + x2*x3, x2^2 + x1*x4"  # in 4 variables; H(d) = 4d from degree 1 on
+
+
+def test_elimination_cost_guard_prices_the_border(monkeypatch):
+    """The guard prices the border the build eliminates: to degree 16 that
+    sums to about 1.7e8, so a cap of 1e9 lets it build, where eliminating
+    each degree from scratch would be priced at about 2.9e9."""
+    monkeypatch.setattr(gradedring, "MAX_ELIMINATION_COST", 1_000_000_000)
+    ring = build_quotient(parse_ideal(PAIR, 4), 16)
+    assert ring.hilbert.values == (1, *range(4, 65, 4))
+
+
+def test_elimination_cost_guard_refuses_before_the_costly_degree(monkeypatch):
+    """A refused build has eliminated every degree below the one that passes
+    the cap, and none of that degree's rows."""
+    eliminated = []
+    read_off = gradedring._read_off
+
+    def recorder(normal_forms, cols, rows, reducers, den):
+        eliminated.append(sum(cols[0]))
+        return read_off(normal_forms, cols, rows, reducers, den)
+
+    monkeypatch.setattr(gradedring, "_read_off", recorder)
+    monkeypatch.setattr(gradedring, "MAX_ELIMINATION_COST", 20_000_000)
     with pytest.raises(ValueError, match=(
-        r"^eliminating up to degree 31 is estimated at 1,332,438,594,960 operations "
-        r"\(rows x standard columns\^2 over the degrees\), more than the cap of "
-        r"10,000,000,000; lower the bound$"
+        r"^eliminating up to degree 12 is estimated at 30,679,112 operations "
+        r"\(border rows x border columns\^2 over the degrees\), more than the cap of "
+        r"20,000,000; lower the bound$"
     )):
-        build_quotient(spec, 31)
+        build_quotient(parse_ideal(PAIR, 4), 16)
+    # degrees 0 and 1 have no row: the generators start in degree 2
+    assert eliminated == list(range(2, 12))
 
 
 def test_elimination_cost_counts_only_eliminated_generators(monkeypatch):
@@ -209,8 +228,9 @@ def test_elimination_cost_counts_only_eliminated_generators(monkeypatch):
     spec = parse_ideal("x1^3, x2^3 + x1*x2^2", 2)
     with pytest.raises(ValueError, match="more than the cap of 26;"):
         build_quotient(spec, 4)
-    # degree 3: the binomial against the 3 monomials outside (x1^3); degree 4:
-    # its 2 multiples by a variable against 3 columns; 1 * 3^2 + 2 * 3^2 = 27
+    # degree 3: the binomial's row against the 3 border columns, every monomial
+    # outside (x1^3) as no pivot lies below; degree 4: 2 variables times the
+    # one pivot of degree 3 against 3 border columns; 1 * 3^2 + 2 * 3^2 = 27
     monkeypatch.setattr(gradedring, "MAX_ELIMINATION_COST", 27)
     assert build_quotient(spec, 4).hilbert.values == (1, 2, 3, 2, 1)
 

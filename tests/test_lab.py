@@ -622,6 +622,41 @@ def test_both_scans_reach_the_pair_rule(monkeypatch, capsys):
         assert "with generic exact pair: 0" not in out and ": forced\n" in out
 
 
+def _unequal_colon_sides(ring, ell):
+    lhs, rhs = ezd.colon_identity_dims(ring, ell)
+    return lhs + 1, rhs
+
+
+@pytest.mark.parametrize("name,forced,flag,reason", [
+    ("colon_identity_dims", _unequal_colon_sides, "colon_identity_ok", r"colon identity failed: (\d+) != (\d+)"),
+    ("decompose_partner", lambda *a: None, "decompose_ok", r"partner split failed for (.+)"),
+    ("check_split_support", lambda *a: ["forced"], "support_ok", r"split support check failed: forced"),
+], ids=["colon", "split", "support"])
+def test_binomial_task_reports_each_failed_check(monkeypatch, capsys, name, forced, flag, reason):
+    """Each check of the binomial task, forced to fail, clears its flag on
+    every record it runs on and files its reason as a counterexample."""
+    monkeypatch.setattr(lab, name, forced)
+    assert cli.main(["scan", "binomial", "-n", "3", "--workers", "1", "--format", "json", "--full"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    reasons = {}
+    for c in payload["counterexamples"]:
+        reasons.setdefault(c["index"], []).append(re.fullmatch(reason, c["reason"]))
+    # the colon identity runs on every trial, the split and its support check
+    # on every trial whose partner has degree 1
+    checked = [r for r in payload["instances"] if name == "colon_identity_dims" or r["deg1_witness_trials"]]
+    assert len(checked) == (54 if name == "colon_identity_dims" else 27)
+    assert sorted(reasons) == sorted(r["index"] for r in checked)
+    for rec in checked:
+        assert rec[flag] is False
+        found = reasons[rec["index"]]
+        assert all(found) and len(found) == (3 if name == "colon_identity_dims" else rec["deg1_witness_trials"])
+        if name == "colon_identity_dims":
+            assert all(int(m[1]) == int(m[2]) + 1 for m in found)
+        elif name == "decompose_partner":
+            assert all(parse_poly(m[1], 3).degree == 1 for m in found)  # the form that was split
+            assert rec["support_ok"] is None  # no split, so no support check
+
+
 def test_binomial_ann1_dims_match_direct_ranks():
     """ann1_dims, read from the colon identity, against dim R_1 - rank(ell: R_1 -> R_2)."""
     cfg = ScanConfig(3, seed=4)
